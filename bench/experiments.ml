@@ -2079,15 +2079,7 @@ let e24_wallchaos () =
   in
   List.iter
     (fun seed ->
-      let wal_dir =
-        let dir =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "dvp-e24-%d-%d" (Unix.getpid ()) seed)
-        in
-        Unix.mkdir dir 0o700;
-        dir
-      in
+      let wal_dir = Dvp.Walfile.temp_dir "e24" in
       let c = Dvp.Cluster.create ~seed ~wal_dir ~n:4 ~items:[ (0, 200_000) ] () in
       let sup = Dvp.Supervisor.create c in
       let t0 = Unix.gettimeofday () in
@@ -2120,10 +2112,7 @@ let e24_wallchaos () =
       let conserved = quiesced && Dvp.Cluster.conserved_all c in
       let committed = Dvp.Cluster.bg_committed c in
       Dvp.Cluster.stop c;
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat wal_dir f) with _ -> ())
-        (Sys.readdir wal_dir);
-      (try Unix.rmdir wal_dir with _ -> ());
+      Dvp.Walfile.remove_dir wal_dir;
       Report.record_json
         (Json.Obj
            [

@@ -652,12 +652,7 @@ let serve_cmd domains items total transport =
   let config = { Dvp.Config.default with Dvp.Config.transport = transport } in
   (* File-backed WALs so `kill` is survivable: `revive` replays the on-disk
      frame prefix through real crash recovery. *)
-  let wal_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dvp-serve-%d" (Unix.getpid ()))
-  in
-  Unix.mkdir wal_dir 0o700;
+  let wal_dir = Dvp.Walfile.temp_dir "serve" in
   let c =
     Dvp.Cluster.create ~seed:42 ~config ~wal_dir ~n:domains
       ~items:(cluster_items ~items ~total) ()
@@ -687,12 +682,7 @@ let serve_cmd domains items total transport =
   in
   let stop () =
     Dvp.Cluster.stop c;
-    (try
-       Array.iter
-         (fun f -> try Sys.remove (Filename.concat wal_dir f) with _ -> ())
-         (Sys.readdir wal_dir);
-       Unix.rmdir wal_dir
-     with _ -> ());
+    Dvp.Walfile.remove_dir wal_dir;
     print_endline "bye"
   in
   let rec loop () =

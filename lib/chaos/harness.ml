@@ -34,7 +34,7 @@ let run_seed ~(profile : Profile.t) ~seed ?schedule ?extra_checks ?crashdumps ()
      registry, so a failing seed leaves behind the event window and counters
      that led up to the violation. *)
   let trace =
-    match crashdumps with Some _ -> Some (Dvp_sim.Trace.create ()) | None -> None
+    match crashdumps with Some _ -> Some (Dvp_trace.Trace.create ()) | None -> None
   in
   let config =
     if profile.Profile.detector || profile.Profile.rebalance then

@@ -45,37 +45,44 @@ let non_negativity sys =
       List.rev !neg)
     (System.items sys)
 
-(* Exactly-once, in-order Vm acceptance, checked from the stable logs alone:
-   scanning a site's log oldest-first, each [Vm_accept] from a peer must carry
-   exactly the next sequence number past that peer's watermark (a repeat would
-   mean a double credit, a skip a lost one).  Checkpoint records reset the
-   watermarks to their snapshot. *)
-let vm_exactly_once sys =
-  let n = System.n_sites sys in
+(* The per-log checks, the same on both substrates, read one site's stable
+   records oldest-first and nothing else:
+   - Vm exactly-once: each [Vm_accept] from a peer carries exactly the next
+     sequence number past that peer's watermark (a repeat would mean a double
+     credit, a skip a lost one).  [Checkpoint] resets the watermarks to its
+     snapshot; [Vm_channel_reset] restarts one peer's channel at seq 0 under
+     a new membership epoch.
+   - non-negativity: no logged fragment value is negative. *)
+let check_log ~n ~site iter =
   let bad = ref [] in
-  for site = 0 to n - 1 do
-    let wal = Site.wal (System.site sys site) in
-    let wm = Array.make n (-1) in
-    Wal.iter wal (fun record ->
-        match record with
-        | Log_event.Vm_accept { peer; seq; _ } ->
-          if seq <> wm.(peer) + 1 then
-            bad :=
-              v "vm-exactly-once" "site %d accepted seq %d from peer %d with watermark %d"
-                site seq peer wm.(peer)
-              :: !bad
-          else wm.(peer) <- seq
-        | Log_event.Checkpoint { accepted; _ } ->
-          Array.fill wm 0 n (-1);
-          List.iter (fun (peer, s) -> wm.(peer) <- s) accepted
-        | Log_event.Vm_channel_reset { peer; _ } ->
-          (* Membership transition: the channel with [peer] restarted at
-             sequence zero under a new epoch, so acceptance restarts too. *)
-          wm.(peer) <- -1
-        | Log_event.Vm_create _ | Log_event.Txn_commit _ | Log_event.Txn_applied _
-        | Log_event.Ack_progress _ -> ())
-  done;
+  let flag check fmt = Printf.ksprintf (fun detail -> bad := { check; detail } :: !bad) fmt in
+  let logged item value =
+    if value < 0 then
+      flag "non-negative-logged" "site %d logged fragment %d for item %d" site value item
+  in
+  let actions = List.iter (fun (Log_event.Set_fragment { item; value }) -> logged item value) in
+  let wm = Array.make n (-1) in
+  iter (function
+    | Log_event.Vm_accept { peer; seq; item; new_value; _ } ->
+      if seq <> wm.(peer) + 1 then
+        flag "vm-exactly-once" "site %d accepted seq %d from peer %d with watermark %d" site
+          seq peer wm.(peer)
+      else wm.(peer) <- seq;
+      logged item new_value
+    | Log_event.Vm_create { actions = a; _ } | Log_event.Txn_commit { actions = a; _ } ->
+      actions a
+    | Log_event.Checkpoint { fragments; accepted; _ } ->
+      Array.fill wm 0 n (-1);
+      List.iter (fun (peer, s) -> wm.(peer) <- s) accepted;
+      List.iter (fun (item, value) -> logged item value) fragments
+    | Log_event.Vm_channel_reset { peer; _ } -> wm.(peer) <- -1
+    | Log_event.Txn_applied _ | Log_event.Ack_progress _ -> ());
   List.rev !bad
+
+let stable_logs sys =
+  let n = System.n_sites sys in
+  List.concat
+    (List.init n (fun site -> check_log ~n ~site (Wal.iter (Site.wal (System.site sys site)))))
 
 (* A corrupt stable tail surviving past recovery would mean recovery replayed
    or appended around garbage. *)
@@ -93,7 +100,7 @@ let wal_integrity sys =
   List.rev !bad
 
 let check_system sys =
-  conservation sys @ non_negativity sys @ vm_exactly_once sys @ wal_integrity sys
+  conservation sys @ non_negativity sys @ stable_logs sys @ wal_integrity sys
 
 (* Counter cross-checks on a finished run.  The runner's own tallies and the
    merged site metrics describe the same transactions from two sides. *)

@@ -5,7 +5,6 @@ module Walfile = Dvp_runtime.Walfile
 module Observer = Dvp_runtime.Observer
 module Wal = Dvp_storage.Wal
 module Local_db = Dvp_storage.Local_db
-module Log_event = Dvp_core.Log_event
 module Log_replay = Dvp_core.Log_replay
 module Config = Dvp_core.Config
 module Health = Dvp_health.Health
@@ -71,8 +70,6 @@ let profile_of_string = function
   | "bounded" -> Some bounded_profile
   | _ -> None
 
-type violation = { v_kind : string; v_detail : string }
-
 type seed_report = {
   sr_seed : int;
   sr_plan : Fault.t;
@@ -85,34 +82,12 @@ type seed_report = {
   sr_chaos : int * int * int;
   sr_bg_committed : int;
   sr_quiesced : bool;
-  sr_violations : violation list;
+  sr_violations : Oracle.violation list;
   sr_crashdump : string option;
   sr_shrunk : Fault.t option;
 }
 
 let failed r = r.sr_violations <> []
-
-(* Unique scratch directory per run: the pid disambiguates concurrent test
-   processes, the counter concurrent runs inside one (shrinking re-runs). *)
-let dir_counter = Atomic.make 0
-
-let fresh_wal_dir ~seed =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dvp-wall-%d-%d-%d" (Unix.getpid ()) seed
-         (Atomic.fetch_and_add dir_counter 1))
-  in
-  Unix.mkdir dir 0o700;
-  dir
-
-let remove_wal_dir dir =
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-       (Sys.readdir dir)
-   with _ -> ());
-  try Unix.rmdir dir with _ -> ()
 
 let tbl_get tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0
 
@@ -130,8 +105,8 @@ let wal_of_records records =
    live (in-flight value zero, outboxes drained). *)
 let file_oracle ~cluster ~n ~items =
   let violations = ref [] in
-  let viol v_kind fmt =
-    Printf.ksprintf (fun v_detail -> violations := { v_kind; v_detail } :: !violations) fmt
+  let viol check fmt =
+    Printf.ksprintf (fun detail -> violations := { Oracle.check; detail } :: !violations) fmt
   in
   let per_site =
     List.init n (fun i ->
@@ -197,55 +172,17 @@ let file_oracle ~cluster ~n ~items =
           "item %d: files hold %d but installed %d + deltas %d = %d" item frag
           installed delta (installed + delta))
     items;
-  (* (d) exactly-once acceptance: per (receiver, peer) channel the forced
-     Vm_accept stream is gap-free.  A seq at or below the watermark is a
-     duplicate image (legitimate after tail repair + retransmission); a seq
-     past watermark+1 means value was credited without in-order acceptance. *)
+  (* (d) the per-log checks the DES oracle runs too: strict Vm exactly-once
+     and non-negative logged values, over each file's frame prefix. *)
   List.iter
     (fun (i, records, _, _) ->
-      let wm = Array.make n (-1) in
-      List.iter
-        (fun rec_ ->
-          match rec_ with
-          | Log_event.Vm_accept { peer; seq; _ } ->
-            if seq > wm.(peer) + 1 then
-              viol "vm_gap"
-                "site %d accepted seq %d from peer %d past watermark %d" i seq
-                peer wm.(peer)
-            else if seq > wm.(peer) then wm.(peer) <- seq
-          | Log_event.Vm_channel_reset { peer; _ } -> wm.(peer) <- -1
-          | _ -> ())
-        records)
-    per_site;
-  (* (e) non-negativity: fragments are quantities; no logged absolute value
-     may be negative. *)
-  List.iter
-    (fun (i, records, _, _) ->
-      List.iter
-        (fun rec_ ->
-          let check_actions actions =
-            List.iter
-              (fun (Log_event.Set_fragment { item; value }) ->
-                if value < 0 then
-                  viol "negative_value" "site %d logged fragment %d for item %d" i
-                    value item)
-              actions
-          in
-          match rec_ with
-          | Log_event.Vm_create { actions; _ } | Log_event.Txn_commit { actions; _ }
-            ->
-            check_actions actions
-          | Log_event.Vm_accept { new_value; item; _ } ->
-            if new_value < 0 then
-              viol "negative_value" "site %d accepted into fragment %d for item %d"
-                i new_value item
-          | _ -> ())
-        records)
+      violations :=
+        List.rev_append (Oracle.check_log ~n ~site:i (fun f -> List.iter f records)) !violations)
     per_site;
   List.rev !violations
 
 let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
-  let wal_dir = fresh_wal_dir ~seed in
+  let wal_dir = Walfile.temp_dir (Printf.sprintf "wall-%d" seed) in
   let config =
     {
       Config.default with
@@ -263,8 +200,8 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
   in
   let sup = Supervisor.create cluster in
   let violations = ref [] in
-  let viol v_kind fmt =
-    Printf.ksprintf (fun v_detail -> violations := { v_kind; v_detail } :: !violations) fmt
+  let viol check fmt =
+    Printf.ksprintf (fun detail -> violations := { Oracle.check; detail } :: !violations) fmt
   in
   let t0 = Unix.gettimeofday () in
   Cluster.start_bg_load cluster ~duration:profile.load ~amount:profile.amount ();
@@ -352,14 +289,7 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
     | Some _ as d -> d
     | None ->
       if ordered <> [] && crashdumps <> None then (
-        let verdict =
-          Json.List
-            (List.map
-               (fun v ->
-                 Json.Obj
-                   [ ("kind", Json.String v.v_kind); ("detail", Json.String v.v_detail) ])
-               ordered)
-        in
+        let verdict = Json.List (List.map Oracle.violation_to_json ordered) in
         let label = Printf.sprintf "wall-seed%d" seed in
         try Some (Dvp_obs.Flight.dump (Observer.flight observer) ~label ~verdict)
         with _ -> None)
@@ -368,7 +298,7 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
   let chaos = Cluster.chaos_counts cluster in
   Observer.stop observer;
   Cluster.stop cluster;
-  remove_wal_dir wal_dir;
+  Walfile.remove_dir wal_dir;
   {
     sr_seed = seed;
     sr_plan = plan;
@@ -437,9 +367,6 @@ let run ?(profile = default_profile) ?(seeds = 5) ?(first_seed = 1) ?crashdumps 
 
 let ok r = r.rp_failures = 0
 
-let violation_to_json v =
-  Json.Obj [ ("kind", Json.String v.v_kind); ("detail", Json.String v.v_detail) ]
-
 let seed_report_to_json r =
   let drops, dups, delays = r.sr_chaos in
   Json.Obj
@@ -459,7 +386,7 @@ let seed_report_to_json r =
       ("msgs_delayed", Json.Int delays);
       ("bg_committed", Json.Int r.sr_bg_committed);
       ("quiesced", Json.Bool r.sr_quiesced);
-      ("violations", Json.List (List.map violation_to_json r.sr_violations));
+      ("violations", Json.List (List.map Oracle.violation_to_json r.sr_violations));
       ( "crashdump",
         match r.sr_crashdump with Some p -> Json.String p | None -> Json.Null );
       ( "shrunk_plan",
@@ -497,7 +424,7 @@ let pp_seed ppf r =
   | [] -> Format.fprintf ppf "invariants: OK"
   | vs ->
     Format.fprintf ppf "invariants: %d violation(s)@," (List.length vs);
-    List.iter (fun v -> Format.fprintf ppf "  [%s] %s@," v.v_kind v.v_detail) vs;
+    List.iter (fun v -> Format.fprintf ppf "  [%s] %s@," v.Oracle.check v.Oracle.detail) vs;
     (match r.sr_crashdump with
     | Some p -> Format.fprintf ppf "  crashdump: %s@," p
     | None -> ());

@@ -17,8 +17,9 @@
       positive number of records, and the load must have committed traffic;
     - an offline replay of all the on-disk WAL files: final fragments must
       match the live state record for record, in-flight value must be zero,
-      per-channel acceptance must be gap-free (Vm exactly-once), and every
-      logged absolute value must be non-negative.
+      and every file must pass {!Oracle.check_log}, the per-log checks the
+      DES harness runs too (strict Vm exactly-once, non-negative logged
+      values).
 
     Failing seeds dump trace and telemetry through the observer's
     {!Dvp_obs.Flight} recorder and can be shrunk with {!Shrink.minimize}
@@ -48,8 +49,6 @@ val bounded_profile : profile
 val profile_of_string : string -> profile option
 (** ["default"], ["killer"], ["bounded"]. *)
 
-type violation = { v_kind : string; v_detail : string }
-
 type seed_report = {
   sr_seed : int;
   sr_plan : Dvp_runtime.Fault.t;  (** the plan that ran *)
@@ -62,7 +61,7 @@ type seed_report = {
   sr_chaos : int * int * int;  (** messages (dropped, duplicated, delayed) *)
   sr_bg_committed : int;  (** background transactions committed *)
   sr_quiesced : bool;
-  sr_violations : violation list;  (** empty = seed passed *)
+  sr_violations : Oracle.violation list;  (** empty = seed passed *)
   sr_crashdump : string option;
   sr_shrunk : Dvp_runtime.Fault.t option;
       (** 1-minimal plan still failing, when shrinking ran *)

@@ -155,11 +155,11 @@ type t = {
   vm_outbox_warn : int;
       (** high-water mark on a site's total outstanding/parked Vm outbox
           depth; crossing it emits a one-shot
-          {!Dvp_sim.Trace.constructor:Outbox_high} warning (default 512) *)
+          {!Dvp_trace.Trace.constructor:Outbox_high} warning (default 512) *)
   mailbox_warn : int;
       (** high-water mark on the control-mailbox batch a runtime site domain
           drains in one loop turn; crossing it emits a one-shot
-          {!Dvp_sim.Trace.constructor:Mailbox_high} warning mirroring
+          {!Dvp_trace.Trace.constructor:Mailbox_high} warning mirroring
           [Outbox_high] (default 1024; <= 0 disables).  DES systems have no
           mailbox, so the knob only matters on the domains substrate. *)
 }

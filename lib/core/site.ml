@@ -1,5 +1,5 @@
 module Substrate = Dvp_substrate.Substrate
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Wal = Dvp_storage.Wal
 module Db = Dvp_storage.Local_db
 

@@ -37,7 +37,7 @@ val create :
   send:(dst:Ids.site -> Proto.t -> unit) ->
   config:Config.t ->
   rng:Dvp_util.Rng.t ->
-  ?trace:Dvp_sim.Trace.t ->
+  ?trace:Dvp_trace.Trace.t ->
   ?on_inflight:(Ids.item -> int -> unit) ->
   unit ->
   t

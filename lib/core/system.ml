@@ -25,7 +25,7 @@ type t = {
      ([in_flight] below) stays log-derived. *)
   inflight_live : (Ids.item, int) Hashtbl.t;
   item_list : Ids.item list ref;
-  trace : Dvp_sim.Trace.t option;
+  trace : Dvp_trace.Trace.t option;
   mutable detectors : Health.t array; (* empty = no failure detector *)
   dead_forever : bool array; (* [kill_forever] victims: recovery refused *)
   evacuated : bool array;
@@ -37,7 +37,7 @@ type t = {
 
 let emit t ev =
   match t.trace with
-  | Some tr -> Dvp_sim.Trace.emit tr ~time:(Substrate.now t.sub) ev
+  | Some tr -> Dvp_trace.Trace.emit tr ~time:(Substrate.now t.sub) ev
   | None -> ()
 
 (* -------------------------------------------- degraded-mode operation *)
@@ -164,7 +164,7 @@ let rec evacuate ?(force = false) t ~site:d () =
     Site.crash dead;
     t.evacuated.(d) <- true;
     emit t
-      (Dvp_sim.Trace.Evacuation
+      (Dvp_trace.Trace.Evacuation
          { site = d; value_moved = !value_moved; vms_delivered = !vms_delivered;
            stranded = !stranded });
     if !stranded > 0 then start_sweep t d;
@@ -234,7 +234,7 @@ and maybe_auto_evacuate t d =
 (* A detector verdict changed at site [i]: trace it and drive the circuit
    breaker (parked outbox) on the request/Vm path. *)
 and handle_transition t i ~peer st =
-  emit t (Dvp_sim.Trace.Health { site = i; peer; state = Health.state_to_string st });
+  emit t (Dvp_trace.Trace.Health { site = i; peer; state = Health.state_to_string st });
   let vm = Site.vm t.sites.(i) in
   (match st with
   | Health.Up -> Vm.unpark vm ~dst:peer
@@ -321,7 +321,7 @@ let rebalance ?(slack = Config.default_rebalance.Config.slack) t =
             end)
           frags)
       (List.rev !(t.item_list));
-  if !moved > 0 then emit t (Dvp_sim.Trace.Rebalance { moved = !moved });
+  if !moved > 0 then emit t (Dvp_trace.Trace.Rebalance { moved = !moved });
   !moved
 
 let start_auto_rebalance t ~every ~slack =
@@ -477,62 +477,20 @@ let add_item t ~item ~total ?(split = `Even) () =
   Hashtbl.replace t.expected item total;
   t.item_list := item :: !(t.item_list)
 
-(* Track committed deltas so the conservation check knows the current
-   expected aggregate. *)
-let wrap_delta t ops on_done result =
-  (match result with
-  | Site.Committed _ ->
-    List.iter
-      (fun (item, op) ->
-        match Hashtbl.find_opt t.expected item with
-        | Some total -> Hashtbl.replace t.expected item (total + Op.delta op)
-        | None -> ())
-      ops
-  | Site.Aborted _ -> ());
-  on_done result
-
-(* One attempt of a request, whatever its kind, reported as a Txn.outcome. *)
-let exec_once t (req : Txn.t) on_result =
-  match req.Txn.kind with
-  | Txn.Update ->
-    Site.submit t.sites.(req.Txn.site) ~ops:req.Txn.ops
-      ~on_done:
-        (wrap_delta t req.Txn.ops (fun r ->
-             on_result
-               (match r with
-               | Site.Committed _ -> Txn.Committed { reads = [] }
-               | Site.Aborted reason -> Txn.Aborted reason)))
-  | Txn.Read item ->
-    Site.submit_read t.sites.(req.Txn.site) ~item ~on_done:(fun r ->
-        on_result
-          (match r with
-          | Site.Committed { read_value = Some v } -> Txn.Committed { reads = [ (item, v) ] }
-          | Site.Committed { read_value = None } -> Txn.Committed { reads = [] }
-          | Site.Aborted reason -> Txn.Aborted reason))
-  | Txn.Snapshot items ->
-    Site.submit_read_many t.sites.(req.Txn.site) ~items ~on_done:(fun r ->
-        on_result
-          (match r with
-          | Ok reads -> Txn.Committed { reads }
-          | Error reason -> Txn.Aborted reason))
-
 let exec t (req : Txn.t) ~on_done =
-  match req.Txn.retry with
-  | None -> exec_once t req on_done
-  | Some { Txn.retries; backoff } ->
-    (* Each retry is a fresh transaction with a fresh, higher timestamp. *)
-    let rec attempt k =
-      exec_once t req (fun result ->
-          match result with
-          | Txn.Committed _ -> on_done result
-          | Txn.Aborted _ when k < retries ->
-            ignore
-              (Substrate.schedule t.sub
-                 ~delay:(backoff *. float_of_int (k + 1))
-                 (fun () -> attempt (k + 1)))
-          | Txn.Aborted _ -> on_done result)
-    in
-    attempt 0
+  Txn.run t.sites.(req.Txn.site) t.sub req (fun outcome ->
+      (* Track committed deltas so the conservation check knows the current
+         expected aggregate. *)
+      (match (req.Txn.kind, outcome) with
+      | Txn.Update, Txn.Committed _ ->
+        List.iter
+          (fun (item, op) ->
+            match Hashtbl.find_opt t.expected item with
+            | Some total -> Hashtbl.replace t.expected item (total + Op.delta op)
+            | None -> ())
+          req.Txn.ops
+      | _ -> ());
+      on_done outcome)
 
 (* -------------------------------------------------------------- faults *)
 
@@ -629,7 +587,7 @@ let join t i =
       Health.resume t.detectors.(i);
       sync_health t
     end;
-    emit t (Dvp_sim.Trace.Note { category = "member"; message = Printf.sprintf "site %d joining" i });
+    emit t (Dvp_trace.Trace.Note { category = "member"; message = Printf.sprintf "site %d joining" i });
     (* Seed: every up member ships the joiner a 1/(m+1) share of each of its
        fragments, so the joiner arrives holding roughly an even slice.
        Locked items and down members are skipped — the auto-rebalancer
@@ -663,7 +621,7 @@ let join t i =
         if settled then begin
           t.membership.(i) <- Membership.Member;
           t.epoch <- t.epoch + 1;
-          emit t (Dvp_sim.Trace.Join { site = i; epoch = t.epoch; seeded = !seeded })
+          emit t (Dvp_trace.Trace.Join { site = i; epoch = t.epoch; seeded = !seeded })
         end
         else ignore (Substrate.schedule t.sub ~delay:0.05 poll)
       end
@@ -690,7 +648,7 @@ let leave t i =
     Error "refusing: fewer than two members would remain"
   else begin
     t.membership.(i) <- Membership.Leaving;
-    emit t (Dvp_sim.Trace.Note { category = "member"; message = Printf.sprintf "site %d leaving" i });
+    emit t (Dvp_trace.Trace.Note { category = "member"; message = Printf.sprintf "site %d leaving" i });
     let leaver = t.sites.(i) in
     let lvm = Site.vm leaver in
     let shed_total = ref 0 in
@@ -771,7 +729,7 @@ let leave t i =
             Health.pause t.detectors.(i);
             sync_health t
           end;
-          emit t (Dvp_sim.Trace.Leave { site = i; epoch = t.epoch; shed = !shed_total })
+          emit t (Dvp_trace.Trace.Leave { site = i; epoch = t.epoch; shed = !shed_total })
         end
         else ignore (Substrate.schedule t.sub ~delay:0.05 tick)
       end
@@ -867,7 +825,7 @@ let metrics t =
     (fun s -> Metrics.add_log_forces m (Dvp_storage.Wal.forces (Site.wal s)))
     t.sites;
   (match t.trace with
-  | Some tr -> Metrics.set_trace_dropped m (Dvp_sim.Trace.drop_count tr)
+  | Some tr -> Metrics.set_trace_dropped m (Dvp_trace.Trace.drop_count tr)
   | None -> ());
   m
 

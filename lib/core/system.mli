@@ -20,7 +20,7 @@ val create :
   ?seed:int ->
   ?config:Config.t ->
   ?link:Dvp_net.Linkstate.params ->
-  ?trace:Dvp_sim.Trace.t ->
+  ?trace:Dvp_trace.Trace.t ->
   ?capacity:int ->
   ?queue:[ `Wheel | `Heap_reference ] ->
   n:int ->
@@ -59,7 +59,7 @@ val config : t -> Config.t
 
 val network : t -> Proto.t Dvp_net.Network.t
 
-val trace : t -> Dvp_sim.Trace.t option
+val trace : t -> Dvp_trace.Trace.t option
 (** The trace handed to {!create}, if any — so downstream tooling (flight
     recorders, span analyzers) can reach the same event stream the sites
     emit into. *)
@@ -180,7 +180,7 @@ val join : t -> Ids.site -> (unit, string) result
 (** Bring a detached slot online: recover it from its (possibly empty)
     stable log, seed it with a [1/(m+1)] share of every item from each of
     the [m] current members — all through ordinary [push_value] Vm — and,
-    asynchronously, promote it to [Member] (epoch bump, {!Dvp_sim.Trace.Join})
+    asynchronously, promote it to [Member] (epoch bump, {!Dvp_trace.Trace.Join})
     once the seed value has been accepted.  Run the engine to complete the
     handshake; poll {!member_state} to observe it.  Refuses slots that are
     not detached or were killed forever.  A crash mid-join leaves the slot
@@ -192,7 +192,7 @@ val leave : t -> Ids.site -> (unit, string) result
     transactions, drains its obligations, sheds every fragment onto the up
     members through ordinary [push_value] Vm, and — once nothing is held or
     owed in either direction — detaches: epoch bump, pairwise Vm-channel
-    restart with every up peer, {!Dvp_sim.Trace.Leave}.  Run the engine to
+    restart with every up peer, {!Dvp_trace.Trace.Leave}.  Run the engine to
     complete the drain.  Refuses non-members, down sites, and leaves that
     would drop the installation below two members.  A crash during the
     drain aborts the leave (the slot reverts to [Member]). *)
@@ -201,7 +201,7 @@ val rebalance : ?slack:int -> t -> int
 (** One auto-rebalance pass: hot members (above the per-item even-split
     target by more than [slack], default {!Config.default_rebalance}) pour
     their excess into cold ones via ordinary [push_value] Vm.  Returns the
-    total value moved; emits {!Dvp_sim.Trace.Rebalance} when nonzero. *)
+    total value moved; emits {!Dvp_trace.Trace.Rebalance} when nonzero. *)
 
 val start_auto_rebalance : t -> every:float -> slack:int -> unit
 (** Run {!rebalance} on a fixed period until the simulation ends.  Armed

@@ -28,6 +28,39 @@ let to_result = function
   | Committed _ -> Site.Committed { read_value = None }
   | Aborted reason -> Site.Aborted reason
 
+(* One attempt of a request at its home site. *)
+let attempt site t k =
+  match t.kind with
+  | Update ->
+    Site.submit site ~ops:t.ops ~on_done:(function
+      | Site.Committed _ -> k (Committed { reads = [] })
+      | Site.Aborted reason -> k (Aborted reason))
+  | Read item ->
+    Site.submit_read site ~item ~on_done:(function
+      | Site.Committed { read_value = Some v } -> k (Committed { reads = [ (item, v) ] })
+      | Site.Committed { read_value = None } -> k (Committed { reads = [] })
+      | Site.Aborted reason -> k (Aborted reason))
+  | Snapshot items ->
+    Site.submit_read_many site ~items ~on_done:(function
+      | Ok reads -> k (Committed { reads })
+      | Error reason -> k (Aborted reason))
+
+let run site sub t k =
+  match t.retry with
+  | None -> attempt site t k
+  | Some { retries; backoff } ->
+    (* Each retry is a fresh transaction with a fresh, higher timestamp. *)
+    let rec go i =
+      attempt site t (function
+        | Aborted _ when i < retries ->
+          ignore
+            (Dvp_substrate.Substrate.schedule sub
+               ~delay:(backoff *. float_of_int (i + 1))
+               (fun () -> go (i + 1)))
+        | result -> k result)
+    in
+    go 0
+
 let to_reads = function
   | Committed { reads } -> Ok reads
   | Aborted reason -> Error reason

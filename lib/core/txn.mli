@@ -1,4 +1,5 @@
-(** Transaction requests: the single submission surface of {!System.exec}.
+(** Transaction requests: the single submission surface of [System.exec]
+    and [Cluster.exec], both of which execute a request through {!run}.
 
     A request bundles everything the four legacy entry points ([submit],
     [submit_read], [submit_read_many], [submit_retrying]) took separately:
@@ -41,6 +42,12 @@ type outcome =
   | Aborted of Metrics.abort_reason
 
 val committed : outcome -> bool
+
+val run : Site.t -> Dvp_substrate.Substrate.t -> t -> (outcome -> unit) -> unit
+(** [run site sub req k] executes [req] at [site], the site named by
+    [req.site], on either substrate.  [k] fires exactly once with the final
+    outcome.  Under a retry policy an aborted attempt is resubmitted as a
+    fresh transaction after [backoff * attempt] seconds of [sub]'s clock. *)
 
 (** {2 Legacy conversions} — used by the deprecated [System] wrappers. *)
 

@@ -1,5 +1,5 @@
 module Substrate = Dvp_substrate.Substrate
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Wal = Dvp_storage.Wal
 
 type outstanding = Log_replay.vm_outstanding = {

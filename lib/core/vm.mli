@@ -37,7 +37,7 @@ val create :
   ts_counter:(unit -> int) ->
   ?epoch:(unit -> int) ->
   metrics:Metrics.t ->
-  ?trace:Dvp_sim.Trace.t ->
+  ?trace:Dvp_trace.Trace.t ->
   ?retransmit_every:float ->
   ?ack_delay:float ->
   ?batch:bool ->
@@ -67,7 +67,7 @@ val create :
     given, jitters the backed-off retry times by ±10% so senders do not
     re-synchronise their retransmissions after a partition heals.
 
-    [outbox_warn] > 0 arms a one-shot {!Dvp_sim.Trace.constructor:Outbox_high}
+    [outbox_warn] > 0 arms a one-shot {!Dvp_trace.Trace.constructor:Outbox_high}
     warning when the total outbox depth (across all destinations, parked
     included) crosses it; the warning re-arms once the depth falls back to
     half the mark.  0 (default) disables the check.

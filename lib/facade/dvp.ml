@@ -35,7 +35,7 @@ module History = Dvp_core.History
 module Substrate = Dvp_substrate.Substrate
 module Substrate_des = Dvp_sim.Substrate_des
 module Engine = Dvp_sim.Engine
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Shards = Dvp_trace.Shards
 module Probe = Dvp_sim.Probe
 module Cluster = Dvp_runtime.Cluster

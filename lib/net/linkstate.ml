@@ -10,6 +10,8 @@ let default =
 
 let lossy p = { default with loss_prob = p }
 
+let quiet = { delay_mean = 0.0; delay_jitter = 0.0; loss_prob = 0.0; dup_prob = 0.0 }
+
 type t = { mutable p : params; mutable up : bool }
 
 let create p = { p; up = true }

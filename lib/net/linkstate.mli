@@ -18,6 +18,10 @@ val default : params
 val lossy : float -> params
 (** [lossy p] is {!default} with loss probability [p]. *)
 
+val quiet : params
+(** No delay, no loss, no duplication: the link the multicore runtime's
+    mailboxes give when no storm is on. *)
+
 type t
 
 val create : params -> t

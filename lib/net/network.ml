@@ -31,7 +31,7 @@ type 'p t = {
          flipped by the system layer on join/leave *)
   group_of : int array; (* partition group id per site *)
   stats : stats;
-  trace : Dvp_sim.Trace.t option;
+  trace : Dvp_trace.Trace.t option;
   mutable observer : (src:int -> dst:int -> unit) option;
 }
 
@@ -65,7 +65,7 @@ let create sub ~rng ~n ?(default = Linkstate.default) ?trace () =
 
 let emit t ev =
   match t.trace with
-  | Some tr -> Dvp_sim.Trace.emit tr ~time:(Substrate.now t.sub) ev
+  | Some tr -> Dvp_trace.Trace.emit tr ~time:(Substrate.now t.sub) ev
   | None -> ()
 
 let size t = t.n
@@ -147,11 +147,11 @@ let deliver t ~src ~dst payload =
       h ~src payload
     | None ->
       t.stats.dropped_inflight <- t.stats.dropped_inflight + 1;
-      emit t (Dvp_sim.Trace.Net_drop { src; dst })
+      emit t (Dvp_trace.Trace.Net_drop { src; dst })
   end
   else begin
     t.stats.dropped_inflight <- t.stats.dropped_inflight + 1;
-    emit t (Dvp_sim.Trace.Net_drop { src; dst })
+    emit t (Dvp_trace.Trace.Net_drop { src; dst })
   end
 
 let send t ~src ~dst payload =
@@ -163,7 +163,7 @@ let send t ~src ~dst payload =
   end
   else begin
     t.stats.sent <- t.stats.sent + 1;
-    emit t (Dvp_sim.Trace.Net_send { src; dst });
+    emit t (Dvp_trace.Trace.Net_send { src; dst });
     let li = (src * t.n) + dst in
     let p = t.link_params.(li) in
     let lup = Bytes.unsafe_get t.link_up li <> '\000' in
@@ -183,7 +183,7 @@ let send t ~src ~dst payload =
       | `Membership -> t.stats.dropped_membership <- t.stats.dropped_membership + 1
       | `Partition -> t.stats.dropped_partition <- t.stats.dropped_partition + 1
       | `Loss -> t.stats.dropped_loss <- t.stats.dropped_loss + 1);
-      emit t (Dvp_sim.Trace.Net_drop { src; dst })
+      emit t (Dvp_trace.Trace.Net_drop { src; dst })
     | None -> begin
       let schedule_copy () =
         let delay = Linkstate.sample_delay_p p t.rng in

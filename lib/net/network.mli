@@ -36,12 +36,12 @@ val create :
   rng:Dvp_util.Rng.t ->
   n:int ->
   ?default:Linkstate.params ->
-  ?trace:Dvp_sim.Trace.t ->
+  ?trace:Dvp_trace.Trace.t ->
   unit ->
   'p t
 (** [create sub ~rng ~n ()] builds a fully-connected [n]-site network over
     an execution substrate (deliveries are substrate timer callbacks).
-    With [trace], every real transmission emits a {!Dvp_sim.Trace.Net_send}
+    With [trace], every real transmission emits a {!Dvp_trace.Trace.Net_send}
     event and every loss (link drop, partition, down site) a [Net_drop]. *)
 
 val size : 'p t -> int

@@ -1,4 +1,4 @@
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Json = Dvp_util.Json
 
 type t = {

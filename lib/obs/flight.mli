@@ -22,7 +22,7 @@ type t
 val default_dir : string
 (** ["artifacts/crashdumps"]. *)
 
-val create : ?dir:string -> Dvp_sim.Trace.t -> t
+val create : ?dir:string -> Dvp_trace.Trace.t -> t
 (** Wrap an existing trace ring (typically the one the system under test
     writes into). *)
 
@@ -32,7 +32,7 @@ val create_source : ?dir:string -> (unit -> string) -> t
     at dump time.  The provider must produce the same stream shape
     [Trace.to_jsonl] does (meta header + event lines). *)
 
-val trace : t -> Dvp_sim.Trace.t option
+val trace : t -> Dvp_trace.Trace.t option
 (** The underlying ring; [None] for a {!create_source} recorder. *)
 
 val set_telemetry : t -> (unit -> Dvp_util.Json.t) -> unit
@@ -48,8 +48,8 @@ val dumps : t -> string list
 (** {2 Reading dumps back} *)
 
 type dump_contents = {
-  events : (float * Dvp_sim.Trace.event) list;
-  meta : Dvp_sim.Trace.meta option;
+  events : (float * Dvp_trace.Trace.event) list;
+  meta : Dvp_trace.Trace.meta option;
   telemetry_json : Dvp_util.Json.t;
   verdict : Dvp_util.Json.t;
 }

@@ -1,4 +1,4 @@
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Dstats = Dvp_util.Dstats
 module Json = Dvp_util.Json
 module Table = Dvp_util.Table

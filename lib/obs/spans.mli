@@ -1,6 +1,6 @@
 (** Span reconstruction over the structured trace.
 
-    Folds a stream of {!Dvp_sim.Trace} events — live from a ring, or parsed
+    Folds a stream of {!Dvp_trace.Trace} events — live from a ring, or parsed
     back from a JSONL dump — into two families of spans:
 
     - {b transaction spans}: begin → lock acquisition → remote value requests
@@ -19,7 +19,7 @@
 type txn_outcome = Committed | Aborted of string | Unfinished
 
 type txn_span = {
-  txn : Dvp_sim.Trace.ts;
+  txn : Dvp_trace.Trace.ts;
   site : int;  (** birth site *)
   begin_at : float option;
   n_ops : int option;
@@ -66,15 +66,15 @@ type t = {
   vms : vm_life list;  (** in first-appearance order *)
 }
 
-val of_events : ?dropped:int -> (float * Dvp_sim.Trace.event) list -> t
+val of_events : ?dropped:int -> (float * Dvp_trace.Trace.event) list -> t
 (** Fold an event list (e.g. from [Trace.of_jsonl]); [dropped] should come
     from the JSONL meta header when available. *)
 
-val of_trace : Dvp_sim.Trace.t -> t
+val of_trace : Dvp_trace.Trace.t -> t
 (** [of_events] over the live ring, with [dropped = Trace.drop_count]. *)
 
 val of_jsonl : string -> t
-(** Parse a JSONL dump (DES {!Dvp_sim.Trace.to_jsonl} or the merged
+(** Parse a JSONL dump (DES {!Dvp_trace.Trace.to_jsonl} or the merged
     multi-shard wall dump) and fold it.  Tolerates a truncated final line —
     the usual tail of a dump clipped by a crash or kill — by counting each
     unparseable non-empty line as one dropped event ([complete = false])
@@ -116,7 +116,7 @@ type timeline = {
   faults : (int * float list) list;  (** per site, crash times *)
 }
 
-val timeline : ?buckets:int -> (float * Dvp_sim.Trace.event) list -> timeline
+val timeline : ?buckets:int -> (float * Dvp_trace.Trace.event) list -> timeline
 (** Bucket every site-attributable event into [buckets] (default 60) equal
     windows. *)
 

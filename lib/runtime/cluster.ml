@@ -9,6 +9,7 @@ module Proto = Dvp_core.Proto
 module Metrics = Dvp_core.Metrics
 module Wal = Dvp_storage.Wal
 module Health = Dvp_health.Health
+module Linkstate = Dvp_net.Linkstate
 module Trace = Dvp_trace.Trace
 module Shards = Dvp_trace.Shards
 
@@ -165,7 +166,7 @@ type t = {
   cut_mutex : Mutex.t; (* serialises cut takers, kills, and respawns *)
   wal_dir : string option;
   master_rng : Rng.t; (* respawn streams; guarded by cut_mutex *)
-  links : Fault.links Atomic.t;
+  links : Linkstate.params Atomic.t;
   chaos : chaos_counters;
   bg_deltas : int Atomic.t array array; (* site × item index *)
   bg_committed : int Atomic.t array; (* per site *)
@@ -175,49 +176,6 @@ type t = {
 }
 
 (* ------------------------------------------------------- site domain body *)
-
-(* Mirrors System.exec_once: one attempt of a request as a Txn.outcome. *)
-let exec_once site (req : Txn.t) k =
-  match req.Txn.kind with
-  | Txn.Update ->
-    Site.submit site ~ops:req.Txn.ops ~on_done:(fun r ->
-        k
-          (match r with
-          | Site.Committed _ -> Txn.Committed { reads = [] }
-          | Site.Aborted reason -> Txn.Aborted reason))
-  | Txn.Read item ->
-    Site.submit_read site ~item ~on_done:(fun r ->
-        k
-          (match r with
-          | Site.Committed { read_value = Some v } -> Txn.Committed { reads = [ (item, v) ] }
-          | Site.Committed { read_value = None } -> Txn.Committed { reads = [] }
-          | Site.Aborted reason -> Txn.Aborted reason))
-  | Txn.Snapshot items ->
-    Site.submit_read_many site ~items ~on_done:(fun r ->
-        k
-          (match r with
-          | Ok reads -> Txn.Committed { reads }
-          | Error reason -> Txn.Aborted reason))
-
-(* Mirrors System.exec: site-side retry on the site's own timers.  [fill]
-   fires at most once; if the domain is killed first, the pending-reply
-   registry fails the caller's cell instead. *)
-let exec_in site sub (req : Txn.t) fill =
-  match req.Txn.retry with
-  | None -> exec_once site req fill
-  | Some { Txn.retries; backoff } ->
-    let rec attempt k =
-      exec_once site req (fun result ->
-          match result with
-          | Txn.Committed _ -> fill result
-          | Txn.Aborted _ when k < retries ->
-            ignore
-              (Substrate.schedule sub
-                 ~delay:(backoff *. float_of_int (k + 1))
-                 (fun () -> attempt (k + 1)))
-          | Txn.Aborted _ -> fill result)
-    in
-    attempt 0
 
 (* Closed-loop escrow increments until the wall deadline.  Increments commit
    synchronously, so run them in bounded batches and trampoline through a
@@ -321,16 +279,17 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
      protocol exists to absorb. *)
   let send ~dst msg =
     let l = Atomic.get links in
-    if l.Fault.drop > 0.0 && Rng.bernoulli net_rng l.Fault.drop then
+    if l.Linkstate.loss_prob > 0.0 && Rng.bernoulli net_rng l.Linkstate.loss_prob then
       Atomic.incr chaos.cc_drops
     else begin
-      if l.Fault.dup > 0.0 && Rng.bernoulli net_rng l.Fault.dup then begin
+      if Linkstate.duplicates_p l net_rng then begin
         Atomic.incr chaos.cc_dups;
         deliver dst msg
       end;
-      if l.Fault.delay > 0.0 then begin
+      if l.Linkstate.delay_mean > 0.0 || l.Linkstate.delay_jitter > 0.0 then begin
         Atomic.incr chaos.cc_delays;
-        ignore (sched (now () +. Rng.float net_rng l.Fault.delay) (fun () -> deliver dst msg))
+        let at = now () +. Linkstate.sample_delay_p l net_rng in
+        ignore (sched at (fun () -> deliver dst msg))
       end
       else deliver dst msg
     end
@@ -483,8 +442,10 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       (match detector with Some d -> Health.note_alive d ~peer:src | None -> ());
       Site.handle_message site ~src msg
     | Submit (txn, reply) ->
+      (* Retries run on the site's own timers.  The reply fires at most once;
+         if the domain is killed first, the registry fails it instead. *)
       let id = register (fun () -> Cell.fill reply (Txn.Aborted Metrics.Crashed)) in
-      exec_in site sub txn (fun outcome ->
+      Txn.run site sub txn (fun outcome ->
           resolve id;
           Cell.fill reply outcome)
     | Push { dst; item; amount; reply } ->
@@ -595,7 +556,7 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
     if tracing then Some (Shards.create ~capacity:trace_capacity ~n:(n + 1) ()) else None
   in
   let shard_of i = Option.map (fun s -> Shards.shard s i) shards in
-  let links = Atomic.make Fault.no_links in
+  let links = Atomic.make Linkstate.quiet in
   let chaos =
     { cc_drops = Atomic.make 0; cc_dups = Atomic.make 0; cc_delays = Atomic.make 0 }
   in
@@ -687,7 +648,7 @@ let exec t (req : Txn.t) =
   | Mailbox.Sent ->
     let outcome = Cell.await reply in
     (* Track committed deltas so conservation knows the expected aggregate
-       (the main-thread counterpart of System.wrap_delta). *)
+       (the main-thread counterpart of System.exec's bookkeeping). *)
     (match (req.Txn.kind, outcome) with
     | Txn.Update, Txn.Committed _ ->
       List.iter
@@ -700,6 +661,8 @@ let exec t (req : Txn.t) =
     outcome
 
 let push_value t ~src ~dst ~item ~amount =
+  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
+    invalid_arg "Cluster.push_value: site out of range";
   let reply = Cell.create () in
   match Mailbox.send t.mailboxes.(src) (Push { dst; item; amount; reply }) with
   | Mailbox.Poisoned | Mailbox.Closed -> false
@@ -806,8 +769,6 @@ let sample_cut t =
 (* --------------------------------------------------------- fault surface *)
 
 let set_links t l = Atomic.set t.links l
-
-let links t = Atomic.get t.links
 
 let chaos_counts t =
   (Atomic.get t.chaos.cc_drops, Atomic.get t.chaos.cc_dups, Atomic.get t.chaos.cc_delays)

@@ -85,7 +85,8 @@ val push_value :
   t -> src:Dvp_core.Ids.site -> dst:Dvp_core.Ids.site -> item:Dvp_core.Ids.item -> amount:int -> bool
 (** Explicit redistribution from [src], as {!Dvp_core.Site.push_value}.
     Returns once the debit (not the remote credit) has happened; [false]
-    against a dead [src]. *)
+    against a dead [src].
+    @raise Invalid_argument if [src] or [dst] is not a site of the cluster. *)
 
 val run_load :
   t -> duration:float -> ?amount:int -> item:Dvp_core.Ids.item -> unit -> int
@@ -168,14 +169,14 @@ val replayed : t -> int -> int
 (** Total records replayed into site [i] across all its respawns — the
     "provably recovered" counter the chaos report surfaces. *)
 
-val set_links : t -> Fault.links -> unit
+val set_links : t -> Dvp_net.Linkstate.params -> unit
 (** Set the link quality every inter-domain send passes through, cluster
-    wide and effective immediately: messages drop, duplicate, or arrive late
-    with the given parameters (drawn from each sender's own RNG stream).
+    wide and effective immediately: messages drop, duplicate, or arrive
+    [delay_mean] plus up to [delay_jitter] seconds late (drawn from each
+    sender's own RNG stream).  {!Dvp_net.Linkstate.quiet} links push
+    straight into the peer's mailbox with no draw and no timer.
     Control-plane traffic (stats, cuts, kills) is never perturbed — only
     protocol messages ride the links. *)
-
-val links : t -> Fault.links
 
 val chaos_counts : t -> int * int * int
 (** (dropped, duplicated, delayed) message counts since creation. *)
@@ -290,7 +291,7 @@ val ctl_trace : t -> Dvp_trace.Trace.t option
 
 val trace_jsonl : t -> string option
 (** Merge all shards into one totally-ordered JSONL dump (same stream shape
-    the DES {!Dvp_sim.Trace.to_jsonl} produces, plus [shard]/[seq] fields),
+    the DES {!Dvp_trace.Trace.to_jsonl} produces, plus [shard]/[seq] fields),
     ready for [dvp-cli analyze].  Call after the workload has quiesced —
     the merge reads rings the site domains write. *)
 

@@ -1,9 +1,6 @@
 module Rng = Dvp_util.Rng
 module Json = Dvp_util.Json
-
-type links = { drop : float; delay : float; dup : float }
-
-let no_links = { drop = 0.0; delay = 0.0; dup = 0.0 }
+module Linkstate = Dvp_net.Linkstate
 
 type wal_fault = Torn_tail of int
 
@@ -11,7 +8,7 @@ type action =
   | Kill of { site : int; downtime : float; wal_fault : wal_fault option }
   | Kill_forever of { site : int; wal_fault : wal_fault option }
   | Sink_fail of { site : int; count : int }
-  | Link_storm of links
+  | Link_storm of Linkstate.params
   | Link_heal
 
 type event = { at : float; action : action }
@@ -122,13 +119,12 @@ let plan ~seed ~n spec =
     List.init n_storms (fun _ ->
         let at = draw_at storm_rng spec in
         let len = 0.05 +. Rng.float storm_rng (0.2 *. spec.horizon) in
-        let l =
-          {
-            drop = Rng.float storm_rng 0.3;
-            delay = Rng.float storm_rng 0.02;
-            dup = Rng.float storm_rng 0.2;
-          }
-        in
+        (* The draw order is part of what a seed means: reordering these
+           three draws changes every seeded plan. *)
+        let dup_prob = Rng.float storm_rng 0.2 in
+        let delay_jitter = Rng.float storm_rng 0.02 in
+        let loss_prob = Rng.float storm_rng 0.3 in
+        let l = { Linkstate.delay_mean = 0.0; delay_jitter; loss_prob; dup_prob } in
         (at, len, l))
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
@@ -180,10 +176,13 @@ let action_to_json = function
     Json.Obj
       [ ("kind", Json.String "sink_fail"); ("site", Json.Int site);
         ("count", Json.Int count) ]
-  | Link_storm { drop; delay; dup } ->
+  | Link_storm l ->
     Json.Obj
-      [ ("kind", Json.String "link_storm"); ("drop", Json.Float drop);
-        ("delay", Json.Float delay); ("dup", Json.Float dup) ]
+      [ ("kind", Json.String "link_storm");
+        ("delay_mean", Json.Float l.Linkstate.delay_mean);
+        ("delay_jitter", Json.Float l.Linkstate.delay_jitter);
+        ("loss_prob", Json.Float l.Linkstate.loss_prob);
+        ("dup_prob", Json.Float l.Linkstate.dup_prob) ]
   | Link_heal -> Json.Obj [ ("kind", Json.String "link_heal") ]
 
 let to_json plan =
@@ -203,8 +202,10 @@ let pp_action ppf = function
     Format.fprintf ppf "kill site %d forever%s" site
       (match wal_fault with Some (Torn_tail j) -> Printf.sprintf " (torn tail %dB)" j | None -> "")
   | Sink_fail { site; count } -> Format.fprintf ppf "fail %d forces at site %d" count site
-  | Link_storm { drop; delay; dup } ->
-    Format.fprintf ppf "link storm (drop %.2f, delay %.3fs, dup %.2f)" drop delay dup
+  | Link_storm l ->
+    Format.fprintf ppf "link storm (loss %.2f, delay %.3f+%.3fs, dup %.2f)"
+      l.Linkstate.loss_prob l.Linkstate.delay_mean l.Linkstate.delay_jitter
+      l.Linkstate.dup_prob
   | Link_heal -> Format.fprintf ppf "link heal"
 
 let pp ppf plan =

@@ -11,16 +11,6 @@
     {!Supervisor.run_plan} executes a plan against a live {!Cluster};
     the chaos wall harness generates, runs, and shrinks them. *)
 
-(** Link quality applied to every inter-domain send while a storm is on. *)
-type links = {
-  drop : float;  (** per-message loss probability *)
-  delay : float;  (** max extra latency, seconds; uniform per message when > 0 *)
-  dup : float;  (** per-message duplication probability *)
-}
-
-val no_links : links
-(** The quiet network: no loss, no delay, no duplication. *)
-
 (** On-disk damage applied to the victim's WAL file between kill and
     respawn. *)
 type wal_fault = Torn_tail of int  (** torn frame with this many junk bytes *)
@@ -35,8 +25,10 @@ type action =
   | Sink_fail of { site : int; count : int }
       (** make the site's next [count] WAL file forces fail (typed
           [force_error]s; the batch is retained and re-offered) *)
-  | Link_storm of links  (** degrade every inter-domain link *)
-  | Link_heal  (** restore {!no_links} *)
+  | Link_storm of Dvp_net.Linkstate.params
+      (** degrade every inter-domain link, in the DES's link vocabulary
+          ({!Cluster.set_links} says how the runtime applies it) *)
+  | Link_heal  (** restore {!Dvp_net.Linkstate.quiet} *)
 
 type event = { at : float; action : action }
 

@@ -72,7 +72,7 @@ let revive t i =
       Some replayed
 
 let heal t =
-  Cluster.set_links t.cluster Fault.no_links;
+  Cluster.set_links t.cluster Dvp_net.Linkstate.quiet;
   Cluster.announce_up t.cluster
 
 (* ------------------------------------------------------- plan execution *)
@@ -147,7 +147,7 @@ let run_plan t plan =
     | Fault.Link_storm l ->
       incr storms;
       Cluster.set_links t.cluster l
-    | Fault.Link_heal -> Cluster.set_links t.cluster Fault.no_links
+    | Fault.Link_heal -> Cluster.set_links t.cluster Dvp_net.Linkstate.quiet
   in
   (* Plan times are relative to plan start, not cluster birth. *)
   let t0 = Cluster.now t.cluster in

@@ -40,7 +40,7 @@ val revive : t -> int -> int option
     bookkeeping.  Returns the replayed record count; [None] if alive. *)
 
 val heal : t -> unit
-(** Quiet the links ({!Fault.no_links}) and broadcast peer-up so detectors
+(** Quiet the links ({!Dvp_net.Linkstate.quiet}) and broadcast peer-up so detectors
     drop stale suspicion — the end-of-chaos convergence step. *)
 
 val breaker_tripped : t -> int -> bool

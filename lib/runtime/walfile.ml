@@ -2,6 +2,28 @@ let magic = "DVPW"
 
 let path ~dir ~site = Filename.concat dir (Printf.sprintf "site-%d.wal" site)
 
+(* The pid keeps concurrent processes apart, the counter concurrent
+   directories inside one (shrinking re-runs, test cases). *)
+let dir_counter = Atomic.make 0
+
+let temp_dir label =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dvp-%s-%d-%d" label (Unix.getpid ())
+         (Atomic.fetch_and_add dir_counter 1))
+  in
+  Unix.mkdir dir 0o700;
+  dir
+
+let remove_dir dir =
+  (try
+     Array.iter
+       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+       (Sys.readdir dir)
+   with Sys_error _ -> ());
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
 let create path = open_out_bin path
 
 let open_append path =

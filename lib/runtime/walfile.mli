@@ -18,6 +18,15 @@
 val path : dir:string -> site:int -> string
 (** [dir]/site-[site].wal — the naming convention [Cluster] uses. *)
 
+val temp_dir : string -> string
+(** [temp_dir label] creates a fresh, empty directory
+    [dvp-label-pid-counter] under the system temp dir, for a cluster's
+    [wal_dir]: unique across processes and across calls in one process. *)
+
+val remove_dir : string -> unit
+(** Delete a directory made by {!temp_dir} together with the WAL files in
+    it.  Never raises. *)
+
 val create : string -> out_channel
 (** Open for writing, truncating any previous contents (fresh site). *)
 

@@ -7,7 +7,7 @@
     included) to one calling the engine directly.  All tests, the chaos
     harness and benches E1–E19 run on this substrate. *)
 
-val of_engine : ?trace:Trace.t -> Engine.t -> Dvp_substrate.Substrate.t
+val of_engine : ?trace:Dvp_trace.Trace.t -> Engine.t -> Dvp_substrate.Substrate.t
 (** [?trace] installs a substrate-carried trace sink
     ({!Dvp_substrate.Substrate.trace}); components created without an
     explicit trace inherit it. *)

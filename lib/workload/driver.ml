@@ -27,7 +27,7 @@ type t = {
   conserved : unit -> bool option;
       (* end-of-run value-conservation verdict; None when the system has no
          such invariant (baselines) *)
-  trace : unit -> Dvp_sim.Trace.t option;
+  trace : unit -> Dvp_trace.Trace.t option;
 }
 
 let of_dvp ?(name = "dvp") sys =

@@ -45,7 +45,7 @@ type t = {
   conserved : unit -> bool option;
       (** the value-conservation invariant N = Σᵢ Nᵢ + N_M, evaluated now;
           [None] for systems that have no such invariant (the baselines) *)
-  trace : unit -> Dvp_sim.Trace.t option;
+  trace : unit -> Dvp_trace.Trace.t option;
       (** the structured trace the system writes into, if it was created
           with one — the flight recorder wraps this same ring *)
 }

@@ -107,11 +107,57 @@ let test_oracle_catches_double_accept () =
   Alcotest.(check bool) "exactly-once violated" true
     (List.exists (fun v -> v.Oracle.check = "vm-exactly-once") violations)
 
+(* The per-log checks on hand-built record streams: the same function judges
+   the simulator's stable logs and the runtime's WAL files. *)
+let log_checks records =
+  List.map
+    (fun v -> v.Oracle.check)
+    (Oracle.check_log ~n:3 ~site:0 (fun f -> List.iter f records))
+
+let accept ?(peer = 1) ?(new_value = 10) seq =
+  Dvp.Log_event.Vm_accept { peer; seq; item = 0; amount = 1; new_value }
+
+let test_log_oracle_flags () =
+  Alcotest.(check (list string)) "in-order stream passes" []
+    (log_checks [ accept 0; accept 1; accept ~peer:2 0; accept 2 ]);
+  Alcotest.(check (list string)) "repeated seq flagged" [ "vm-exactly-once" ]
+    (log_checks [ accept 0; accept 1; accept 1 ]);
+  Alcotest.(check (list string)) "skipped seq flagged" [ "vm-exactly-once" ]
+    (log_checks [ accept 0; accept 2 ]);
+  Alcotest.(check (list string)) "negative Set_fragment flagged" [ "non-negative-logged" ]
+    (log_checks
+       [
+         Dvp.Log_event.Txn_commit
+           {
+             txn = (1, 0);
+             actions = [ Dvp.Log_event.Set_fragment { item = 0; value = -3 } ];
+           };
+       ]);
+  Alcotest.(check (list string)) "negative accepted value flagged"
+    [ "non-negative-logged" ]
+    (log_checks [ accept ~new_value:(-1) 0 ])
+
+let test_log_oracle_resets () =
+  let checkpoint accepted =
+    Dvp.Log_event.Checkpoint
+      { fragments = [ (0, 7) ]; accepted; next_seq = []; acked = []; outbox = []; max_counter = 0 }
+  in
+  Alcotest.(check (list string)) "checkpoint restarts the watermark at its snapshot" []
+    (log_checks [ accept 0; accept 1; checkpoint [ (1, 4) ]; accept 5; accept ~peer:2 0 ]);
+  Alcotest.(check (list string)) "checkpoint forgets unlisted peers" []
+    (log_checks [ accept ~peer:2 0; checkpoint []; accept ~peer:2 0 ]);
+  Alcotest.(check (list string)) "channel reset restarts at seq 0" []
+    (log_checks
+       [ accept 0; accept 1; Dvp.Log_event.Vm_channel_reset { peer = 1; epoch = 2 }; accept 0 ]);
+  Alcotest.(check (list string)) "a reset of another peer does not" [ "vm-exactly-once" ]
+    (log_checks
+       [ accept 0; Dvp.Log_event.Vm_channel_reset { peer = 2; epoch = 2 }; accept 0 ])
+
 let test_storage_fault_traced_end_to_end () =
   (* The armed-fault → crash → repair path, observed through the trace: the
      arming emits Storage_fault, the recovery that truncates the resulting
      bad tail emits Wal_repair. *)
-  let trace = Dvp_sim.Trace.create () in
+  let trace = Dvp_trace.Trace.create () in
   let sys = Dvp.System.create ~seed:5 ~trace ~n:2 () in
   Dvp.System.add_item sys ~item:0 ~total:100 ();
   (* An unforced record for the fault to tear (Ack_progress is the one
@@ -121,14 +167,14 @@ let test_storage_fault_traced_end_to_end () =
   Dvp.System.inject_wal_fault sys 1 Wal.Corrupt_tail;
   Dvp.System.crash_site sys 1;
   Dvp.System.recover_site sys 1;
-  let events = List.map snd (Dvp_sim.Trace.events trace) in
+  let events = List.map snd (Dvp_trace.Trace.events trace) in
   Alcotest.(check bool) "Storage_fault traced" true
     (List.exists
-       (function Dvp_sim.Trace.Storage_fault { site = 1; _ } -> true | _ -> false)
+       (function Dvp_trace.Trace.Storage_fault { site = 1; _ } -> true | _ -> false)
        events);
   Alcotest.(check bool) "Wal_repair traced" true
     (List.exists
-       (function Dvp_sim.Trace.Wal_repair { site = 1; dropped = 1 } -> true | _ -> false)
+       (function Dvp_trace.Trace.Wal_repair { site = 1; dropped = 1 } -> true | _ -> false)
        events);
   Alcotest.(check int) "system still conserved" 0 (List.length (Oracle.check_system sys))
 
@@ -298,6 +344,8 @@ let () =
           Alcotest.test_case "clean system" `Quick test_oracle_clean_system;
           Alcotest.test_case "catches conjured value" `Quick test_oracle_catches_conjured_value;
           Alcotest.test_case "catches double accept" `Quick test_oracle_catches_double_accept;
+          Alcotest.test_case "log checks flag bad streams" `Quick test_log_oracle_flags;
+          Alcotest.test_case "log checks honour resets" `Quick test_log_oracle_resets;
           Alcotest.test_case "storage fault traced end to end" `Quick
             test_storage_fault_traced_end_to_end;
         ] );

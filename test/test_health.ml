@@ -4,7 +4,7 @@
    idempotence. *)
 
 module Engine = Dvp_sim.Engine
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Health = Dvp_health.Health
 open Dvp
 

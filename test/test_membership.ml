@@ -4,7 +4,7 @@
    idempotence, and the evacuate -> reinstate -> rejoin -> rebalance cycle
    under the chaos oracle. *)
 
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Health = Dvp_health.Health
 module Oracle = Dvp_chaos.Oracle
 open Dvp

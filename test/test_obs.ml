@@ -4,7 +4,7 @@
 
 module Json = Dvp_util.Json
 module Engine = Dvp_sim.Engine
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Probe = Dvp_sim.Probe
 module Spans = Dvp_obs.Spans
 module Telemetry = Dvp_obs.Telemetry

@@ -12,24 +12,6 @@ module Log_event = Dvp_core.Log_event
 module Txn = Dvp_core.Txn
 module Op = Dvp_core.Op
 
-let temp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dvp-test-runtime-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Unix.mkdir dir 0o700;
-    dir
-
-let rm_dir dir =
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-    (Sys.readdir dir);
-  try Unix.rmdir dir with _ -> ()
-
 (* ---------------------------------------------------------------- mailbox *)
 
 let test_mailbox_poison () =
@@ -90,7 +72,7 @@ let sample_records =
   ]
 
 let test_walfile_roundtrip () =
-  let dir = temp_dir () in
+  let dir = Walfile.temp_dir "test-runtime" in
   let path = Walfile.path ~dir ~site:0 in
   let oc = Walfile.create path in
   List.iter (Walfile.append oc) sample_records;
@@ -103,10 +85,10 @@ let test_walfile_roundtrip () =
     (r.Walfile.records = sample_records);
   Alcotest.(check int) "no trailing garbage" r.Walfile.total_bytes
     r.Walfile.valid_bytes;
-  rm_dir dir
+  Walfile.remove_dir dir
 
 let test_walfile_torn_tail () =
-  let dir = temp_dir () in
+  let dir = Walfile.temp_dir "test-runtime" in
   let path = Walfile.path ~dir ~site:3 in
   let oc = Walfile.create path in
   List.iter (Walfile.append oc) sample_records;
@@ -128,7 +110,7 @@ let test_walfile_torn_tail () =
   Alcotest.(check int) "old frames plus the post-repair append"
     (List.length sample_records + 1)
     (List.length r2.Walfile.records);
-  rm_dir dir
+  Walfile.remove_dir dir
 
 let test_walfile_missing () =
   let r = Walfile.read "/nonexistent/never/site-0.wal" in
@@ -178,7 +160,7 @@ let test_fault_plan_shape () =
 (* ------------------------------------------------------------- supervisor *)
 
 let test_kill_revive_conserves () =
-  let dir = temp_dir () in
+  let dir = Walfile.temp_dir "test-runtime" in
   let c = Cluster.create ~seed:21 ~wal_dir:dir ~n:2 ~items:[ (0, 100) ] () in
   let sup = Supervisor.create c in
   for _ = 1 to 10 do
@@ -208,13 +190,13 @@ let test_kill_revive_conserves () =
   let conserved = Cluster.conserved_all c in
   let frag_total = Array.fold_left ( + ) 0 (Cluster.fragments c ~item:0) in
   Cluster.stop c;
-  rm_dir dir;
+  Walfile.remove_dir dir;
   Alcotest.(check bool) "conserved across kill + recovery" true conserved;
   (* 100 installed + 10×2 + 5 + 3 committed; the dead-site attempt aborted. *)
   Alcotest.(check int) "fragment total" 128 frag_total
 
 let test_breaker_trips () =
-  let dir = temp_dir () in
+  let dir = Walfile.temp_dir "test-runtime" in
   let c = Cluster.create ~seed:22 ~wal_dir:dir ~n:2 ~items:[ (0, 50) ] () in
   let policy = { Supervisor.default_policy with Supervisor.max_restarts = 2 } in
   let sup = Supervisor.create ~policy c in
@@ -238,7 +220,7 @@ let test_breaker_trips () =
   Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
   let conserved = Cluster.conserved_all c in
   Cluster.stop c;
-  rm_dir dir;
+  Walfile.remove_dir dir;
   Alcotest.(check bool) "conserved" true conserved
 
 let test_supervisor_needs_wal_dir () =
@@ -248,6 +230,24 @@ let test_supervisor_needs_wal_dir () =
        "Supervisor.create: cluster has no wal_dir (respawn needs the file)")
     (fun () -> ignore (Supervisor.create c));
   Cluster.stop c
+
+(* An out-of-range push is the caller's error, raised on the calling
+   thread: the source domain never sees it, so it cannot die of it. *)
+let test_push_value_range () =
+  let c = Cluster.create ~seed:24 ~n:3 ~items:[ (0, 90) ] () in
+  let push ~src ~dst () = ignore (Cluster.push_value c ~src ~dst ~item:0 ~amount:1) in
+  let rejected = Invalid_argument "Cluster.push_value: site out of range" in
+  Alcotest.check_raises "bad dst rejected" rejected (push ~src:0 ~dst:7);
+  Alcotest.check_raises "negative dst rejected" rejected (push ~src:0 ~dst:(-1));
+  Alcotest.check_raises "bad src rejected" rejected (push ~src:3 ~dst:0);
+  Alcotest.(check bool) "site 0 still serves exec" true
+    (Txn.committed (Cluster.exec c (Txn.write ~site:0 [ (0, Op.Incr 5) ])));
+  Alcotest.(check bool) "in-range push still works" true
+    (Cluster.push_value c ~src:0 ~dst:1 ~item:0 ~amount:10);
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  let conserved = Cluster.conserved_all c in
+  Cluster.stop c;
+  Alcotest.(check bool) "conserved" true conserved
 
 let () =
   Alcotest.run "dvp_runtime"
@@ -270,6 +270,8 @@ let () =
             test_fault_plan_deterministic;
           Alcotest.test_case "plan shape invariants" `Quick test_fault_plan_shape;
         ] );
+      ( "cluster",
+        [ Alcotest.test_case "push_value range-checks sites" `Quick test_push_value_range ] );
       ( "supervisor",
         [
           Alcotest.test_case "kill + revive conserves" `Quick test_kill_revive_conserves;

@@ -1,6 +1,7 @@
-(* Tests for the dvp_sim engine and trace. *)
+(* Tests for the dvp_sim engine and the shared trace ring. *)
 
 open Dvp_sim
+module Trace = Dvp_trace.Trace
 
 let test_empty_engine () =
   let e = Engine.create () in

@@ -1,14 +1,15 @@
 (* The substrate contract, tested from both sides:
 
    - the DES substrate is deterministic: two runs of the same seeded workload
-     produce byte-identical JSONL traces;
+     produce byte-identical JSONL traces, and two fixed runs keep the trace
+     digests recorded below;
    - the two substrates agree: a commutative workload (increments plus
      budget-bounded explicit redistributions) commits the same transaction
      set and settles on the same final fragment vectors whether the sites
      share one simulated clock or run one-per-domain on the wall clock. *)
 
 module Engine = Dvp_sim.Engine
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 open Dvp
 
 (* ------------------------------------------------------ DES determinism *)
@@ -49,6 +50,48 @@ let test_des_engine_swap () =
   let heap = traced_run ~queue:`Heap_reference () in
   Alcotest.(check bool) "trace non-trivial" true (String.length wheel > 1000);
   Alcotest.(check string) "wheel and heap traces byte-identical" wheel heap
+
+(* Golden digests: the MD5 of the JSONL trace of three fixed-seed runs: the
+   retrying decrements above, a banking workload, and a churn chaos run
+   (crashes, storage faults, loss, joins, leaves, rebalancing, checkpoints).  A refactor that claims to leave
+   the simulator's behaviour alone must leave these bytes alone; a change
+   that means to alter the traces updates the constants and says why. *)
+let trace_digest trace = Digest.to_hex (Digest.string (Trace.to_jsonl trace))
+
+let banking_trace () =
+  let trace = Trace.create ~capacity:262_144 () in
+  let spec = Spec.with_seed (Spec.banking ~sites:4 ~duration:6.0 ()) 3 in
+  let sys = Setup.dvp_system ~trace spec in
+  ignore (Runner.run (Driver.of_dvp sys) spec ());
+  trace
+
+let churn_trace () =
+  let profile = Chaos.Profile.churn in
+  let seed = 2 in
+  let spec = Chaos.Profile.spec profile ~seed in
+  let config =
+    {
+      Config.default with
+      Config.health = Some Health.default_config;
+      Config.auto_evacuate = true;
+      Config.rebalance = Some Config.default_rebalance;
+    }
+  in
+  let trace = Trace.create ~capacity:262_144 () in
+  let capacity = profile.Chaos.Profile.n_sites + profile.Chaos.Profile.spare_sites in
+  let sys = Setup.dvp_system ~config ~trace ~capacity spec in
+  let faults = Chaos.Gen.schedule ~seed ~profile in
+  ignore (Runner.run (Driver.of_dvp sys) spec ~faults ~drain:profile.Chaos.Profile.drain ());
+  trace
+
+let test_golden_digests () =
+  Alcotest.(check string) "retrying decrements trace digest"
+    "4dd03716c48d0b8ebed836259d296779"
+    (Digest.to_hex (Digest.string (traced_run ())));
+  Alcotest.(check string) "banking trace digest" "7c55cecee05cf7dc6961e09fc928054e"
+    (trace_digest (banking_trace ()));
+  Alcotest.(check string) "churn chaos trace digest" "5e425aaf1aa7d31e8bd00246f472f95b"
+    (trace_digest (churn_trace ()))
 
 (* ------------------------------------------- cross-substrate equivalence *)
 
@@ -203,15 +246,7 @@ let test_equivalence =
    none — and every revival must provably replay the stable log. *)
 let crash_restart_prop script =
   let script = clamp_script script in
-  let wal_dir =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dvp-sub-crash-%d-%d" (Unix.getpid ()) (Random.bits ()))
-    in
-    Unix.mkdir dir 0o700;
-    dir
-  in
+  let wal_dir = Walfile.temp_dir "sub-crash" in
   let c = Cluster.create ~seed:5 ~wal_dir ~n:n_sites ~items () in
   let sup = Supervisor.create c in
   let committed = ref 0 in
@@ -233,7 +268,7 @@ let crash_restart_prop script =
              paths run. *)
           (if idx mod 2 = 0 then
              match Cluster.wal_path c victim with
-             | Some path -> Dvp_runtime.Walfile.tear path ~junk:29
+             | Some path -> Walfile.tear path ~junk:29
              | None -> ());
           match Supervisor.revive sup victim with
           | Some replayed -> if replayed = 0 then replays_ok := false
@@ -247,10 +282,7 @@ let crash_restart_prop script =
     List.map (fun (item, _) -> (item, Array.to_list (Cluster.fragments c ~item))) items
   in
   Cluster.stop c;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat wal_dir f) with _ -> ())
-    (Sys.readdir wal_dir);
-  (try Unix.rmdir wal_dir with _ -> ());
+  Walfile.remove_dir wal_dir;
   (* Every Incr commits on a live site and kills happen between client
      calls, so the full script survives into the oracle. *)
   !replays_ok && quiesced && conserved
@@ -295,6 +327,7 @@ let () =
           Alcotest.test_case "byte-identical traces" `Quick test_des_determinism;
           Alcotest.test_case "engine swap (wheel vs heap)" `Quick
             test_des_engine_swap;
+          Alcotest.test_case "golden trace digests" `Quick test_golden_digests;
         ] );
       ( "equivalence",
         [

@@ -3,7 +3,7 @@
 
 module Json = Dvp_util.Json
 module Engine = Dvp_sim.Engine
-module Trace = Dvp_sim.Trace
+module Trace = Dvp_trace.Trace
 module Probe = Dvp_sim.Probe
 module Spec = Dvp_workload.Spec
 module Setup = Dvp_workload.Setup

@@ -159,15 +159,7 @@ let test_cut_consistent_under_load () =
    set, so the dead site's fragments, ledgers, and share of the expectation
    all drop out together.  The cut also has to name the dead site. *)
 let test_cut_during_outage () =
-  let wal_dir =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dvp-wallobs-kill-%d" (Unix.getpid ()))
-    in
-    Unix.mkdir dir 0o700;
-    dir
-  in
+  let wal_dir = Dvp_runtime.Walfile.temp_dir "wallobs-kill" in
   let c = Dvp_runtime.Cluster.create ~seed:13 ~wal_dir ~n:3 ~items:[ (0, 900) ] () in
   let sup = Dvp_runtime.Supervisor.create c in
   Dvp_runtime.Cluster.start_bg_load c ~duration:0.6 ();
@@ -189,10 +181,7 @@ let test_cut_during_outage () =
   let final_cut = Dvp_runtime.Cluster.sample_cut c in
   let conserved = Dvp_runtime.Cluster.conserved_all c in
   Dvp_runtime.Cluster.stop c;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat wal_dir f) with _ -> ())
-    (Sys.readdir wal_dir);
-  (try Unix.rmdir wal_dir with _ -> ());
+  Dvp_runtime.Walfile.remove_dir wal_dir;
   Alcotest.(check int) "every mid-outage cut conserved over the live set" 0
     !bad_during;
   Alcotest.(check bool) "cuts named the dead site" true !saw_dead;
