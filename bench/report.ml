@@ -2,13 +2,14 @@
 
    The experiment functions print human tables; when the harness is invoked
    with [--json] they additionally stream every Runner outcome through this
-   collector, which groups them per experiment and writes one
-   BENCH_<id>.json file per experiment at exit.  Each file holds
+   collector, which groups them per experiment.  Each experiment becomes
+   one document
 
      { "experiment": "E1", "title": "...", "runs": [ <outcome>, ... ] }
 
    where each run is [Runner.outcome_to_json] plus any sweep parameters the
-   experiment attached via [~extra]. *)
+   experiment attached via [~extra].  [flush] writes them as BENCH_<id>.json
+   files; the regression gate [take]s them instead. *)
 
 module Json = Dvp.Util.Json
 
@@ -51,25 +52,22 @@ let record_json j =
   if !enabled then
     match !current with None -> () | Some e -> e.runs <- j :: e.runs
 
-let flush () =
-  if !enabled then begin
-    List.iter
+let take () =
+  let docs =
+    List.rev_map
       (fun e ->
-        let path = Filename.concat !out_dir (Printf.sprintf "BENCH_%s.json" e.id) in
-        let json =
-          Json.Obj
-            [
-              ("experiment", Json.String e.id);
-              ("title", Json.String e.title);
-              ("runs", Json.List (List.rev e.runs));
-            ]
-        in
-        let oc = open_out path in
-        output_string oc (Json.to_string_pretty json);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path)
-      (List.rev !experiments);
-    experiments := [];
-    current := None
-  end
+        Json.Obj
+          [
+            ("experiment", Json.String e.id);
+            ("title", Json.String e.title);
+            ("runs", Json.List (List.rev e.runs));
+          ])
+      !experiments
+  in
+  experiments := [];
+  current := None;
+  docs
+
+let flush () =
+  if !enabled then
+    List.iter (fun doc -> Printf.printf "wrote %s\n" (Gate.save ~dir:!out_dir doc)) (take ())

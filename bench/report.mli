@@ -1,9 +1,10 @@
-(** Collects {!Dvp.Runner.outcome}s per experiment and writes one
-    [BENCH_<id>.json] file per experiment.  Inactive (all calls no-ops)
-    until {!enable} is called, so plain table runs pay nothing. *)
+(** Collects {!Dvp.Runner.outcome}s per experiment into one
+    [BENCH_<id>.json] document each.  Inactive (all calls no-ops) until
+    {!enable} is called, so plain table runs pay nothing. *)
 
 val enable : ?dir:string -> unit -> unit
-(** Turn collection on; files go to [dir] (default the working directory). *)
+(** Turn collection on; {!flush} writes to [dir] (default the working
+    directory). *)
 
 val is_enabled : unit -> bool
 
@@ -20,5 +21,10 @@ val record_json : Dvp.Util.Json.t -> unit
     natural unit is not a {!Dvp.Runner.outcome} (the chaos
     experiment records a whole fuzzing report). *)
 
+val take : unit -> Dvp.Util.Json.t list
+(** The collected documents, oldest experiment first; resets the
+    collector. *)
+
 val flush : unit -> unit
-(** Write every collected experiment out and reset the collector. *)
+(** Write every collected document with {!Gate.save} (an existing file's
+    [contract] is kept) and reset the collector. *)

@@ -569,7 +569,7 @@ let info_cmd () =
     \  quorum  full replication with majority quorums over 2PC\n\n\
      Workloads: airline, banking, inventory, default.\n\
      Analyze a trace dump with `dvp-cli analyze trace.jsonl`.\n\
-     See bench/main.exe for the full experiment suite (E1-E21)."
+     See bench/main.exe for the full experiment suite (E1-E24, CHAOS)."
 
 (* ------------------------------------------------- multicore runtime *)
 
@@ -594,7 +594,7 @@ let bench_cmd wall domains duration transport trace_out stats_out watchdog json 
   if not wall then begin
     Printf.eprintf
       "dvp-cli bench: only the wall-clock mode lives here (pass --wall).\n\
-       The DES experiment suite is `dune exec bench/main.exe` (E1-E21).\n";
+       The experiment suite is `dune exec bench/main.exe` (E1-E24, CHAOS).\n";
     exit 2
   end;
   let config = { Dvp.Config.default with Dvp.Config.transport = transport } in

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo health check: build, tests, formatting (when ocamlformat is
-# available), and a smoke run of the machine-readable bench output.
+# available), chaos and bench smoke runs, and the regression gate.  Needs
+# only dune and a POSIX shell.
 #
 #   scripts/check.sh
 #
@@ -45,31 +46,16 @@ echo "== dvp-cli chaos --profile churn --seeds $CHURN_SEEDS =="
 dune exec bin/dvp_cli.exe -- chaos --profile churn --seeds "$CHURN_SEEDS"
 
 # Analyze smoke: the trace tour writes a JSONL trace into artifacts/, and
-# the analyzer must reconstruct non-empty spans from it.
+# the analyzer must read it back; `analyze` exits nonzero when the dump holds
+# no events.  That a real run's dump reconstructs to transaction spans and
+# Vm lifecycles is test_obs "injected violation dumps" in @runtest above.
 echo "== dvp-cli analyze smoke run =="
 dune exec examples/trace_tour.exe >/dev/null
 dune exec bin/dvp_cli.exe -- analyze artifacts/trace_tour.jsonl >/dev/null
-analyze_out=$(mktemp)
-dune exec bin/dvp_cli.exe -- analyze artifacts/trace_tour.jsonl --json >"$analyze_out"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$analyze_out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["events"] > 0, "analyzer saw no events"
-assert doc["txn_spans"], "no transaction spans reconstructed"
-assert doc["vm_lifecycles"], "no vm lifecycles reconstructed"
-print(f"analyze ok: {len(doc['txn_spans'])} spans, {len(doc['vm_lifecycles'])} vm lifecycles")
-EOF
-else
-  grep -q '"txn_spans"' "$analyze_out" || {
-    echo "analyze --json output lacks txn_spans" >&2
-    exit 1
-  }
-  echo "analyze ok (grep)"
-fi
-rm -f "$analyze_out"
+dune exec bin/dvp_cli.exe -- analyze artifacts/trace_tour.jsonl --json >/dev/null
 
+# Bench JSON smoke: the harness writes BENCH_E1.json.  The fields a
+# BENCH_<id>.json carries are bench/test/test_gate.ml "BENCH layout" in @runtest.
 echo "== bench E1 --json smoke run =="
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
@@ -79,107 +65,34 @@ test -s "$tmpdir/BENCH_E1.json" || {
   exit 1
 }
 
-# Validate the JSON and the fields the acceptance criteria name, with
-# whatever JSON tool the environment has.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$tmpdir/BENCH_E1.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["experiment"] == "E1"
-assert doc["runs"], "no runs recorded"
-run = doc["runs"][0]
-for key in ("throughput", "availability"):
-    assert key in run, f"missing {key}"
-m = run["metrics"]
-for key in ("messages_per_commit", "forces_per_commit"):
-    assert key in m, f"missing metrics.{key}"
-for key in ("p50", "p99"):
-    assert key in m["latency"], f"missing latency.{key}"
-print(f"BENCH_E1.json ok: {len(doc['runs'])} runs")
-EOF
-elif command -v jq >/dev/null 2>&1; then
-  jq -e '.experiment == "E1" and (.runs | length) > 0
-         and (.runs[0] | has("throughput") and has("availability"))
-         and (.runs[0].metrics | has("messages_per_commit") and has("forces_per_commit"))
-         and (.runs[0].metrics.latency | has("p50") and has("p99"))' \
-    "$tmpdir/BENCH_E1.json" >/dev/null
-  echo "BENCH_E1.json ok (jq)"
-else
-  echo "(no python3/jq; checked only that BENCH_E1.json is non-empty)"
-fi
-
-# Multicore smoke: a short closed-loop run on the domains runtime, checking
-# that commits happen and value is conserved at quiesce.  Parallelism is
-# only real with >= 2 cores; single-core hosts (and the DES-only CI lanes)
-# skip it.  Width via DOMAINS.
+# Multicore smoke: a short closed-loop run on the domains runtime; `bench
+# --wall` exits nonzero unless value is conserved at quiesce.  That the loop
+# commits is test_wallobs "live feed" in @runtest and the gate's E20_wall
+# committed contract.  Parallelism is only real with >= 2 cores; single-core
+# hosts (and the DES-only CI lanes) skip it.  Width via DOMAINS.
 DOMAINS="${DOMAINS:-2}"
 cores=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 if [ "$cores" -ge 2 ]; then
   echo "== multicore smoke: bench --wall --domains $DOMAINS =="
-  wall_out=$(mktemp)
-  dune exec bin/dvp_cli.exe -- bench --wall --domains "$DOMAINS" --duration 0.5 --json \
-    >"$wall_out"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$wall_out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["conserved"], "multicore run did not conserve value"
-assert doc["committed"] > 0, "multicore run committed nothing"
-print(f"multicore smoke ok: {doc['domains']} domains, "
-      f"{doc['throughput']:.0f} committed txns/s, conserved")
-EOF
-  else
-    grep -q '"conserved":true' "$wall_out" || {
-      echo "multicore smoke: value not conserved" >&2
-      exit 1
-    }
-    echo "multicore smoke ok (grep)"
-  fi
-  rm -f "$wall_out"
+  dune exec bin/dvp_cli.exe -- bench --wall --domains "$DOMAINS" --duration 0.5 >/dev/null
 
   # Wall observability smoke: the same closed loop with the per-domain trace
   # shards, the live stats feed, and the conservation watchdog all armed.
-  # The bench exits non-zero on any watchdog alarm; the analyzer must then
-  # reconstruct the merged dump to exactly the commit count the bench
-  # reported (total order + completeness, end to end).
+  # The bench exits nonzero on any watchdog alarm or lost value, and the
+  # analyzer on an empty dump.  That the merged dump is complete and
+  # reconstructs to exactly the commits Metrics counted is test_wallobs
+  # "wall spans = metrics" in @runtest and the gate's E22_trace contract.
   echo "== wall observability smoke: tracing + watchdog at $DOMAINS domains =="
-  obs_dir=$(mktemp -d)
+  obs_dir="$tmpdir/obs"
+  mkdir -p "$obs_dir"
   dune exec bin/dvp_cli.exe -- bench --wall --domains "$DOMAINS" --duration 0.3 \
     --trace-out "$obs_dir/trace.jsonl" --stats-out "$obs_dir/stats.jsonl" \
-    --watchdog --json >"$obs_dir/bench.json"
-  test -s "$obs_dir/trace.jsonl" || {
-    echo "wall smoke: no trace written" >&2
-    exit 1
-  }
+    --watchdog >/dev/null
   test -s "$obs_dir/stats.jsonl" || {
     echo "wall smoke: no stats feed written" >&2
     exit 1
   }
-  dune exec bin/dvp_cli.exe -- analyze "$obs_dir/trace.jsonl" --json \
-    >"$obs_dir/analyze.json"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$obs_dir/bench.json" "$obs_dir/analyze.json" <<'EOF'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-spans = json.load(open(sys.argv[2]))
-assert bench["conserved"], "wall smoke did not conserve value"
-assert bench["watchdog_alarms"] == 0, "conservation watchdog alarmed"
-assert spans["complete"], "merged trace was clipped"
-assert spans["txns"]["committed"] == bench["committed"], (
-    f"span commits {spans['txns']['committed']} != bench {bench['committed']}")
-print(f"wall observability ok: {bench['committed']} commits, spans agree, "
-      f"watchdog quiet")
-EOF
-  else
-    grep -q '"watchdog_alarms":0' "$obs_dir/bench.json" || {
-      echo "wall smoke: watchdog alarmed" >&2
-      exit 1
-    }
-    echo "wall observability ok (grep)"
-  fi
-  rm -rf "$obs_dir"
+  dune exec bin/dvp_cli.exe -- analyze "$obs_dir/trace.jsonl" >/dev/null
 else
   echo "== skipping multicore smoke (host has $cores core(s), need >= 2) =="
 fi
@@ -200,18 +113,12 @@ else
   echo "== skipping wall chaos smoke (host has $cores core(s), need >= 2) =="
 fi
 
-# Scale smoke: 64 sites through the E23 closed loop on a short horizon.
-# The experiment itself exits non-zero if value is not conserved or nothing
-# commits, so this catches event-core scaling regressions without the full
-# (and slower) E23 curve that perf_gate.sh runs.
-echo "== scale smoke: bench E23-SMOKE (64 sites) =="
-dune exec bench/main.exe -- E23-SMOKE
-
 # Perf smoke: the micro benches in quick mode (shakes out bitrot in the
-# bench harness itself), then the regression gate comparing a fresh E18 run
-# against the committed baselines.  Tolerances via PERF_TOL / PERF_SLACK.
+# bench harness itself), then the regression gate: every gated experiment
+# judged against the contract in its bench/baselines/BENCH_<id>.json.
 echo "== perf smoke: micro --quick =="
 dune exec bench/main.exe -- micro --quick >/dev/null
-scripts/perf_gate.sh
+echo "== regression gate: bench/main.exe gate =="
+dune exec bench/main.exe -- gate
 
 echo "== all checks passed =="
