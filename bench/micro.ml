@@ -42,7 +42,7 @@ let m4_locks =
          incr counter;
          let txn = (!counter, 0) in
          ignore (Dvp.Lock_table.try_acquire_all lt ~items:[ 1; 2; 3 ] ~txn);
-         ignore (Dvp.Lock_table.release_all lt ~txn)))
+         Dvp.Lock_table.release_items lt ~items:[ 1; 2; 3 ] ~txn))
 
 let m5_value_algebra =
   Test.make ~name:"m5-pi-split-merge"

@@ -45,14 +45,12 @@ let release t ~item ~txn =
     fire_waiter t item
   | Some _ | None -> ()
 
-let release_all t ~txn =
-  let mine =
-    Hashtbl.fold
-      (fun item owner acc -> if Ids.ts_compare owner txn = 0 then item :: acc else acc)
-      t.holders []
-  in
-  List.iter (fun item -> release t ~item ~txn) mine;
-  List.sort compare mine
+let rec release_items t ~items ~txn =
+  match items with
+  | [] -> ()
+  | item :: rest ->
+    release t ~item ~txn;
+    release_items t ~items:rest ~txn
 
 let enqueue_waiter t ~item thunk =
   if is_locked t ~item then begin

@@ -29,8 +29,10 @@ val release : t -> item:Ids.item -> txn:Ids.txn -> unit
 (** Release one lock; no-op if not held by [txn].  Fires the next queued
     waiter, if any. *)
 
-val release_all : t -> txn:Ids.txn -> Ids.item list
-(** Release every lock held by the transaction; returns the items freed. *)
+val release_items : t -> items:Ids.item list -> txn:Ids.txn -> unit
+(** Release the transaction's locks on [items], in list order: the
+    counterpart of {!try_acquire_all}.  Items [txn] does not hold are
+    skipped. *)
 
 val enqueue_waiter : t -> item:Ids.item -> (unit -> unit) -> unit
 (** Register a thunk to run when the item's lock is next released (Conc2

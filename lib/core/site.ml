@@ -10,10 +10,11 @@ type txn_kind = General | Drain_read of Ids.item list
 type live_txn = {
   id : Ids.txn;
   kind : txn_kind;
+  items : Ids.item list; (* the items of [ops]: what the txn locks and releases *)
   ops : (Ids.item * Op.t) list;
   started : float;
   mutable lock_time : float option; (* when the local locks were acquired *)
-  mutable timer : Substrate.timer option;
+  mutable timer : Substrate.timer option; (* the timeout; [Some] once parked *)
   mutable awaiting : bool; (* in the redistribution (steps 2-3) phase *)
   drain_heard : (Ids.item * Ids.site, unit) Hashtbl.t;
   mutable drain_expect : int;
@@ -187,29 +188,33 @@ let try_credit t ~peer ~item ~amount ~reply_to =
 
 (* ----------------------------------------------------------- completion *)
 
-let release_and_account t txn =
-  (match txn.lock_time with
+(* Only a transaction that holds its locks has any to release: a Lock_busy
+   abort never took them, and a Cc_reject abort gave them back itself. *)
+let release_and_account t txn ~now =
+  match txn.lock_time with
   | Some since ->
-    Metrics.lock_held t.metrics (Substrate.now t.sub -. since);
-    emit t (Trace.Lock_release { site = t.self; txn = txn.id })
-  | None -> ());
-  ignore (Lock_table.release_all t.locks ~txn:txn.id)
+    Metrics.lock_held t.metrics (now -. since);
+    if Trace.recording t.trace then emit t (Trace.Lock_release { site = t.self; txn = txn.id });
+    Lock_table.release_items t.locks ~items:txn.items ~txn:txn.id
+  | None -> ()
 
 let finish t txn result =
   if not txn.finished then begin
     txn.finished <- true;
     (match txn.timer with
     | Some h ->
+      (* Unpark: only a parked transaction has a timer and a [live] entry. *)
       ignore (Substrate.cancel h);
-      txn.timer <- None
+      txn.timer <- None;
+      Hashtbl.remove t.live txn.id
     | None -> ());
-    Hashtbl.remove t.live txn.id;
-    release_and_account t txn;
-    let latency = Substrate.now t.sub -. txn.started in
+    let now = Substrate.now t.sub in
+    release_and_account t txn ~now;
+    let latency = now -. txn.started in
     (match result with
     | Committed _ ->
       Metrics.txn_committed t.metrics ~latency;
-      emit t (Trace.Txn_commit { site = t.self; txn = txn.id })
+      if Trace.recording t.trace then emit t (Trace.Txn_commit { site = t.self; txn = txn.id })
     | Aborted reason ->
       Metrics.txn_aborted t.metrics ~reason ~latency;
       emit t
@@ -279,13 +284,21 @@ let run_pending_progress t =
 
 let timeout_abort t id () =
   match Hashtbl.find_opt t.live id with
-  | Some txn when not txn.finished ->
-    txn.timer <- None;
-    finish t txn (Aborted Metrics.Timeout)
+  | Some txn when not txn.finished -> finish t txn (Aborted Metrics.Timeout)
   | Some _ | None -> ()
 
-let arm_timeout t txn =
-  txn.timer <- Some (Substrate.schedule t.sub ~delay:t.cfg.txn_timeout (timeout_abort t txn.id))
+(* The one point at which a transaction becomes visible to the timers and to
+   [live]: the first time it must wait (for value, for a drain, for a lock).
+   A transaction that commits or aborts inside [submit] never gets here.  The
+   timeout still counts from the start, not from the wait.  Idempotent. *)
+let park t txn =
+  if Option.is_none txn.timer then begin
+    Hashtbl.replace t.live txn.id txn;
+    txn.timer <-
+      Some
+        (Substrate.schedule_at t.sub ~at:(txn.started +. t.cfg.txn_timeout)
+           (timeout_abort t txn.id))
+  end
 
 (* ------------------------------------------------------ request sending *)
 
@@ -345,20 +358,13 @@ let send_requests t txn shortfalls =
         shortfalls;
       !sent
 
-let send_drain_requests t txn items =
-  let peers = drain_peers t in
-  txn.drain_expect <- List.length peers;
-  if peers = [] then true (* nothing to gather; trivially complete *)
-  else begin
-    let msgs =
-      List.map (fun item -> Proto.Request { txn = txn.id; item; kind = Proto.Drain }) items
-    in
-    (match (t.cfg.cc, t.broadcast) with
-    | Config.Conc2, Some b -> b msgs
-    | _ ->
-      List.iter (fun msg -> List.iter (fun dst -> t.send ~dst msg) peers) msgs);
-    false
-  end
+let send_drain_requests t txn items peers =
+  let msgs =
+    List.map (fun item -> Proto.Request { txn = txn.id; item; kind = Proto.Drain }) items
+  in
+  match (t.cfg.cc, t.broadcast) with
+  | Config.Conc2, Some b -> b msgs
+  | _ -> List.iter (fun msg -> List.iter (fun dst -> t.send ~dst msg) peers) msgs
 
 (* -------------------------------------------------------- transactions *)
 
@@ -390,66 +396,78 @@ let arm_request_retries t txn =
 (* Steps 2-7 once the local locks are held. *)
 let proceed_locked t txn =
   txn.lock_time <- Some (Substrate.now t.sub);
-  emit t (Trace.Lock_acquire { site = t.self; txn = txn.id; items = List.map fst txn.ops });
+  if Trace.recording t.trace then
+    emit t (Trace.Lock_acquire { site = t.self; txn = txn.id; items = txn.items });
   match txn.kind with
   | General ->
     let shortfalls = current_shortfalls t txn in
     if shortfalls = [] then commit t txn
     else begin
       txn.awaiting <- true;
+      park t txn;
       if not (send_requests t txn shortfalls) then finish t txn (Aborted Metrics.Timeout)
       else arm_request_retries t txn
     end
   | Drain_read items ->
     txn.awaiting <- true;
-    if send_drain_requests t txn items then commit t txn
+    let peers = drain_peers t in
+    txn.drain_expect <- List.length peers;
+    if peers = [] then commit t txn (* nothing to gather; trivially complete *)
+    else begin
+      park t txn;
+      send_drain_requests t txn items peers
+    end
 
 (* Step 1 under Conc1: atomic lock acquisition with the timestamp gate; any
    delay aborts (the paper's pessimism). *)
-let start_conc1 t txn item_list =
-  if not (Lock_table.try_acquire_all t.locks ~items:item_list ~txn:txn.id) then
+let start_conc1 t txn =
+  let items = txn.items in
+  if not (Lock_table.try_acquire_all t.locks ~items ~txn:txn.id) then
     finish t txn (Aborted Metrics.Lock_busy)
-  else if
-    not (List.for_all (fun item -> Ids.ts_lt (Db.timestamp t.db ~item) txn.id) item_list)
+  else if not (List.for_all (fun item -> Ids.ts_lt (Db.timestamp t.db ~item) txn.id) items)
   then begin
-    ignore (Lock_table.release_all t.locks ~txn:txn.id);
+    Lock_table.release_items t.locks ~items ~txn:txn.id;
     finish t txn (Aborted Metrics.Cc_reject)
   end
   else begin
     (* Locking and timestamp update are one atomic step (Section 6.1). *)
-    List.iter (fun item -> Db.set_timestamp t.db ~item txn.id) item_list;
+    List.iter (fun item -> Db.set_timestamp t.db ~item txn.id) items;
     proceed_locked t txn
   end
 
 (* Step 1 under Conc2: strict 2PL — wait (bounded by the transaction's
    timeout) instead of aborting. *)
-let rec start_conc2 t txn item_list =
+let rec start_conc2 t txn =
+  let items = txn.items in
   if txn.finished then ()
-  else if Lock_table.try_acquire_all t.locks ~items:item_list ~txn:txn.id then begin
-    List.iter (fun item -> Db.set_timestamp t.db ~item txn.id) item_list;
+  else if Lock_table.try_acquire_all t.locks ~items ~txn:txn.id then begin
+    List.iter (fun item -> Db.set_timestamp t.db ~item txn.id) items;
     proceed_locked t txn
   end
   else begin
-    let busy = List.find (fun item -> Lock_table.is_locked t.locks ~item) item_list in
+    let busy = List.find (fun item -> Lock_table.is_locked t.locks ~item) items in
+    park t txn;
     Lock_table.enqueue_waiter t.locks ~item:busy (fun () ->
-        if t.up && not txn.finished then start_conc2 t txn item_list)
+        if t.up && not txn.finished then start_conc2 t txn)
   end
 
-let begin_txn t ~kind ~ops ~on_done =
+let begin_txn t ~kind ~items ~ops ~on_done =
   (* The "standard unique time-stamping mechanism" of Section 6.1: local
      clocks are loosely synchronised (here: derived from simulated time at
      microsecond granularity), with Lamport witnessing on message receipt and
      the site id in the low-order bits.  Without this an idle site's counter
      would lag and all its requests would fail the Conc1 gate at busier
      sites. *)
-  Ids.Clock.witness_counter t.clock (int_of_float (Substrate.now t.sub *. 1_000_000.0));
+  let now = Substrate.now t.sub in
+  Ids.Clock.witness_counter t.clock (int_of_float (now *. 1_000_000.0));
   let id = Ids.Clock.next t.clock in
   let txn =
     {
       id;
       kind;
+      items;
       ops;
-      started = Substrate.now t.sub;
+      started = now;
       lock_time = None;
       timer = None;
       awaiting = false;
@@ -460,9 +478,8 @@ let begin_txn t ~kind ~ops ~on_done =
       finished = false;
     }
   in
-  Hashtbl.replace t.live id txn;
-  emit t (Trace.Txn_begin { site = t.self; txn = id; n_ops = List.length ops });
-  arm_timeout t txn;
+  if Trace.recording t.trace then
+    emit t (Trace.Txn_begin { site = t.self; txn = id; n_ops = List.length ops });
   txn
 
 let submit t ~ops ~on_done =
@@ -472,11 +489,10 @@ let submit t ~ops ~on_done =
        Joining one has no seeded value to serve yet. *)
     on_done (Aborted Metrics.Not_member)
   else begin
-    let item_list = List.map fst ops in
-    let txn = begin_txn t ~kind:General ~ops ~on_done in
+    let txn = begin_txn t ~kind:General ~items:(List.map fst ops) ~ops ~on_done in
     match t.cfg.cc with
-    | Config.Conc1 -> start_conc1 t txn item_list
-    | Config.Conc2 -> start_conc2 t txn item_list
+    | Config.Conc1 -> start_conc1 t txn
+    | Config.Conc2 -> start_conc2 t txn
   end
 
 let submit_read_many t ~items ~on_done =
@@ -489,15 +505,15 @@ let submit_read_many t ~items ~on_done =
       | Committed _ -> on_done (Ok (List.map (fun item -> (item, Db.value t.db ~item)) items))
       | Aborted reason -> on_done (Error reason)
     in
-    let txn = begin_txn t ~kind:(Drain_read items) ~ops ~on_done:wrapped in
+    let txn = begin_txn t ~kind:(Drain_read items) ~items ~ops ~on_done:wrapped in
     (* A drain cannot represent the full value while the site's own outbound
        Vm on any of the items are unacknowledged. *)
     if List.exists (fun item -> Vm.has_outstanding (vm_exn t) ~item) items then
       finish t txn (Aborted Metrics.Vm_outstanding)
     else
       match t.cfg.cc with
-      | Config.Conc1 -> start_conc1 t txn items
-      | Config.Conc2 -> start_conc2 t txn items
+      | Config.Conc1 -> start_conc1 t txn
+      | Config.Conc2 -> start_conc2 t txn
   end
 
 let submit_read t ~item ~on_done =
@@ -556,15 +572,16 @@ let rec handle_request t ~src ~txn_id ~item ~kind =
     else if not (Ids.ts_lt (Db.timestamp t.db ~item) txn_id) then begin
       (* Timestamp gate: TS(t) > TS(d_j) required (Section 6.1). *)
       Metrics.request_ignored t.metrics;
-      emit t
-        (Trace.Request_ignored
-           {
-             site = t.self;
-             src;
-             txn = txn_id;
-             item;
-             reason = Format.asprintf "stale request from txn %a" Ids.pp_txn txn_id;
-           })
+      if Trace.recording t.trace then
+        emit t
+          (Trace.Request_ignored
+             {
+               site = t.self;
+               src;
+               txn = txn_id;
+               item;
+               reason = Format.asprintf "stale request from txn %a" Ids.pp_txn txn_id;
+             })
     end
     else honor_request t ~src ~txn_id ~item ~kind
   | Config.Conc2 ->

@@ -425,7 +425,8 @@ let send_value t ~dst ~item ~amount ?reply_to ~new_local () =
   tally_add t ~item ~amount;
   ledger_add t.cum_sent ~item ~amount;
   Metrics.vm_created t.metrics ~amount;
-  emit t (Trace.Vm_created { site = t.self; dst; seq; item; amount });
+  if Trace.recording t.trace then
+    emit t (Trace.Vm_created { site = t.self; dst; seq; item; amount });
   check_depth t;
   if not st.parked then transmit t ~dst ~seq ~item ~amount ~reply_to;
   arm t
@@ -495,7 +496,8 @@ let handle_fragment t ~src ~seq ~item ~amount ~reply_to =
       t.accepted.(src) <- seq;
       ledger_add t.cum_recv ~item ~amount;
       Metrics.vm_accepted t.metrics ~amount;
-      emit t (Trace.Vm_accepted { site = t.self; src; seq; item; amount });
+      if Trace.recording t.trace then
+        emit t (Trace.Vm_accepted { site = t.self; src; seq; item; amount });
       true
 
 let handle_data t ~src ~seq ~item ~amount ~reply_to ~ack_upto =

@@ -163,7 +163,7 @@ let send t ~src ~dst payload =
   end
   else begin
     t.stats.sent <- t.stats.sent + 1;
-    emit t (Dvp_trace.Trace.Net_send { src; dst });
+    if Dvp_trace.Trace.recording t.trace then emit t (Dvp_trace.Trace.Net_send { src; dst });
     let li = (src * t.n) + dst in
     let p = t.link_params.(li) in
     let lup = Bytes.unsafe_get t.link_up li <> '\000' in

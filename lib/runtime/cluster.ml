@@ -179,15 +179,19 @@ type t = {
 
 (* Closed-loop escrow increments until the wall deadline.  Increments commit
    synchronously, so run them in bounded batches and trampoline through a
-   zero-delay timer: the mailbox drains (acks, peer Vm) between batches and
-   the stack stays flat.  [fill] reports the committed count; on a kill the
-   registry reports the count committed so far — which is exact, because
-   each commit (a forced log append) and its count increment happen inside
-   one handler and kills never land mid-handler. *)
+   zero-delay timer: the stack stays flat, and since the site loop fires
+   only the timers that were due when it turned to them, the mailbox
+   (client execs, acks, peer Vm, stats, kills) drains between batches.
+   [fill] reports the committed count; on a kill the registry reports the
+   count committed so far — which is exact, because each commit (a forced
+   log append) and its count increment happen inside one handler and kills
+   never land mid-handler. *)
 let start_load site sub ~item ~amount ~duration ~register ~resolve reply =
   let committed = ref 0 in
   let id = register (fun () -> Cell.fill reply !committed) in
   let deadline = Substrate.now sub +. duration in
+  let ops = [ (item, Op.Incr amount) ] in
+  let on_done = function Site.Committed _ -> incr committed | Site.Aborted _ -> () in
   let rec step () =
     if Substrate.now sub >= deadline then begin
       resolve id;
@@ -197,9 +201,7 @@ let start_load site sub ~item ~amount ~duration ~register ~resolve reply =
       let batch = ref 0 in
       while !batch < 256 && Substrate.now sub < deadline do
         incr batch;
-        Site.submit site
-          ~ops:[ (item, Op.Incr amount) ]
-          ~on_done:(fun r -> match r with Site.Committed _ -> incr committed | _ -> ())
+        Site.submit site ~ops ~on_done
       done;
       ignore (Substrate.schedule sub ~delay:0.0 step)
     end
@@ -244,10 +246,15 @@ let stats_of site ~self ~item_list =
 let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     ~item_arr ~shard ~links ~chaos ~bg_row ~bg_done ~mode ~(ready : int Cell.t) () =
   let mb = mailboxes.(self) in
-  let timers : (unit -> unit) Heap.t = Heap.create () in
+  (* Each timer carries its arming number, so a pass of [fire_due] can tell
+     the timers it found from those armed while it ran. *)
+  let timers : (int * (unit -> unit)) Heap.t = Heap.create () in
+  let armed = ref 0 in
   (* Clamp the wall clock monotone per domain: gettimeofday can step
      backwards (NTP), and the trace-merge total order leans on per-shard
-     timestamps never regressing. *)
+     timestamps never regressing.  The ref hands back the box it already
+     holds, so a read allocates only when the clock has moved; a flat float
+     cell would box a fresh float on every return from this closure. *)
   let now =
     let last = ref 0.0 in
     fun () ->
@@ -256,7 +263,8 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       !last
   in
   let sched at f =
-    let h = Heap.add timers ~priority:at f in
+    incr armed;
+    let h = Heap.add timers ~priority:at (!armed, f) in
     Substrate.timer_of_thunk (fun () -> Heap.cancel timers h)
   in
   let sub =
@@ -427,11 +435,15 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   let resolve id = Hashtbl.remove pending id in
   Cell.fill ready !replayed;
   let stop = ref false in
+  (* Fire the timers that were due when the pass began, and no others: a
+     timer armed by a callback — [start_load]'s zero-delay re-arm — waits for
+     the next turn of the loop, so the mailbox is served in between. *)
   let fire_due () =
+    let horizon = now () and last = !armed in
     let rec go () =
       match Heap.peek timers with
-      | Some (at, _) when at <= now () ->
-        (match Heap.pop timers with Some (_, f) -> f () | None -> ());
+      | Some (at, (k, _)) when at <= horizon && k <= last ->
+        (match Heap.pop timers with Some (_, (_, f)) -> f () | None -> ());
         go ()
       | _ -> ()
     in
@@ -503,13 +515,14 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
        check_mailbox_depth (List.length batch);
        consume batch;
        fire_due ();
+       (* Sleep until the next timer, or for good without one; when it is
+          already due, go straight back round instead of selecting. *)
        if not !stop then begin
-         let timeout =
-           match Heap.peek timers with
-           | Some (at, _) -> Float.max 0.0 (at -. now ())
-           | None -> -1.0
-         in
-         Mailbox.wait mb ~timeout
+         match Heap.peek timers with
+         | Some (at, _) ->
+           let timeout = at -. now () in
+           if timeout > 0.0 then Mailbox.wait mb ~timeout
+         | None -> Mailbox.wait mb ~timeout:(-1.0)
        end
      done;
      close_wal ()

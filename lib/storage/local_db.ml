@@ -14,9 +14,16 @@ let create () = { rows = Hashtbl.create 32 }
 
 let find t item = Hashtbl.find_opt t.rows item
 
-let ensure t ~item =
-  if not (Hashtbl.mem t.rows item) then
-    Hashtbl.replace t.rows item { v = 0; ts = ts_zero }
+(* The item's row, created on first write: one lookup either way. *)
+let row t item =
+  match Hashtbl.find_opt t.rows item with
+  | Some r -> r
+  | None ->
+    let r = { v = 0; ts = ts_zero } in
+    Hashtbl.replace t.rows item r;
+    r
+
+let ensure t ~item = ignore (row t item : row)
 
 let mem t ~item = Hashtbl.mem t.rows item
 
@@ -24,23 +31,17 @@ let value t ~item = match find t item with Some r -> r.v | None -> 0
 
 let set_value t ~item v =
   if v < 0 then invalid_arg "Local_db.set_value: fragments are nonnegative";
-  ensure t ~item;
-  match find t item with Some r -> r.v <- v | None -> assert false
+  (row t item).v <- v
 
 let add t ~item delta =
-  ensure t ~item;
-  match find t item with
-  | Some r ->
-    let v = r.v + delta in
-    if v < 0 then invalid_arg "Local_db.add: fragment would go negative";
-    r.v <- v
-  | None -> assert false
+  let r = row t item in
+  let v = r.v + delta in
+  if v < 0 then invalid_arg "Local_db.add: fragment would go negative";
+  r.v <- v
 
 let timestamp t ~item = match find t item with Some r -> r.ts | None -> ts_zero
 
-let set_timestamp t ~item ts =
-  ensure t ~item;
-  match find t item with Some r -> r.ts <- ts | None -> assert false
+let set_timestamp t ~item ts = (row t item).ts <- ts
 
 let items t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.rows [] |> List.sort compare

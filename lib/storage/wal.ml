@@ -147,10 +147,12 @@ let force t =
     (* Freshly forced records are valid by construction: the prefix cache
        extends unless a corrupt tail already hides them. *)
     if clean_before then t.valid_len <- t.stable.len;
+    (* The payload list exists only for a sink to take. *)
     let recs = ref [] in
-    for i = t.buffer.len - 1 downto 0 do
-      recs := t.buffer.arr.(i).payload :: !recs
-    done;
+    if Option.is_some t.force_sink then
+      for i = t.buffer.len - 1 downto 0 do
+        recs := t.buffer.arr.(i).payload :: !recs
+      done;
     t.buffer.len <- 0;
     offer_sink t !recs
   end

@@ -49,6 +49,8 @@ let enabled t = t.on
 
 let set_enabled t v = t.on <- v
 
+let recording = function Some t -> t.on | None -> false
+
 let drop_count t = t.dropped
 
 let capacity t = t.capacity

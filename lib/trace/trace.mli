@@ -77,6 +77,10 @@ val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 (** Disabled traces drop events without formatting cost. *)
 
+val recording : t option -> bool
+(** [true] only for a present, enabled ring.  Hot paths guard an emit with
+    it, so that with tracing off they do not even build the event. *)
+
 (** {2 Typed API} *)
 
 val emit : t -> time:float -> event -> unit

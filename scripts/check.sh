@@ -113,6 +113,26 @@ else
   echo "== skipping wall chaos smoke (host has $cores core(s), need >= 2) =="
 fi
 
+# Benchmark smoke: each workload of BENCHMARK.json runs for 2 s untraced
+# and must pass the benchmark's own correctness checks — exit 0 with
+# "correct":true on its result line (the last line of its output).
+echo "== perfbench smoke: 2 s per workload =="
+for workload in escrow-local transfer-durable des-fleet; do
+  out=$(dune exec --display quiet -- ./perfbench/main.exe --workload "$workload" \
+    --seconds 2 --trace 0) || {
+    echo "perfbench $workload: exited non-zero" >&2
+    exit 1
+  }
+  result=$(printf '%s\n' "$out" | tail -n 1)
+  case "$result" in
+    *'"correct":true'*) echo "perfbench $workload: correct" ;;
+    *)
+      echo "perfbench $workload: result is not correct: $result" >&2
+      exit 1
+      ;;
+  esac
+done
+
 # Perf smoke: the micro benches in quick mode (shakes out bitrot in the
 # bench harness itself), then the regression gate: every gated experiment
 # judged against the contract in its bench/baselines/BENCH_<id>.json.

@@ -170,9 +170,10 @@ let test_locks_atomic_all () =
 let test_locks_release_all () =
   let lt = Lock_table.create () in
   ignore (Lock_table.try_acquire_all lt ~items:[ 1; 2; 3 ] ~txn:t1);
-  let freed = Lock_table.release_all lt ~txn:t1 in
-  Alcotest.(check (list int)) "all freed" [ 1; 2; 3 ] freed;
-  Alcotest.(check (list int)) "nothing locked" [] (Lock_table.locked_items lt)
+  ignore (Lock_table.try_acquire lt ~item:4 ~txn:t2);
+  (* Releasing what t1 locked, plus an item t2 holds: only t1's locks go. *)
+  Lock_table.release_items lt ~items:[ 1; 2; 3; 4 ] ~txn:t1;
+  Alcotest.(check (list int)) "only t2's lock left" [ 4 ] (Lock_table.locked_items lt)
 
 let test_locks_waiters () =
   let lt = Lock_table.create () in
@@ -601,6 +602,77 @@ let test_conc1_lock_conflict_aborts () =
   Alcotest.(check (option result_testable)) "first commits"
     (Some (Site.Committed { read_value = None }))
     !r1
+
+(* The local commit path (DESIGN.md, "The local commit path"): a commit
+   that needs nothing remote is a lock, an operator apply and a forced log
+   record.  It arms no timer, never enters the live table, and with tracing
+   off builds no trace event; the budget pins the allocation that leaves. *)
+let test_local_commit_budget () =
+  let sys = mk_system ~items:[ (0, 100) ] () in
+  let site = System.site sys 0 in
+  let ops = [ (0, Op.Incr 1) ] in
+  let committed = ref 0 in
+  let on_done = function Site.Committed _ -> incr committed | Site.Aborted _ -> () in
+  (* Warm up: the first commits grow the log and metric arrays. *)
+  for _ = 1 to 1_000 do
+    Site.submit site ~ops ~on_done
+  done;
+  let pending = Dvp_sim.Engine.pending (System.engine sys) in
+  let active = Site.active_txns site in
+  let k = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to k do
+    Site.submit site ~ops ~on_done
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int k in
+  Alcotest.(check int) "all committed" (1_000 + k) !committed;
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per commit <= 120" words) true
+    (words <= 120.0);
+  Alcotest.(check int) "no timer left behind" pending
+    (Dvp_sim.Engine.pending (System.engine sys));
+  Alcotest.(check int) "nothing left live" active (Site.active_txns site)
+
+(* A transaction that waits is parked: its timeout still counts from the
+   moment it began, so it aborts at exactly started + txn_timeout. *)
+let test_parked_conc1_times_out_on_schedule () =
+  let sys = mk_system () in
+  System.run_until sys 1.0;
+  (* Site 0 is cut off: its requests for value are never answered. *)
+  System.partition sys [ [ 0 ]; [ 1; 2; 3 ] ];
+  let aborted = ref None in
+  submit sys ~site:0 ~ops:[ (0, Op.Decr 40) ] ~on_done:(fun r ->
+      aborted := Some (r, System.now sys));
+  Alcotest.(check int) "parked" 1 (Site.active_txns (System.site sys 0));
+  System.run_until sys 3.0;
+  Alcotest.(check (option (pair result_testable (float 0.0))))
+    "timeout at started + txn_timeout"
+    (Some (Site.Aborted Metrics.Timeout, 1.0 +. Config.default.Config.txn_timeout))
+    !aborted;
+  Alcotest.(check int) "unparked" 0 (Site.active_txns (System.site sys 0))
+
+let test_parked_conc2_times_out_on_schedule () =
+  let config = { Config.default with Config.cc = Config.Conc2 } in
+  let timeout = config.Config.txn_timeout in
+  let sys = mk_system ~config () in
+  System.run_until sys 1.0;
+  System.partition sys [ [ 0 ]; [ 1; 2; 3 ] ];
+  let r1 = ref None and r2 = ref None in
+  let record r x = r := Some (x, System.now sys) in
+  (* The first holds the lock while it waits for value that never comes. *)
+  submit sys ~site:0 ~ops:[ (0, Op.Decr 40) ] ~on_done:(record r1);
+  System.run_until sys 1.2;
+  (* The second parks on the held lock, gets it when the first gives up,
+     then waits for value too: parking again changes nothing. *)
+  submit sys ~site:0 ~ops:[ (0, Op.Decr 40) ] ~on_done:(record r2);
+  Alcotest.(check int) "both parked" 2 (Site.active_txns (System.site sys 0));
+  System.run_until sys 3.0;
+  let expect = Alcotest.(option (pair result_testable (float 0.0))) in
+  Alcotest.check expect "holder times out"
+    (Some (Site.Aborted Metrics.Timeout, 1.0 +. timeout))
+    !r1;
+  Alcotest.check expect "lock waiter times out"
+    (Some (Site.Aborted Metrics.Timeout, 1.2 +. timeout))
+    !r2
 
 let test_multi_item_transfer () =
   (* Change a reservation from flight A (item 0) to flight B (item 1):
@@ -1638,6 +1710,11 @@ let () =
           Alcotest.test_case "conc2 conflict waits" `Quick
             test_conc2_lock_conflict_waits_not_aborts;
           Alcotest.test_case "conc1 conflict aborts" `Quick test_conc1_lock_conflict_aborts;
+          Alcotest.test_case "local commit budget" `Quick test_local_commit_budget;
+          Alcotest.test_case "parked conc1 times out on schedule" `Quick
+            test_parked_conc1_times_out_on_schedule;
+          Alcotest.test_case "parked conc2 times out on schedule" `Quick
+            test_parked_conc2_times_out_on_schedule;
           Alcotest.test_case "multi-item transfer" `Quick test_multi_item_transfer;
           Alcotest.test_case "no overselling under stress" `Quick
             test_no_overselling_under_stress;

@@ -249,6 +249,25 @@ let test_push_value_range () =
   Cluster.stop c;
   Alcotest.(check bool) "conserved" true conserved
 
+(* A loading site serves its mailbox between load batches: a client exec
+   issued mid-load returns long before the load window closes. *)
+let test_exec_during_load () =
+  let c = Cluster.create ~seed:25 ~n:2 ~items:[ (0, 1_000) ] () in
+  let load = Domain.spawn (fun () -> Cluster.run_load c ~duration:0.3 ~item:0 ()) in
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  let committed = Txn.committed (Cluster.exec c (Txn.write ~site:0 [ (0, Op.Incr 1) ])) in
+  let waited = Unix.gettimeofday () -. t0 in
+  let loaded = Domain.join load in
+  Alcotest.(check bool) "exec committed" true committed;
+  Alcotest.(check bool) (Printf.sprintf "exec took %.1f ms < 100 ms" (waited *. 1e3)) true
+    (waited < 0.1);
+  Alcotest.(check bool) "load ran" true (loaded > 0);
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  let conserved = Cluster.conserved_all c in
+  Cluster.stop c;
+  Alcotest.(check bool) "conserved" true conserved
+
 let () =
   Alcotest.run "dvp_runtime"
     [
@@ -271,7 +290,10 @@ let () =
           Alcotest.test_case "plan shape invariants" `Quick test_fault_plan_shape;
         ] );
       ( "cluster",
-        [ Alcotest.test_case "push_value range-checks sites" `Quick test_push_value_range ] );
+        [
+          Alcotest.test_case "push_value range-checks sites" `Quick test_push_value_range;
+          Alcotest.test_case "exec served during a load" `Quick test_exec_during_load;
+        ] );
       ( "supervisor",
         [
           Alcotest.test_case "kill + revive conserves" `Quick test_kill_revive_conserves;
