@@ -1,6 +1,7 @@
-(* Bechamel micro-benchmarks (M1-M5): the per-operation costs underneath the
+(* Bechamel micro-benchmarks (M1-M13): the per-operation costs underneath the
    experiment tables — forced log appends, the local-commit fast path, event
-   queue operations, lock-table operations, and the Π algebra. *)
+   queue operations, lock-table operations, the Π algebra, and a trace
+   emit. *)
 
 open Bechamel
 open Toolkit
@@ -229,6 +230,41 @@ let m11_global_tick =
   Test.make ~name:"m11-global-tick-256-1s"
     (Staged.stage (fun () -> Dvp.Engine.run_until engine (Dvp.Engine.now engine +. 1.0)))
 
+(* m13: one trace emit from a mixed event set — what two remote-value
+   transactions leave (begin, lock, request, honour, Vm created/accepted,
+   net send, release, commit) plus one abort, whose reason string sends it
+   to the ring's side table — into a 2^16 ring that wraps, so most emits
+   also evict. *)
+let m13_int_events =
+  let txn k =
+    let txn = (k, 0) in
+    Dvp.Trace.
+      [
+        Txn_begin { site = 0; txn; n_ops = 1 };
+        Lock_acquire { site = 0; txn; items = [ k land 3 ] };
+        Request_sent { site = 0; dst = 1; txn; item = k land 3; amount = 4 };
+        Request_honored { site = 1; src = 0; txn; item = k land 3; amount = 4 };
+        Vm_created { site = 1; dst = 0; seq = k; item = k land 3; amount = 4 };
+        Net_send { src = 1; dst = 0 };
+        Vm_accepted { site = 0; src = 1; seq = k; item = k land 3; amount = 4 };
+        Lock_release { site = 0; txn };
+        Txn_commit { site = 0; txn };
+      ]
+  in
+  Array.of_list (txn 1 @ txn 2)
+
+let m13_events =
+  Array.append m13_int_events
+    [| Dvp.Trace.Txn_abort { site = 0; txn = (3, 0); reason = "timeout" } |]
+
+let m13_trace_emit =
+  let tr = Dvp.Trace.create ~capacity:(1 lsl 16) () in
+  let i = ref 0 in
+  Test.make ~name:"m13-trace-emit-mixed-2^16"
+    (Staged.stage (fun () ->
+         Dvp.Trace.emit tr ~time:1.0 m13_events.(!i);
+         i := if !i + 1 = Array.length m13_events then 0 else !i + 1))
+
 let tests =
   [
     m1_wal_append;
@@ -248,6 +284,7 @@ let tests =
     m10_wheel_cancel;
     m11_idle_sites;
     m11_global_tick;
+    m13_trace_emit;
   ]
 
 (* m12: allocation per simulator event, from Gc.allocated_bytes over a loaded
@@ -279,13 +316,38 @@ let m12_alloc_per_event () =
   if events > 0 then
     Printf.printf "  %-32s %10.1f B/event (%d events)\n" "m12-alloc-per-event-64" ((b1 -. b0) /. float_of_int events) events
 
+(* m13, the allocation side: minor words per emit over 1M emits of the m13
+   mix (the ring allocates only for the spilled abort) and of its
+   int-payload events alone, plus the cost of creating a 2^21-slot ring. *)
+let m13_emit_alloc () =
+  let words_per_emit events =
+    let tr = Dvp.Trace.create ~capacity:(1 lsl 16) () in
+    let n = Array.length events and emits = 1_000_000 in
+    let w0 = Gc.minor_words () in
+    for i = 0 to emits - 1 do
+      Dvp.Trace.emit tr ~time:1.0 events.(i mod n)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int emits
+  in
+  Printf.printf "  %-32s %10.2f words/emit\n" "m13-trace-emit-words-mixed"
+    (words_per_emit m13_events);
+  Printf.printf "  %-32s %10.2f words/emit\n" "m13-trace-emit-words-int"
+    (words_per_emit m13_int_events);
+  let t0 = Unix.gettimeofday () in
+  ignore (Sys.opaque_identity (Dvp.Trace.create ~capacity:(1 lsl 21) ()));
+  Printf.printf "  %-32s %10.3f ms\n" "m13-trace-create-2^21" ((Unix.gettimeofday () -. t0) *. 1e3)
+
 let run ?(quick = false) () =
   print_endline "\nMicro-benchmarks (Bechamel, monotonic clock)";
   print_endline "============================================";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in
   let quota = if quick then Time.second 0.05 else Time.second 0.25 in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota ~kde:None () in
+  (* No [stabilize]: it compacts the heap before every sample, and with the
+     systems the tests above keep alive that compaction eats the quota, so
+     only a handful of tiny samples were taken and their overhead swamped
+     the estimate (M13's ~40 ns emit read ~1.3 µs). *)
+  let cfg = Benchmark.cfg ~limit:1000 ~stabilize:false ~quota ~kde:None () in
   let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s/%s" tests in
   let raw = Benchmark.all cfg instances grouped in
   let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
@@ -303,4 +365,5 @@ let run ?(quick = false) () =
         | Some [ ns ] -> Printf.printf "  %-32s %10.1f ns/op\n" name ns
         | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
       rows;
-    m12_alloc_per_event ()
+    m12_alloc_per_event ();
+    m13_emit_alloc ()

@@ -197,7 +197,7 @@ let run_cmd system workload sites rate duration seed partition crash export_dir 
     output_string oc data;
     close_out oc;
     if not json then begin
-      Printf.printf "wrote %d trace events to %s (%s)\n" (List.length (Trace.events tr)) file
+      Printf.printf "wrote %d trace events to %s (%s)\n" (Trace.length tr) file
         (match trace_format with Jsonl -> "jsonl" | Chrome -> "chrome trace_event");
       if Trace.drop_count tr > 0 then
         Printf.printf "  (ring buffer overflowed: %d oldest events dropped)\n"

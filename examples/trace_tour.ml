@@ -53,8 +53,7 @@ let () =
 
   (* Narrate the run from the typed events. *)
   let count f = List.length (Trace.find_events trace ~f) in
-  Printf.printf "events recorded: %d (dropped: %d)\n"
-    (List.length (Trace.events trace))
+  Printf.printf "events recorded: %d (dropped: %d)\n" (Trace.length trace)
     (Trace.drop_count trace);
   Printf.printf "  commits:        %d\n" (count (function Trace.Txn_commit _ -> true | _ -> false));
   Printf.printf "  aborts:         %d\n" (count (function Trace.Txn_abort _ -> true | _ -> false));

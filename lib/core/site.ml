@@ -217,9 +217,10 @@ let finish t txn result =
       if Trace.recording t.trace then emit t (Trace.Txn_commit { site = t.self; txn = txn.id })
     | Aborted reason ->
       Metrics.txn_aborted t.metrics ~reason ~latency;
-      emit t
-        (Trace.Txn_abort
-           { site = t.self; txn = txn.id; reason = Metrics.abort_reason_label reason }));
+      if Trace.recording t.trace then
+        emit t
+          (Trace.Txn_abort
+             { site = t.self; txn = txn.id; reason = Metrics.abort_reason_label reason }));
     txn.on_done result
   end
 
@@ -328,8 +329,10 @@ let send_requests t txn shortfalls =
               | Config.Ask_all_full | Config.Ask_one_random | Config.Ask_k _ -> shortfall
             in
             (* dst = -1: the request goes to every other site at once. *)
-            emit t
-              (Trace.Request_sent { site = t.self; dst = -1; txn = txn.id; item; amount = share });
+            if Trace.recording t.trace then
+              emit t
+                (Trace.Request_sent
+                   { site = t.self; dst = -1; txn = txn.id; item; amount = share });
             Proto.Request { txn = txn.id; item; kind = Proto.Need share })
           shortfalls
       in
@@ -351,7 +354,8 @@ let send_requests t txn shortfalls =
           List.iter
             (fun (dst, amount) ->
               sent := true;
-              emit t (Trace.Request_sent { site = t.self; dst; txn = txn.id; item; amount });
+              if Trace.recording t.trace then
+                emit t (Trace.Request_sent { site = t.self; dst; txn = txn.id; item; amount });
               t.send ~dst (Proto.Request { txn = txn.id; item; kind = Proto.Need amount }))
             (Config.request_targets_among t.cfg.request_policy ~rng:t.rng ~self:t.self
                ~candidates:(ask_candidates t) ~shortfall))
@@ -539,7 +543,8 @@ let honor_request t ~src ~txn_id ~item ~kind =
       Vm.send_value (vm_exn t) ~dst:src ~item ~amount:frag ~reply_to:txn_id ~new_local:0 ();
       Db.set_value t.db ~item 0;
       Metrics.request_honored t.metrics;
-      emit t (Trace.Request_honored { site = t.self; src; txn = txn_id; item; amount = frag })
+      if Trace.recording t.trace then
+        emit t (Trace.Request_honored { site = t.self; src; txn = txn_id; item; amount = frag })
     end
   | Proto.Need requested ->
     let amount = Config.grant_amount t.cfg.grant_policy ~requested ~fragment:frag in
@@ -550,7 +555,8 @@ let honor_request t ~src ~txn_id ~item ~kind =
         ~new_local:(frag - amount) ();
       Db.set_value t.db ~item (frag - amount);
       Metrics.request_honored t.metrics;
-      emit t (Trace.Request_honored { site = t.self; src; txn = txn_id; item; amount })
+      if Trace.recording t.trace then
+        emit t (Trace.Request_honored { site = t.self; src; txn = txn_id; item; amount })
     end
 
 let note_asker t ~src ~item =

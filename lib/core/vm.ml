@@ -347,9 +347,10 @@ let rec on_retransmit t =
               (* Only resend what has gone a full period without an ack. *)
               if now -. e.last_sent >= t.retransmit_every *. 0.9 then begin
                 Metrics.vm_retransmitted t.metrics;
-                emit t
-                  (Trace.Vm_retransmit
-                     { site = t.self; dst; seq; item = e.payload.item; amount = e.payload.amount });
+                if Trace.recording t.trace then
+                  emit t
+                    (Trace.Vm_retransmit
+                       { site = t.self; dst; seq; item = e.payload.item; amount = e.payload.amount });
                 e.last_sent <- now;
                 due := (seq, e) :: !due
               end)
@@ -476,7 +477,7 @@ let handle_fragment t ~src ~seq ~item ~amount ~reply_to =
     (* Duplicate of an already-accepted Vm: discard, re-ack so the sender can
        advance if our earlier ack was lost. *)
     Metrics.vm_duplicate_discarded t.metrics;
-    emit t (Trace.Vm_dup { site = t.self; src; seq });
+    if Trace.recording t.trace then emit t (Trace.Vm_dup { site = t.self; src; seq });
     true
   end
   else if seq > expected then

@@ -14,35 +14,43 @@ let shard t i =
 
 let total_dropped t = Array.fold_left (fun acc r -> acc + Trace.drop_count r) 0 t.rings
 
-let total_events t =
-  Array.fold_left (fun acc r -> acc + List.length (Trace.events r)) 0 t.rings
+let total_events t = Array.fold_left (fun acc r -> acc + Trace.length r) 0 t.rings
 
 let set_enabled t v = Array.iter (fun r -> Trace.set_enabled r v) t.rings
 
 let clear t = Array.iter Trace.clear t.rings
 
-(* The merge key.  Within one shard, timestamps are monotone (the runtime
-   clamps its clock) and sequence numbers strictly increase, so sorting by
-   (time, shard, seq) is a total order that refines per-shard emission order.
-   Equal wall timestamps across shards break ties by shard id — arbitrary
-   but deterministic, which is all a cross-domain order can honestly claim
-   at equal clock readings. *)
-let merge_key (time, shardid, seq) (time', shardid', seq') =
-  match Float.compare time time' with
-  | 0 -> ( match Int.compare shardid shardid' with 0 -> Int.compare seq seq' | c -> c)
-  | c -> c
-
+(* A k-way merge by (time, shard, seq).  Within one shard, timestamps are
+   monotone (the runtime clamps its clock) and sequence numbers strictly
+   increase, so each shard is already a sorted run and the key totally orders
+   the union.  Equal wall timestamps across shards break ties by shard id —
+   arbitrary but deterministic, which is all a cross-domain order can
+   honestly claim at equal clock readings.  The merge walks newest-first,
+   taking the greatest head each step (the highest shard among equal times),
+   so the result list is consed in order; each event is decoded once.  A
+   linear scan over the heads is cheaper than a heap at one shard per
+   domain. *)
 let merged t =
-  let all = ref [] in
-  Array.iteri
-    (fun shardid ring ->
-      List.iter
-        (fun (seq, time, ev) -> all := (shardid, seq, time, ev) :: !all)
-        (Trace.seq_events ring))
-    t.rings;
-  List.sort
-    (fun (s, q, tm, _) (s', q', tm', _) -> merge_key (tm, s, q) (tm', s', q'))
-    !all
+  let rings = t.rings in
+  let cur = Array.map (fun r -> Trace.length r - 1) rings in
+  let head s = Trace.time_at rings.(s) cur.(s) in
+  let newest () =
+    let best = ref (-1) in
+    Array.iteri
+      (fun s i ->
+        if i >= 0 && (!best < 0 || Float.compare (head s) (head !best) >= 0) then best := s)
+      cur;
+    !best
+  in
+  let rec go out =
+    match newest () with
+    | -1 -> out
+    | s ->
+      let r = rings.(s) and i = cur.(s) in
+      cur.(s) <- i - 1;
+      go ((s, Trace.drop_count r + i, Trace.time_at r i, Trace.event_at r i) :: out)
+  in
+  go []
 
 let merged_events t = List.map (fun (_, _, time, ev) -> (time, ev)) (merged t)
 
@@ -57,7 +65,7 @@ let to_jsonl t =
        (Json.Obj
           [
             ("type", Json.String "meta");
-            ("events", Json.Int (List.length evs));
+            ("events", Json.Int (total_events t));
             ("dropped", Json.Int (total_dropped t));
             ( "capacity",
               Json.Int

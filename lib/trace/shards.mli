@@ -8,9 +8,10 @@
     implicit dense sequence number ({!Trace.seq_events}), so the offline
     {!merged} step can impose one total order on the whole run:
 
-    sort by [(time, shard, seq)] — per-shard emission order is preserved
-    (time monotone, seq strictly increasing within a shard), and equal wall
-    timestamps across shards tie-break deterministically by shard id.
+    a k-way merge by [(time, shard, seq)] — per-shard emission order is
+    preserved (time monotone, seq strictly increasing within a shard), and
+    equal wall timestamps across shards tie-break deterministically by shard
+    id.
 
     {!to_jsonl} renders the merged stream with the same meta header and event
     lines as {!Trace.to_jsonl} (plus ["shard"]/["seq"] provenance fields that
@@ -33,7 +34,7 @@ val total_dropped : t -> int
 (** Σ {!Trace.drop_count} over the shards. *)
 
 val total_events : t -> int
-(** Σ retained events over the shards. *)
+(** Σ {!Trace.length} over the shards; builds nothing. *)
 
 val set_enabled : t -> bool -> unit
 
@@ -41,8 +42,10 @@ val clear : t -> unit
 
 val merged : t -> (int * int * float * Trace.event) list
 (** The totally-ordered merge: [(shard, seq, time, event)] sorted by
-    [(time, shard, seq)].  Call only after the emitting domains have been
-    joined (or are otherwise quiescent) — the rings are unsynchronised. *)
+    [(time, shard, seq)], merged from the shards' own runs (each shard's
+    times must be non-decreasing, as the runtime's clamped clock makes
+    them).  Call only after the emitting domains have been joined (or are
+    otherwise quiescent) — the rings are unsynchronised. *)
 
 val merged_events : t -> (float * Trace.event) list
 (** {!merged} projected to what {!Trace.of_jsonl} returns — feed it straight

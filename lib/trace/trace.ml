@@ -33,17 +33,44 @@ type event =
 
 type entry = { time : float; category : string; message : string }
 
+(* A flat struct-of-arrays ring.  Slot [i] keeps its time in [times.(i)] and
+   [slot_words] native ints at word [i * slot_words] of [ints]: word 0 is the
+   constructor tag (for [Lock_acquire], plus the inline item count in the bits
+   above [tag_bits]), words 1-6 the constructor's int fields in declaration
+   order, a [ts] as two words.  Neither array is scanned by the GC and neither
+   is filled at [create] (large blocks come straight from the allocator, so
+   pages become resident only as slots are written).  An event that carries a
+   string, or locks more than three items, is stored whole in the
+   [spill] table under its slot, and its tag word says so.  Reads decode. *)
 type t = {
   capacity : int;
-  buf : (float * event) option array;
+  times : Float.Array.t;
+  ints : Bytes.t;
+  spill : (int, event) Hashtbl.t; (* slot -> event, for slots tagged [spilled] *)
   mutable next : int; (* next write slot *)
   mutable count : int;
   mutable dropped : int;
   mutable on : bool;
 }
 
+let slot_words = 7
+
+let tag_bits = 8
+
+let spilled = 0
+
 let create ?(capacity = 65536) () =
-  { capacity; buf = Array.make capacity None; next = 0; count = 0; dropped = 0; on = true }
+  if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
+  {
+    capacity;
+    times = Float.Array.create capacity;
+    ints = Bytes.create (capacity * slot_words * 8);
+    spill = Hashtbl.create 16;
+    next = 0;
+    count = 0;
+    dropped = 0;
+    on = true;
+  }
 
 let enabled t = t.on
 
@@ -55,44 +82,128 @@ let drop_count t = t.dropped
 
 let capacity t = t.capacity
 
+let length t = t.count
+
+let word t slot w = Int64.to_int (Bytes.get_int64_ne t.ints (((slot * slot_words) + w) * 8))
+
+let put t slot tag a b c d e f =
+  let off = slot * slot_words * 8 in
+  let b64 = t.ints in
+  Bytes.set_int64_ne b64 off (Int64.of_int tag);
+  Bytes.set_int64_ne b64 (off + 8) (Int64.of_int a);
+  Bytes.set_int64_ne b64 (off + 16) (Int64.of_int b);
+  Bytes.set_int64_ne b64 (off + 24) (Int64.of_int c);
+  Bytes.set_int64_ne b64 (off + 32) (Int64.of_int d);
+  Bytes.set_int64_ne b64 (off + 40) (Int64.of_int e);
+  Bytes.set_int64_ne b64 (off + 48) (Int64.of_int f)
+
+let spill t slot ev =
+  put t slot spilled 0 0 0 0 0 0;
+  Hashtbl.replace t.spill slot ev
+
+(* The tags here and in [decode] must agree; the round-trip property in
+   test_trace pins every constructor. *)
+let encode t slot ev =
+  match ev with
+  | Txn_begin { site; txn = c, s; n_ops } -> put t slot 1 site c s n_ops 0 0
+  | Txn_commit { site; txn = c, s } -> put t slot 2 site c s 0 0 0
+  | Vm_created { site; dst; seq; item; amount } -> put t slot 3 site dst seq item amount 0
+  | Vm_accepted { site; src; seq; item; amount } -> put t slot 4 site src seq item amount 0
+  | Vm_retransmit { site; dst; seq; item; amount } -> put t slot 5 site dst seq item amount 0
+  | Vm_dup { site; src; seq } -> put t slot 6 site src seq 0 0 0
+  | Lock_acquire { site; txn = c, s; items } -> (
+    let tag n = 7 lor (n lsl tag_bits) in
+    match items with
+    | [] -> put t slot (tag 0) site c s 0 0 0
+    | [ i ] -> put t slot (tag 1) site c s i 0 0
+    | [ i; j ] -> put t slot (tag 2) site c s i j 0
+    | [ i; j; k ] -> put t slot (tag 3) site c s i j k
+    | _ -> spill t slot ev)
+  | Lock_release { site; txn = c, s } -> put t slot 8 site c s 0 0 0
+  | Request_sent { site; dst; txn = c, s; item; amount } ->
+    put t slot 9 site dst c s item amount
+  | Request_honored { site; src; txn = c, s; item; amount } ->
+    put t slot 10 site src c s item amount
+  | Crash { site } -> put t slot 11 site 0 0 0 0 0
+  | Recover { site; redo } -> put t slot 12 site redo 0 0 0 0
+  | Checkpoint { site; log_length } -> put t slot 13 site log_length 0 0 0 0
+  | Wal_repair { site; dropped } -> put t slot 14 site dropped 0 0 0 0
+  | Net_send { src; dst } -> put t slot 15 src dst 0 0 0 0
+  | Net_drop { src; dst } -> put t slot 16 src dst 0 0 0 0
+  | Evacuation { site; value_moved; vms_delivered; stranded } ->
+    put t slot 17 site value_moved vms_delivered stranded 0 0
+  | Outbox_high { site; depth; limit } -> put t slot 18 site depth limit 0 0 0
+  | Mailbox_high { site; depth; limit } -> put t slot 19 site depth limit 0 0 0
+  | Join { site; epoch; seeded } -> put t slot 20 site epoch seeded 0 0 0
+  | Leave { site; epoch; shed } -> put t slot 21 site epoch shed 0 0 0
+  | Rebalance { moved } -> put t slot 22 moved 0 0 0 0 0
+  | Txn_abort _ | Request_ignored _ | Storage_fault _ | Health _ | Note _ -> spill t slot ev
+
+let decode t slot =
+  let w = word t slot in
+  let head = w 0 in
+  match head land ((1 lsl tag_bits) - 1) with
+  | 0 -> Hashtbl.find t.spill slot
+  | 1 -> Txn_begin { site = w 1; txn = (w 2, w 3); n_ops = w 4 }
+  | 2 -> Txn_commit { site = w 1; txn = (w 2, w 3) }
+  | 3 -> Vm_created { site = w 1; dst = w 2; seq = w 3; item = w 4; amount = w 5 }
+  | 4 -> Vm_accepted { site = w 1; src = w 2; seq = w 3; item = w 4; amount = w 5 }
+  | 5 -> Vm_retransmit { site = w 1; dst = w 2; seq = w 3; item = w 4; amount = w 5 }
+  | 6 -> Vm_dup { site = w 1; src = w 2; seq = w 3 }
+  | 7 ->
+    let items = List.init (head lsr tag_bits) (fun k -> w (4 + k)) in
+    Lock_acquire { site = w 1; txn = (w 2, w 3); items }
+  | 8 -> Lock_release { site = w 1; txn = (w 2, w 3) }
+  | 9 -> Request_sent { site = w 1; dst = w 2; txn = (w 3, w 4); item = w 5; amount = w 6 }
+  | 10 -> Request_honored { site = w 1; src = w 2; txn = (w 3, w 4); item = w 5; amount = w 6 }
+  | 11 -> Crash { site = w 1 }
+  | 12 -> Recover { site = w 1; redo = w 2 }
+  | 13 -> Checkpoint { site = w 1; log_length = w 2 }
+  | 14 -> Wal_repair { site = w 1; dropped = w 2 }
+  | 15 -> Net_send { src = w 1; dst = w 2 }
+  | 16 -> Net_drop { src = w 1; dst = w 2 }
+  | 17 -> Evacuation { site = w 1; value_moved = w 2; vms_delivered = w 3; stranded = w 4 }
+  | 18 -> Outbox_high { site = w 1; depth = w 2; limit = w 3 }
+  | 19 -> Mailbox_high { site = w 1; depth = w 2; limit = w 3 }
+  | 20 -> Join { site = w 1; epoch = w 2; seeded = w 3 }
+  | 21 -> Leave { site = w 1; epoch = w 2; shed = w 3 }
+  | 22 -> Rebalance { moved = w 1 }
+  | tag -> invalid_arg (Printf.sprintf "Trace: corrupt slot tag %d" tag)
+
 let emit t ~time ev =
   if t.on then begin
-    if t.count = t.capacity then t.dropped <- t.dropped + 1;
-    t.buf.(t.next) <- Some (time, ev);
-    t.next <- (t.next + 1) mod t.capacity;
-    if t.count < t.capacity then t.count <- t.count + 1
+    let slot = t.next in
+    if t.count = t.capacity then begin
+      (* Overwriting the oldest event: forget its spilled copy, if any. *)
+      t.dropped <- t.dropped + 1;
+      if word t slot 0 = spilled then Hashtbl.remove t.spill slot
+    end
+    else t.count <- t.count + 1;
+    Float.Array.set t.times slot time;
+    encode t slot ev;
+    t.next <- (if slot + 1 = t.capacity then 0 else slot + 1)
   end
 
-let events t =
-  let start = if t.count < t.capacity then 0 else t.next in
-  let out = ref [] in
-  for i = t.count - 1 downto 0 do
-    match t.buf.((start + i) mod t.capacity) with
-    | Some e -> out := e :: !out
-    | None -> ()
-  done;
-  !out
+(* The slot of the [i]-th retained event, oldest first. *)
+let slot_of t i =
+  let s = (if t.count < t.capacity then 0 else t.next) + i in
+  if s >= t.capacity then s - t.capacity else s
+
+let time_at t i = Float.Array.get t.times (slot_of t i)
+
+let event_at t i = decode t (slot_of t i)
+
+let events t = List.init t.count (fun i -> (time_at t i, event_at t i))
 
 (* The ring drops oldest-first, so the i-th retained event (oldest first) is
    the ([dropped] + i)-th ever emitted: a stable per-ring sequence number
    without widening the slots.  The shard merge uses it as a tie-break. *)
-let seq_events t =
-  let seq = ref (t.dropped - 1) in
-  List.map
-    (fun (time, ev) ->
-      incr seq;
-      (!seq, time, ev))
-    (events t)
+let seq_events t = List.init t.count (fun i -> (t.dropped + i, time_at t i, event_at t i))
 
-(* Oldest-first walk over the ring without materialising a list — the
-   counting/searching paths below go through this so they allocate nothing
-   per event. *)
+(* Oldest-first walk over the ring without materialising a list. *)
 let iter_events t f =
-  let start = if t.count < t.capacity then 0 else t.next in
   for i = 0 to t.count - 1 do
-    match t.buf.((start + i) mod t.capacity) with
-    | Some (time, ev) -> f ~time ev
-    | None -> ()
+    f ~time:(time_at t i) (event_at t i)
   done
 
 let count_events t ~f =
@@ -106,7 +217,7 @@ let find_events t ~f =
   List.rev !out
 
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Hashtbl.reset t.spill;
   t.next <- 0;
   t.count <- 0;
   t.dropped <- 0
@@ -507,16 +618,13 @@ let to_jsonl t =
   (* A header line first, so offline consumers can tell a clipped trace from
      a complete one without the live [drop_count] accessor.  [of_jsonl] skips
      it (no "time" field), so old dumps and new ones parse alike. *)
-  let evs = events t in
   Buffer.add_string buf
     (Json.to_string
-       (meta_to_json { events = List.length evs; dropped = t.dropped; capacity = t.capacity }));
+       (meta_to_json { events = t.count; dropped = t.dropped; capacity = t.capacity }));
   Buffer.add_char buf '\n';
-  List.iter
-    (fun (time, ev) ->
+  iter_events t (fun ~time ev ->
       Buffer.add_string buf (Json.to_string (event_to_json ~time ev));
-      Buffer.add_char buf '\n')
-    evs;
+      Buffer.add_char buf '\n');
   Buffer.contents buf
 
 let of_jsonl s =

@@ -10,6 +10,13 @@
     oldest entries are dropped and {!drop_count} says how many, so a consumer
     can tell a clipped trace from a complete one.
 
+    The ring is flat: a time column plus a fixed-width int slot per event,
+    neither scanned by the GC nor filled at {!create}.  Emitting an event
+    whose fields are all ints allocates nothing; an event that carries a
+    string or locks more than three items is kept whole in a side table.
+    Readers ({!events}, {!iter_events}, …) decode each slot back into a
+    structurally equal event.
+
     The legacy string API ({!record}, {!entries}, {!find}, …) is kept as a
     thin compatibility shim over the typed events: every typed event renders
     to the same [(time, category, message)] triples the old API produced. *)
@@ -70,7 +77,9 @@ type entry = { time : float; category : string; message : string }
     {!message_of_event}). *)
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 65536 events. *)
+(** [capacity] (default 65536, must be positive) bounds the retained events.
+    Creation does no work proportional to it: memory becomes resident as
+    events are written. *)
 
 val enabled : t -> bool
 
@@ -93,6 +102,17 @@ val seq_events : t -> (int * float * event) list
     i-th retained event was the ({!drop_count} + i)-th ever emitted.
     Sequence numbers are dense and strictly increasing within one ring, so
     [(time, ring, seq)] totally orders a multi-ring merge. *)
+
+val length : t -> int
+(** Number of retained events, in O(1): at most {!capacity}. *)
+
+val time_at : t -> int -> float
+(** [time_at t i] is the time of the [i]-th retained event, oldest first
+    ([0 <= i < length t]). *)
+
+val event_at : t -> int -> event
+(** [event_at t i] decodes the [i]-th retained event, oldest first; its
+    sequence number (see {!seq_events}) is [drop_count t + i]. *)
 
 val iter_events : t -> (time:float -> event -> unit) -> unit
 (** Walk the retained window oldest-first without materialising a list —
@@ -142,7 +162,7 @@ val count : t -> category:string -> int
     rendering at all. *)
 
 val clear : t -> unit
-(** Drops all events and resets {!drop_count}. *)
+(** Drops all events and resets {!drop_count}, in O(1). *)
 
 val pp_entry : Format.formatter -> entry -> unit
 

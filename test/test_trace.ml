@@ -65,6 +65,167 @@ let test_drop_count () =
   Trace.clear tr;
   Alcotest.(check int) "clear resets drops" 0 (Trace.drop_count tr)
 
+(* ----------------------------------------------------------- the ring *)
+
+(* Every constructor, with the field values that stress a flat encoding:
+   negative ints and the int extremes, dst = -1 (a broadcast request),
+   empty/1-item/long lock lists, empty and non-ASCII strings. *)
+let gen_event =
+  let open QCheck.Gen in
+  let int =
+    frequency [ (4, small_signed_int); (1, oneofl [ min_int; max_int; -1; 0 ]); (2, int) ]
+  in
+  let str = oneof [ oneofl [ ""; "timeout"; "é"; "日本語 ✓"; "\x00\xff" ]; string_printable ] in
+  let ts = pair int int in
+  let items =
+    oneof
+      [
+        return []; map (fun i -> [ i ]) int; list_size (int_range 2 3) int;
+        list_size (int_range 4 12) int;
+      ]
+  in
+  oneof
+    [
+      map3 (fun site txn n_ops -> Trace.Txn_begin { site; txn; n_ops }) int ts int;
+      map2 (fun site txn -> Trace.Txn_commit { site; txn }) int ts;
+      map3 (fun site txn reason -> Trace.Txn_abort { site; txn; reason }) int ts str;
+      map3
+        (fun (site, dst) seq (item, amount) -> Trace.Vm_created { site; dst; seq; item; amount })
+        (pair int int) int (pair int int);
+      map3
+        (fun (site, src) seq (item, amount) -> Trace.Vm_accepted { site; src; seq; item; amount })
+        (pair int int) int (pair int int);
+      map3
+        (fun (site, dst) seq (item, amount) ->
+          Trace.Vm_retransmit { site; dst; seq; item; amount })
+        (pair int int) int (pair int int);
+      map3 (fun site src seq -> Trace.Vm_dup { site; src; seq }) int int int;
+      map3 (fun site txn items -> Trace.Lock_acquire { site; txn; items }) int ts items;
+      map2 (fun site txn -> Trace.Lock_release { site; txn }) int ts;
+      map3
+        (fun (site, dst) txn (item, amount) -> Trace.Request_sent { site; dst; txn; item; amount })
+        (pair int (oneof [ return (-1); int ])) ts (pair int int);
+      map3
+        (fun (site, src) txn (item, amount) ->
+          Trace.Request_honored { site; src; txn; item; amount })
+        (pair int int) ts (pair int int);
+      map3
+        (fun (site, src) txn (item, reason) ->
+          Trace.Request_ignored { site; src; txn; item; reason })
+        (pair int int) ts (pair int str);
+      map (fun site -> Trace.Crash { site }) int;
+      map2 (fun site redo -> Trace.Recover { site; redo }) int int;
+      map2 (fun site log_length -> Trace.Checkpoint { site; log_length }) int int;
+      map2 (fun site kind -> Trace.Storage_fault { site; kind }) int str;
+      map2 (fun site dropped -> Trace.Wal_repair { site; dropped }) int int;
+      map2 (fun src dst -> Trace.Net_send { src; dst }) int int;
+      map2 (fun src dst -> Trace.Net_drop { src; dst }) int int;
+      map3 (fun site peer state -> Trace.Health { site; peer; state }) int int str;
+      map2
+        (fun (site, value_moved) (vms_delivered, stranded) ->
+          Trace.Evacuation { site; value_moved; vms_delivered; stranded })
+        (pair int int) (pair int int);
+      map3 (fun site depth limit -> Trace.Outbox_high { site; depth; limit }) int int int;
+      map3 (fun site depth limit -> Trace.Mailbox_high { site; depth; limit }) int int int;
+      map3 (fun site epoch seeded -> Trace.Join { site; epoch; seeded }) int int int;
+      map3 (fun site epoch shed -> Trace.Leave { site; epoch; shed }) int int int;
+      map (fun moved -> Trace.Rebalance { moved }) int;
+      map2 (fun category message -> Trace.Note { category; message }) str str;
+    ]
+
+type ring_op = Emit of float * Trace.event | Clear
+
+(* Emits (and the odd clear) into a small ring, checked after every step
+   against a list model: the newest [capacity] events since the last clear,
+   [drop_count] = the rest, sequence numbers counted from the last clear.
+   Times compare by bit pattern, so NaNs and signed zeros must survive too. *)
+let prop_ring_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 1; 4; 8 ])
+        (list_size (int_bound 40)
+           (frequency [ (12, map2 (fun t e -> Emit (t, e)) float gen_event); (1, return Clear) ])))
+  in
+  QCheck.Test.make ~count:500 ~name:"ring reads back what a list model holds" (QCheck.make gen)
+    (fun (capacity, ops) ->
+      let tr = Trace.create ~capacity () in
+      let same_time a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let emitted = ref [] (* newest first, since the last clear *) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Emit (time, ev) ->
+            Trace.emit tr ~time ev;
+            emitted := (time, ev) :: !emitted
+          | Clear ->
+            Trace.clear tr;
+            emitted := []);
+          let n = List.length !emitted in
+          let dropped = max 0 (n - capacity) in
+          let model =
+            List.rev !emitted |> List.filteri (fun i _ -> i >= dropped)
+            |> List.mapi (fun i (time, ev) -> (dropped + i, time, ev))
+          in
+          let same_events = List.equal (fun (t, e) (t', e') -> same_time t t' && e = e') in
+          let model_events = List.map (fun (_, t, e) -> (t, e)) model in
+          let walked = ref [] in
+          Trace.iter_events tr (fun ~time ev -> walked := (time, ev) :: !walked);
+          Trace.drop_count tr = dropped
+          && Trace.length tr = List.length model
+          && List.map (fun (q, _, _) -> q) (Trace.seq_events tr)
+             = List.map (fun (q, _, _) -> q) model
+          && same_events model_events (List.map (fun (_, t, e) -> (t, e)) (Trace.seq_events tr))
+          && same_events model_events (Trace.events tr)
+          && same_events model_events (List.rev !walked))
+        ops)
+
+(* Int-payload events, including an inline lock list; none is spilled. *)
+let int_payload_events =
+  [|
+    Trace.Txn_begin { site = 0; txn = (3, 0); n_ops = 2 };
+    Trace.Lock_acquire { site = 0; txn = (3, 0); items = [ 0; 7; 9 ] };
+    Trace.Request_sent { site = 0; dst = -1; txn = (3, 0); item = 7; amount = 12 };
+    Trace.Request_honored { site = 1; src = 0; txn = (3, 0); item = 7; amount = 12 };
+    Trace.Vm_created { site = 1; dst = 0; seq = 4; item = 7; amount = 12 };
+    Trace.Vm_retransmit { site = 1; dst = 0; seq = 4; item = 7; amount = 12 };
+    Trace.Vm_accepted { site = 0; src = 1; seq = 4; item = 7; amount = 12 };
+    Trace.Vm_dup { site = 0; src = 1; seq = 4 };
+    Trace.Net_send { src = 0; dst = 1 };
+    Trace.Lock_release { site = 0; txn = (3, 0) };
+    Trace.Txn_commit { site = 0; txn = (3, 0) };
+    Trace.Evacuation { site = 2; value_moved = 5; vms_delivered = 1; stranded = 0 };
+  |]
+
+(* The ring itself allocates nothing per int-payload emit: with prebuilt
+   events and a constant time, 100k emits (wrapping a 4096-slot ring many
+   times over) move the minor-heap counter by exactly zero words. *)
+let test_emit_allocates_nothing () =
+  let tr = Trace.create ~capacity:4096 () in
+  let n = Array.length int_payload_events in
+  let time = 1.5 in
+  let before = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    Trace.emit tr ~time int_payload_events.(i mod n)
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words for 100k emits" 0.0 (after -. before);
+  Alcotest.(check int) "ring wrapped" (100_000 - 4096) (Trace.drop_count tr)
+
+(* A full ring of int-payload events holds 64 bytes (8 words) per slot plus
+   a constant (block headers, the empty spill table), all of it in blocks
+   the GC does not scan: a boxed ring's events would be separate heap blocks
+   reachable from the ring. *)
+let test_resident_bytes_per_event () =
+  let capacity = 1024 in
+  let tr = Trace.create ~capacity () in
+  let n = Array.length int_payload_events in
+  for i = 0 to (2 * capacity) - 1 do
+    Trace.emit tr ~time:(float_of_int i) int_payload_events.(i mod n)
+  done;
+  let words = Obj.reachable_words (Obj.repr tr) in
+  if words > (8 * capacity) + 64 then
+    Alcotest.failf "%d words for %d slots, want <= 8 per slot + 64" words capacity
+
 (* Drive a real partitioned run and validate the Chrome export: the file
    must parse, use the envelope shape, and every duration slice must open
    and close in a balanced way per (pid, tid) lane. *)
@@ -259,6 +420,12 @@ let () =
           Alcotest.test_case "drop count" `Quick test_drop_count;
           Alcotest.test_case "chrome well-formed" `Quick test_chrome_export;
           Alcotest.test_case "compat categories" `Quick test_compat_categories;
+        ] );
+      ( "ring",
+        [
+          QCheck_alcotest.to_alcotest prop_ring_roundtrip;
+          Alcotest.test_case "emit allocates nothing" `Quick test_emit_allocates_nothing;
+          Alcotest.test_case "resident bytes per event" `Quick test_resident_bytes_per_event;
         ] );
       ( "probe",
         [

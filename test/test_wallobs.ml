@@ -19,7 +19,9 @@ module Observer = Dvp_runtime.Observer
 (* Random shard contents with per-shard monotone timestamps (what the
    runtime's clamped clocks guarantee), small capacities so eviction is
    exercised too; the merge must come out totally ordered by
-   (time, shard, seq) with per-shard seqs strictly increasing. *)
+   (time, shard, seq) with per-shard seqs strictly increasing, lose and
+   duplicate nothing (its length is the shards' retained total), and equal
+   a plain sort of every shard's retained events. *)
 let prop_merged_total_order =
   let gen =
     QCheck.Gen.(
@@ -56,7 +58,21 @@ let prop_merged_total_order =
             match prev with None -> true | Some p -> seq > p)
           merged
       in
-      ordered merged && seqs_increase)
+      let by_sort =
+        List.concat
+          (List.init n (fun i ->
+               List.map
+                 (fun (seq, time, ev) -> (i, seq, time, ev))
+                 (Trace.seq_events (Shards.shard shards i))))
+        |> List.sort (fun (s, q, t, _) (s', q', t', _) -> compare (t, s, q) (t', s', q'))
+      in
+      let retained =
+        List.fold_left ( + ) 0 (List.init n (fun i -> Trace.length (Shards.shard shards i)))
+      in
+      ordered merged && seqs_increase
+      && List.length merged = retained
+      && Shards.total_events shards = retained
+      && merged = by_sort)
 
 (* ------------------------------- span commit counts vs Metrics, DES side *)
 
