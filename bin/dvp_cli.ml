@@ -1008,7 +1008,7 @@ let trace_file_arg =
 let analyze_term = Term.(const analyze_cmd $ trace_file_arg $ json_arg)
 
 (* Flat transport flags, folded into the grouped record the substrates read
-   (Config.Transport.of_flat validates the combination). *)
+   (Config.Transport.v validates the combination). *)
 let transport_term =
   let d = Dvp.Config.Transport.default in
   let vm_retransmit =
@@ -1039,10 +1039,9 @@ let transport_term =
       & info [ "probe-idle" ] ~doc:"Silence before probing an idle peer (seconds).")
   in
   let build vm_retransmit ack_delay no_vm_batch probe_every probe_idle =
-    Dvp.Config.Transport.of_flat ~vm_retransmit ~ack_delay ~vm_batch:(not no_vm_batch)
-      ~vm_backoff_mult:d.Dvp.Config.Transport.vm_backoff_mult
+    Dvp.Config.Transport.v ~vm_retransmit ~ack_delay ~vm_batch:(not no_vm_batch)
       ~vm_backoff_max:(Float.max d.Dvp.Config.Transport.vm_backoff_max (4.0 *. vm_retransmit))
-      ~probe_every ~probe_idle
+      ~probe_every ~probe_idle ()
   in
   Term.(const build $ vm_retransmit $ ack_delay $ no_vm_batch $ probe_every $ probe_idle)
 

@@ -60,8 +60,6 @@ let server_value s ~item = (state s item).value
 
 let escrowed s ~item = (state s item).escrowed
 
-let server_up s = s.s_up
-
 (* Release a reservation, returning its resources and firing queued lock
    waiters (exclusive mode). *)
 let rec finalise_reservation s txn ~commit =

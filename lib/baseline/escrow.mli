@@ -50,8 +50,6 @@ val escrowed : server -> item:Dvp_core.Ids.item -> int
 
 val handle_server : server -> src:Dvp_core.Ids.site -> msg -> unit
 
-val server_up : server -> bool
-
 val set_server_up : server -> bool -> unit
 (** Crashing the central server releases volatile escrow/lock state (the
     installed values are considered recovered from its log). *)

@@ -47,11 +47,6 @@ let apply_records site records =
   Site.recover site;
   List.length records
 
-let restore_site site ~path =
-  match read_records ~path with
-  | Error e -> Error e
-  | Ok records -> Ok (apply_records site records)
-
 let export_system sys ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let total = ref 0 in

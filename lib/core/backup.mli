@@ -15,12 +15,6 @@ val export_site : Site.t -> path:string -> int
 val import_records : path:string -> (Log_event.t list, string) result
 (** Parse a log file; [Error line] names the first malformed line. *)
 
-val restore_site : Site.t -> path:string -> (int, string) result
-(** Replace the site's state with the backup: the site is crashed, its log
-    is replaced by the file's records, and it recovers from them.  Returns
-    the number of records restored.  The target site should be a fresh (or
-    expendable) site of a system with the same size. *)
-
 val export_system : System.t -> dir:string -> int
 (** Export every site's log to [dir/site-<i>.log]; returns total records. *)
 

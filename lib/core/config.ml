@@ -1,7 +1,6 @@
 (* Substrate-facing cadence knobs, grouped: everything that tunes how value
    and liveness evidence move over the wire, as opposed to what the protocol
-   decides.  [of_flat] keeps the flat-argument construction used by CLI
-   flags. *)
+   decides. *)
 module Transport = struct
   type t = {
     vm_retransmit : float;
@@ -37,11 +36,6 @@ module Transport = struct
     if probe_idle < 0.0 then invalid_arg "Config.Transport.v: negative probe_idle";
     { vm_retransmit; ack_delay; vm_batch; vm_backoff_mult; vm_backoff_max;
       probe_every; probe_idle }
-
-  let of_flat ~vm_retransmit ~ack_delay ~vm_batch ~vm_backoff_mult ~vm_backoff_max
-      ~probe_every ~probe_idle =
-    v ~vm_retransmit ~ack_delay ~vm_batch ~vm_backoff_mult ~vm_backoff_max
-      ~probe_every ~probe_idle ()
 end
 
 type request_policy = Ask_all_full | Ask_all_split | Ask_one_random | Ask_k of int

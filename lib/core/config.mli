@@ -53,18 +53,6 @@ module Transport : sig
   (** Smart constructor: defaults plus validation ([vm_retransmit] and
       [probe_every] positive, [vm_backoff_mult >= 1],
       [vm_backoff_max >= vm_retransmit], no negative delays). *)
-
-  val of_flat :
-    vm_retransmit:float ->
-    ack_delay:float ->
-    vm_batch:bool ->
-    vm_backoff_mult:float ->
-    vm_backoff_max:float ->
-    probe_every:float ->
-    probe_idle:float ->
-    t
-  (** Compatibility constructor from the flat per-knob arguments (CLI
-      flags).  Same validation as {!v}. *)
 end
 
 (** Whom to ask, and for how much, when the local fragment is inadequate

@@ -12,8 +12,6 @@ let ts_compare (c1, s1) (c2, s2) =
 
 let ts_lt a b = ts_compare a b < 0
 
-let ts_max a b = if ts_compare a b >= 0 then a else b
-
 let pp_ts ppf (c, s) = Format.fprintf ppf "%d.%d" c s
 
 type txn = ts

@@ -20,8 +20,6 @@ val ts_compare : ts -> ts -> int
 
 val ts_lt : ts -> ts -> bool
 
-val ts_max : ts -> ts -> ts
-
 val pp_ts : Format.formatter -> ts -> unit
 
 type txn = ts

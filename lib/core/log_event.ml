@@ -29,6 +29,10 @@ type t =
       acked : (Ids.site * int) list;
       outbox : (Ids.site * int * Ids.item * int * Ids.txn option) list;
       max_counter : int;
+      installed : (Ids.item * int) list;
+      deltas : (Ids.item * int) list;
+      sent : (Ids.item * int) list;
+      received : (Ids.item * int) list;
     }
 
 let pp_action ppf (Set_fragment { item; value }) =
@@ -157,9 +161,13 @@ let encode = function
   | Txn_applied { txn = c, s } -> Printf.sprintf "D|%d|%d" c s
   | Ack_progress { dst; upto } -> Printf.sprintf "K|%d|%d" dst upto
   | Vm_channel_reset { peer; epoch } -> Printf.sprintf "R|%d|%d" peer epoch
-  | Checkpoint { fragments; accepted; next_seq; acked; outbox; max_counter } ->
-    Printf.sprintf "P|%s|%s|%s|%s|%s|%d" (encode_pairs fragments) (encode_pairs accepted)
-      (encode_pairs next_seq) (encode_pairs acked) (encode_outbox outbox) max_counter
+  | Checkpoint
+      { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
+        received } ->
+    Printf.sprintf "P|%s|%s|%s|%s|%s|%d|%s|%s|%s|%s" (encode_pairs fragments)
+      (encode_pairs accepted) (encode_pairs next_seq) (encode_pairs acked)
+      (encode_outbox outbox) max_counter (encode_pairs installed) (encode_pairs deltas)
+      (encode_pairs sent) (encode_pairs received)
 
 let decode line =
   match String.split_on_char '|' line with
@@ -212,16 +220,21 @@ let decode line =
     match (int_of_string_opt peer, int_of_string_opt epoch) with
     | Some peer, Some epoch -> Some (Vm_channel_reset { peer; epoch })
     | _ -> None)
-  | [ "P"; fragments; accepted; next_seq; acked; outbox; max_counter ] -> (
-    match
-      ( decode_pairs fragments,
-        decode_pairs accepted,
-        decode_pairs next_seq,
-        decode_pairs acked,
-        decode_outbox outbox,
-        int_of_string_opt max_counter )
-    with
-    | Some fragments, Some accepted, Some next_seq, Some acked, Some outbox, Some max_counter
-      -> Some (Checkpoint { fragments; accepted; next_seq; acked; outbox; max_counter })
-    | _ -> None)
+  | [ "P"; fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
+      received ] ->
+    let ( let* ) = Option.bind in
+    let* fragments = decode_pairs fragments in
+    let* accepted = decode_pairs accepted in
+    let* next_seq = decode_pairs next_seq in
+    let* acked = decode_pairs acked in
+    let* outbox = decode_outbox outbox in
+    let* max_counter = int_of_string_opt max_counter in
+    let* installed = decode_pairs installed in
+    let* deltas = decode_pairs deltas in
+    let* sent = decode_pairs sent in
+    let* received = decode_pairs received in
+    Some
+      (Checkpoint
+         { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
+           received })
   | _ -> None

@@ -54,10 +54,17 @@ type t =
       outbox : (Ids.site * int * Ids.item * int * Ids.txn option) list;
           (** still-outstanding Vm: (dst, seq, item, amount, reply_to) *)
       max_counter : int;
+      installed : (Ids.item * int) list;  (** value provisioned by installs *)
+      deltas : (Ids.item * int) list;  (** cumulative committed operator delta *)
+      sent : (Ids.item * int) list;  (** cumulative value shipped in Vm *)
+      received : (Ids.item * int) list;  (** cumulative value accepted from Vm *)
     }
       (** A full-state snapshot (Section 7's checkpointing): replay restarts
           here, and everything before it can be truncated.  Outstanding Vm
-          are carried inside the snapshot so truncation never loses one. *)
+          are carried inside the snapshot so truncation never loses one, and
+          so are the per-item cumulative ledgers, so the conservation
+          identity [fragment = installed + received + delta - sent] still
+          holds after a recovery from the truncated log. *)
 
 val pp : Format.formatter -> t -> unit
 

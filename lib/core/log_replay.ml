@@ -15,6 +15,10 @@ type vm_view = {
 let tbl_add tbl key amount =
   Hashtbl.replace tbl key (amount + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
+let tbl_reset tbl pairs =
+  Hashtbl.reset tbl;
+  List.iter (fun (key, v) -> Hashtbl.replace tbl key v) pairs
+
 let vm_view ~n wal =
   let v =
     {
@@ -58,7 +62,7 @@ let vm_view ~n wal =
           v.vm_accepted.(peer) <- seq;
           tbl_add v.vm_cum_recv item amount
         end
-      | Log_event.Checkpoint { accepted; next_seq; acked; outbox; _ } ->
+      | Log_event.Checkpoint { accepted; next_seq; acked; outbox; sent; received; _ } ->
         (* Snapshot: replace everything reconstructed so far. *)
         Array.fill v.vm_next_seq 0 n 0;
         Array.fill v.vm_acked 0 n (-1);
@@ -70,7 +74,9 @@ let vm_view ~n wal =
         List.iter
           (fun (dst, seq, item, amount, reply_to) ->
             Hashtbl.replace v.vm_outbox (dst, seq) { item; amount; reply_to })
-          outbox
+          outbox;
+        tbl_reset v.vm_cum_sent sent;
+        tbl_reset v.vm_cum_recv received
       | Log_event.Txn_commit _ | Log_event.Txn_applied _ -> ());
   (* Drop outbox entries already covered by a learned cumulative ack. *)
   Hashtbl.iter
@@ -116,11 +122,14 @@ let db_view ?into wal =
           if fst txn > !max_counter then max_counter := fst txn
         end
       | Log_event.Txn_applied { txn } -> Hashtbl.replace applied txn ()
-      | Log_event.Checkpoint { fragments; max_counter = mc; _ } ->
+      | Log_event.Checkpoint { fragments; max_counter = mc; installed = inst; deltas = ds; _ }
+        ->
         Db.wipe db;
         Hashtbl.reset committed;
         Hashtbl.reset applied;
         List.iter (fun (item, value) -> Db.set_value db ~item value) fragments;
+        tbl_reset deltas ds;
+        tbl_reset installed inst;
         if mc > !max_counter then max_counter := mc
       | Log_event.Ack_progress _ | Log_event.Vm_channel_reset _ -> ());
   let redo =

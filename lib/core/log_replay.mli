@@ -26,11 +26,8 @@ type vm_view = {
 
 val vm_view : n:int -> Log_event.t Dvp_storage.Wal.t -> vm_view
 (** The cumulative ledgers ([vm_cum_sent]/[vm_cum_recv], and [db_view]'s
-    [deltas]/[installed]) are exact since birth only while the log has never
-    been checkpoint-truncated — a [Checkpoint] snapshot does not carry them,
-    so on a truncated log they cover the retained suffix.  The wall-clock
-    runtime, whose crash-restart conservation cut depends on them, never
-    checkpoints; the DES uses the omniscient network ledger instead. *)
+    [deltas]/[installed]) are exact since birth: a [Checkpoint] snapshot
+    carries them, so a checkpoint-truncated log replays to the same sums. *)
 
 type db_view = {
   db : Dvp_storage.Local_db.t;

@@ -204,8 +204,6 @@ let max_lock_hold t = t.max_lock_hold
 
 let max_blocked t = t.max_blocked
 
-let total_blocked_time t = t.total_blocked
-
 let vm_created_count t = t.vm_created
 
 let vm_accepted_count t = t.vm_accepted

@@ -117,8 +117,6 @@ val max_lock_hold : t -> float
 
 val max_blocked : t -> float
 
-val total_blocked_time : t -> float
-
 val vm_created_count : t -> int
 
 val vm_accepted_count : t -> int

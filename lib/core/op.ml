@@ -20,5 +20,3 @@ let apply op ~fragment =
 
 let shortfall op ~fragment =
   match op with Incr _ -> 0 | Decr m -> max 0 (m - fragment)
-
-let is_read_only op = amount op = 0

@@ -37,5 +37,3 @@ val shortfall : t -> fragment:int -> int
 (** How much additional value the fragment needs before the operator becomes
     effective; 0 if already effective. *)
 
-val is_read_only : t -> bool
-(** [Incr 0] / [Decr 0] act as pure reads of availability. *)

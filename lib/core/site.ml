@@ -64,6 +64,9 @@ type t = {
      (fragment = installed + received + delta - sent), which the runtime's
      watchdog folds across a consistent cut. *)
   cum_delta : (Ids.item, int) Hashtbl.t;
+  (* Value provisioned per item by [install_fragment]: the identity's
+     [installed] term, carried into checkpoints with the other ledgers. *)
+  installed : (Ids.item, int) Hashtbl.t;
   (* Shared, permanently-empty drain ledger handed to General transactions —
      only Drain_read transactions ever write one, so the common commit path
      allocates no per-txn table. *)
@@ -115,8 +118,6 @@ let value_sent t ~item = Vm.value_sent (vm_exn t) ~item
 let value_received t ~item = Vm.value_received (vm_exn t) ~item
 
 let locked t ~item = Lock_table.is_locked t.locks ~item
-
-let timestamp_of t ~item = Db.timestamp t.db ~item
 
 let active_txns t = Hashtbl.length t.live
 
@@ -720,6 +721,8 @@ let start_proactive t p =
 (* --------------------------------------------------------------- layout *)
 
 let install_fragment t ~item value =
+  Hashtbl.replace t.installed item
+    (value - Db.value t.db ~item + Option.value ~default:0 (Hashtbl.find_opt t.installed item));
   Wal.append t.wal
     (Log_event.Txn_commit
        { txn = Ids.ts_zero; actions = [ Log_event.Set_fragment { item; value } ] });
@@ -777,14 +780,17 @@ let recover t =
     Db.wipe t.db;
     let view = Log_replay.db_view ~into:t.db t.wal in
     Ids.Clock.reset_to t.clock view.Log_replay.max_counter;
-    (* Rebuild the cumulative committed-delta ledger alongside the database:
-       commit records are forced, so the replayed sums equal the live
-       counters at the moment of the last force, and the conservation cut
+    (* Rebuild the cumulative committed-delta and installed ledgers alongside
+       the database: commit records are forced, so the replayed sums equal the
+       live counters at the moment of the last force, and the conservation cut
        identity (fragment = installed + received + delta - sent) holds again
        the instant the site rejoins. *)
-    Hashtbl.reset t.cum_delta;
-    Hashtbl.iter (fun item d -> Hashtbl.replace t.cum_delta item d)
-      view.Log_replay.deltas;
+    let refill dst src =
+      Hashtbl.reset dst;
+      Hashtbl.iter (Hashtbl.replace dst) src
+    in
+    refill t.cum_delta view.Log_replay.deltas;
+    refill t.installed view.Log_replay.installed;
     Vm.recover (vm_exn t);
     t.up <- true;
     (* Independent recovery: zero messages to other sites (Section 7). *)
@@ -794,13 +800,15 @@ let recover t =
   end
 
 (* Section 7's checkpointing: force one snapshot record carrying the
-   database fragments and the full Vm state (including outstanding virtual
-   messages, so truncation can never lose one), then drop the log prefix. *)
+   database fragments, the full Vm state (including outstanding virtual
+   messages, so truncation can never lose one) and the cumulative ledgers,
+   then drop the log prefix. *)
 let checkpoint t =
   if t.up then begin
     let fragments = List.map (fun item -> (item, Db.value t.db ~item)) (Db.items t.db) in
     let record =
-      Vm.snapshot (vm_exn t) ~fragments ~max_counter:(Ids.Clock.current_counter t.clock)
+      Vm.snapshot (vm_exn t) ~fragments ~installed:t.installed ~deltas:t.cum_delta
+        ~max_counter:(Ids.Clock.current_counter t.clock)
     in
     Wal.append t.wal record;
     Wal.truncate_before t.wal ~keep_from:(Wal.end_index t.wal - 1);
@@ -846,7 +854,7 @@ let stable_outstanding_to t ~dst =
 
 (* --------------------------------------------------------------- create *)
 
-let create sub ~self ~n ~send ~config ~rng ?trace ?on_inflight () =
+let create sub ~self ~n ~send ~config ~rng ?trace () =
   (* No explicit sink: inherit the substrate's (the runtime installs each
      domain's trace shard there, so wall-mode sites emit unchanged). *)
   let trace = match trace with Some _ -> trace | None -> Substrate.trace sub in
@@ -874,6 +882,7 @@ let create sub ~self ~n ~send ~config ~rng ?trace ?on_inflight () =
       membership = None;
       epoch_view = None;
       cum_delta = Hashtbl.create 8;
+      installed = Hashtbl.create 8;
       no_drain = Hashtbl.create 1;
       vm_view_cache = None;
       db_view_cache = None;
@@ -890,8 +899,7 @@ let create sub ~self ~n ~send ~config ~rng ?trace ?on_inflight () =
       ~batch:config.Config.transport.Config.Transport.vm_batch
       ~backoff_mult:config.Config.transport.Config.Transport.vm_backoff_mult
       ~backoff_max:config.Config.transport.Config.Transport.vm_backoff_max
-      ~rng:(Dvp_util.Rng.split t.rng) ~outbox_warn:config.Config.vm_outbox_warn
-      ?on_inflight ()
+      ~rng:(Dvp_util.Rng.split t.rng) ~outbox_warn:config.Config.vm_outbox_warn ()
   in
   t.vm <- Some vm;
   Vm.start vm;

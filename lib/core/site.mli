@@ -38,12 +38,8 @@ val create :
   config:Config.t ->
   rng:Dvp_util.Rng.t ->
   ?trace:Dvp_trace.Trace.t ->
-  ?on_inflight:(Ids.item -> int -> unit) ->
   unit ->
   t
-(** [on_inflight] is forwarded to {!Vm.create}: called with [+amount] on each
-    [Vm_create] forced here and [-amount] on each [Vm_accept] — the system
-    layer's incremental in-flight ledger. *)
 
 val set_broadcast : t -> (Proto.t list -> unit) -> unit
 (** Conc2 transport: how a transaction's request set leaves the site as one
@@ -157,9 +153,10 @@ val recover : t -> unit
     stable log, release (forget) all locks, resume.  Sends no messages. *)
 
 val checkpoint : t -> unit
-(** Force a snapshot record (fragments + full Vm state, including
-    outstanding virtual messages) and truncate the log before it — Section
-    7's mechanism for bounding the redo work.  A no-op while crashed. *)
+(** Force a snapshot record (fragments, full Vm state including
+    outstanding virtual messages, and the cumulative installed / delta /
+    sent / received ledgers) and truncate the log before it — Section 7's
+    mechanism for bounding the redo work.  A no-op while crashed. *)
 
 val inject_wal_fault : t -> Dvp_storage.Wal.fault -> unit
 (** Arm a storage fault on this site's log: the next {!crash} tears or
@@ -178,8 +175,6 @@ val vm : t -> Vm.t
 val clock : t -> Ids.Clock.t
 
 val locked : t -> item:Ids.item -> bool
-
-val timestamp_of : t -> item:Ids.item -> Ids.ts
 
 (** {2 Stable-state oracles (for invariant checking and tests)}
 

@@ -19,11 +19,6 @@ type t = {
   sites : Site.t array;
   cfg : Config.t;
   expected : (Ids.item, int) Hashtbl.t;
-  (* Live in-flight ledger: per item, Σ Vm_create amounts minus Σ Vm_accept
-     amounts, fed by every site's [on_inflight] hook.  The probe samples
-     this in O(items) instead of replaying each site's log; the oracle
-     ([in_flight] below) stays log-derived. *)
-  inflight_live : (Ids.item, int) Hashtbl.t;
   item_list : Ids.item list ref;
   trace : Dvp_trace.Trace.t option;
   mutable detectors : Health.t array; (* empty = no failure detector *)
@@ -353,17 +348,12 @@ let create ?(seed = 42) ?(config = Config.default) ?link ?trace ?capacity ?queue
   let rng = Dvp_util.Rng.create seed in
   let net_rng = Dvp_util.Rng.split rng in
   let net = Network.create sub ~rng:net_rng ~n:capacity ?default:link ?trace () in
-  let inflight_live = Hashtbl.create 8 in
-  let on_inflight item delta =
-    Hashtbl.replace inflight_live item
-      (delta + Option.value ~default:0 (Hashtbl.find_opt inflight_live item))
-  in
   let sites =
     Array.init capacity (fun i ->
         let site_rng = Dvp_util.Rng.split rng in
         Site.create sub ~self:i ~n:capacity
           ~send:(fun ~dst msg -> Network.send net ~src:i ~dst msg)
-          ~config ~rng:site_rng ?trace ~on_inflight ())
+          ~config ~rng:site_rng ?trace ())
   in
   Array.iteri
     (fun i site -> Network.set_handler net i (fun ~src msg -> Site.handle_message site ~src msg))
@@ -390,7 +380,6 @@ let create ?(seed = 42) ?(config = Config.default) ?link ?trace ?capacity ?queue
       sites;
       cfg = config;
       expected = Hashtbl.create 8;
-      inflight_live;
       item_list = ref [];
       trace;
       detectors = [||];
@@ -844,13 +833,17 @@ let probe_sample t =
   let its = items t in
   {
     fragments = List.map (fun item -> (item, fragments t ~item)) its;
-    (* The live ledger, not the log-derived oracle: O(items) per sample.
-       The two agree whenever the logs are consistent (the hooks fire
-       exactly on the forced Vm_create/Vm_accept appends). *)
+    (* Each site's cumulative Vm ledger (value sent − value received), not
+       the log-replaying oracle: O(sites × items) per sample, no replay.  The
+       two agree because every term is forced to the log where it changes and
+       rebuilt from it (checkpoints included) on recovery. *)
     in_flight =
       List.map
         (fun item ->
-          (item, Option.value ~default:0 (Hashtbl.find_opt t.inflight_live item)))
+          ( item,
+            Array.fold_left
+              (fun acc s -> acc + Site.value_sent s ~item - Site.value_received s ~item)
+              0 t.sites ))
         its;
     active_txns =
       Array.fold_left

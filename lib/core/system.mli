@@ -263,10 +263,12 @@ type probe_sample = {
 }
 
 val probe_sample : t -> probe_sample
-(** One sample, now.  [in_flight] comes from the live incremental ledger
-    (fed by the sites' Vm create/accept hooks) — O(items), no log replay —
-    while the {!in_flight} oracle below stays log-derived; the two agree
-    whenever the stable logs are consistent. *)
+(** One sample, now.  [in_flight] sums {!Site.value_sent} −
+    {!Site.value_received} over all sites — the per-site ledger the wall
+    cut and the Observer read, O(sites × items) with no log replay — while
+    the {!in_flight} oracle above stays log-derived.  The two agree because
+    both ledgers are forced where they change and survive recovery and
+    checkpoint truncation. *)
 
 val start_probe : t -> every:float -> probe_sample Dvp_sim.Probe.t
 (** Sample on a fixed simulated-time period until [Probe.stop]. *)

@@ -27,9 +27,9 @@ type dst_state = {
          destination is unparked or the queue is drained by evacuation *)
 }
 
-(* Per-item tally of unacknowledged value leaving this site, so the Section 5
+(* Per-item count of unacknowledged Vm leaving this site, so the Section 5
    drain test ([has_outstanding]) is O(1) instead of a full outbox scan. *)
-type item_tally = { mutable count : int; mutable amount_sum : int }
+type item_tally = { mutable count : int }
 
 type t = {
   sub : Substrate.t;
@@ -54,9 +54,6 @@ type t = {
   backoff_mult : float; (* 1.0 disables backoff *)
   backoff_max : float;
   rng : Dvp_util.Rng.t option; (* jitter for backed-off retry times *)
-  on_inflight : (Ids.item -> int -> unit) option;
-      (* +amount at Vm_create, -amount at Vm_accept: the system-wide
-         incremental N_M ledger the conservation probe samples *)
   outbox_warn : int; (* high-water mark on total outbox depth; <= 0 disables *)
   mutable warned : bool; (* one-shot latch for the Outbox_high warning *)
   (* Volatile sender state (rebuilt from the log on recovery). *)
@@ -85,9 +82,10 @@ type t = {
      conservation ledger the runtime watchdog folds on a consistent cut:
      fragment = installed + received + delta - sent, at every instant of the
      owning domain's serial loop.  [recover] rebuilds them from the stable
-     log (every contributing record is forced at the point it is created),
-     so the cut identity survives a hard kill and respawn — which is what
-     lets the wall-clock supervisor check conservation across restarts. *)
+     log (every contributing record is forced at the point it is created,
+     and a checkpoint snapshot carries both sums), so the cut identity
+     survives a hard kill and respawn — which is what lets the wall-clock
+     supervisor check conservation across restarts. *)
   cum_sent : (Ids.item, int) Hashtbl.t;
   cum_recv : (Ids.item, int) Hashtbl.t;
   (* Volatile receiver state (rebuilt from the log on recovery). *)
@@ -100,7 +98,7 @@ type t = {
 
 let create sub ~n ~self ~wal ~send ~try_credit ~ts_counter ?(epoch = fun () -> 0) ~metrics
     ?trace ?(retransmit_every = 0.15) ?(ack_delay = 0.0) ?(batch = true)
-    ?(backoff_mult = 2.0) ?backoff_max ?rng ?(outbox_warn = 0) ?on_inflight () =
+    ?(backoff_mult = 2.0) ?backoff_max ?rng ?(outbox_warn = 0) () =
   let backoff_max =
     match backoff_max with Some m -> m | None -> 4.0 *. retransmit_every
   in
@@ -121,7 +119,6 @@ let create sub ~n ~self ~wal ~send ~try_credit ~ts_counter ?(epoch = fun () -> 0
     backoff_mult;
     backoff_max;
     rng;
-    on_inflight;
     outbox_warn;
     warned = false;
     next_seq = Array.make n 0;
@@ -146,18 +143,15 @@ let emit t ev =
   | Some tr -> Trace.emit tr ~time:(Substrate.now t.sub) ev
   | None -> ()
 
-let tally_add t ~item ~amount =
+let tally_add t ~item =
   match Hashtbl.find_opt t.items_out item with
-  | Some tl ->
-    tl.count <- tl.count + 1;
-    tl.amount_sum <- tl.amount_sum + amount
-  | None -> Hashtbl.replace t.items_out item { count = 1; amount_sum = amount }
+  | Some tl -> tl.count <- tl.count + 1
+  | None -> Hashtbl.replace t.items_out item { count = 1 }
 
-let tally_remove t ~item ~amount =
+let tally_remove t ~item =
   match Hashtbl.find_opt t.items_out item with
   | Some tl ->
     tl.count <- tl.count - 1;
-    tl.amount_sum <- tl.amount_sum - amount;
     if tl.count <= 0 then Hashtbl.remove t.items_out item
   | None -> ()
 
@@ -216,9 +210,6 @@ let check_depth t =
     end
     else if t.warned && depth <= t.outbox_warn / 2 then t.warned <- false
   end
-
-let outstanding_amount t ~item =
-  match Hashtbl.find_opt t.items_out item with Some tl -> tl.amount_sum | None -> 0
 
 let ledger_add tbl ~item ~amount =
   Hashtbl.replace tbl item (amount + Option.value ~default:0 (Hashtbl.find_opt tbl item))
@@ -304,9 +295,6 @@ let reset_backoff t dst =
   st.next_retry <- 0.0
 
 let park t ~dst = (dst_st t dst).parked <- true
-
-let is_parked t ~dst =
-  match t.dsts.(dst) with Some st -> st.parked | None -> false
 
 (* Retransmission scan: every outstanding Vm to a due destination is sent
    again, lowest sequence numbers first so the receiver's in-order rule makes
@@ -415,7 +403,6 @@ let send_value t ~dst ~item ~amount ?reply_to ~new_local () =
          reply_to;
          actions = [ Log_event.Set_fragment { item; value = new_local } ];
        });
-  (match t.on_inflight with Some f -> f item amount | None -> ());
   let st = dst_st t dst in
   (* A parked destination still gets the Vm queued (it must survive for
      evacuation or unparking), just no real message. *)
@@ -423,7 +410,7 @@ let send_value t ~dst ~item ~amount ?reply_to ~new_local () =
   Queue.push (seq, { payload = { item; amount; reply_to }; last_sent }) st.q;
   t.depth <- t.depth + 1;
   mark_active t dst;
-  tally_add t ~item ~amount;
+  tally_add t ~item;
   ledger_add t.cum_sent ~item ~amount;
   Metrics.vm_created t.metrics ~amount;
   if Trace.recording t.trace then
@@ -443,7 +430,7 @@ let handle_ack t ~src ~upto =
       | Some (seq, e) when seq <= upto ->
         ignore (Queue.pop q);
         t.depth <- t.depth - 1;
-        tally_remove t ~item:e.payload.item ~amount:e.payload.amount
+        tally_remove t ~item:e.payload.item
       | Some _ | None -> continue := false
     done;
     if Queue.is_empty q then mark_inactive t src;
@@ -493,7 +480,6 @@ let handle_fragment t ~src ~seq ~item ~amount ~reply_to =
     | Some new_value ->
       (* The Vm dies here: [database-actions] forced at the receiver. *)
       Wal.append t.wal (Log_event.Vm_accept { peer = src; seq; item; amount; new_value });
-      (match t.on_inflight with Some f -> f item (-amount) | None -> ());
       t.accepted.(src) <- seq;
       ledger_add t.cum_recv ~item ~amount;
       Metrics.vm_accepted t.metrics ~amount;
@@ -569,7 +555,7 @@ let recover t =
       Queue.push (seq, { payload = v; last_sent = neg_infinity }) (dst_st t dst).q;
       t.depth <- t.depth + 1;
       mark_active t dst;
-      tally_add t ~item:v.item ~amount:v.amount)
+      tally_add t ~item:v.item)
     entries;
   start t
 
@@ -584,7 +570,7 @@ let reset_channel t ~peer ~epoch =
   | Some st ->
     Queue.iter
       (fun (_, (e : outbox_entry)) ->
-        tally_remove t ~item:e.payload.item ~amount:e.payload.amount)
+        tally_remove t ~item:e.payload.item)
       st.q;
     t.depth <- t.depth - Queue.length st.q;
     t.dsts.(peer) <- None;
@@ -597,11 +583,12 @@ let reset_channel t ~peer ~epoch =
 
 (* A state snapshot for checkpointing (Section 7): everything [recover]
    would need, as one log record. *)
-let snapshot t ~fragments ~max_counter =
+let snapshot t ~fragments ~installed ~deltas ~max_counter =
   let pairs arr skip =
     Array.to_list (Array.mapi (fun i v -> (i, v)) arr)
     |> List.filter (fun (_, v) -> v <> skip)
   in
+  let ledger tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
   let outbox =
     (* Destinations ascending, each queue already ascending by seq — the
        result is (dst, seq)-sorted without sorting. *)
@@ -625,4 +612,8 @@ let snapshot t ~fragments ~max_counter =
       acked = pairs t.acked_upto (-1);
       outbox;
       max_counter;
+      installed = ledger installed;
+      deltas = ledger deltas;
+      sent = ledger t.cum_sent;
+      received = ledger t.cum_recv;
     }

@@ -45,7 +45,6 @@ val create :
   ?backoff_max:float ->
   ?rng:Dvp_util.Rng.t ->
   ?outbox_warn:int ->
-  ?on_inflight:(Ids.item -> int -> unit) ->
   unit ->
   t
 (** [try_credit] must either apply the credit to the local database and
@@ -70,15 +69,7 @@ val create :
     [outbox_warn] > 0 arms a one-shot {!Dvp_trace.Trace.constructor:Outbox_high}
     warning when the total outbox depth (across all destinations, parked
     included) crosses it; the warning re-arms once the depth falls back to
-    half the mark.  0 (default) disables the check.
-
-    [on_inflight item delta] is called with [+amount] when a [Vm_create] is
-    forced here and [-amount] when a [Vm_accept] is forced here.  Summed
-    across all sites this tracks the log-derived in-flight value N_M
-    incrementally, which is what lets {!System}'s conservation probe sample
-    in O(items) instead of replaying every site's log.  The hook fires only
-    on live log appends, never during {!recover} replay, so it stays
-    consistent with the stable logs across crashes. *)
+    half the mark.  0 (default) disables the check. *)
 
 val start : t -> unit
 (** Arm the periodic retransmission scan. *)
@@ -127,12 +118,6 @@ val unpark : t -> dst:Ids.site -> unit
     whole backlog due, so the next retransmission scan (at most one period
     away) resends it in order.  No-op if not parked. *)
 
-val is_parked : t -> dst:Ids.site -> bool
-
-val outstanding_amount : t -> item:Ids.item -> int
-(** Total unacknowledged value of an item leaving this site (sender view —
-    an accepted-but-unacked Vm still counts, conservatively). *)
-
 val has_outstanding : t -> item:Ids.item -> bool
 (** The drain-honoring test of Section 5. *)
 
@@ -141,9 +126,11 @@ val value_sent : t -> item:Ids.item -> int
     creation.  Monotone; together with {!value_received} and the site's
     committed delta it forms the conservation ledger the runtime watchdog
     samples ([value_sent - value_received] summed over a consistent cut is
-    exactly the in-flight mailbox/outbox Vm value).  Rebuilt from the stable
-    log by {!recover} (every contributing record is forced when created), so
-    the cut identity survives hard kills and respawns. *)
+    exactly the in-flight mailbox/outbox Vm value; the DES probe sums it
+    over all sites).  Rebuilt from the stable log by {!recover} (every
+    contributing record is forced when created, and checkpoints carry the
+    sum), so the cut identity survives hard kills, respawns and log
+    truncation. *)
 
 val value_received : t -> item:Ids.item -> int
 (** Cumulative value ever accepted at this site as Vm of [item]. *)
@@ -190,7 +177,13 @@ val reset_channel : t -> peer:Ids.site -> epoch:int -> unit
     or in-flight value would be destroyed. *)
 
 val snapshot :
-  t -> fragments:(Ids.item * int) list -> max_counter:int -> Log_event.t
-(** A [Checkpoint] record capturing the live Vm state plus the given
-    database fragments — what {!Site.checkpoint} forces before truncating
-    the log. *)
+  t ->
+  fragments:(Ids.item * int) list ->
+  installed:(Ids.item, int) Hashtbl.t ->
+  deltas:(Ids.item, int) Hashtbl.t ->
+  max_counter:int ->
+  Log_event.t
+(** A [Checkpoint] record capturing the live Vm state (cumulative sent and
+    received ledgers included) plus the given database fragments and the
+    site's installed and committed-delta ledgers — what {!Site.checkpoint}
+    forces before truncating the log. *)

@@ -7,12 +7,6 @@ let state_to_string = function
   | Suspected -> "suspected"
   | Condemned -> "condemned"
 
-let state_of_string = function
-  | "up" -> Some Up
-  | "suspected" -> Some Suspected
-  | "condemned" -> Some Condemned
-  | _ -> None
-
 type config = {
   suspect_after : float;
   condemn_after : float;

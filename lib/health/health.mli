@@ -37,8 +37,6 @@ type state = Up | Suspected | Condemned
 val state_to_string : state -> string
 (** ["up"] / ["suspected"] / ["condemned"]. *)
 
-val state_of_string : string -> state option
-
 type config = {
   suspect_after : float;  (** base silence threshold for [Suspected] *)
   condemn_after : float;  (** silence threshold for [Condemned] *)

@@ -12,23 +12,9 @@ let lossy p = { default with loss_prob = p }
 
 let quiet = { delay_mean = 0.0; delay_jitter = 0.0; loss_prob = 0.0; dup_prob = 0.0 }
 
-type t = { mutable p : params; mutable up : bool }
-
-let create p = { p; up = true }
-
-let params t = t.p
-
-let set_params t p = t.p <- p
-
-let is_up t = t.up
-
-let set_up t v = t.up <- v
-
-(* Params-level sampling: the network keeps links as a flat params array (no
-   per-link object), so the draw logic lives here at the params level and the
-   [t]-level functions below are thin wrappers.  The conditional draws
-   (jitter, duplication) and the [up] short-circuit are load-bearing — they
-   fix the RNG consumption sequence that same-seed traces depend on. *)
+(* The conditional draws (jitter, duplication) and the [up] short-circuit
+   are load-bearing — they fix the RNG consumption sequence that same-seed
+   traces depend on. *)
 
 let sample_delay_p p rng =
   let jitter =
@@ -39,9 +25,3 @@ let sample_delay_p p rng =
 let drops_p p ~up rng = (not up) || Dvp_util.Rng.bernoulli rng p.loss_prob
 
 let duplicates_p p rng = p.dup_prob > 0.0 && Dvp_util.Rng.bernoulli rng p.dup_prob
-
-let sample_delay t rng = sample_delay_p t.p rng
-
-let drops t rng = drops_p t.p ~up:t.up rng
-
-let duplicates t rng = duplicates_p t.p rng

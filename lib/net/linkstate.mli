@@ -1,8 +1,12 @@
-(** Per-link failure and timing model.
+(** The link failure and timing model.
 
-    Every directed site pair has a link with these parameters.  The defaults
-    model a healthy LAN; experiments override them to inject loss, delay
-    inflation, duplication, or hard link failure. *)
+    A link's behaviour is a {!params} record: mean delay, jitter, loss and
+    duplication.  The defaults model a healthy LAN; experiments override
+    them to inject loss, delay inflation or duplication.  Holders keep the
+    record themselves (the DES {!Network} one record for all links plus an
+    up flag per directed link, the multicore runtime one atomic record) and
+    draw from it through the samplers below, so both substrates share one
+    model. *)
 
 type params = {
   delay_mean : float;  (** mean one-way latency (seconds) *)
@@ -22,40 +26,18 @@ val quiet : params
 (** No delay, no loss, no duplication: the link the multicore runtime's
     mailboxes give when no storm is on. *)
 
-type t
+(** {2 Sampling}
 
-val create : params -> t
-
-val params : t -> params
-
-val set_params : t -> params -> unit
-
-val is_up : t -> bool
-
-val set_up : t -> bool -> unit
-(** A downed link drops everything; used for link-failure experiments
-    independent of whole-network partitions. *)
-
-val sample_delay : t -> Dvp_util.Rng.t -> float
-(** Draw a delivery latency. *)
-
-val drops : t -> Dvp_util.Rng.t -> bool
-(** Decide whether this transmission is lost (link down counts as lost). *)
-
-val duplicates : t -> Dvp_util.Rng.t -> bool
-
-(** {2 Params-level sampling}
-
-    The same draws without a [t]: the network stores its [n²] links as a
-    flat {!params} array plus an up-flag byte per link (no per-link heap
-    object), and samples through these.  Each function consumes exactly the
-    same RNG draws as its [t]-level counterpart, so flattening the link
-    table cannot perturb a seeded run. *)
+    The jitter and duplication draws are conditional and a downed link
+    short-circuits: these fix the RNG draw sequence that same-seed traces
+    depend on. *)
 
 val sample_delay_p : params -> Dvp_util.Rng.t -> float
+(** Draw a delivery latency. *)
 
 val drops_p : params -> up:bool -> Dvp_util.Rng.t -> bool
-(** A downed link loses everything without consuming a draw (mirrors
-    {!drops}'s short-circuit). *)
+(** Decide whether this transmission is lost.  A downed link loses
+    everything without consuming a draw. *)
 
 val duplicates_p : params -> Dvp_util.Rng.t -> bool
+(** Decide whether this transmission is delivered twice. *)

@@ -19,11 +19,8 @@ type 'p t = {
   sub : Substrate.t;
   rng : Dvp_util.Rng.t;
   n : int;
-  link_params : Linkstate.params array;
-      (* flat n*n, row-major [(src * n) + dst].  Immutable records, so the
-         whole table can share one params value until a link is overridden —
-         a 1024-site fabric costs one word per link, not one object. *)
-  link_up : Bytes.t; (* n*n up flags, '\001' = up *)
+  mutable link : Linkstate.params; (* every link's timing and loss model *)
+  link_up : Bytes.t; (* n*n up flags, row-major [(src * n) + dst], '\001' = up *)
   handlers : (src:int -> 'p -> unit) option array;
   up : bool array;
   member : bool array;
@@ -42,7 +39,7 @@ let create sub ~rng ~n ?(default = Linkstate.default) ?trace () =
     sub;
     rng;
     n;
-    link_params = Array.make (n * n) default;
+    link = default;
     link_up = Bytes.make (n * n) '\001';
     handlers = Array.make n None;
     up = Array.make n true;
@@ -86,18 +83,10 @@ let link_index t ~src ~dst =
   check_site t dst;
   (src * t.n) + dst
 
-let link_params t ~src ~dst = t.link_params.(link_index t ~src ~dst)
-
-let set_link_params t ~src ~dst p = t.link_params.(link_index t ~src ~dst) <- p
-
-let link_is_up t ~src ~dst =
-  Bytes.get t.link_up (link_index t ~src ~dst) <> '\000'
-
 let set_link_up t ~src ~dst v =
   Bytes.set t.link_up (link_index t ~src ~dst) (if v then '\001' else '\000')
 
-let set_all_links t params =
-  Array.fill t.link_params 0 (Array.length t.link_params) params
+let set_all_links t params = t.link <- params
 
 let site_up t i =
   check_site t i;
@@ -106,10 +95,6 @@ let site_up t i =
 let set_site_up t i v =
   check_site t i;
   t.up.(i) <- v
-
-let is_member t i =
-  check_site t i;
-  t.member.(i)
 
 let set_member t i v =
   check_site t i;
@@ -164,9 +149,8 @@ let send t ~src ~dst payload =
   else begin
     t.stats.sent <- t.stats.sent + 1;
     if Dvp_trace.Trace.recording t.trace then emit t (Dvp_trace.Trace.Net_send { src; dst });
-    let li = (src * t.n) + dst in
-    let p = t.link_params.(li) in
-    let lup = Bytes.unsafe_get t.link_up li <> '\000' in
+    let p = t.link in
+    let lup = Bytes.unsafe_get t.link_up ((src * t.n) + dst) <> '\000' in
     (* Classify the send-time loss by its cause; the checks short-circuit in
        the same order as before so the RNG draw sequence is unchanged. *)
     let cause =
@@ -198,13 +182,3 @@ let send t ~src ~dst payload =
   end
 
 let stats t = t.stats
-
-let reset_stats t =
-  t.stats.sent <- 0;
-  t.stats.delivered <- 0;
-  t.stats.dropped_loss <- 0;
-  t.stats.dropped_partition <- 0;
-  t.stats.dropped_down <- 0;
-  t.stats.dropped_membership <- 0;
-  t.stats.dropped_inflight <- 0;
-  t.stats.duplicated <- 0

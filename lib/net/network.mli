@@ -1,7 +1,7 @@
 (** The message fabric connecting the simulated sites.
 
-    A network owns {!Linkstate.params} plus an up flag per directed site
-    pair (stored flat — one word and one byte per link), a partition
+    A network owns one {!Linkstate.params} shared by every link plus an up
+    flag per directed site pair (one byte per link), a partition
     state (sites are grouped; messages between groups are dropped), and
     per-site up/down flags (messages to or from a crashed site are lost, which
     is exactly the failure model of the paper: links "may lose, delay,
@@ -64,29 +64,19 @@ val send : 'p t -> src:int -> dst:int -> 'p -> unit
     immediately with no loss (local computation, not a network hop) and do not
     count in {!stats}. *)
 
-val link_params : 'p t -> src:int -> dst:int -> Linkstate.params
-(** The directed link's current parameters.  Links are stored as a flat
-    [n²] params table (no per-link object), so reads and writes go through
-    these accessors rather than a mutable link handle. *)
-
-val set_link_params : 'p t -> src:int -> dst:int -> Linkstate.params -> unit
-
-val link_is_up : 'p t -> src:int -> dst:int -> bool
-
 val set_link_up : 'p t -> src:int -> dst:int -> bool -> unit
 (** A downed link drops everything sent over it (without consuming an RNG
     draw) — link-failure experiments independent of whole-network
     partitions or site crashes. *)
 
 val set_all_links : 'p t -> Linkstate.params -> unit
+(** Replace the timing and loss model of every link. *)
 
 val site_up : 'p t -> int -> bool
 
 val set_site_up : 'p t -> int -> bool -> unit
 (** Downing a site makes it drop all traffic in both directions.  In-flight
     messages destined to it are discarded at delivery time. *)
-
-val is_member : 'p t -> int -> bool
 
 val set_member : 'p t -> int -> bool -> unit
 (** Elastic membership: a non-member (detached) slot neither sends nor
@@ -106,5 +96,3 @@ val partitioned : 'p t -> src:int -> dst:int -> bool
 (** Whether the current partition separates the two sites. *)
 
 val stats : 'p t -> stats
-
-val reset_stats : 'p t -> unit

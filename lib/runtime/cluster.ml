@@ -160,7 +160,6 @@ type t = {
   item_arr : int array;
   item_idx : (int, int) Hashtbl.t; (* item -> index in item_arr *)
   epoch : float; (* wall instant of creation: origin of the cluster clock *)
-  initial : (int, int) Hashtbl.t; (* the installed totals, full-cut baseline *)
   layouts : (int * int) list array; (* per-site install layout, cut baselines *)
   shards : Shards.t option; (* site i -> shard i; shard n = control plane *)
   cut_mutex : Mutex.t; (* serialises cut takers, kills, and respawns *)
@@ -589,12 +588,7 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
   in
   Array.iter (fun c -> ignore (Cell.await c : int)) ready;
   let expected = Hashtbl.create 8 in
-  let initial = Hashtbl.create 8 in
-  List.iter
-    (fun (item, total) ->
-      Hashtbl.replace expected item total;
-      Hashtbl.replace initial item total)
-    items;
+  List.iter (fun (item, total) -> Hashtbl.replace expected item total) items;
   {
     n;
     config;
@@ -606,7 +600,6 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
     item_arr;
     item_idx;
     epoch;
-    initial;
     layouts;
     shards;
     cut_mutex = Mutex.create ();

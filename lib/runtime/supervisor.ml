@@ -1,5 +1,3 @@
-module Json = Dvp_util.Json
-
 type policy = {
   backoff_base : float;
   backoff_mult : float;
@@ -192,21 +190,3 @@ let run_plan t plan =
     pr_storms = !storms;
     pr_torn = !torn;
   }
-
-let plan_report_to_json r =
-  Json.Obj
-    [
-      ("kills", Json.Int r.pr_kills);
-      ("respawns", Json.Int r.pr_respawns);
-      ( "replayed",
-        Json.List
-          (List.map
-             (fun (site, n) ->
-               Json.Obj [ ("site", Json.Int site); ("records", Json.Int n) ])
-             r.pr_replayed) );
-      ("forever_dead", Json.List (List.map (fun i -> Json.Int i) r.pr_forever));
-      ("breaker_tripped", Json.List (List.map (fun i -> Json.Int i) r.pr_breaker));
-      ("sink_fails", Json.Int r.pr_sink_fails);
-      ("link_storms", Json.Int r.pr_storms);
-      ("torn_tails", Json.Int r.pr_torn);
-    ]

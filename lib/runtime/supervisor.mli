@@ -74,4 +74,3 @@ val run_plan : t -> Fault.t -> plan_report
     [wal_fault] damages the victim's file between the kill and the respawn,
     so the respawn exercises the torn-tail repair path for real. *)
 
-val plan_report_to_json : plan_report -> Dvp_util.Json.t

@@ -52,8 +52,6 @@ let merged t =
   in
   go []
 
-let merged_events t = List.map (fun (_, _, time, ev) -> (time, ev)) (merged t)
-
 let to_jsonl t =
   let buf = Buffer.create 65536 in
   let evs = merged t in

@@ -47,10 +47,6 @@ val merged : t -> (int * int * float * Trace.event) list
     them).  Call only after the emitting domains have been joined (or are
     otherwise quiescent) — the rings are unsynchronised. *)
 
-val merged_events : t -> (float * Trace.event) list
-(** {!merged} projected to what {!Trace.of_jsonl} returns — feed it straight
-    to span reconstruction. *)
-
 val to_jsonl : t -> string
 (** The merged stream as JSONL: a [{"type":"meta",...}] header (with a
     ["shards"] count), then one event per line in merge order, each with

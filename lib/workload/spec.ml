@@ -112,5 +112,3 @@ let of_preset ?sites ?rate ?duration preset =
 let scale_rate t f = { t with arrival_rate = t.arrival_rate *. f }
 
 let with_seed t seed = { t with seed }
-
-let total_expected_txns t = t.arrival_rate *. t.duration

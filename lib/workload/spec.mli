@@ -60,5 +60,3 @@ val of_preset : ?sites:int -> ?rate:float -> ?duration:float -> preset -> t
 val scale_rate : t -> float -> t
 
 val with_seed : t -> int -> t
-
-val total_expected_txns : t -> float

@@ -140,7 +140,18 @@ let test_log_oracle_flags () =
 let test_log_oracle_resets () =
   let checkpoint accepted =
     Dvp.Log_event.Checkpoint
-      { fragments = [ (0, 7) ]; accepted; next_seq = []; acked = []; outbox = []; max_counter = 0 }
+      {
+        fragments = [ (0, 7) ];
+        accepted;
+        next_seq = [];
+        acked = [];
+        outbox = [];
+        max_counter = 0;
+        installed = [];
+        deltas = [];
+        sent = [];
+        received = [];
+      }
   in
   Alcotest.(check (list string)) "checkpoint restarts the watermark at its snapshot" []
     (log_checks [ accept 0; accept 1; checkpoint [ (1, 4) ]; accept 5; accept ~peer:2 0 ]);

@@ -128,11 +128,19 @@ let log_event_gen =
             (triple (int_bound 31) (int_bound 500) (int_bound 20))
             (pair (int_bound 100) (opt ts))
         in
-        map2
-          (fun (fragments, accepted, next_seq) (acked, outbox, max_counter) ->
-            Log_event.Checkpoint { fragments; accepted; next_seq; acked; outbox; max_counter })
+        (* Committed deltas can be negative; the other ledgers cannot. *)
+        let delta_list =
+          list_size (int_range 0 4) (pair (int_bound 20) (int_range (-500) 500))
+        in
+        map3
+          (fun (fragments, accepted, next_seq) (acked, outbox, max_counter)
+               (installed, deltas, (sent, received)) ->
+            Log_event.Checkpoint
+              { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas;
+                sent; received })
           (triple pair_list pair_list pair_list)
-          (triple pair_list (list_size (int_range 0 3) outbox_entry) (int_bound 10_000)) );
+          (triple pair_list (list_size (int_range 0 3) outbox_entry) (int_bound 10_000))
+          (triple pair_list delta_list (pair pair_list pair_list)) );
     ]
 
 let prop_log_codec_roundtrip =
@@ -758,6 +766,10 @@ let test_codec_roundtrips_real_logs () =
 
 let test_checkpoint_shrinks_log_and_recovers () =
   let sys = mk_system ~seed:61 () in
+  (* Site 1 pulls value from the others first, so site 0 both ships and
+     (below) receives Vm before the checkpoint. *)
+  submit sys ~site:1 ~ops:[ (0, Op.Decr 40) ] ~on_done:quiet;
+  System.run_until sys 0.5;
   for _ = 1 to 30 do
     submit sys ~site:0 ~ops:[ (0, Op.Decr 1) ] ~on_done:quiet
   done;
@@ -772,11 +784,28 @@ let test_checkpoint_shrinks_log_and_recovers () =
   submit sys ~site:0 ~ops:[ (0, Op.Decr 2) ] ~on_done:quiet;
   System.run_until sys 2.0;
   let frag = Site.fragment (System.site sys 0) ~item:0 in
+  (* The cumulative ledgers (installed, delta, sent, received) predate the
+     checkpoint; the snapshot must carry them across the truncation. *)
+  let ledgers () =
+    let s = System.site sys 0 in
+    let installed = (Log_replay.db_view (Site.wal s)).Log_replay.installed in
+    ( Option.value ~default:0 (Hashtbl.find_opt installed 0),
+      Site.committed_delta s ~item:0,
+      Site.value_sent s ~item:0,
+      Site.value_received s ~item:0 )
+  in
+  let ((installed, delta, sent, received) as before_crash) = ledgers () in
+  Alcotest.(check bool) "site 0 shipped and received value" true (sent > 0 && received > 0);
+  Alcotest.(check int) "identity before the crash" frag (installed + received + delta - sent);
   System.crash_site sys 0;
   System.run_until sys 3.0;
   System.recover_site sys 0;
   Alcotest.(check int) "fragment rebuilt from snapshot+tail" frag
     (Site.fragment (System.site sys 0) ~item:0);
+  let q4 = Alcotest.(pair (pair int int) (pair int int)) in
+  let split (a, b, c, d) = ((a, b), (c, d)) in
+  Alcotest.(check q4) "ledgers (installed, delta, sent, received) survive"
+    (split before_crash) (split (ledgers ()));
   Alcotest.(check bool) "conserved" true (System.conserved sys ~item:0)
 
 let test_checkpoint_preserves_outstanding_vm () =

@@ -1,5 +1,4 @@
-(* Tests for dvp_net: link model, message fabric, sliding window, ordered
-   broadcast. *)
+(* Tests for dvp_net: link model, message fabric, ordered broadcast. *)
 
 open Dvp_net
 module Engine = Dvp_sim.Engine
@@ -14,27 +13,31 @@ let mk ?(n = 4) ?(seed = 1) ?default () =
 (* ------------------------------------------------------------ Linkstate *)
 
 let test_link_defaults () =
-  let l = Linkstate.create Linkstate.default in
-  Alcotest.(check bool) "up" true (Linkstate.is_up l);
+  let p = Linkstate.default in
   let rng = Rng.create 1 in
   for _ = 1 to 100 do
-    Alcotest.(check bool) "no drops" false (Linkstate.drops l rng);
-    let d = Linkstate.sample_delay l rng in
-    Alcotest.(check bool) "delay in band" true (d >= 0.005 && d < 0.0071)
+    Alcotest.(check bool) "no drops" false (Linkstate.drops_p p ~up:true rng);
+    let d = Linkstate.sample_delay_p p rng in
+    Alcotest.(check bool) "delay in band" true (d >= 0.005 && d < 0.0071);
+    Alcotest.(check bool) "no duplicates" false (Linkstate.duplicates_p p rng)
   done
 
 let test_link_down_drops () =
-  let l = Linkstate.create Linkstate.default in
-  Linkstate.set_up l false;
-  let rng = Rng.create 1 in
-  Alcotest.(check bool) "down drops" true (Linkstate.drops l rng)
+  (* A downed link loses everything, even a lossless one, without
+     consuming an RNG draw. *)
+  let rng = Rng.create 1 and fresh = Rng.create 1 in
+  for _ = 1 to 10 do
+    Alcotest.(check bool) "down drops" true
+      (Linkstate.drops_p Linkstate.quiet ~up:false rng)
+  done;
+  Alcotest.(check (float 0.0)) "no draw consumed" (Rng.float fresh 1.0) (Rng.float rng 1.0)
 
 let test_link_lossy () =
-  let l = Linkstate.create (Linkstate.lossy 0.5) in
+  let p = Linkstate.lossy 0.5 in
   let rng = Rng.create 2 in
   let drops = ref 0 in
   for _ = 1 to 10_000 do
-    if Linkstate.drops l rng then incr drops
+    if Linkstate.drops_p p ~up:true rng then incr drops
   done;
   Alcotest.(check bool) "about half dropped" true (abs (!drops - 5000) < 300)
 
@@ -151,167 +154,6 @@ let test_network_delay_ordering_jitter () =
   let sorted = List.sort compare !got in
   Alcotest.(check (list int)) "all distinct values" (List.init 50 (fun i -> i + 1)) sorted
 
-(* --------------------------------------------------------------- Window *)
-
-(* Wire two endpoints over a network with the given link params. *)
-let wire_pair ?(seed = 7) ?(params = Linkstate.default) ?window ?rto () =
-  let e = Engine.create () in
-  let rng = Rng.create seed in
-  let net = Network.create (Dvp_sim.Substrate_des.of_engine e) ~rng ~n:2 ~default:params () in
-  let delivered_a = ref [] and delivered_b = ref [] in
-  let ep_a = ref None and ep_b = ref None in
-  let get = function Some x -> x | None -> assert false in
-  let a =
-    Window.create (Dvp_sim.Substrate_des.of_engine e)
-      ~send:(fun f -> Network.send net ~src:0 ~dst:1 f)
-      ~deliver:(fun p -> delivered_a := p :: !delivered_a)
-      ?window ?rto ()
-  in
-  let b =
-    Window.create (Dvp_sim.Substrate_des.of_engine e)
-      ~send:(fun f -> Network.send net ~src:1 ~dst:0 f)
-      ~deliver:(fun p -> delivered_b := p :: !delivered_b)
-      ?window ?rto ()
-  in
-  ep_a := Some a;
-  ep_b := Some b;
-  Network.set_handler net 0 (fun ~src:_ f -> Window.handle_frame (get !ep_a) f);
-  Network.set_handler net 1 (fun ~src:_ f -> Window.handle_frame (get !ep_b) f);
-  (e, net, a, b, delivered_a, delivered_b)
-
-let test_window_in_order_clean () =
-  let e, _, a, _, _, delivered_b = wire_pair () in
-  for i = 1 to 20 do
-    Window.submit a i
-  done;
-  Engine.run_until e 5.0;
-  Alcotest.(check (list int)) "in order" (List.init 20 (fun i -> i + 1))
-    (List.rev !delivered_b);
-  Alcotest.(check bool) "sender idle" true (Window.idle a)
-
-let test_window_lossy_delivery () =
-  let e, _, a, _, _, delivered_b =
-    wire_pair ~seed:11 ~params:(Linkstate.lossy 0.3) ()
-  in
-  for i = 1 to 50 do
-    Window.submit a i
-  done;
-  Engine.run_until e 60.0;
-  Alcotest.(check (list int)) "all delivered in order despite loss"
-    (List.init 50 (fun i -> i + 1))
-    (List.rev !delivered_b)
-
-let test_window_duplicating_link () =
-  let e, _, a, _, _, delivered_b =
-    wire_pair ~seed:13 ~params:{ Linkstate.default with dup_prob = 0.5 } ()
-  in
-  for i = 1 to 30 do
-    Window.submit a i
-  done;
-  Engine.run_until e 30.0;
-  Alcotest.(check (list int)) "exactly once" (List.init 30 (fun i -> i + 1))
-    (List.rev !delivered_b)
-
-let test_window_bidirectional () =
-  let e, _, a, b, delivered_a, delivered_b = wire_pair ~seed:17 () in
-  for i = 1 to 10 do
-    Window.submit a i;
-    Window.submit b (100 + i)
-  done;
-  Engine.run_until e 10.0;
-  Alcotest.(check (list int)) "a->b" (List.init 10 (fun i -> i + 1)) (List.rev !delivered_b);
-  Alcotest.(check (list int)) "b->a"
-    (List.init 10 (fun i -> 101 + i))
-    (List.rev !delivered_a)
-
-let test_window_backlog_respected () =
-  let _, _, a, _, _, _ = wire_pair ~window:4 () in
-  for i = 1 to 10 do
-    Window.submit a i
-  done;
-  Alcotest.(check int) "window full" 4 (Window.unacked a);
-  Alcotest.(check int) "rest queued" 6 (Window.backlog a)
-
-let test_window_retransmission_counted () =
-  let e, _, a, _, _, delivered_b =
-    wire_pair ~seed:19 ~params:(Linkstate.lossy 0.4) ~rto:0.03 ()
-  in
-  for i = 1 to 20 do
-    Window.submit a i
-  done;
-  Engine.run_until e 30.0;
-  Alcotest.(check int) "all arrived" 20 (List.length !delivered_b);
-  Alcotest.(check bool) "needed retransmissions" true (Window.frames_sent a > 20)
-
-let test_window_link_outage_recovers () =
-  (* Take the link down mid-stream; the window must deliver everything after
-     it comes back. *)
-  let e, net, a, _, _, delivered_b = wire_pair ~seed:23 ~rto:0.05 () in
-  for i = 1 to 5 do
-    Window.submit a i
-  done;
-  Engine.run_until e 1.0;
-  Network.set_link_up net ~src:0 ~dst:1 false;
-  for i = 6 to 10 do
-    Window.submit a i
-  done;
-  Engine.run_until e 2.0;
-  Alcotest.(check bool) "stalled during outage" true (List.length !delivered_b < 10);
-  Network.set_link_up net ~src:0 ~dst:1 true;
-  Engine.run_until e 10.0;
-  Alcotest.(check (list int)) "caught up in order" (List.init 10 (fun i -> i + 1))
-    (List.rev !delivered_b)
-
-let test_window_stop_and_wait () =
-  (* window = 1 degenerates to stop-and-wait and must still deliver
-     everything in order over a lossy link. *)
-  let e, _, a, _, _, delivered_b =
-    wire_pair ~seed:29 ~params:(Linkstate.lossy 0.2) ~window:1 ~rto:0.03 ()
-  in
-  for i = 1 to 15 do
-    Window.submit a i
-  done;
-  Alcotest.(check int) "one in flight" 1 (Window.unacked a);
-  Alcotest.(check int) "rest queued" 14 (Window.backlog a);
-  Engine.run_until e 30.0;
-  Alcotest.(check (list int)) "in order" (List.init 15 (fun i -> i + 1))
-    (List.rev !delivered_b)
-
-let test_window_large_burst () =
-  let e, _, a, _, _, delivered_b = wire_pair ~seed:31 ~window:16 () in
-  for i = 1 to 500 do
-    Window.submit a i
-  done;
-  Engine.run_until e 30.0;
-  Alcotest.(check int) "all delivered" 500 (List.length !delivered_b);
-  Alcotest.(check (list int)) "in order" (List.init 500 (fun i -> i + 1))
-    (List.rev !delivered_b);
-  Alcotest.(check bool) "idle at end" true (Window.idle a)
-
-(* Property: for random loss rates and message counts, the window protocol
-   delivers the exact submitted sequence. *)
-let prop_window_exactly_once =
-  QCheck.Test.make ~name:"window delivers exactly-once in-order" ~count:30
-    QCheck.(triple (int_range 1 40) (int_range 0 40) (int_range 0 30))
-    (fun (n_msgs, loss_pct, dup_pct) ->
-      (* Loss, duplication, and enough jitter to reorder in flight. *)
-      let params =
-        {
-          Linkstate.default with
-          loss_prob = float_of_int loss_pct /. 100.0;
-          dup_prob = float_of_int dup_pct /. 100.0;
-          delay_jitter = 0.02;
-        }
-      in
-      let e, _, a, _, _, delivered_b =
-        wire_pair ~seed:(n_msgs + (100 * loss_pct) + (10_000 * dup_pct)) ~params ~rto:0.05 ()
-      in
-      for i = 1 to n_msgs do
-        Window.submit a i
-      done;
-      Engine.run_until e 200.0;
-      List.rev !delivered_b = List.init n_msgs (fun i -> i + 1))
-
 (* ------------------------------------------------------------ Broadcast *)
 
 let test_broadcast_total_order () =
@@ -375,20 +217,6 @@ let () =
           Alcotest.test_case "loss rate" `Quick test_network_loss;
           Alcotest.test_case "duplication" `Quick test_network_duplication;
           Alcotest.test_case "jitter reordering" `Quick test_network_delay_ordering_jitter;
-        ] );
-      ( "window",
-        [
-          Alcotest.test_case "in order clean" `Quick test_window_in_order_clean;
-          Alcotest.test_case "lossy delivery" `Quick test_window_lossy_delivery;
-          Alcotest.test_case "duplicating link" `Quick test_window_duplicating_link;
-          Alcotest.test_case "bidirectional" `Quick test_window_bidirectional;
-          Alcotest.test_case "backlog respected" `Quick test_window_backlog_respected;
-          Alcotest.test_case "retransmissions counted" `Quick
-            test_window_retransmission_counted;
-          Alcotest.test_case "link outage recovers" `Quick test_window_link_outage_recovers;
-          Alcotest.test_case "stop and wait (window=1)" `Quick test_window_stop_and_wait;
-          Alcotest.test_case "large burst" `Quick test_window_large_burst;
-          QCheck_alcotest.to_alcotest prop_window_exactly_once;
         ] );
       ( "broadcast",
         [

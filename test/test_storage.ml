@@ -1,4 +1,4 @@
-(* Tests for dvp_storage: WAL crash semantics, stable cells, local DB. *)
+(* Tests for dvp_storage: WAL crash semantics, local DB. *)
 
 open Dvp_storage
 
@@ -485,68 +485,6 @@ let prop_wal_equivalence =
           && Wal.repaired_records w = m.Model.repaired_count)
         ops)
 
-(* --------------------------------------------------------------- Stable *)
-
-let test_stable_cell_survives () =
-  let reg = Stable.region () in
-  let c = Stable.cell reg 10 in
-  Stable.set c 42;
-  Stable.crash_volatile reg;
-  Alcotest.(check int) "stable survives" 42 (Stable.get c)
-
-let test_volatile_resets () =
-  let reg = Stable.region () in
-  let v = Stable.volatile reg (fun () -> 0) in
-  Stable.vset v 99;
-  Alcotest.(check int) "set works" 99 (Stable.vget v);
-  Stable.crash_volatile reg;
-  Alcotest.(check int) "reset on crash" 0 (Stable.vget v)
-
-let test_stable_write_count () =
-  let reg = Stable.region () in
-  let c = Stable.cell reg 0 in
-  Stable.set c 1;
-  Stable.set c 2;
-  Alcotest.(check int) "writes counted" 2 (Stable.writes reg)
-
-let test_crash_reruns_thunks_once () =
-  (* Every registered re-init thunk runs exactly once per crash — recovery
-     that re-initialised twice (or skipped a structure) would leak state
-     between incarnations. *)
-  let reg = Stable.region () in
-  let runs_a = ref 0 and runs_b = ref 0 in
-  let a =
-    Stable.volatile reg (fun () ->
-        incr runs_a;
-        0)
-  in
-  let b =
-    Stable.volatile reg (fun () ->
-        incr runs_b;
-        "fresh")
-  in
-  (* registration itself evaluates the thunk once for the initial value *)
-  let init_a = !runs_a and init_b = !runs_b in
-  for crash = 1 to 3 do
-    Stable.vset a crash;
-    Stable.vset b "dirty";
-    Stable.crash_volatile reg;
-    Alcotest.(check int) "a thunk once per crash" (init_a + crash) !runs_a;
-    Alcotest.(check int) "b thunk once per crash" (init_b + crash) !runs_b;
-    Alcotest.(check int) "a reset" 0 (Stable.vget a);
-    Alcotest.(check string) "b reset" "fresh" (Stable.vget b)
-  done
-
-let test_multiple_volatiles () =
-  let reg = Stable.region () in
-  let a = Stable.volatile reg (fun () -> "init-a") in
-  let b = Stable.volatile reg (fun () -> "init-b") in
-  Stable.vset a "x";
-  Stable.vset b "y";
-  Stable.crash_volatile reg;
-  Alcotest.(check string) "a reset" "init-a" (Stable.vget a);
-  Alcotest.(check string) "b reset" "init-b" (Stable.vget b)
-
 (* ------------------------------------------------------------- Local_db *)
 
 let test_db_defaults () =
@@ -630,15 +568,6 @@ let () =
           Alcotest.test_case "iter_from" `Quick test_wal_iter_from;
           QCheck_alcotest.to_alcotest prop_wal_stability;
           QCheck_alcotest.to_alcotest prop_wal_equivalence;
-        ] );
-      ( "stable",
-        [
-          Alcotest.test_case "cell survives crash" `Quick test_stable_cell_survives;
-          Alcotest.test_case "volatile resets" `Quick test_volatile_resets;
-          Alcotest.test_case "write count" `Quick test_stable_write_count;
-          Alcotest.test_case "crash reruns thunks exactly once" `Quick
-            test_crash_reruns_thunks_once;
-          Alcotest.test_case "multiple volatiles" `Quick test_multiple_volatiles;
         ] );
       ( "local_db",
         [

@@ -360,6 +360,43 @@ let test_system_probe_conservation () =
     Alcotest.(check int) "all samples exported" (Dvp_sim.Probe.length probe)
       (List.length samples)
 
+let test_probe_agrees_with_oracle () =
+  (* The probe's in-flight value is each site's cumulative ledger (sent −
+     received); the oracle replays the stable logs.  Periodic checkpoints
+     truncate those logs, and site 2 crashes and recovers from a truncated
+     one, so the ledgers must have crossed the checkpoints intact. *)
+  let module System = Dvp.System in
+  let sys = System.create ~seed:17 ~link:(Dvp_net.Linkstate.lossy 0.2) ~n:4 () in
+  System.add_item sys ~item:0 ~total:200 ();
+  System.add_item sys ~item:1 ~total:90 ();
+  System.start_periodic_checkpoints sys ~every:0.3;
+  let engine = System.engine sys in
+  for i = 1 to 400 do
+    let op = if i mod 4 = 0 then Dvp.Op.Incr 2 else Dvp.Op.Decr 3 in
+    ignore
+      (Engine.schedule_at engine ~at:(0.01 *. float_of_int i) (fun () ->
+           System.exec sys (Dvp.Txn.write ~site:(i mod 4) [ (i mod 2, op) ]) ~on_done:ignore))
+  done;
+  ignore (Engine.schedule_at engine ~at:1.05 (fun () -> System.crash_site sys 2));
+  ignore (Engine.schedule_at engine ~at:2.05 (fun () -> System.recover_site sys 2));
+  let moving = ref 0 in
+  List.iter
+    (fun at ->
+      System.run_until sys at;
+      let s = System.probe_sample sys in
+      List.iter
+        (fun item ->
+          let oracle = System.in_flight sys ~item in
+          if oracle <> 0 then incr moving;
+          Alcotest.(check int)
+            (Printf.sprintf "in flight, item %d at t=%.2f" item at)
+            oracle
+            (List.assoc item s.System.in_flight))
+        (System.items sys))
+    [ 0.52; 0.97; 1.5; 2.02; 2.13; 2.6; 3.3; 4.71; 8.0 ];
+  Alcotest.(check bool) "some pause saw value in flight" true (!moving > 0);
+  Alcotest.(check bool) "site 2 recovered" true (System.site_up sys 2)
+
 let test_metrics_json_agrees_with_summary () =
   let spec =
     {
@@ -431,6 +468,7 @@ let () =
         [
           Alcotest.test_case "cadence" `Quick test_probe_cadence;
           Alcotest.test_case "system conservation" `Quick test_system_probe_conservation;
+          Alcotest.test_case "agrees with the log oracle" `Quick test_probe_agrees_with_oracle;
         ] );
       ( "metrics",
         [

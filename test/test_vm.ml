@@ -248,7 +248,10 @@ let test_snapshot_roundtrip () =
   drop_all h ~src:0;
   (* Snapshot with two delivered and one outstanding; write it as the only
      log content and recover from it. *)
-  let record = Vm.snapshot h.vms.(0) ~fragments:[ (1, 18); (2, 7) ] ~max_counter:42 in
+  let record =
+    Vm.snapshot h.vms.(0) ~fragments:[ (1, 18); (2, 7) ] ~installed:(Hashtbl.create 1)
+      ~deltas:(Hashtbl.create 1) ~max_counter:42
+  in
   let live_next = Vm.next_seq h.vms.(0) ~dst:1 in
   let live_out = Vm.outstanding_to h.vms.(0) 1 in
   Wal.append h.wals.(0) record;
@@ -260,6 +263,8 @@ let test_snapshot_roundtrip () =
   Alcotest.(check (list (triple int int int)))
     "outbox from snapshot" live_out
     (Vm.outstanding_to h.vms.(0) 1);
+  Alcotest.(check (pair int int)) "sent ledger from snapshot" (7, 3)
+    (Vm.value_sent h.vms.(0) ~item:1, Vm.value_sent h.vms.(0) ~item:2);
   (* The outstanding Vm still gets delivered after recovery. *)
   Engine.run_until h.engine 0.4;
   pump_all h;
@@ -275,6 +280,10 @@ let test_checkpoint_codec () =
         acked = [ (1, 4) ];
         outbox = [ (1, 5, 0, 9, Some (3, 1)); (1, 6, 2, 1, None) ];
         max_counter = 99;
+        installed = [ (0, 40); (3, 5) ];
+        deltas = [ (0, -12); (3, 0) ];
+        sent = [ (0, 25) ];
+        received = [ (0, 7); (3, 2) ];
       }
   in
   Alcotest.(check bool) "roundtrips" true
