@@ -1,7 +1,7 @@
-(* Bechamel micro-benchmarks (M1-M13): the per-operation costs underneath the
+(* Bechamel micro-benchmarks (M1-M14): the per-operation costs underneath the
    experiment tables — forced log appends, the local-commit fast path, event
-   queue operations, lock-table operations, the Π algebra, and a trace
-   emit. *)
+   queue operations, lock-table operations, the Π algebra, a trace emit, and
+   the binary log record codec. *)
 
 open Bechamel
 open Toolkit
@@ -265,6 +265,51 @@ let m13_trace_emit =
          Dvp.Trace.emit tr ~time:1.0 m13_events.(!i);
          i := if !i + 1 = Array.length m13_events then 0 else !i + 1))
 
+(* m14: the binary log record codec — one frame encoded into a reused
+   buffer, and one frame decoded, for the two records a remote-value
+   transfer forces most: the requester's commit and the granter's Vm.  Each
+   record is a prebuilt one-element batch. *)
+let m14_records =
+  [
+    ( "txn-commit",
+      [
+        Dvp.Log_event.Txn_commit
+          { txn = (123_456, 3); actions = [ Dvp.Log_event.Set_fragment { item = 2; value = 98_765 } ] };
+      ] );
+    ( "vm-create",
+      [
+        Dvp.Log_event.Vm_create
+          {
+            dst = 1;
+            seq = 54_321;
+            item = 2;
+            amount = 4;
+            reply_to = Some (123_456, 0);
+            actions = [ Dvp.Log_event.Set_fragment { item = 2; value = 1_000 } ];
+          };
+      ] );
+  ]
+
+let m14_frame rs =
+  let b = Dvp.Log_event.buf () in
+  Dvp.Log_event.add_frames b rs;
+  Dvp.Log_event.contents b
+
+let m14_codec =
+  List.concat_map
+    (fun (name, rs) ->
+      let b = Dvp.Log_event.buf () in
+      let frame = m14_frame rs in
+      [
+        Test.make ~name:("m14-frame-encode-" ^ name)
+          (Staged.stage (fun () ->
+               Dvp.Log_event.clear b;
+               Dvp.Log_event.add_frames b rs));
+        Test.make ~name:("m14-frame-decode-" ^ name)
+          (Staged.stage (fun () -> ignore (Sys.opaque_identity (Dvp.Log_event.read_frames frame))));
+      ])
+    m14_records
+
 let tests =
   [
     m1_wal_append;
@@ -286,6 +331,7 @@ let tests =
     m11_global_tick;
     m13_trace_emit;
   ]
+  @ m14_codec
 
 (* m12: allocation per simulator event, from Gc.allocated_bytes over a loaded
    64-site run.  Not a Bechamel test — the interesting number is bytes/event
@@ -337,6 +383,31 @@ let m13_emit_alloc () =
   ignore (Sys.opaque_identity (Dvp.Trace.create ~capacity:(1 lsl 21) ()));
   Printf.printf "  %-32s %10.3f ms\n" "m13-trace-create-2^21" ((Unix.gettimeofday () -. t0) *. 1e3)
 
+(* m14, the allocation side: minor words per frame encoded into a reused
+   buffer (the codec's promise is zero) and per frame decoded (the record
+   and its list cell). *)
+let m14_codec_alloc () =
+  let n = 1_000_000 in
+  List.iter
+    (fun (name, rs) ->
+      let b = Dvp.Log_event.buf () in
+      let frame = m14_frame rs in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Dvp.Log_event.clear b;
+        Dvp.Log_event.add_frames b rs
+      done;
+      let w1 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Dvp.Log_event.read_frames frame))
+      done;
+      let w2 = Gc.minor_words () in
+      Printf.printf "  %-32s %10.2f words/frame\n" ("m14-encode-words-" ^ name)
+        ((w1 -. w0) /. float_of_int n);
+      Printf.printf "  %-32s %10.2f words/frame\n" ("m14-decode-words-" ^ name)
+        ((w2 -. w1) /. float_of_int n))
+    m14_records
+
 let run ?(quick = false) () =
   print_endline "\nMicro-benchmarks (Bechamel, monotonic clock)";
   print_endline "============================================";
@@ -366,4 +437,5 @@ let run ?(quick = false) () =
         | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
       rows;
     m12_alloc_per_event ();
-    m13_emit_alloc ()
+    m13_emit_alloc ();
+    m14_codec_alloc ()

@@ -1,40 +1,16 @@
 module Wal = Dvp_storage.Wal
 
 let export_site site ~path =
-  let oc = open_out path in
-  let n = ref 0 in
-  (try
-     Wal.iter (Site.wal site) (fun record ->
-         output_string oc (Log_event.encode record);
-         output_char oc '\n';
-         incr n)
-   with e ->
-     close_out oc;
-     raise e);
-  close_out oc;
-  !n
+  let records = Wal.records (Site.wal site) in
+  let b = Log_event.buf () in
+  Log_event.add_frames b records;
+  Out_channel.with_open_bin path (fun oc -> Log_event.output oc b);
+  List.length records
 
 let import_records ~path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> (
-      if String.trim line = "" then go acc
-      else
-        match Log_event.decode line with
-        | Some record -> go (record :: acc)
-        | None -> Error line)
-    | exception End_of_file -> Ok (List.rev acc)
-  in
-  let result = go [] in
-  close_in ic;
-  result
-
-let read_records ~path =
-  match import_records ~path with
-  | Ok records -> Ok records
-  | Error line -> Error (Printf.sprintf "malformed log line: %s" line)
-  | exception Sys_error e -> Error e
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let records, valid = Log_event.read_frames s in
+  if valid = String.length s then Ok records else Error valid
 
 let apply_records site records =
   (* Crash the site (dropping volatile state), swap in the backup as its
@@ -57,16 +33,15 @@ let export_system sys ~dir =
 
 let restore_system sys ~dir =
   (* Two phases, so a bad backup cannot leave the system half-restored:
-     first parse every site file (any missing file or malformed line fails
+     first parse every site file (any missing file or malformed frame fails
      the whole restore before a single site is touched), then apply. *)
   let rec validate i acc =
     if i >= System.n_sites sys then Ok (List.rev acc)
     else
-      match
-        read_records ~path:(Filename.concat dir (Printf.sprintf "site-%d.log" i))
-      with
+      match import_records ~path:(Filename.concat dir (Printf.sprintf "site-%d.log" i)) with
       | Ok records -> validate (i + 1) (records :: acc)
-      | Error e -> Error (Printf.sprintf "site %d: %s" i e)
+      | Error off -> Error (Printf.sprintf "site %d: malformed frame at byte %d" i off)
+      | exception Sys_error e -> Error (Printf.sprintf "site %d: %s" i e)
   in
   match validate 0 [] with
   | Error _ as e -> e

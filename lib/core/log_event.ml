@@ -67,174 +67,263 @@ let pp ppf = function
 let apply_action db (Set_fragment { item; value }) =
   Dvp_storage.Local_db.set_value db ~item value
 
-(* ----------------------------------------------------------------- codec *)
 
-let encode_actions actions =
-  String.concat ","
-    (List.map (fun (Set_fragment { item; value }) -> Printf.sprintf "%d:%d" item value) actions)
+(* ---------------------------------------------------------------- format *)
 
-let decode_actions s =
-  if s = "" then Some []
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | p :: rest -> (
-        match String.split_on_char ':' p with
-        | [ i; v ] -> (
-          match (int_of_string_opt i, int_of_string_opt v) with
-          | Some item, Some value -> go (Set_fragment { item; value } :: acc) rest
-          | _ -> None)
-        | _ -> None)
-    in
-    go [] parts
+(* A frame is [magic "DVPW" | payload length (u32 LE) | FNV-1a hash of the
+   payload (u32 LE) | payload].  A payload is a tag byte (1 Vm_create,
+   2 Vm_accept, 3 Txn_commit, 4 Txn_applied, 5 Ack_progress,
+   6 Vm_channel_reset, 7 Checkpoint) and the record's fields in declaration
+   order.  Every integer, list lengths and the [reply_to] flag included, is
+   a zigzag varint: 7 bits a byte, low group first, the high bit set on
+   every byte but the last, and no zero last byte after the first, so a
+   record has exactly one encoding. *)
 
-let encode_pairs pairs =
-  String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b) pairs)
+(* The [Int32] box is optimised away: neither accessor allocates. *)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
-let decode_pairs s =
-  if s = "" then Some []
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | p :: rest -> (
-        match String.split_on_char ':' p with
-        | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some a, Some b -> go ((a, b) :: acc) rest
-          | _ -> None)
-        | _ -> None)
-    in
-    go [] parts
+let put_u32 bytes off v = Bytes.set_int32_le bytes off (Int32.of_int v)
 
-let encode_reply_to = function Some (c, s) -> Printf.sprintf "%d.%d" c s | None -> "-"
+let magic = get_u32 "DVPW" 0
 
-let decode_reply_to = function
-  | "-" -> Some None
-  | s -> (
-    match String.split_on_char '.' s with
-    | [ c; site ] -> (
-      match (int_of_string_opt c, int_of_string_opt site) with
-      | Some c, Some site -> Some (Some (c, site))
-      | _ -> None)
-    | _ -> None)
+let header_bytes = 12
 
-let encode_outbox entries =
-  String.concat ","
-    (List.map
-       (fun (dst, seq, item, amount, reply_to) ->
-         Printf.sprintf "%d:%d:%d:%d:%s" dst seq item amount (encode_reply_to reply_to))
-       entries)
+(* 32-bit FNV-1a.  Each step is a bijection of the running hash, so a
+   payload that differs from the one hashed in a single byte always fails. *)
+let checksum s off len =
+  let h = ref 0x811C9DC5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
+  done;
+  !h
 
-let decode_outbox s =
-  if s = "" then Some []
-  else
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | p :: rest -> (
-        match String.split_on_char ':' p with
-        | [ dst; seq; item; amount; rt ] -> (
-          match
-            ( int_of_string_opt dst,
-              int_of_string_opt seq,
-              int_of_string_opt item,
-              int_of_string_opt amount,
-              decode_reply_to rt )
-          with
-          | Some dst, Some seq, Some item, Some amount, Some rt ->
-            go ((dst, seq, item, amount, rt) :: acc) rest
-          | _ -> None)
-        | _ -> None)
-    in
-    go [] parts
+(* ---------------------------------------------------------------- encode *)
 
-let encode = function
+type buf = { mutable bytes : Bytes.t; mutable len : int }
+
+let buf () = { bytes = Bytes.create 256; len = 0 }
+
+let clear b = b.len <- 0
+
+let contents b = Bytes.sub_string b.bytes 0 b.len
+
+let output oc b = Stdlib.output oc b.bytes 0 b.len
+
+let reserve b n =
+  if b.len + n > Bytes.length b.bytes then begin
+    let bytes = Bytes.create (max (2 * Bytes.length b.bytes) (b.len + n)) in
+    Bytes.blit b.bytes 0 bytes 0 b.len;
+    b.bytes <- bytes
+  end
+
+let add_byte b v =
+  reserve b 1;
+  Bytes.unsafe_set b.bytes b.len (Char.unsafe_chr v);
+  b.len <- b.len + 1
+
+(* Top-level functions, not closures over [b]: a closure would be the
+   encoder's only allocation. *)
+let rec add_varint b z =
+  if z lsr 7 = 0 then add_byte b z
+  else begin
+    add_byte b (z land 0x7F lor 0x80);
+    add_varint b (z lsr 7)
+  end
+
+let add_int b n = add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+(* Fields go in two at a time, never as a tuple built to be taken apart. *)
+let add_two b x y =
+  add_int b x;
+  add_int b y
+
+let add_pair b (x, y) = add_two b x y
+
+let rec add_items b add = function
+  | [] -> ()
+  | x :: rest ->
+    add b x;
+    add_items b add rest
+
+let add_list b add xs =
+  add_int b (List.length xs);
+  add_items b add xs
+
+let add_action b (Set_fragment { item; value }) = add_two b item value
+
+let add_reply_to b = function
+  | None -> add_int b 0
+  | Some txn ->
+    add_int b 1;
+    add_pair b txn
+
+let add_vm b dst seq item amount reply_to =
+  add_two b dst seq;
+  add_two b item amount;
+  add_reply_to b reply_to
+
+let add_outbox_entry b (dst, seq, item, amount, reply_to) = add_vm b dst seq item amount reply_to
+
+let add_record b = function
   | Vm_create { dst; seq; item; amount; reply_to; actions } ->
-    let r = match reply_to with Some (c, s) -> Printf.sprintf "%d.%d" c s | None -> "-" in
-    Printf.sprintf "C|%d|%d|%d|%d|%s|%s" dst seq item amount r (encode_actions actions)
+    add_byte b 1;
+    add_vm b dst seq item amount reply_to;
+    add_list b add_action actions
   | Vm_accept { peer; seq; item; amount; new_value } ->
-    Printf.sprintf "A|%d|%d|%d|%d|%d" peer seq item amount new_value
-  | Txn_commit { txn = c, s; actions } ->
-    Printf.sprintf "T|%d|%d|%s" c s (encode_actions actions)
-  | Txn_applied { txn = c, s } -> Printf.sprintf "D|%d|%d" c s
-  | Ack_progress { dst; upto } -> Printf.sprintf "K|%d|%d" dst upto
-  | Vm_channel_reset { peer; epoch } -> Printf.sprintf "R|%d|%d" peer epoch
+    add_byte b 2;
+    add_two b peer seq;
+    add_two b item amount;
+    add_int b new_value
+  | Txn_commit { txn; actions } ->
+    add_byte b 3;
+    add_pair b txn;
+    add_list b add_action actions
+  | Txn_applied { txn } ->
+    add_byte b 4;
+    add_pair b txn
+  | Ack_progress { dst; upto } ->
+    add_byte b 5;
+    add_two b dst upto
+  | Vm_channel_reset { peer; epoch } ->
+    add_byte b 6;
+    add_two b peer epoch
   | Checkpoint
       { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
         received } ->
-    Printf.sprintf "P|%s|%s|%s|%s|%s|%d|%s|%s|%s|%s" (encode_pairs fragments)
-      (encode_pairs accepted) (encode_pairs next_seq) (encode_pairs acked)
-      (encode_outbox outbox) max_counter (encode_pairs installed) (encode_pairs deltas)
-      (encode_pairs sent) (encode_pairs received)
+    add_byte b 7;
+    add_list b add_pair fragments;
+    add_list b add_pair accepted;
+    add_list b add_pair next_seq;
+    add_list b add_pair acked;
+    add_list b add_outbox_entry outbox;
+    add_int b max_counter;
+    add_list b add_pair installed;
+    add_list b add_pair deltas;
+    add_list b add_pair sent;
+    add_list b add_pair received
 
-let decode line =
-  match String.split_on_char '|' line with
-  | [ "C"; dst; seq; item; amount; reply_to; actions ] -> (
-    let reply_to_v =
-      if reply_to = "-" then Some None
-      else
-        match String.split_on_char '.' reply_to with
-        | [ c; s ] -> (
-          match (int_of_string_opt c, int_of_string_opt s) with
-          | Some c, Some s -> Some (Some (c, s))
-          | _ -> None)
-        | _ -> None
-    in
-    match
-      ( int_of_string_opt dst,
-        int_of_string_opt seq,
-        int_of_string_opt item,
-        int_of_string_opt amount,
-        reply_to_v,
-        decode_actions actions )
-    with
-    | Some dst, Some seq, Some item, Some amount, Some reply_to, Some actions ->
-      Some (Vm_create { dst; seq; item; amount; reply_to; actions })
-    | _ -> None)
-  | [ "A"; peer; seq; item; amount; new_value ] -> (
-    match
-      ( int_of_string_opt peer,
-        int_of_string_opt seq,
-        int_of_string_opt item,
-        int_of_string_opt amount,
-        int_of_string_opt new_value )
-    with
-    | Some peer, Some seq, Some item, Some amount, Some new_value ->
-      Some (Vm_accept { peer; seq; item; amount; new_value })
-    | _ -> None)
-  | [ "T"; c; s; actions ] -> (
-    match (int_of_string_opt c, int_of_string_opt s, decode_actions actions) with
-    | Some c, Some s, Some actions -> Some (Txn_commit { txn = (c, s); actions })
-    | _ -> None)
-  | [ "D"; c; s ] -> (
-    match (int_of_string_opt c, int_of_string_opt s) with
-    | Some c, Some s -> Some (Txn_applied { txn = (c, s) })
-    | _ -> None)
-  | [ "K"; dst; upto ] -> (
-    match (int_of_string_opt dst, int_of_string_opt upto) with
-    | Some dst, Some upto -> Some (Ack_progress { dst; upto })
-    | _ -> None)
-  | [ "R"; peer; epoch ] -> (
-    match (int_of_string_opt peer, int_of_string_opt epoch) with
-    | Some peer, Some epoch -> Some (Vm_channel_reset { peer; epoch })
-    | _ -> None)
-  | [ "P"; fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
-      received ] ->
-    let ( let* ) = Option.bind in
-    let* fragments = decode_pairs fragments in
-    let* accepted = decode_pairs accepted in
-    let* next_seq = decode_pairs next_seq in
-    let* acked = decode_pairs acked in
-    let* outbox = decode_outbox outbox in
-    let* max_counter = int_of_string_opt max_counter in
-    let* installed = decode_pairs installed in
-    let* deltas = decode_pairs deltas in
-    let* sent = decode_pairs sent in
-    let* received = decode_pairs received in
-    Some
-      (Checkpoint
-         { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
-           received })
-  | _ -> None
+(* Reserve the header, let [write] append the payload, then fill the
+   header in over the payload's byte range. *)
+let add_framed b write x =
+  reserve b header_bytes;
+  let start = b.len in
+  let payload = start + header_bytes in
+  b.len <- payload;
+  write b x;
+  let len = b.len - payload in
+  put_u32 b.bytes start magic;
+  put_u32 b.bytes (start + 4) len;
+  put_u32 b.bytes (start + 8) (checksum (Bytes.unsafe_to_string b.bytes) payload len)
+
+let rec add_frames b = function
+  | [] -> ()
+  | r :: rest ->
+    add_framed b add_record r;
+    add_frames b rest
+
+let add_raw_frame b payload =
+  add_framed b (fun b -> String.iter (fun ch -> add_byte b (Char.code ch))) payload
+
+(* ---------------------------------------------------------------- decode *)
+
+(* Raised only inside [read_frames], which turns it into the end of the
+   valid prefix. *)
+exception Malformed
+
+type cursor = { src : string; mutable pos : int; mutable stop : int }
+
+let get_byte c =
+  if c.pos >= c.stop then raise_notrace Malformed;
+  c.pos <- c.pos + 1;
+  Char.code (String.unsafe_get c.src (c.pos - 1))
+
+(* At most nine bytes; the ninth carries bits 56-62. *)
+let rec get_varint c shift acc =
+  let v = get_byte c in
+  let acc = acc lor ((v land 0x7F) lsl shift) in
+  if v land 0x80 = 0 then if v = 0 && shift > 0 then raise_notrace Malformed else acc
+  else if shift + 7 >= Sys.int_size then raise_notrace Malformed
+  else get_varint c (shift + 7) acc
+
+let get_int c =
+  let z = get_varint c 0 0 in
+  (z lsr 1) lxor -(z land 1)
+
+let get_pair c =
+  let x = get_int c in
+  (x, get_int c)
+
+(* Every element takes at least one byte, so a length beyond the bytes that
+   remain is refused before anything is built. *)
+let get_list c get =
+  let n = get_int c in
+  if n < 0 || n > c.stop - c.pos then raise_notrace Malformed;
+  List.init n (fun _ -> get c)
+
+let get_action c =
+  let item, value = get_pair c in
+  Set_fragment { item; value }
+
+let get_reply_to c =
+  match get_int c with 0 -> None | 1 -> Some (get_pair c) | _ -> raise_notrace Malformed
+
+let get_outbox_entry c =
+  let dst, seq = get_pair c in
+  let item, amount = get_pair c in
+  (dst, seq, item, amount, get_reply_to c)
+
+let get_record c =
+  match get_byte c with
+  | 1 ->
+    let dst, seq, item, amount, reply_to = get_outbox_entry c in
+    Vm_create { dst; seq; item; amount; reply_to; actions = get_list c get_action }
+  | 2 ->
+    let peer, seq = get_pair c in
+    let item, amount = get_pair c in
+    Vm_accept { peer; seq; item; amount; new_value = get_int c }
+  | 3 ->
+    let txn = get_pair c in
+    Txn_commit { txn; actions = get_list c get_action }
+  | 4 -> Txn_applied { txn = get_pair c }
+  | 5 ->
+    let dst, upto = get_pair c in
+    Ack_progress { dst; upto }
+  | 6 ->
+    let peer, epoch = get_pair c in
+    Vm_channel_reset { peer; epoch }
+  | 7 ->
+    let pairs () = get_list c get_pair in
+    let fragments = pairs () in
+    let accepted = pairs () in
+    let next_seq = pairs () in
+    let acked = pairs () in
+    let outbox = get_list c get_outbox_entry in
+    let max_counter = get_int c in
+    let installed = pairs () in
+    let deltas = pairs () in
+    let sent = pairs () in
+    Checkpoint
+      { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
+        received = pairs () }
+  | _ -> raise_notrace Malformed
+
+let read_frames s =
+  let total = String.length s in
+  let c = { src = s; pos = 0; stop = 0 } in
+  let rec scan acc valid =
+    let payload = valid + header_bytes in
+    if payload > total || get_u32 s valid <> magic then (acc, valid)
+    else
+      let len = get_u32 s (valid + 4) in
+      if len > total - payload || checksum s payload len <> get_u32 s (valid + 8) then
+        (acc, valid)
+      else begin
+        c.pos <- payload;
+        c.stop <- payload + len;
+        match get_record c with
+        | r when c.pos = c.stop -> scan (r :: acc) c.stop
+        | _ | (exception Malformed) -> (acc, valid)
+      end
+  in
+  let acc, valid = scan [] 0 in
+  (List.rev acc, valid)

@@ -71,9 +71,43 @@ val pp : Format.formatter -> t -> unit
 val apply_action : Dvp_storage.Local_db.t -> db_action -> unit
 (** Idempotent application of one database action. *)
 
-val encode : t -> string
-(** Compact single-line textual encoding; {!decode} inverts it.  The
-    simulator keeps records typed, but the codec documents that every record
-    is serialisable and is round-trip tested. *)
+(** {1 Binary format}
 
-val decode : string -> t option
+    The one on-disk encoding of a record, shared by {!Backup} and the
+    runtime's file WAL.  A frame is
+
+    {v magic "DVPW" (4) | payload length (4, LE) | FNV-1a of payload (4, LE) | payload v}
+
+    and a payload is a tag byte followed by the record's fields, every
+    integer a zigzag varint and every list length-prefixed.  The format does
+    not depend on OCaml's memory layout: a payload that is not exactly one
+    well-formed record is refused, never misread. *)
+
+type buf
+(** A growable byte buffer that frames are encoded into.  Reused across
+    {!clear}s, it reaches a steady size and then encoding allocates
+    nothing. *)
+
+val buf : unit -> buf
+
+val clear : buf -> unit
+
+val add_frames : buf -> t list -> unit
+(** Append one frame per record, in order. *)
+
+val add_raw_frame : buf -> string -> unit
+(** Append a frame around arbitrary payload bytes, with a correct length and
+    checksum — for fault injection and for tests of foreign payloads. *)
+
+val contents : buf -> string
+
+val output : out_channel -> buf -> unit
+(** Write the buffer's bytes to the channel (no flush). *)
+
+val read_frames : string -> t list * int
+(** [read_frames s] decodes frames from the start of [s] and returns the
+    records of the longest valid prefix, oldest first, with its byte length.
+    A frame ends the prefix if its magic, length or checksum does not check
+    out, or if its payload is not exactly one well-formed record (an unknown
+    tag, a truncated field, a length beyond the bytes that remain, trailing
+    bytes).  Never raises. *)

@@ -316,7 +316,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
           decr sink_budget;
           failwith "injected force-sink fault"
         end;
-        List.iter (Walfile.append oc) recs)
+        Walfile.append_batch oc recs)
   in
   let replayed = ref 0 in
   let wal_oc =

@@ -1,16 +1,18 @@
 (** Framed on-disk WAL mirror: the file format behind [Cluster]'s [wal_dir].
 
-    Each forced {!Dvp_core.Log_event.t} record is one self-delimiting frame:
+    Each forced {!Dvp_core.Log_event.t} record is one self-delimiting
+    {!Dvp_core.Log_event} frame:
 
-    {v magic "DVPW" (4) | payload length (4, LE) | checksum (4, LE) | payload v}
+    {v magic "DVPW" (4) | payload length (4, LE) | FNV-1a of payload (4, LE) | payload v}
 
-    where the payload is the marshalled record and the checksum is
-    [Hashtbl.hash] of the payload bytes.  Framing is what makes hard kills
-    survivable: a reader never feeds garbage to [Marshal] — it stops at the
-    first frame whose magic, length, or checksum does not check out, and
-    reports everything before it as the valid prefix.  A kill (or an injected
-    {!tear}) can only ever cost the unforced suffix, exactly the loss budget
-    the protocol's log-before-send discipline already tolerates.
+    where the payload is the record's binary encoding (a tag byte, then
+    zigzag varints and length-prefixed lists; see {!Dvp_core.Log_event}).
+    Framing is what makes hard kills survivable: a reader stops at the first
+    frame whose magic, length, or checksum does not check out, or whose
+    payload is not exactly one well-formed record, and reports everything
+    before it as the valid prefix.  A kill (or an injected {!tear}) can only
+    ever cost the unforced suffix, exactly the loss budget the protocol's
+    log-before-send discipline already tolerates.
 
     The in-memory {!Dvp_storage.Wal} stays authoritative while a site is up;
     this file is its crash mirror, replayed on respawn. *)
@@ -33,9 +35,14 @@ val create : string -> out_channel
 val open_append : string -> out_channel
 (** Open for appending (respawned site, after {!truncate}). *)
 
+val append_batch : out_channel -> Dvp_core.Log_event.t list -> unit
+(** Write one frame per record with a single [output] and [flush] — one
+    [write] for a whole WAL force.  Called from the WAL force sink, so every
+    frame on disk corresponds to a forced record.  Encoding reuses a
+    per-domain buffer and allocates nothing once it has grown. *)
+
 val append : out_channel -> Dvp_core.Log_event.t -> unit
-(** Write one frame and flush — called from the WAL force sink, so every
-    frame on disk corresponds to a forced record. *)
+(** [append oc r] is [append_batch oc [r]]: write one frame and flush. *)
 
 type read_result = {
   records : Dvp_core.Log_event.t list;  (** valid prefix, oldest first *)
@@ -45,14 +52,15 @@ type read_result = {
 }
 
 val read : string -> read_result
-(** Scan the whole file.  Never raises on malformed content — a bad frame
-    just ends the valid prefix.  A missing file reads as empty. *)
+(** Read the whole file in one call and scan its frames in place.  Never
+    raises on malformed content — a bad frame just ends the valid prefix.
+    A missing file reads as empty. *)
 
 val truncate : string -> int -> unit
 (** Cut the file to the given byte length — how a respawn repairs a torn
     tail before reopening the file for append. *)
 
 val tear : string -> junk:int -> unit
-(** Fault injection: append a frame header claiming a payload that is not
-    there, followed by [junk] garbage bytes — the on-disk image of a write
-    torn mid-frame by a crash. *)
+(** Fault injection: append a frame cut short, its header claiming more
+    payload than the [junk] bytes that follow it — the on-disk image of a
+    write torn mid-frame by a crash. *)

@@ -13,6 +13,15 @@ cd "$(dirname "$0")/.."
 echo "== dune build @runtest =="
 dune build @runtest
 
+# One record format, owned by lib/core/log_event.ml: nothing under lib/ may
+# fall back to Marshal, whose bytes follow the OCaml type layout, so a file
+# written by another build would be misread instead of refused.
+echo "== no Marshal under lib/ =="
+if grep -rn Marshal lib; then
+  echo "Marshal is used under lib/; encode log records with Log_event" >&2
+  exit 1
+fi
+
 # @fmt needs the ocamlformat binary, which not every environment carries.
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

@@ -98,39 +98,42 @@ let test_op_delta () =
 
 let log_event_gen =
   let open QCheck.Gen in
-  let action = map2 (fun i v -> Log_event.Set_fragment { item = i; value = v }) (int_bound 20) (int_bound 1000) in
+  (* Small values, negatives, the extremes and the full width, so every
+     varint length and both zigzag signs are exercised. *)
+  let num =
+    frequency
+      [
+        (4, int_bound 1000);
+        (2, int_range (-1000) (-1));
+        (1, oneofl [ 0; -1; min_int; max_int; min_int + 1; max_int - 1 ]);
+        (2, int);
+      ]
+  in
+  let action = map2 (fun item value -> Log_event.Set_fragment { item; value }) num num in
   let actions = list_size (int_range 0 4) action in
-  let ts = map2 (fun c s -> (c, s)) (int_bound 10_000) (int_bound 31) in
+  let ts = pair num num in
+  let pair_list = list_size (int_range 0 4) (pair num num) in
   frequency
     [
       ( 3,
         map2
           (fun (dst, seq, item, amount) (reply_to, actions) ->
             Log_event.Vm_create { dst; seq; item; amount; reply_to; actions })
-          (quad (int_bound 31) (int_bound 500) (int_bound 20) (int_bound 100))
-          (pair (opt ts) actions) );
+          (quad num num num num) (pair (opt ts) actions) );
       ( 3,
         map2
           (fun (peer, seq, item) (amount, new_value) ->
             Log_event.Vm_accept { peer; seq; item; amount; new_value })
-          (triple (int_bound 31) (int_bound 500) (int_bound 20))
-          (pair (int_bound 100) (int_bound 1000)) );
+          (triple num num num) (pair num num) );
       (3, map2 (fun txn actions -> Log_event.Txn_commit { txn; actions }) ts actions);
       (1, map (fun txn -> Log_event.Txn_applied { txn }) ts);
+      (1, map2 (fun dst upto -> Log_event.Ack_progress { dst; upto }) num num);
+      (1, map2 (fun peer epoch -> Log_event.Vm_channel_reset { peer; epoch }) num num);
       ( 1,
-        map2 (fun dst upto -> Log_event.Ack_progress { dst; upto }) (int_bound 31)
-          (int_bound 500) );
-      ( 1,
-        let pair_list = list_size (int_range 0 4) (pair (int_bound 31) (int_bound 500)) in
         let outbox_entry =
           map2
             (fun (dst, seq, item) (amount, rt) -> (dst, seq, item, amount, rt))
-            (triple (int_bound 31) (int_bound 500) (int_bound 20))
-            (pair (int_bound 100) (opt ts))
-        in
-        (* Committed deltas can be negative; the other ledgers cannot. *)
-        let delta_list =
-          list_size (int_range 0 4) (pair (int_bound 20) (int_range (-500) 500))
+            (triple num num num) (pair num (opt ts))
         in
         map3
           (fun (fragments, accepted, next_seq) (acked, outbox, max_counter)
@@ -139,19 +142,107 @@ let log_event_gen =
               { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas;
                 sent; received })
           (triple pair_list pair_list pair_list)
-          (triple pair_list (list_size (int_range 0 3) outbox_entry) (int_bound 10_000))
-          (triple pair_list delta_list (pair pair_list pair_list)) );
+          (triple pair_list (list_size (int_range 0 3) outbox_entry) num)
+          (triple pair_list pair_list (pair pair_list pair_list)) );
     ]
+
+let frames records =
+  let b = Log_event.buf () in
+  Log_event.add_frames b records;
+  Log_event.contents b
+
+let raw_frame payload =
+  let b = Log_event.buf () in
+  Log_event.add_raw_frame b payload;
+  Log_event.contents b
 
 let prop_log_codec_roundtrip =
   QCheck.Test.make ~name:"log record codec round-trips" ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Log_event.pp) log_event_gen)
-    (fun record -> Log_event.decode (Log_event.encode record) = Some record)
+    (fun record ->
+      let s = frames [ record ] in
+      Log_event.read_frames s = ([ record ], String.length s))
+
+let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
+
+(* A damaged stream reads as exactly the frames before the first damaged
+   byte.  [ends] are the byte offsets where the original frames end. *)
+let reads_prefix_before ~records ~ends s ~damaged =
+  let kept = List.length (List.filter (fun e -> e <= damaged) ends) in
+  let prefix_bytes = if kept = 0 then 0 else List.nth ends (kept - 1) in
+  Log_event.read_frames s = (take kept records, prefix_bytes)
+
+let prop_log_frames_fuzz =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 1 6) log_event_gen)
+        (pair nat (int_bound 7))
+        (pair nat (string_size ~gen:char (int_range 1 16)))
+        (string_size ~gen:char (int_range 0 64)))
+  in
+  QCheck.Test.make ~name:"damaged frame streams read as a prefix" ~count:300
+    (QCheck.make gen)
+    (fun (records, (flip_at, bit), (splice_at, junk), random) ->
+      let s = frames records in
+      let total = String.length s in
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (off, acc) r ->
+                  let off = off + String.length (frames [ r ]) in
+                  (off, off :: acc))
+                (0, []) records))
+      in
+      let is_prefix (got, valid) =
+        got = take (List.length got) records && 0 <= valid && valid <= total
+      in
+      (* Truncation at every byte offset. *)
+      let truncations_ok =
+        List.for_all
+          (fun k -> reads_prefix_before ~records ~ends (String.sub s 0 k) ~damaged:k)
+          (List.init (total + 1) Fun.id)
+      in
+      (* One bit flipped anywhere. *)
+      let flip_at = flip_at mod total in
+      let flipped = Bytes.of_string s in
+      Bytes.set flipped flip_at
+        (Char.chr (Char.code s.[flip_at] lxor (1 lsl bit)));
+      let flip_ok =
+        reads_prefix_before ~records ~ends (Bytes.to_string flipped) ~damaged:flip_at
+      in
+      (* Random bytes over a stretch of the stream, and instead of it. *)
+      let splice_at = splice_at mod total in
+      let spliced = Bytes.of_string s in
+      Bytes.blit_string junk 0 spliced splice_at (min (String.length junk) (total - splice_at));
+      let spliced = Bytes.to_string spliced in
+      let first_diff =
+        let rec go i = if i >= total || spliced.[i] <> s.[i] then i else go (i + 1) in
+        go 0
+      in
+      let splice_ok = reads_prefix_before ~records ~ends spliced ~damaged:first_diff in
+      truncations_ok && flip_ok && splice_ok && is_prefix (Log_event.read_frames random))
 
 let test_log_decode_garbage () =
-  Alcotest.(check bool) "garbage" true (Log_event.decode "nonsense" = None);
-  Alcotest.(check bool) "wrong arity" true (Log_event.decode "T|1" = None);
-  Alcotest.(check bool) "bad int" true (Log_event.decode "D|x|1" = None)
+  let good = frames [ Log_event.Txn_applied { txn = (1, 0) } ] in
+  let refused what s =
+    Alcotest.(check int) what 0 (snd (Log_event.read_frames s));
+    Alcotest.(check int) (what ^ " after a good frame") (String.length good)
+      (snd (Log_event.read_frames (good ^ s ^ good)))
+  in
+  refused "not a frame" "nonsense";
+  refused "empty payload" (raw_frame "");
+  refused "unknown tag" (raw_frame "\xff\x02\x00");
+  refused "trailing byte after a record" (raw_frame "\x04\x02\x00\x00");
+  refused "truncated field" (raw_frame "\x04\x02");
+  refused "list longer than the payload" (raw_frame "\x03\x02\x00\x7e\x00");
+  refused "negative list length" (raw_frame "\x03\x02\x00\x01");
+  refused "reply_to flag out of range" (raw_frame "\x01\x00\x00\x00\x00\x04\x00");
+  refused "non-canonical varint" (raw_frame "\x04\x82\x00\x00");
+  refused "varint past 63 bits"
+    (raw_frame ("\x05" ^ String.make 9 '\xff' ^ "\x01\x00"));
+  Alcotest.(check int) "nothing at all" 0 (snd (Log_event.read_frames ""))
 
 (* ------------------------------------------------------------ Lock_table *)
 
@@ -745,7 +836,7 @@ let test_all_sites_fail_one_recovers () =
 
 let test_codec_roundtrips_real_logs () =
   (* Serialise an actual site log (including Vm records and a checkpoint)
-     through the textual codec and back. *)
+     through the binary codec and back. *)
   let sys = mk_system ~seed:66 () in
   submit sys ~site:1 ~ops:[ (0, Op.Decr 40) ] ~on_done:quiet;
   System.run_until sys 2.0;
@@ -757,11 +848,9 @@ let test_codec_roundtrips_real_logs () =
     Alcotest.(check bool)
       (Printf.sprintf "site %d log has content" i)
       true (records <> []);
-    List.iter
-      (fun r ->
-        Alcotest.(check bool) "round-trips" true
-          (Log_event.decode (Log_event.encode r) = Some r))
-      records
+    let s = frames records in
+    Alcotest.(check bool) "round-trips" true
+      (Log_event.read_frames s = (records, String.length s))
   done
 
 let test_checkpoint_shrinks_log_and_recovers () =
@@ -1281,11 +1370,15 @@ let test_backup_restores_outstanding_vm () =
 
 let test_backup_rejects_garbage () =
   let path = Filename.temp_file "dvp" ".log" in
-  let oc = open_out path in
-  output_string oc "T|1|0|0:99\nthis is not a log record\n";
-  close_out oc;
+  let good =
+    frames
+      [ Log_event.Txn_commit { txn = (1, 0); actions = [ Set_fragment { item = 0; value = 99 } ] } ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc good;
+      output_string oc "this is not a log record\n");
   (match Backup.import_records ~path with
-  | Error line -> Alcotest.(check string) "names the bad line" "this is not a log record" line
+  | Error off -> Alcotest.(check int) "names the bad offset" (String.length good) off
   | Ok _ -> Alcotest.fail "garbage accepted");
   Sys.remove path
 
@@ -1301,8 +1394,8 @@ let test_restore_system_atomic_on_corrupt_file () =
   (* Corrupt the LAST site's file, so a non-atomic restore would already
      have clobbered sites 0..2 by the time it notices. *)
   let bad = Filename.concat dir "site-3.log" in
-  let oc = open_out_gen [ Open_append ] 0o644 bad in
-  output_string oc "garbage record\n";
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 bad in
+  output_string oc "\x00\xffjunk";
   close_out oc;
   let sys2 = mk_system ~seed:100 ~items:[ (0, 100) ] () in
   submit sys2 ~site:2 ~ops:[ (0, Op.Incr 5) ] ~on_done:quiet;
@@ -1682,6 +1775,7 @@ let () =
       ( "log_event",
         [
           QCheck_alcotest.to_alcotest prop_log_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_log_frames_fuzz;
           Alcotest.test_case "decode garbage" `Quick test_log_decode_garbage;
         ] );
       ( "lock_table",

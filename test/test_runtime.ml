@@ -112,6 +112,54 @@ let test_walfile_torn_tail () =
     (List.length r2.Walfile.records);
   Walfile.remove_dir dir
 
+let test_walfile_batch () =
+  (* One batch write is byte-for-byte the per-record appends. *)
+  let dir = Walfile.temp_dir "test-runtime" in
+  let one = Walfile.path ~dir ~site:0 and batch = Walfile.path ~dir ~site:1 in
+  let oc = Walfile.create one in
+  List.iter (Walfile.append oc) sample_records;
+  close_out oc;
+  let oc = Walfile.create batch in
+  Walfile.append_batch oc sample_records;
+  Walfile.append_batch oc [];
+  close_out oc;
+  let bytes path = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "same bytes" (bytes one) (bytes batch);
+  Alcotest.(check bool) "batch reads back" true
+    ((Walfile.read batch).Walfile.records = sample_records);
+  Walfile.remove_dir dir
+
+let test_walfile_foreign_payload () =
+  (* A frame whose checksum passes but whose payload is not exactly one
+     record (an unknown tag, trailing bytes, another program's encoding)
+     ends the valid prefix; nothing after it is read. *)
+  let foreign =
+    [
+      "\xff\x02\x00";
+      "\x04\x02\x00\x00";
+      "";
+      Marshal.to_string (List.hd sample_records) [];
+    ]
+  in
+  List.iteri
+    (fun i payload ->
+      let dir = Walfile.temp_dir "test-runtime" in
+      let path = Walfile.path ~dir ~site:i in
+      let oc = Walfile.create path in
+      Walfile.append_batch oc sample_records;
+      let prefix = pos_out oc in
+      let b = Log_event.buf () in
+      Log_event.add_raw_frame b payload;
+      Log_event.output oc b;
+      Walfile.append oc (Log_event.Txn_applied { txn = (1, 0) });
+      close_out oc;
+      let r = Walfile.read path in
+      Alcotest.(check bool) "foreign frame tears the file" true r.Walfile.torn;
+      Alcotest.(check bool) "records before it kept" true (r.Walfile.records = sample_records);
+      Alcotest.(check int) "valid prefix ends before it" prefix r.Walfile.valid_bytes;
+      Walfile.remove_dir dir)
+    foreign
+
 let test_walfile_missing () =
   let r = Walfile.read "/nonexistent/never/site-0.wal" in
   Alcotest.(check bool) "missing file reads as empty, not torn" true
@@ -282,6 +330,8 @@ let () =
           Alcotest.test_case "torn tail detected and repaired" `Quick
             test_walfile_torn_tail;
           Alcotest.test_case "missing file is empty" `Quick test_walfile_missing;
+          Alcotest.test_case "batch append writes the same frames" `Quick test_walfile_batch;
+          Alcotest.test_case "foreign payload is refused" `Quick test_walfile_foreign_payload;
         ] );
       ( "fault",
         [
