@@ -1,7 +1,7 @@
-(* Bechamel micro-benchmarks (M1-M14): the per-operation costs underneath the
+(* Bechamel micro-benchmarks (M1-M15): the per-operation costs underneath the
    experiment tables — forced log appends, the local-commit fast path, event
-   queue operations, lock-table operations, the Π algebra, a trace emit, and
-   the binary log record codec. *)
+   queue operations, lock-table operations, the Π algebra, a trace emit, the
+   binary log record codec, and what a local commit leaves for the GC. *)
 
 open Bechamel
 open Toolkit
@@ -408,6 +408,29 @@ let m14_codec_alloc () =
         ((w2 -. w1) /. float_of_int n))
     m14_records
 
+(* m15: wall ns and promoted words per DES local commit, over 200k commits
+   at one site.  A commit's log records go into the stable log's byte
+   segments, so a minor GC finds nothing of them to promote; a boxed stable
+   region promoted about 20 words per commit. *)
+let m15_local_commit_gc () =
+  let sys = Dvp.System.create ~seed:1 ~n:1 () in
+  Dvp.System.add_item sys ~item:0 ~total:1000 ();
+  let commit () =
+    Dvp.System.exec sys (Dvp.Txn.write ~site:0 [ (0, Dvp.Op.Incr 1) ]) ~on_done:ignore
+  in
+  for _ = 1 to 1_000 do
+    commit ()
+  done;
+  Gc.full_major ();
+  let n = 200_000 in
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words and t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    commit ()
+  done;
+  let t1 = Unix.gettimeofday () and p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  Printf.printf "  %-32s %10.1f ns/commit\n" "m15-des-local-commit" ((t1 -. t0) *. 1e9 /. float_of_int n);
+  Printf.printf "  %-32s %10.2f words/commit\n" "m15-promoted-words" ((p1 -. p0) /. float_of_int n)
+
 let run ?(quick = false) () =
   print_endline "\nMicro-benchmarks (Bechamel, monotonic clock)";
   print_endline "============================================";
@@ -438,4 +461,5 @@ let run ?(quick = false) () =
       rows;
     m12_alloc_per_event ();
     m13_emit_alloc ();
-    m14_codec_alloc ()
+    m14_codec_alloc ();
+    m15_local_commit_gc ()

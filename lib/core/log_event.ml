@@ -68,69 +68,31 @@ let apply_action db (Set_fragment { item; value }) =
   Dvp_storage.Local_db.set_value db ~item value
 
 
-(* ---------------------------------------------------------------- format *)
+(* ---------------------------------------------------------------- payload *)
 
-(* A frame is [magic "DVPW" | payload length (u32 LE) | FNV-1a hash of the
-   payload (u32 LE) | payload].  A payload is a tag byte (1 Vm_create,
+(* The frame around a payload (magic, length, checksum) and the varint
+   are [Dvp_storage.Frame]'s.  A payload is a tag byte (1 Vm_create,
    2 Vm_accept, 3 Txn_commit, 4 Txn_applied, 5 Ack_progress,
    6 Vm_channel_reset, 7 Checkpoint) and the record's fields in declaration
    order.  Every integer, list lengths and the [reply_to] flag included, is
-   a zigzag varint: 7 bits a byte, low group first, the high bit set on
-   every byte but the last, and no zero last byte after the first, so a
-   record has exactly one encoding. *)
+   zigzag-mapped (0, -1, 1, -2, ... to 0, 1, 2, 3, ...) and written as a
+   varint, so a record has exactly one encoding. *)
 
-(* The [Int32] box is optimised away: neither accessor allocates. *)
-let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
+module Frame = Dvp_storage.Frame
 
-let put_u32 bytes off v = Bytes.set_int32_le bytes off (Int32.of_int v)
+type buf = Frame.buf
 
-let magic = get_u32 "DVPW" 0
+let buf = Frame.buf
 
-let header_bytes = 12
+let clear = Frame.clear
 
-(* 32-bit FNV-1a.  Each step is a bijection of the running hash, so a
-   payload that differs from the one hashed in a single byte always fails. *)
-let checksum s off len =
-  let h = ref 0x811C9DC5 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
-  done;
-  !h
+let contents = Frame.contents
+
+let output = Frame.output
 
 (* ---------------------------------------------------------------- encode *)
 
-type buf = { mutable bytes : Bytes.t; mutable len : int }
-
-let buf () = { bytes = Bytes.create 256; len = 0 }
-
-let clear b = b.len <- 0
-
-let contents b = Bytes.sub_string b.bytes 0 b.len
-
-let output oc b = Stdlib.output oc b.bytes 0 b.len
-
-let reserve b n =
-  if b.len + n > Bytes.length b.bytes then begin
-    let bytes = Bytes.create (max (2 * Bytes.length b.bytes) (b.len + n)) in
-    Bytes.blit b.bytes 0 bytes 0 b.len;
-    b.bytes <- bytes
-  end
-
-let add_byte b v =
-  reserve b 1;
-  Bytes.unsafe_set b.bytes b.len (Char.unsafe_chr v);
-  b.len <- b.len + 1
-
-(* Top-level functions, not closures over [b]: a closure would be the
-   encoder's only allocation. *)
-let rec add_varint b z =
-  if z lsr 7 = 0 then add_byte b z
-  else begin
-    add_byte b (z land 0x7F lor 0x80);
-    add_varint b (z lsr 7)
-  end
-
-let add_int b n = add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+let add_int b n = Frame.add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
 (* Fields go in two at a time, never as a tuple built to be taken apart. *)
 let add_two b x y =
@@ -166,31 +128,31 @@ let add_outbox_entry b (dst, seq, item, amount, reply_to) = add_vm b dst seq ite
 
 let add_record b = function
   | Vm_create { dst; seq; item; amount; reply_to; actions } ->
-    add_byte b 1;
+    Frame.add_byte b 1;
     add_vm b dst seq item amount reply_to;
     add_list b add_action actions
   | Vm_accept { peer; seq; item; amount; new_value } ->
-    add_byte b 2;
+    Frame.add_byte b 2;
     add_two b peer seq;
     add_two b item amount;
     add_int b new_value
   | Txn_commit { txn; actions } ->
-    add_byte b 3;
+    Frame.add_byte b 3;
     add_pair b txn;
     add_list b add_action actions
   | Txn_applied { txn } ->
-    add_byte b 4;
+    Frame.add_byte b 4;
     add_pair b txn
   | Ack_progress { dst; upto } ->
-    add_byte b 5;
+    Frame.add_byte b 5;
     add_two b dst upto
   | Vm_channel_reset { peer; epoch } ->
-    add_byte b 6;
+    Frame.add_byte b 6;
     add_two b peer epoch
   | Checkpoint
       { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
         received } ->
-    add_byte b 7;
+    Frame.add_byte b 7;
     add_list b add_pair fragments;
     add_list b add_pair accepted;
     add_list b add_pair next_seq;
@@ -202,51 +164,10 @@ let add_record b = function
     add_list b add_pair sent;
     add_list b add_pair received
 
-(* Reserve the header, let [write] append the payload, then fill the
-   header in over the payload's byte range. *)
-let add_framed b write x =
-  reserve b header_bytes;
-  let start = b.len in
-  let payload = start + header_bytes in
-  b.len <- payload;
-  write b x;
-  let len = b.len - payload in
-  put_u32 b.bytes start magic;
-  put_u32 b.bytes (start + 4) len;
-  put_u32 b.bytes (start + 8) (checksum (Bytes.unsafe_to_string b.bytes) payload len)
-
-let rec add_frames b = function
-  | [] -> ()
-  | r :: rest ->
-    add_framed b add_record r;
-    add_frames b rest
-
-let add_raw_frame b payload =
-  add_framed b (fun b -> String.iter (fun ch -> add_byte b (Char.code ch))) payload
-
 (* ---------------------------------------------------------------- decode *)
 
-(* Raised only inside [read_frames], which turns it into the end of the
-   valid prefix. *)
-exception Malformed
-
-type cursor = { src : string; mutable pos : int; mutable stop : int }
-
-let get_byte c =
-  if c.pos >= c.stop then raise_notrace Malformed;
-  c.pos <- c.pos + 1;
-  Char.code (String.unsafe_get c.src (c.pos - 1))
-
-(* At most nine bytes; the ninth carries bits 56-62. *)
-let rec get_varint c shift acc =
-  let v = get_byte c in
-  let acc = acc lor ((v land 0x7F) lsl shift) in
-  if v land 0x80 = 0 then if v = 0 && shift > 0 then raise_notrace Malformed else acc
-  else if shift + 7 >= Sys.int_size then raise_notrace Malformed
-  else get_varint c (shift + 7) acc
-
 let get_int c =
-  let z = get_varint c 0 0 in
+  let z = Frame.get_varint c in
   (z lsr 1) lxor -(z land 1)
 
 let get_pair c =
@@ -257,7 +178,7 @@ let get_pair c =
    remain is refused before anything is built. *)
 let get_list c get =
   let n = get_int c in
-  if n < 0 || n > c.stop - c.pos then raise_notrace Malformed;
+  if n < 0 || n > Frame.remaining c then raise_notrace Frame.Malformed;
   List.init n (fun _ -> get c)
 
 let get_action c =
@@ -265,7 +186,7 @@ let get_action c =
   Set_fragment { item; value }
 
 let get_reply_to c =
-  match get_int c with 0 -> None | 1 -> Some (get_pair c) | _ -> raise_notrace Malformed
+  match get_int c with 0 -> None | 1 -> Some (get_pair c) | _ -> raise_notrace Frame.Malformed
 
 let get_outbox_entry c =
   let dst, seq = get_pair c in
@@ -273,7 +194,7 @@ let get_outbox_entry c =
   (dst, seq, item, amount, get_reply_to c)
 
 let get_record c =
-  match get_byte c with
+  match Frame.get_byte c with
   | 1 ->
     let dst, seq, item, amount, reply_to = get_outbox_entry c in
     Vm_create { dst; seq; item; amount; reply_to; actions = get_list c get_action }
@@ -305,25 +226,16 @@ let get_record c =
     Checkpoint
       { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
         received = pairs () }
-  | _ -> raise_notrace Malformed
+  | _ -> raise_notrace Frame.Malformed
 
-let read_frames s =
-  let total = String.length s in
-  let c = { src = s; pos = 0; stop = 0 } in
-  let rec scan acc valid =
-    let payload = valid + header_bytes in
-    if payload > total || get_u32 s valid <> magic then (acc, valid)
-    else
-      let len = get_u32 s (valid + 4) in
-      if len > total - payload || checksum s payload len <> get_u32 s (valid + 8) then
-        (acc, valid)
-      else begin
-        c.pos <- payload;
-        c.stop <- payload + len;
-        match get_record c with
-        | r when c.pos = c.stop -> scan (r :: acc) c.stop
-        | _ | (exception Malformed) -> (acc, valid)
-      end
-  in
-  let acc, valid = scan [] 0 in
-  (List.rev acc, valid)
+let codec = { Frame.encode = add_record; decode = get_record }
+
+let rec add_frames b = function
+  | [] -> ()
+  | r :: rest ->
+    Frame.add_frame b codec r;
+    add_frames b rest
+
+let add_raw_frame = Frame.add_raw_frame
+
+let read_frames s = Frame.read codec s

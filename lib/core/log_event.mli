@@ -73,15 +73,17 @@ val apply_action : Dvp_storage.Local_db.t -> db_action -> unit
 
 (** {1 Binary format}
 
-    The one on-disk encoding of a record, shared by {!Backup} and the
-    runtime's file WAL.  A frame is
+    The one on-disk encoding of a record, shared by every site's in-memory
+    stable log ({!Dvp_storage.Wal}), {!Backup} and the runtime's file WAL.
+    Each record is one {!Dvp_storage.Frame} frame (magic, length, FNV-1a
+    checksum); this module owns only the payload inside it: a tag byte
+    followed by the record's fields, every integer a zigzag varint and every
+    list length-prefixed.  The format does not depend on OCaml's memory
+    layout: a payload that is not exactly one well-formed record is refused,
+    never misread. *)
 
-    {v magic "DVPW" (4) | payload length (4, LE) | FNV-1a of payload (4, LE) | payload v}
-
-    and a payload is a tag byte followed by the record's fields, every
-    integer a zigzag varint and every list length-prefixed.  The format does
-    not depend on OCaml's memory layout: a payload that is not exactly one
-    well-formed record is refused, never misread. *)
+val codec : t Dvp_storage.Frame.codec
+(** The payload codec; [Site] hands it to its log. *)
 
 type buf
 (** A growable byte buffer that frames are encoded into.  Reused across

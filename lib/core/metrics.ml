@@ -43,7 +43,6 @@ type t = {
   mutable aborted : int;
   reasons : (abort_reason, int) Hashtbl.t;
   latencies : Dstats.Sample.s;
-  lock_holds : Dstats.Sample.s;
   mutable max_lock_hold : float;
   mutable max_blocked : float;
   mutable total_blocked : float;
@@ -77,7 +76,6 @@ let create () =
     aborted = 0;
     reasons = Hashtbl.create 8;
     latencies = Dstats.Sample.create ();
-    lock_holds = Dstats.Sample.create ();
     max_lock_hold = 0.0;
     max_blocked = 0.0;
     total_blocked = 0.0;
@@ -115,9 +113,7 @@ let txn_aborted t ~reason ~latency =
   let cur = Option.value ~default:0 (Hashtbl.find_opt t.reasons reason) in
   Hashtbl.replace t.reasons reason (cur + 1)
 
-let lock_held t d =
-  Dstats.Sample.add t.lock_holds d;
-  if d > t.max_lock_hold then t.max_lock_hold <- d
+let lock_held t d = if d > t.max_lock_hold then t.max_lock_hold <- d
 
 let blocked_episode t d =
   t.blocked_episodes <- t.blocked_episodes + 1;
@@ -246,8 +242,6 @@ let merge a b =
     all_abort_reasons;
   Array.iter (Dstats.Sample.add t.latencies) (Dstats.Sample.to_array a.latencies);
   Array.iter (Dstats.Sample.add t.latencies) (Dstats.Sample.to_array b.latencies);
-  Array.iter (Dstats.Sample.add t.lock_holds) (Dstats.Sample.to_array a.lock_holds);
-  Array.iter (Dstats.Sample.add t.lock_holds) (Dstats.Sample.to_array b.lock_holds);
   t.max_lock_hold <- Float.max a.max_lock_hold b.max_lock_hold;
   t.max_blocked <- Float.max a.max_blocked b.max_blocked;
   t.total_blocked <- a.total_blocked +. b.total_blocked;

@@ -40,7 +40,8 @@ val txn_committed : t -> latency:float -> unit
 val txn_aborted : t -> reason:abort_reason -> latency:float -> unit
 
 val lock_held : t -> float -> unit
-(** Duration between a transaction's lock acquisition and release. *)
+(** Duration between a transaction's lock acquisition and release; only
+    the maximum ({!max_lock_hold}) is kept. *)
 
 val blocked_episode : t -> float -> unit
 (** Duration a baseline participant spent holding locks while unable to

@@ -868,7 +868,7 @@ let create sub ~self ~n ~send ~config ~rng ?trace () =
       cfg = config;
       rng;
       trace;
-      wal = Wal.create ();
+      wal = Wal.create ~codec:Log_event.codec ();
       db = Db.create ();
       locks = Lock_table.create ();
       clock = Ids.Clock.create self;

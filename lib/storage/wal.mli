@@ -14,20 +14,35 @@
     record to stable storage" steps.  Tests inject crashes between append and
     force to check that the protocols only depend on forced records.
 
+    {2 Codec logs}
+
+    A log created with a codec keeps its stable region as {!Frame} frames in
+    a list of byte segments.  A force encodes each record straight into the
+    open segment; a full segment is sealed, never copied, and the next is
+    opened at twice the capacity (1 KB first, at most 64 KB, more only for
+    a record that would not fit).  The GC never
+    scans the segments, so a forced record leaves nothing behind for it to
+    promote.  Readers decode frame by frame, in place.  A log without a
+    codec keeps boxed records in an array; the contract below holds for
+    both, and lengths and indices always count records, not bytes.
+
     {2 Storage faults}
 
-    Every stable record carries a checksum.  A {!fault} armed with
+    Every stable record carries a checksum: the frame's FNV-1a in a codec
+    log, [Hashtbl.hash] of the record in a boxed one.  A {!fault} armed with
     {!inject_fault} fires at the next {!crash} and models a flush interrupted
-    mid-write: a prefix of the {e unforced} buffer reaches stable storage with
-    the last written record corrupt.  Records that were already forced are
-    never at risk — that durability is the contract the protocols buy with
-    each force.  Readers ({!records}, {!iter}, {!fold}) stop at the first bad
-    checksum, so replay never sees garbage; {!repair} truncates the corrupt
-    tail physically so the log can grow again after recovery. *)
+    mid-write: a prefix of the {e unforced} buffer reaches stable storage
+    with the stored checksum of its last record corrupted.  Records that
+    were already forced are never at risk — that durability is the contract
+    the protocols buy with each force.  Readers ({!records}, {!iter},
+    {!fold}) stop at the first bad checksum, so replay never sees garbage;
+    {!repair} truncates the corrupt tail physically so the log can grow
+    again after recovery. *)
 
 type 'r t
 
-val create : unit -> 'r t
+val create : ?codec:'r Frame.codec -> unit -> 'r t
+(** A fresh, empty log; with [codec], a codec log (see above). *)
 
 val append : ?forced:bool -> 'r t -> 'r -> unit
 (** Append a record.  With [forced = true] (default) the record and any
@@ -117,7 +132,10 @@ val appended : 'r t -> int
 (** Total records ever appended (including any later lost to crashes). *)
 
 val iter : 'r t -> ('r -> unit) -> unit
-(** Iterate stable records oldest-first (valid prefix only). *)
+(** Iterate stable records oldest-first (valid prefix only).  A codec log
+    decodes each record as the walk reaches it; {!iter}, {!fold} and
+    {!iter_from} never build the log as a list or a string, only {!records}
+    does. *)
 
 val fold : 'r t -> init:'a -> f:('a -> 'r -> 'a) -> 'a
 
@@ -139,4 +157,6 @@ val version : 'r t -> int
 
 val truncate_before : 'r t -> keep_from:int -> unit
 (** Checkpointing support: drop stable records with index < [keep_from].
-    Subsequent {!records} still yields oldest-first with original order. *)
+    Subsequent {!records} still yields oldest-first with original order.  A
+    codec log drops whole frames and releases the segments that held only
+    dropped ones. *)

@@ -77,7 +77,7 @@ module Sample = struct
   let ensure_sorted s =
     if not s.sorted then begin
       let sub = Array.sub s.data 0 s.len in
-      Array.sort compare sub;
+      Array.sort Float.compare sub;
       Array.blit sub 0 s.data 0 s.len;
       s.sorted <- true
     end

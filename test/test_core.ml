@@ -96,56 +96,6 @@ let test_op_delta () =
 
 (* ------------------------------------------------------------ Log_event *)
 
-let log_event_gen =
-  let open QCheck.Gen in
-  (* Small values, negatives, the extremes and the full width, so every
-     varint length and both zigzag signs are exercised. *)
-  let num =
-    frequency
-      [
-        (4, int_bound 1000);
-        (2, int_range (-1000) (-1));
-        (1, oneofl [ 0; -1; min_int; max_int; min_int + 1; max_int - 1 ]);
-        (2, int);
-      ]
-  in
-  let action = map2 (fun item value -> Log_event.Set_fragment { item; value }) num num in
-  let actions = list_size (int_range 0 4) action in
-  let ts = pair num num in
-  let pair_list = list_size (int_range 0 4) (pair num num) in
-  frequency
-    [
-      ( 3,
-        map2
-          (fun (dst, seq, item, amount) (reply_to, actions) ->
-            Log_event.Vm_create { dst; seq; item; amount; reply_to; actions })
-          (quad num num num num) (pair (opt ts) actions) );
-      ( 3,
-        map2
-          (fun (peer, seq, item) (amount, new_value) ->
-            Log_event.Vm_accept { peer; seq; item; amount; new_value })
-          (triple num num num) (pair num num) );
-      (3, map2 (fun txn actions -> Log_event.Txn_commit { txn; actions }) ts actions);
-      (1, map (fun txn -> Log_event.Txn_applied { txn }) ts);
-      (1, map2 (fun dst upto -> Log_event.Ack_progress { dst; upto }) num num);
-      (1, map2 (fun peer epoch -> Log_event.Vm_channel_reset { peer; epoch }) num num);
-      ( 1,
-        let outbox_entry =
-          map2
-            (fun (dst, seq, item) (amount, rt) -> (dst, seq, item, amount, rt))
-            (triple num num num) (pair num (opt ts))
-        in
-        map3
-          (fun (fragments, accepted, next_seq) (acked, outbox, max_counter)
-               (installed, deltas, (sent, received)) ->
-            Log_event.Checkpoint
-              { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas;
-                sent; received })
-          (triple pair_list pair_list pair_list)
-          (triple pair_list (list_size (int_range 0 3) outbox_entry) num)
-          (triple pair_list pair_list (pair pair_list pair_list)) );
-    ]
-
 let frames records =
   let b = Log_event.buf () in
   Log_event.add_frames b records;
@@ -158,7 +108,7 @@ let raw_frame payload =
 
 let prop_log_codec_roundtrip =
   QCheck.Test.make ~name:"log record codec round-trips" ~count:500
-    (QCheck.make ~print:(Format.asprintf "%a" Log_event.pp) log_event_gen)
+    (QCheck.make ~print:(Format.asprintf "%a" Log_event.pp) Log_event_gen.gen)
     (fun record ->
       let s = frames [ record ] in
       Log_event.read_frames s = ([ record ], String.length s))
@@ -176,7 +126,7 @@ let prop_log_frames_fuzz =
   let gen =
     QCheck.Gen.(
       quad
-        (list_size (int_range 1 6) log_event_gen)
+        (list_size (int_range 1 6) Log_event_gen.gen)
         (pair nat (int_bound 7))
         (pair nat (string_size ~gen:char (int_range 1 16)))
         (string_size ~gen:char (int_range 0 64)))
@@ -730,6 +680,30 @@ let test_local_commit_budget () =
   Alcotest.(check int) "no timer left behind" pending
     (Dvp_sim.Engine.pending (System.engine sys));
   Alcotest.(check int) "nothing left live" active (Site.active_txns site)
+
+(* A committed local transaction leaves nothing behind for a minor GC to
+   promote: its log records live in the stable log's byte segments, not as
+   boxed values.  A boxed stable region promotes about 20 words per commit
+   (the Txn_commit and Txn_applied records) and fails this. *)
+let test_local_commit_promotes_nothing () =
+  let sys = mk_system ~items:[ (0, 100) ] () in
+  let site = System.site sys 0 in
+  let ops = [ (0, Op.Incr 1) ] in
+  let committed = ref 0 in
+  let on_done = function Site.Committed _ -> incr committed | Site.Aborted _ -> () in
+  for _ = 1 to 1_000 do
+    Site.submit site ~ops ~on_done
+  done;
+  Gc.full_major ();
+  let k = 50_000 in
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  for _ = 1 to k do
+    Site.submit site ~ops ~on_done
+  done;
+  let words = ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int k in
+  Alcotest.(check int) "all committed" (1_000 + k) !committed;
+  Alcotest.(check bool) (Printf.sprintf "%.2f promoted words per commit <= 2" words) true
+    (words <= 2.0)
 
 (* A transaction that waits is parked: its timeout still counts from the
    moment it began, so it aborts at exactly started + txn_timeout. *)
@@ -1834,6 +1808,8 @@ let () =
             test_conc2_lock_conflict_waits_not_aborts;
           Alcotest.test_case "conc1 conflict aborts" `Quick test_conc1_lock_conflict_aborts;
           Alcotest.test_case "local commit budget" `Quick test_local_commit_budget;
+          Alcotest.test_case "local commit promotes nothing" `Quick
+            test_local_commit_promotes_nothing;
           Alcotest.test_case "parked conc1 times out on schedule" `Quick
             test_parked_conc1_times_out_on_schedule;
           Alcotest.test_case "parked conc2 times out on schedule" `Quick

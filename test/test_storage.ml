@@ -485,6 +485,113 @@ let prop_wal_equivalence =
           && Wal.repaired_records w = m.Model.repaired_count)
         ops)
 
+(* ------------------------------------------------ Wal: codec vs boxed *)
+
+(* A codec log keeps frames in byte segments; a log without a codec keeps
+   boxed records.  The two must be indistinguishable: run one random script
+   against both and compare every observable after every step, the batches
+   each force sink received included.  Scripts are long enough, and [Big]
+   records large enough, to seal segments, open ones larger than the first,
+   and release whole ones at a truncation. *)
+let prop_wal_codec_is_boxed =
+  let module Log_event = Dvp_core.Log_event in
+  let big n =
+    Log_event.Checkpoint
+      { fragments = List.init n (fun i -> (i, i * 1_000_003)); accepted = []; next_seq = [];
+        acked = []; outbox = []; max_counter = n; installed = []; deltas = []; sent = [];
+        received = [] }
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map2 (fun forced r -> `Append (forced, r)) bool Log_event_gen.gen);
+          (1, map (fun n -> `Big n) (int_range 50 600));
+          (3, return `Force);
+          (2, return `Crash);
+          (1, map (fun k -> `Torn k) (int_range 0 6));
+          (1, return `Corrupt);
+          (2, return `Repair);
+          (1, map (fun k -> `Truncate k) (int_range (-2) 40));
+          (2, map (fun k -> `Iter_from k) (int_range (-2) 60));
+          (1, map (fun k -> `Fail_sink k) (int_range 1 3));
+        ])
+  in
+  let pp_op = function
+    | `Append (forced, r) -> Format.asprintf "Append(%b, %a)" forced Log_event.pp r
+    | `Big n -> Printf.sprintf "Big(%d)" n
+    | `Force -> "Force"
+    | `Crash -> "Crash"
+    | `Torn k -> Printf.sprintf "Torn(%d)+Crash" k
+    | `Corrupt -> "Corrupt+Crash"
+    | `Repair -> "Repair"
+    | `Truncate k -> Printf.sprintf "Truncate(end-%d)" k
+    | `Iter_from k -> Printf.sprintf "Iter_from(end-%d)" k
+    | `Fail_sink k -> Printf.sprintf "Fail_sink(%d)" k
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+      QCheck.Gen.(list_size (int_range 0 250) op_gen)
+  in
+  (* A log with a sink that logs each batch it accepts and refuses the
+     next [fail] ones. *)
+  let make codec =
+    let w = Wal.create ?codec () in
+    let batches = ref [] and fail = ref 0 in
+    Wal.set_force_sink w (fun batch ->
+        if !fail > 0 then begin
+          decr fail;
+          failwith "injected"
+        end;
+        batches := batch :: !batches);
+    (w, batches, fail)
+  in
+  QCheck.Test.make ~name:"codec wal is observably equal to the boxed wal" ~count:300 arb
+    (fun ops ->
+      let ((c, c_batches, c_fail) as codec) = make (Some Log_event.codec) in
+      let ((b, b_batches, b_fail) as boxed) = make None in
+      let both f = f codec = f boxed in
+      List.for_all
+        (fun op ->
+          let step_agrees =
+            match op with
+            | `Append (forced, r) -> both (fun (w, _, _) -> Wal.append ~forced w r)
+            | `Big n -> both (fun (w, _, _) -> Wal.append ~forced:false w (big n))
+            | `Force -> both (fun (w, _, _) -> Wal.force w)
+            | `Crash -> both (fun (w, _, _) -> Wal.crash w)
+            | `Torn k ->
+              both (fun (w, _, _) ->
+                  Wal.inject_fault w (Wal.Torn { persist = k });
+                  Wal.crash w)
+            | `Corrupt ->
+              both (fun (w, _, _) ->
+                  Wal.inject_fault w Wal.Corrupt_tail;
+                  Wal.crash w)
+            | `Repair -> both (fun (w, _, _) -> Wal.repair w)
+            | `Truncate k ->
+              both (fun (w, _, _) -> Wal.truncate_before w ~keep_from:(Wal.end_index w - k))
+            | `Iter_from k ->
+              both (fun (w, _, _) ->
+                  let acc = ref [] in
+                  Wal.iter_from w ~from:(Wal.end_index w - k) (fun r -> acc := r :: !acc);
+                  !acc)
+            | `Fail_sink k ->
+              c_fail := k;
+              b_fail := k;
+              true
+          in
+          step_agrees
+          && Wal.records c = Wal.records b
+          && Wal.stable_length c = Wal.stable_length b
+          && Wal.corrupt_tail c = Wal.corrupt_tail b
+          && Wal.end_index c = Wal.end_index b
+          && Wal.buffered c = Wal.buffered b
+          && Wal.version c = Wal.version b
+          && Wal.sink_pending c = Wal.sink_pending b
+          && !c_batches = !b_batches)
+        ops)
+
 (* ------------------------------------------------------------- Local_db *)
 
 let test_db_defaults () =
@@ -568,6 +675,7 @@ let () =
           Alcotest.test_case "iter_from" `Quick test_wal_iter_from;
           QCheck_alcotest.to_alcotest prop_wal_stability;
           QCheck_alcotest.to_alcotest prop_wal_equivalence;
+          QCheck_alcotest.to_alcotest prop_wal_codec_is_boxed;
         ] );
       ( "local_db",
         [

@@ -450,6 +450,49 @@ let test_sample_growth () =
   done;
   Alcotest.(check int) "count" 10_000 (Dstats.Sample.count s)
 
+(* The sample sorts with [Float.compare]; on every float, special values
+   included, that is the order polymorphic [compare] gives: [nan] first and
+   equal to itself, [-0.0] equal to [0.0].  Reference results come from a
+   sort through polymorphic [compare], compared bit for bit. *)
+let test_sample_special_values () =
+  let poly_compare : 'a. 'a -> 'a -> int = compare in
+  let same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (Float.is_nan a && Float.is_nan b)
+  in
+  let rng = Rng.create 7 in
+  let special = [| nan; infinity; neg_infinity; -0.0; 0.0; 1.5; -2.0; 1e300; -1e-300 |] in
+  let random_case n = List.init n (fun _ -> special.(Rng.int rng (Array.length special))) in
+  let cases =
+    [ [ nan; 1.0; -0.0; 0.0; infinity; neg_infinity; nan; -1.0 ]; [ 0.0; -0.0; 0.0; -0.0 ];
+      [ nan ]; [ infinity; nan; neg_infinity ] ]
+    @ List.init 50 (fun i -> random_case (1 + (i mod 40)))
+  in
+  List.iter
+    (fun xs ->
+      let s = Dstats.Sample.create () in
+      List.iter (Dstats.Sample.add s) xs;
+      let sorted = Array.of_list xs in
+      Array.sort poly_compare sorted;
+      let n = Array.length sorted in
+      let reference p =
+        let rank = p /. 100.0 *. float_of_int (n - 1) in
+        let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+        sorted.(lo) +. ((rank -. Float.floor rank) *. (sorted.(hi) -. sorted.(lo)))
+      in
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "p%g of %d values" p n)
+            true
+            (same (reference p) (Dstats.Sample.percentile s p)))
+        [ 0.0; 25.0; 50.0; 75.0; 90.0; 99.0; 100.0 ];
+      Alcotest.(check bool) "max_value" true (same sorted.(n - 1) (Dstats.Sample.max_value s));
+      let got = Dstats.Sample.to_array s in
+      Alcotest.(check bool) "to_array, bit for bit" true
+        (Array.length got = n && Array.for_all2 same sorted got))
+    cases
+
 let test_histogram () =
   let h = Dstats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
   Dstats.Histogram.add h (-1.0);
@@ -625,6 +668,7 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_sample_percentiles;
           Alcotest.test_case "unsorted input" `Quick test_sample_unsorted_input;
           Alcotest.test_case "sample growth" `Quick test_sample_growth;
+          Alcotest.test_case "sample special values" `Quick test_sample_special_values;
           Alcotest.test_case "histogram" `Quick test_histogram;
           QCheck_alcotest.to_alcotest prop_percentile_monotone;
           QCheck_alcotest.to_alcotest prop_stats_mean_bounded;
