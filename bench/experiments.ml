@@ -1869,6 +1869,7 @@ let e22_trace () =
         ("tracing", Table.Left);
         ("committed/s", Table.Right);
         ("trace events", Table.Right);
+        ("ring B/event", Table.Right);
         ("spans=metrics", Table.Right);
         ("conserved", Table.Right);
       ]
@@ -1876,7 +1877,10 @@ let e22_trace () =
   let run_mode ~tracing =
     let best_rate = ref 0.0 and best_committed = ref 0 in
     let conserved = ref true and events = ref 0 and spans_agree = ref true in
+    let bytes_per_event = ref 0.0 in
     for _ = 1 to trials do
+      (* The best trial's event count goes in the row, beside its commits. *)
+      let trial_events = ref 0 in
       let c =
         Dvp.Cluster.create ~seed:42 ~tracing ~trace_capacity:(1 lsl 21) ~n:domains
           ~items:[ (0, 1_000_000) ] ()
@@ -1885,6 +1889,18 @@ let e22_trace () =
       let quiesced = Dvp.Cluster.quiesce c in
       if not (quiesced && Dvp.Cluster.conserved_all c) then conserved := false;
       if tracing then begin
+        (* The rings' memory: record bytes per retained event, the worst
+           trial's. *)
+        (match Dvp.Cluster.shards c with
+        | Some sh ->
+          let rings = List.init (Dvp.Shards.n_shards sh) (Dvp.Shards.shard sh) in
+          let sum f = List.fold_left (fun acc r -> acc + f r) 0 rings in
+          let n = sum Dvp.Trace.length in
+          if n > 0 then
+            bytes_per_event :=
+              Float.max !bytes_per_event
+                (float_of_int (sum Dvp.Trace.bytes_held) /. float_of_int n)
+        | None -> ());
         (* The merged shard stream must reconstruct to exactly the commits
            Metrics counted — completeness, not just speed. *)
         let stats = Dvp.Cluster.stats c in
@@ -1896,7 +1912,7 @@ let e22_trace () =
         match Dvp.Cluster.trace_jsonl c with
         | Some jsonl ->
           let spans = Dvp.Obs.Spans.of_jsonl jsonl in
-          events := spans.Dvp.Obs.Spans.events;
+          trial_events := spans.Dvp.Obs.Spans.events;
           if
             (not spans.Dvp.Obs.Spans.complete)
             || Dvp.Obs.Spans.committed_count spans <> metrics_committed
@@ -1907,7 +1923,8 @@ let e22_trace () =
       let rate = float_of_int committed /. duration in
       if rate > !best_rate then begin
         best_rate := rate;
-        best_committed := committed
+        best_committed := committed;
+        events := !trial_events
       end
     done;
     let row =
@@ -1923,12 +1940,14 @@ let e22_trace () =
         ("spans_match_metrics", Json.Bool !spans_agree);
         ("conserved", Json.Bool !conserved);
       ]
+      @ if tracing then [ ("trace_bytes_per_event", Json.Float !bytes_per_event) ] else []
     in
     Table.add_row t
       [
         (if tracing then "on" else "off");
         Printf.sprintf "%.0f" !best_rate;
         (if tracing then string_of_int !events else "-");
+        (if tracing then Printf.sprintf "%.1f" !bytes_per_event else "-");
         (if tracing then if !spans_agree then "yes" else "NO" else "-");
         (if !conserved then "yes" else "NO");
       ];

@@ -232,9 +232,8 @@ let m11_global_tick =
 
 (* m13: one trace emit from a mixed event set — what two remote-value
    transactions leave (begin, lock, request, honour, Vm created/accepted,
-   net send, release, commit) plus one abort, whose reason string sends it
-   to the ring's side table — into a 2^16 ring that wraps, so most emits
-   also evict. *)
+   net send, release, commit) plus one abort, which carries a reason
+   string — into a 2^16 ring that wraps, so most emits also evict. *)
 let m13_int_events =
   let txn k =
     let txn = (k, 0) in
@@ -362,9 +361,12 @@ let m12_alloc_per_event () =
   if events > 0 then
     Printf.printf "  %-32s %10.1f B/event (%d events)\n" "m12-alloc-per-event-64" ((b1 -. b0) /. float_of_int events) events
 
-(* m13, the allocation side: minor words per emit over 1M emits of the m13
-   mix (the ring allocates only for the spilled abort) and of its
-   int-payload events alone, plus the cost of creating a 2^21-slot ring. *)
+(* m13, the allocation and memory side: minor words per emit over 1M emits
+   of the m13 mix and of its int-payload events alone; ring bytes per event
+   and wall ns per emit for the mix stamped 5 us apart (a site clock's
+   pace), into a fresh 2^21 ring (every segment new) and into a 2^16 ring
+   that has wrapped (segments reused); and the cost of creating a 2^21
+   ring. *)
 let m13_emit_alloc () =
   let words_per_emit events =
     let tr = Dvp.Trace.create ~capacity:(1 lsl 16) () in
@@ -379,6 +381,23 @@ let m13_emit_alloc () =
     (words_per_emit m13_events);
   Printf.printf "  %-32s %10.2f words/emit\n" "m13-trace-emit-words-int"
     (words_per_emit m13_int_events);
+  let n = Array.length m13_events and emits = 2_000_000 in
+  let times = Array.init emits (fun i -> 1.0 +. (5e-6 *. float_of_int i)) in
+  let emit_ns tr =
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to emits - 1 do
+      Dvp.Trace.emit tr ~time:(Array.unsafe_get times i) m13_events.(i mod n)
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int emits
+  in
+  let fresh = Dvp.Trace.create ~capacity:(1 lsl 21) () in
+  let fresh_ns = emit_ns fresh in
+  Printf.printf "  %-32s %10.1f B/event\n" "m13-trace-bytes-per-event"
+    (float_of_int (Dvp.Trace.bytes_held fresh) /. float_of_int (Dvp.Trace.length fresh));
+  Printf.printf "  %-32s %10.1f ns/emit\n" "m13-trace-emit-fresh" fresh_ns;
+  let warm = Dvp.Trace.create ~capacity:(1 lsl 16) () in
+  ignore (emit_ns warm);
+  Printf.printf "  %-32s %10.1f ns/emit\n" "m13-trace-emit-warm" (emit_ns warm);
   let t0 = Unix.gettimeofday () in
   ignore (Sys.opaque_identity (Dvp.Trace.create ~capacity:(1 lsl 21) ()));
   Printf.printf "  %-32s %10.3f ms\n" "m13-trace-create-2^21" ((Unix.gettimeofday () -. t0) *. 1e3)

@@ -70,29 +70,31 @@ let apply_action db (Set_fragment { item; value }) =
 
 (* ---------------------------------------------------------------- payload *)
 
-(* The frame around a payload (magic, length, checksum) and the varint
-   are [Dvp_storage.Frame]'s.  A payload is a tag byte (1 Vm_create,
-   2 Vm_accept, 3 Txn_commit, 4 Txn_applied, 5 Ack_progress,
-   6 Vm_channel_reset, 7 Checkpoint) and the record's fields in declaration
-   order.  Every integer, list lengths and the [reply_to] flag included, is
-   zigzag-mapped (0, -1, 1, -2, ... to 0, 1, 2, 3, ...) and written as a
-   varint, so a record has exactly one encoding. *)
+(* The frame around a payload (magic, length, checksum) is
+   [Dvp_storage.Frame]'s, the bytes and varints [Dvp_util.Bytebuf]'s.  A
+   payload is a tag byte (1 Vm_create, 2 Vm_accept, 3 Txn_commit,
+   4 Txn_applied, 5 Ack_progress, 6 Vm_channel_reset, 7 Checkpoint) and the
+   record's fields in declaration order.  Every integer, list lengths and
+   the [reply_to] flag included, is zigzag-mapped (0, -1, 1, -2, ... to 0,
+   1, 2, 3, ...) and written as a varint, so a record has exactly one
+   encoding. *)
 
 module Frame = Dvp_storage.Frame
+module Bytebuf = Dvp_util.Bytebuf
 
-type buf = Frame.buf
+type buf = Bytebuf.t
 
-let buf = Frame.buf
+let buf = Bytebuf.create
 
-let clear = Frame.clear
+let clear = Bytebuf.clear
 
-let contents = Frame.contents
+let contents = Bytebuf.contents
 
-let output = Frame.output
+let output = Bytebuf.output
 
 (* ---------------------------------------------------------------- encode *)
 
-let add_int b n = Frame.add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+let add_int = Bytebuf.add_zigzag
 
 (* Fields go in two at a time, never as a tuple built to be taken apart. *)
 let add_two b x y =
@@ -128,31 +130,31 @@ let add_outbox_entry b (dst, seq, item, amount, reply_to) = add_vm b dst seq ite
 
 let add_record b = function
   | Vm_create { dst; seq; item; amount; reply_to; actions } ->
-    Frame.add_byte b 1;
+    Bytebuf.add_byte b 1;
     add_vm b dst seq item amount reply_to;
     add_list b add_action actions
   | Vm_accept { peer; seq; item; amount; new_value } ->
-    Frame.add_byte b 2;
+    Bytebuf.add_byte b 2;
     add_two b peer seq;
     add_two b item amount;
     add_int b new_value
   | Txn_commit { txn; actions } ->
-    Frame.add_byte b 3;
+    Bytebuf.add_byte b 3;
     add_pair b txn;
     add_list b add_action actions
   | Txn_applied { txn } ->
-    Frame.add_byte b 4;
+    Bytebuf.add_byte b 4;
     add_pair b txn
   | Ack_progress { dst; upto } ->
-    Frame.add_byte b 5;
+    Bytebuf.add_byte b 5;
     add_two b dst upto
   | Vm_channel_reset { peer; epoch } ->
-    Frame.add_byte b 6;
+    Bytebuf.add_byte b 6;
     add_two b peer epoch
   | Checkpoint
       { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
         received } ->
-    Frame.add_byte b 7;
+    Bytebuf.add_byte b 7;
     add_list b add_pair fragments;
     add_list b add_pair accepted;
     add_list b add_pair next_seq;
@@ -166,9 +168,7 @@ let add_record b = function
 
 (* ---------------------------------------------------------------- decode *)
 
-let get_int c =
-  let z = Frame.get_varint c in
-  (z lsr 1) lxor -(z land 1)
+let get_int = Bytebuf.get_zigzag
 
 let get_pair c =
   let x = get_int c in
@@ -178,7 +178,7 @@ let get_pair c =
    remain is refused before anything is built. *)
 let get_list c get =
   let n = get_int c in
-  if n < 0 || n > Frame.remaining c then raise_notrace Frame.Malformed;
+  if n < 0 || n > Bytebuf.remaining c then raise_notrace Bytebuf.Malformed;
   List.init n (fun _ -> get c)
 
 let get_action c =
@@ -186,7 +186,7 @@ let get_action c =
   Set_fragment { item; value }
 
 let get_reply_to c =
-  match get_int c with 0 -> None | 1 -> Some (get_pair c) | _ -> raise_notrace Frame.Malformed
+  match get_int c with 0 -> None | 1 -> Some (get_pair c) | _ -> raise_notrace Bytebuf.Malformed
 
 let get_outbox_entry c =
   let dst, seq = get_pair c in
@@ -194,7 +194,7 @@ let get_outbox_entry c =
   (dst, seq, item, amount, get_reply_to c)
 
 let get_record c =
-  match Frame.get_byte c with
+  match Bytebuf.get_byte c with
   | 1 ->
     let dst, seq, item, amount, reply_to = get_outbox_entry c in
     Vm_create { dst; seq; item; amount; reply_to; actions = get_list c get_action }
@@ -226,7 +226,7 @@ let get_record c =
     Checkpoint
       { fragments; accepted; next_seq; acked; outbox; max_counter; installed; deltas; sent;
         received = pairs () }
-  | _ -> raise_notrace Frame.Malformed
+  | _ -> raise_notrace Bytebuf.Malformed
 
 let codec = { Frame.encode = add_record; decode = get_record }
 

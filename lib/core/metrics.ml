@@ -240,8 +240,8 @@ let merge a b =
       let n = aborted_by a r + aborted_by b r in
       if n > 0 then Hashtbl.replace t.reasons r n)
     all_abort_reasons;
-  Array.iter (Dstats.Sample.add t.latencies) (Dstats.Sample.to_array a.latencies);
-  Array.iter (Dstats.Sample.add t.latencies) (Dstats.Sample.to_array b.latencies);
+  Dstats.Sample.append t.latencies a.latencies;
+  Dstats.Sample.append t.latencies b.latencies;
   t.max_lock_hold <- Float.max a.max_lock_hold b.max_lock_hold;
   t.max_blocked <- Float.max a.max_blocked b.max_blocked;
   t.total_blocked <- a.total_blocked +. b.total_blocked;

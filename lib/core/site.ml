@@ -85,6 +85,10 @@ let tracef t category fmt =
   | Some tr -> Trace.recordf tr ~time:(Substrate.now t.sub) ~category fmt
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
+(* [emit_at] stamps the event with a clock reading the caller already holds
+   from the same callback; [emit] reads the clock afresh. *)
+let emit_at t ~time ev = match t.trace with Some tr -> Trace.emit tr ~time ev | None -> ()
+
 let emit t ev =
   match t.trace with
   | Some tr -> Trace.emit tr ~time:(Substrate.now t.sub) ev
@@ -195,7 +199,8 @@ let release_and_account t txn ~now =
   match txn.lock_time with
   | Some since ->
     Metrics.lock_held t.metrics (now -. since);
-    if Trace.recording t.trace then emit t (Trace.Lock_release { site = t.self; txn = txn.id });
+    if Trace.recording t.trace then
+      emit_at t ~time:now (Trace.Lock_release { site = t.self; txn = txn.id });
     Lock_table.release_items t.locks ~items:txn.items ~txn:txn.id
   | None -> ()
 
@@ -215,11 +220,12 @@ let finish t txn result =
     (match result with
     | Committed _ ->
       Metrics.txn_committed t.metrics ~latency;
-      if Trace.recording t.trace then emit t (Trace.Txn_commit { site = t.self; txn = txn.id })
+      if Trace.recording t.trace then
+        emit_at t ~time:now (Trace.Txn_commit { site = t.self; txn = txn.id })
     | Aborted reason ->
       Metrics.txn_aborted t.metrics ~reason ~latency;
       if Trace.recording t.trace then
-        emit t
+        emit_at t ~time:now
           (Trace.Txn_abort
              { site = t.self; txn = txn.id; reason = Metrics.abort_reason_label reason }));
     txn.on_done result
@@ -398,11 +404,11 @@ let arm_request_retries t txn =
     done
   end
 
-(* Steps 2-7 once the local locks are held. *)
-let proceed_locked t txn =
-  txn.lock_time <- Some (Substrate.now t.sub);
+(* Steps 2-7 once the local locks are held, since [now]. *)
+let proceed_locked t txn ~now =
+  txn.lock_time <- Some now;
   if Trace.recording t.trace then
-    emit t (Trace.Lock_acquire { site = t.self; txn = txn.id; items = txn.items });
+    emit_at t ~time:now (Trace.Lock_acquire { site = t.self; txn = txn.id; items = txn.items });
   match txn.kind with
   | General ->
     let shortfalls = current_shortfalls t txn in
@@ -424,7 +430,8 @@ let proceed_locked t txn =
     end
 
 (* Step 1 under Conc1: atomic lock acquisition with the timestamp gate; any
-   delay aborts (the paper's pessimism). *)
+   delay aborts (the paper's pessimism).  It runs in the callback that began
+   the transaction, so the locks are held since [txn.started]. *)
 let start_conc1 t txn =
   let items = txn.items in
   if not (Lock_table.try_acquire_all t.locks ~items ~txn:txn.id) then
@@ -437,7 +444,7 @@ let start_conc1 t txn =
   else begin
     (* Locking and timestamp update are one atomic step (Section 6.1). *)
     List.iter (fun item -> Db.set_timestamp t.db ~item txn.id) items;
-    proceed_locked t txn
+    proceed_locked t txn ~now:txn.started
   end
 
 (* Step 1 under Conc2: strict 2PL — wait (bounded by the transaction's
@@ -447,7 +454,7 @@ let rec start_conc2 t txn =
   if txn.finished then ()
   else if Lock_table.try_acquire_all t.locks ~items ~txn:txn.id then begin
     List.iter (fun item -> Db.set_timestamp t.db ~item txn.id) items;
-    proceed_locked t txn
+    proceed_locked t txn ~now:(Substrate.now t.sub)
   end
   else begin
     let busy = List.find (fun item -> Lock_table.is_locked t.locks ~item) items in
@@ -484,7 +491,7 @@ let begin_txn t ~kind ~items ~ops ~on_done =
     }
   in
   if Trace.recording t.trace then
-    emit t (Trace.Txn_begin { site = t.self; txn = id; n_ops = List.length ops });
+    emit_at t ~time:now (Trace.Txn_begin { site = t.self; txn = id; n_ops = List.length ops });
   txn
 
 let submit t ~ops ~on_done =

@@ -138,6 +138,10 @@ let create sub ~n ~self ~wal ~send ~try_credit ~ts_counter ?(epoch = fun () -> 0
     ack_timers = Array.make n None;
   }
 
+(* [emit_at] stamps the event with a clock reading the caller already holds
+   from the same callback; [emit] reads the clock afresh. *)
+let emit_at t ~time ev = match t.trace with Some tr -> Trace.emit tr ~time ev | None -> ()
+
 let emit t ev =
   match t.trace with
   | Some tr -> Trace.emit tr ~time:(Substrate.now t.sub) ev
@@ -336,7 +340,7 @@ let rec on_retransmit t =
               if now -. e.last_sent >= t.retransmit_every *. 0.9 then begin
                 Metrics.vm_retransmitted t.metrics;
                 if Trace.recording t.trace then
-                  emit t
+                  emit_at t ~time:now
                     (Trace.Vm_retransmit
                        { site = t.self; dst; seq; item = e.payload.item; amount = e.payload.amount });
                 e.last_sent <- now;
@@ -414,7 +418,9 @@ let send_value t ~dst ~item ~amount ?reply_to ~new_local () =
   ledger_add t.cum_sent ~item ~amount;
   Metrics.vm_created t.metrics ~amount;
   if Trace.recording t.trace then
-    emit t (Trace.Vm_created { site = t.self; dst; seq; item; amount });
+    emit_at t
+      ~time:(if st.parked then Substrate.now t.sub else last_sent)
+      (Trace.Vm_created { site = t.self; dst; seq; item; amount });
   check_depth t;
   if not st.parked then transmit t ~dst ~seq ~item ~amount ~reply_to;
   arm t

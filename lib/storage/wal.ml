@@ -21,6 +21,8 @@
    ordinary reads never re-checksum the log, which is what makes the
    recovery/oracle hot paths O(1) per call instead of O(log length). *)
 
+module Bytebuf = Dvp_util.Bytebuf
+
 type 'r entry = { payload : 'r; sum : int }
 
 type fault = Torn of { persist : int } | Corrupt_tail
@@ -44,7 +46,7 @@ let vec_push v e =
 
 (* One byte segment: frames from [start] to the buffer's length, [count] of
    them.  Every segment but the last (the open one) holds at least one. *)
-type seg = { frames : Frame.buf; mutable start : int; mutable count : int }
+type seg = { frames : Bytebuf.t; mutable start : int; mutable count : int }
 
 type 'r segments = {
   codec : 'r Frame.codec;
@@ -105,7 +107,7 @@ let first_segment = 1024
 let max_segment = 65536
 
 let open_segment fr capacity =
-  vec_push fr.segs { frames = Frame.segment capacity; start = 0; count = 0 }
+  vec_push fr.segs { frames = Bytebuf.segment capacity; start = 0; count = 0 }
 
 let segments codec =
   let fr = { codec; segs = vec_create (); total = 0; next_capacity = 2 * first_segment } in
@@ -117,17 +119,17 @@ let segments codec =
    that does not fit an empty segment replaces it with a larger one. *)
 let rec push fr r =
   let seg = fr.segs.arr.(fr.segs.len - 1) in
-  let off = Frame.length seg.frames in
+  let off = Bytebuf.length seg.frames in
   match Frame.add_frame seg.frames fr.codec r with
   | () ->
     seg.count <- seg.count + 1;
     fr.total <- fr.total + 1;
     off
-  | exception Frame.Full ->
-    Frame.truncate seg.frames off;
+  | exception Bytebuf.Full ->
+    Bytebuf.truncate seg.frames off;
     if seg.count = 0 then
       fr.segs.arr.(fr.segs.len - 1) <-
-        { seg with frames = Frame.segment (2 * Frame.capacity seg.frames) }
+        { seg with frames = Bytebuf.segment (2 * Bytebuf.capacity seg.frames) }
     else begin
       open_segment fr fr.next_capacity;
       fr.next_capacity <- min max_segment (2 * fr.next_capacity)
@@ -154,7 +156,7 @@ let iter_frames fr ~from ~upto f =
     let s, _, off = locate fr from in
     let s = ref s and off = ref off in
     for _ = from to upto - 1 do
-      while !off >= Frame.length fr.segs.arr.(!s).frames do
+      while !off >= Bytebuf.length fr.segs.arr.(!s).frames do
         incr s;
         off := fr.segs.arr.(!s).start
       done;
@@ -170,7 +172,7 @@ let release_tail segs =
   Array.fill segs.arr segs.len (Array.length segs.arr - segs.len) segs.arr.(segs.len - 1)
 
 let empty seg =
-  Frame.clear seg.frames;
+  Bytebuf.clear seg.frames;
   seg.start <- 0;
   seg.count <- 0
 
@@ -200,7 +202,7 @@ let drop_front fr k =
 let drop_back fr i =
   let s, k, off = locate fr i in
   let seg = fr.segs.arr.(s) in
-  Frame.truncate seg.frames off;
+  Bytebuf.truncate seg.frames off;
   seg.count <- k;
   if k = 0 then empty seg;
   fr.segs.len <- s + 1;
@@ -419,7 +421,7 @@ let iter_valid t ~from f =
       f stable.arr.(i).payload
     done
   | Framed { stable; _ } ->
-    let c = Frame.cursor () in
+    let c = Bytebuf.cursor () in
     iter_frames stable ~from ~upto:n (fun b off -> f (Frame.decode stable.codec c b off))
 
 let iter t f = iter_valid t ~from:0 f

@@ -25,30 +25,34 @@ let clear t = Array.iter Trace.clear t.rings
    increase, so each shard is already a sorted run and the key totally orders
    the union.  Equal wall timestamps across shards break ties by shard id —
    arbitrary but deterministic, which is all a cross-domain order can
-   honestly claim at equal clock readings.  The merge walks newest-first,
-   taking the greatest head each step (the highest shard among equal times),
-   so the result list is consed in order; each event is decoded once.  A
-   linear scan over the heads is cheaper than a heap at one shard per
-   domain. *)
+   honestly claim at equal clock readings.  One forward reader per shard;
+   each step takes the least head (the lowest shard among equal times), so
+   each event is decoded once.  A linear scan over the heads is cheaper than
+   a heap at one shard per domain. *)
 let merged t =
-  let rings = t.rings in
-  let cur = Array.map (fun r -> Trace.length r - 1) rings in
-  let head s = Trace.time_at rings.(s) cur.(s) in
-  let newest () =
-    let best = ref (-1) in
+  let readers = Array.map Trace.reader t.rings in
+  let heads = Array.map Trace.next readers in
+  let oldest () =
+    let best = ref (-1) and best_time = ref 0.0 in
     Array.iteri
-      (fun s i ->
-        if i >= 0 && (!best < 0 || Float.compare (head s) (head !best) >= 0) then best := s)
-      cur;
+      (fun s head ->
+        match head with
+        | Some (_, time, _) when !best < 0 || Float.compare time !best_time < 0 ->
+          best := s;
+          best_time := time
+        | Some _ | None -> ())
+      heads;
     !best
   in
   let rec go out =
-    match newest () with
-    | -1 -> out
-    | s ->
-      let r = rings.(s) and i = cur.(s) in
-      cur.(s) <- i - 1;
-      go ((s, Trace.drop_count r + i, Trace.time_at r i, Trace.event_at r i) :: out)
+    match oldest () with
+    | -1 -> List.rev out
+    | s -> (
+      match heads.(s) with
+      | Some (seq, time, ev) ->
+        heads.(s) <- Trace.next readers.(s);
+        go ((s, seq, time, ev) :: out)
+      | None -> assert false)
   in
   go []
 

@@ -33,40 +33,69 @@ type event =
 
 type entry = { time : float; category : string; message : string }
 
-(* A flat struct-of-arrays ring.  Slot [i] keeps its time in [times.(i)] and
-   [slot_words] native ints at word [i * slot_words] of [ints]: word 0 is the
-   constructor tag (for [Lock_acquire], plus the inline item count in the bits
-   above [tag_bits]), words 1-6 the constructor's int fields in declaration
-   order, a [ts] as two words.  Neither array is scanned by the GC and neither
-   is filled at [create] (large blocks come straight from the allocator, so
-   pages become resident only as slots are written).  An event that carries a
-   string, or locks more than three items, is stored whole in the
-   [spill] table under its slot, and its tag word says so.  Reads decode. *)
+(* A ring of compact records in byte segments.  A record is a head byte
+   (the constructor's tag, with [full_time] set when the time is stored
+   whole), then its ints as zigzag varints, then its strings, each its
+   length and its bytes.  The ints are the time's delta, unless the time is
+   stored whole, and the constructor's int fields in declaration order (a
+   [ts] as two, a lock list as its length and then its items).  The time is
+   exact: the delta is its IEEE bit pattern minus that of the previous
+   record in the same segment (0.0 before the first); when that difference
+   does not fit an [int], the record ends with the time's 8 bytes instead.
+   Times that rise slowly, as a site's clock does, cost a few bytes; equal
+   ones, one.
+
+   Segments are allocated as records need them: [create] makes none.  The
+   oldest segment's first [gone] records are evicted ones; once all of its
+   records are gone it is released, and one released segment is kept to be
+   written again.  Reads decode forward from a segment's start.
+
+   The bookkeeping is flat so that the GC has nothing to do: segments are
+   bare [Bytes.t], their counters live in an int array, and one [Bytebuf]
+   writer is moved from segment to segment.  Segments and the deque's arrays
+   are large enough to be allocated outside the minor heap, so a growing
+   ring allocates no minor words either. *)
+
+module Bytebuf = Dvp_util.Bytebuf
+
 type t = {
   capacity : int;
-  times : Float.Array.t;
-  ints : Bytes.t;
-  spill : (int, event) Hashtbl.t; (* slot -> event, for slots tagged [spilled] *)
-  mutable next : int; (* next write slot *)
+  w : Bytebuf.t; (* writes into the newest segment *)
+  mutable segs : Bytes.t array; (* a circular deque of the live segments *)
+  mutable meta : int array; (* per slot: bytes used, records, records evicted *)
+  mutable first : int; (* slot of the oldest live segment *)
+  mutable live : int; (* live segments; the newest is written to *)
+  mutable newest : int; (* records in the newest segment, whose [meta] lags *)
+  mutable sealed : int; (* bytes in the live segments but the newest *)
+  mutable spare : Bytes.t; (* a released segment to reuse, or [Bytes.empty] *)
+  last : Bytes.t; (* the bit pattern of the newest segment's newest time *)
+  mutable ints : int array; (* a record's ints, staged to be written in one call *)
   mutable count : int;
   mutable dropped : int;
   mutable on : bool;
 }
 
-let slot_words = 7
+let seg_bytes = 4096
 
-let tag_bits = 8
+(* The deque's first size: its arrays then exceed [Max_young_wosize]. *)
+let min_slots = 512
 
-let spilled = 0
+let full_time = 0x80
 
 let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
   {
     capacity;
-    times = Float.Array.create capacity;
-    ints = Bytes.create (capacity * slot_words * 8);
-    spill = Hashtbl.create 16;
-    next = 0;
+    w = Bytebuf.segment 0;
+    segs = [||];
+    meta = [||];
+    first = 0;
+    live = 0;
+    newest = 0;
+    sealed = 0;
+    spare = Bytes.empty;
+    last = Bytes.make 8 '\000';
+    ints = Array.make 8 0;
     count = 0;
     dropped = 0;
     on = true;
@@ -84,127 +113,382 @@ let capacity t = t.capacity
 
 let length t = t.count
 
-let word t slot w = Int64.to_int (Bytes.get_int64_ne t.ints (((slot * slot_words) + w) * 8))
+let bytes_held t = if t.live = 0 then 0 else t.sealed + t.w.len
 
-let put t slot tag a b c d e f =
-  let off = slot * slot_words * 8 in
-  let b64 = t.ints in
-  Bytes.set_int64_ne b64 off (Int64.of_int tag);
-  Bytes.set_int64_ne b64 (off + 8) (Int64.of_int a);
-  Bytes.set_int64_ne b64 (off + 16) (Int64.of_int b);
-  Bytes.set_int64_ne b64 (off + 24) (Int64.of_int c);
-  Bytes.set_int64_ne b64 (off + 32) (Int64.of_int d);
-  Bytes.set_int64_ne b64 (off + 40) (Int64.of_int e);
-  Bytes.set_int64_ne b64 (off + 48) (Int64.of_int f)
+(* The slot of the [k]-th live segment, oldest first. *)
+let slot t k =
+  let i = t.first + k in
+  let n = Array.length t.segs in
+  if i >= n then i - n else i
 
-let spill t slot ev =
-  put t slot spilled 0 0 0 0 0 0;
-  Hashtbl.replace t.spill slot ev
+let used t k = if k = t.live - 1 then t.w.len else t.meta.(3 * slot t k)
 
-(* The tags here and in [decode] must agree; the round-trip property in
-   test_trace pins every constructor. *)
-let encode t slot ev =
+let records t k = if k = t.live - 1 then t.newest else t.meta.((3 * slot t k) + 1)
+
+let gone t k = t.meta.((3 * slot t k) + 2)
+
+let grow t =
+  let n = max min_slots (2 * t.live) in
+  let segs = Array.make n Bytes.empty and meta = Array.make (3 * n) 0 in
+  for k = 0 to t.live - 1 do
+    let s = slot t k in
+    segs.(k) <- t.segs.(s);
+    Array.blit t.meta (3 * s) meta (3 * k) 3
+  done;
+  t.segs <- segs;
+  t.meta <- meta;
+  t.first <- 0
+
+(* Start writing a fresh segment of [size] bytes: a new newest segment
+   (sealing the one before), or one in place of the newest, which holds no
+   record, when [replace]. *)
+let open_seg t ~size ~replace =
+  let bytes =
+    if size = seg_bytes && t.spare != Bytes.empty then begin
+      let b = t.spare in
+      t.spare <- Bytes.empty;
+      b
+    end
+    else Bytes.create size
+  in
+  if not replace then begin
+    if t.live > 0 then begin
+      let m = 3 * slot t (t.live - 1) in
+      t.meta.(m) <- t.w.len;
+      t.meta.(m + 1) <- t.newest;
+      t.sealed <- t.sealed + t.w.len
+    end;
+    if t.live = Array.length t.segs then grow t;
+    t.live <- t.live + 1
+  end;
+  let s = slot t (t.live - 1) in
+  t.segs.(s) <- bytes;
+  Array.fill t.meta (3 * s) 3 0;
+  t.newest <- 0;
+  Bytebuf.attach t.w bytes;
+  Bytes.set_int64_ne t.last 0 0L
+
+(* Evict the oldest record, releasing its segment if nothing live is left
+   in it. *)
+let evict t =
+  t.dropped <- t.dropped + 1;
+  let m = (3 * t.first) + 2 in
+  let gone = t.meta.(m) + 1 in
+  t.meta.(m) <- gone;
+  if gone = records t 0 then begin
+    let bytes = t.segs.(t.first) in
+    if t.live > 1 then t.sealed <- t.sealed - t.meta.(3 * t.first);
+    t.segs.(t.first) <- Bytes.empty;
+    t.first <- slot t 1;
+    t.live <- t.live - 1;
+    if Bytes.length bytes = seg_bytes then t.spare <- bytes
+  end
+
+(* The head byte and the [n] staged ints go out in one call; when the
+   time's delta was not staged ([k = 0]), the time follows whole, after any
+   string ([finish_str]). *)
+let finish t b tag k n time =
+  Bytebuf.add_tagged b (if k = 0 then tag lor full_time else tag) t.ints n;
+  if k = 0 then Bytebuf.add_float b time
+
+let put_string b s =
+  Bytebuf.add_varint b (String.length s);
+  Bytebuf.add_string b s
+
+let finish_str t b tag k n time s =
+  Bytebuf.add_tagged b (if k = 0 then tag lor full_time else tag) t.ints n;
+  put_string b s;
+  if k = 0 then Bytebuf.add_float b time
+
+let rec stage_items a k = function
+  | [] -> ()
+  | i :: rest ->
+    a.(k) <- i;
+    stage_items a (k + 1) rest
+
+(* One record.  First the time: its delta is staged in [ints.(0)] (k = 1)
+   unless it does not fit an [int] (k = 0); it becomes the segment's
+   newest either way (a record that ends up not fitting is written again
+   from a fresh segment).  Then the int fields are staged after it and all
+   go out in one call.  [time] arrives boxed and stays so: nothing
+   allocates.  The tags here and in [get_event] must agree; the model test
+   in test_trace pins every constructor. *)
+let put_record t b time ev =
+  let bits = Int64.bits_of_float time in
+  let d = Int64.sub bits (Bytes.get_int64_ne t.last 0) in
+  Bytes.set_int64_ne t.last 0 bits;
+  let di = Int64.to_int d in
+  let a = t.ints in
+  let k =
+    if Int64.equal (Int64.of_int di) d then begin
+      a.(0) <- di;
+      1
+    end
+    else 0
+  in
   match ev with
-  | Txn_begin { site; txn = c, s; n_ops } -> put t slot 1 site c s n_ops 0 0
-  | Txn_commit { site; txn = c, s } -> put t slot 2 site c s 0 0 0
-  | Vm_created { site; dst; seq; item; amount } -> put t slot 3 site dst seq item amount 0
-  | Vm_accepted { site; src; seq; item; amount } -> put t slot 4 site src seq item amount 0
-  | Vm_retransmit { site; dst; seq; item; amount } -> put t slot 5 site dst seq item amount 0
-  | Vm_dup { site; src; seq } -> put t slot 6 site src seq 0 0 0
-  | Lock_acquire { site; txn = c, s; items } -> (
-    let tag n = 7 lor (n lsl tag_bits) in
-    match items with
-    | [] -> put t slot (tag 0) site c s 0 0 0
-    | [ i ] -> put t slot (tag 1) site c s i 0 0
-    | [ i; j ] -> put t slot (tag 2) site c s i j 0
-    | [ i; j; k ] -> put t slot (tag 3) site c s i j k
-    | _ -> spill t slot ev)
-  | Lock_release { site; txn = c, s } -> put t slot 8 site c s 0 0 0
-  | Request_sent { site; dst; txn = c, s; item; amount } ->
-    put t slot 9 site dst c s item amount
-  | Request_honored { site; src; txn = c, s; item; amount } ->
-    put t slot 10 site src c s item amount
-  | Crash { site } -> put t slot 11 site 0 0 0 0 0
-  | Recover { site; redo } -> put t slot 12 site redo 0 0 0 0
-  | Checkpoint { site; log_length } -> put t slot 13 site log_length 0 0 0 0
-  | Wal_repair { site; dropped } -> put t slot 14 site dropped 0 0 0 0
-  | Net_send { src; dst } -> put t slot 15 src dst 0 0 0 0
-  | Net_drop { src; dst } -> put t slot 16 src dst 0 0 0 0
+  | Txn_begin { site; txn = c, s; n_ops } ->
+    a.(k) <- site;
+    a.(k + 1) <- c;
+    a.(k + 2) <- s;
+    a.(k + 3) <- n_ops;
+    finish t b 1 k (k + 4) time
+  | Txn_commit { site; txn = c, s } ->
+    a.(k) <- site;
+    a.(k + 1) <- c;
+    a.(k + 2) <- s;
+    finish t b 2 k (k + 3) time
+  | Vm_created { site; dst = p; seq; item; amount }
+  | Vm_accepted { site; src = p; seq; item; amount }
+  | Vm_retransmit { site; dst = p; seq; item; amount } ->
+    a.(k) <- site;
+    a.(k + 1) <- p;
+    a.(k + 2) <- seq;
+    a.(k + 3) <- item;
+    a.(k + 4) <- amount;
+    finish t b
+      (match ev with Vm_created _ -> 3 | Vm_accepted _ -> 4 | _ -> 5)
+      k (k + 5) time
+  | Vm_dup { site; src; seq } ->
+    a.(k) <- site;
+    a.(k + 1) <- src;
+    a.(k + 2) <- seq;
+    finish t b 6 k (k + 3) time
+  | Lock_acquire { site; txn = c, s; items } ->
+    let n = List.length items in
+    let a =
+      if k + 4 + n <= Array.length a then a
+      else begin
+        t.ints <- Array.make (k + 4 + n) 0;
+        t.ints.(0) <- a.(0);
+        t.ints
+      end
+    in
+    a.(k) <- site;
+    a.(k + 1) <- c;
+    a.(k + 2) <- s;
+    a.(k + 3) <- n;
+    stage_items a (k + 4) items;
+    finish t b 7 k (k + 4 + n) time
+  | Lock_release { site; txn = c, s } ->
+    a.(k) <- site;
+    a.(k + 1) <- c;
+    a.(k + 2) <- s;
+    finish t b 8 k (k + 3) time
+  | Request_sent { site; dst = p; txn = c, s; item; amount }
+  | Request_honored { site; src = p; txn = c, s; item; amount } ->
+    a.(k) <- site;
+    a.(k + 1) <- p;
+    a.(k + 2) <- c;
+    a.(k + 3) <- s;
+    a.(k + 4) <- item;
+    a.(k + 5) <- amount;
+    finish t b (match ev with Request_sent _ -> 9 | _ -> 10) k (k + 6) time
+  | Crash { site } ->
+    a.(k) <- site;
+    finish t b 11 k (k + 1) time
+  | Recover { site; redo = x } | Checkpoint { site; log_length = x } | Wal_repair { site; dropped = x }
+    ->
+    a.(k) <- site;
+    a.(k + 1) <- x;
+    finish t b (match ev with Recover _ -> 12 | Checkpoint _ -> 13 | _ -> 14) k (k + 2) time
+  | Net_send { src; dst } | Net_drop { src; dst } ->
+    a.(k) <- src;
+    a.(k + 1) <- dst;
+    finish t b (match ev with Net_send _ -> 15 | _ -> 16) k (k + 2) time
   | Evacuation { site; value_moved; vms_delivered; stranded } ->
-    put t slot 17 site value_moved vms_delivered stranded 0 0
-  | Outbox_high { site; depth; limit } -> put t slot 18 site depth limit 0 0 0
-  | Mailbox_high { site; depth; limit } -> put t slot 19 site depth limit 0 0 0
-  | Join { site; epoch; seeded } -> put t slot 20 site epoch seeded 0 0 0
-  | Leave { site; epoch; shed } -> put t slot 21 site epoch shed 0 0 0
-  | Rebalance { moved } -> put t slot 22 moved 0 0 0 0 0
-  | Txn_abort _ | Request_ignored _ | Storage_fault _ | Health _ | Note _ -> spill t slot ev
+    a.(k) <- site;
+    a.(k + 1) <- value_moved;
+    a.(k + 2) <- vms_delivered;
+    a.(k + 3) <- stranded;
+    finish t b 17 k (k + 4) time
+  | Outbox_high { site; depth = x; limit = y }
+  | Mailbox_high { site; depth = x; limit = y }
+  | Join { site; epoch = x; seeded = y }
+  | Leave { site; epoch = x; shed = y } ->
+    a.(k) <- site;
+    a.(k + 1) <- x;
+    a.(k + 2) <- y;
+    finish t b
+      (match ev with Outbox_high _ -> 18 | Mailbox_high _ -> 19 | Join _ -> 20 | _ -> 21)
+      k (k + 3) time
+  | Rebalance { moved } ->
+    a.(k) <- moved;
+    finish t b 22 k (k + 1) time
+  | Txn_abort { site; txn = c, s; reason } ->
+    a.(k) <- site;
+    a.(k + 1) <- c;
+    a.(k + 2) <- s;
+    finish_str t b 23 k (k + 3) time reason
+  | Request_ignored { site; src; txn = c, s; item; reason } ->
+    a.(k) <- site;
+    a.(k + 1) <- src;
+    a.(k + 2) <- c;
+    a.(k + 3) <- s;
+    a.(k + 4) <- item;
+    finish_str t b 24 k (k + 5) time reason
+  | Storage_fault { site; kind } ->
+    a.(k) <- site;
+    finish_str t b 25 k (k + 1) time kind
+  | Health { site; peer; state } ->
+    a.(k) <- site;
+    a.(k + 1) <- peer;
+    finish_str t b 26 k (k + 2) time state
+  | Note { category; message } ->
+    Bytebuf.add_tagged b (if k = 0 then 27 lor full_time else 27) a k;
+    put_string b category;
+    put_string b message;
+    if k = 0 then Bytebuf.add_float b time
 
-let decode t slot =
-  let w = word t slot in
-  let head = w 0 in
-  match head land ((1 lsl tag_bits) - 1) with
-  | 0 -> Hashtbl.find t.spill slot
-  | 1 -> Txn_begin { site = w 1; txn = (w 2, w 3); n_ops = w 4 }
-  | 2 -> Txn_commit { site = w 1; txn = (w 2, w 3) }
-  | 3 -> Vm_created { site = w 1; dst = w 2; seq = w 3; item = w 4; amount = w 5 }
-  | 4 -> Vm_accepted { site = w 1; src = w 2; seq = w 3; item = w 4; amount = w 5 }
-  | 5 -> Vm_retransmit { site = w 1; dst = w 2; seq = w 3; item = w 4; amount = w 5 }
-  | 6 -> Vm_dup { site = w 1; src = w 2; seq = w 3 }
-  | 7 ->
-    let items = List.init (head lsr tag_bits) (fun k -> w (4 + k)) in
-    Lock_acquire { site = w 1; txn = (w 2, w 3); items }
-  | 8 -> Lock_release { site = w 1; txn = (w 2, w 3) }
-  | 9 -> Request_sent { site = w 1; dst = w 2; txn = (w 3, w 4); item = w 5; amount = w 6 }
-  | 10 -> Request_honored { site = w 1; src = w 2; txn = (w 3, w 4); item = w 5; amount = w 6 }
-  | 11 -> Crash { site = w 1 }
-  | 12 -> Recover { site = w 1; redo = w 2 }
-  | 13 -> Checkpoint { site = w 1; log_length = w 2 }
-  | 14 -> Wal_repair { site = w 1; dropped = w 2 }
-  | 15 -> Net_send { src = w 1; dst = w 2 }
-  | 16 -> Net_drop { src = w 1; dst = w 2 }
-  | 17 -> Evacuation { site = w 1; value_moved = w 2; vms_delivered = w 3; stranded = w 4 }
-  | 18 -> Outbox_high { site = w 1; depth = w 2; limit = w 3 }
-  | 19 -> Mailbox_high { site = w 1; depth = w 2; limit = w 3 }
-  | 20 -> Join { site = w 1; epoch = w 2; seeded = w 3 }
-  | 21 -> Leave { site = w 1; epoch = w 2; shed = w 3 }
-  | 22 -> Rebalance { moved = w 1 }
-  | tag -> invalid_arg (Printf.sprintf "Trace: corrupt slot tag %d" tag)
+(* Append one record to the newest segment.  A record that does not fit
+   goes to a fresh segment; one that does not fit an empty segment gets a
+   segment of twice the size in its place. *)
+let rec write t time ev =
+  if t.live = 0 then open_seg t ~size:seg_bytes ~replace:false;
+  let b = t.w in
+  let start = b.len in
+  match put_record t b time ev with
+  | () -> t.newest <- t.newest + 1
+  | exception Bytebuf.Full ->
+    Bytebuf.truncate b start;
+    if start = 0 then open_seg t ~size:(2 * Bytebuf.capacity b) ~replace:true
+    else open_seg t ~size:seg_bytes ~replace:false;
+    write t time ev
 
 let emit t ~time ev =
   if t.on then begin
-    let slot = t.next in
-    if t.count = t.capacity then begin
-      (* Overwriting the oldest event: forget its spilled copy, if any. *)
-      t.dropped <- t.dropped + 1;
-      if word t slot 0 = spilled then Hashtbl.remove t.spill slot
-    end
-    else t.count <- t.count + 1;
-    Float.Array.set t.times slot time;
-    encode t slot ev;
-    t.next <- (if slot + 1 = t.capacity then 0 else slot + 1)
+    if t.count = t.capacity then evict t else t.count <- t.count + 1;
+    write t time ev
   end
 
-(* The slot of the [i]-th retained event, oldest first. *)
-let slot_of t i =
-  let s = (if t.count < t.capacity then 0 else t.next) + i in
-  if s >= t.capacity then s - t.capacity else s
+(* ------------------------------------------------------------- reading *)
 
-let time_at t i = Float.Array.get t.times (slot_of t i)
+(* A forward reader: the next record is at [c] in the [k]-th live segment;
+   [prev] is the time of the record before it in that segment. *)
+type reader = {
+  ring : t;
+  c : Bytebuf.cursor;
+  mutable k : int;
+  mutable prev : float;
+  mutable seq : int;
+}
 
-let event_at t i = decode t (slot_of t i)
+let get_string c = Bytebuf.get_string c (Bytebuf.get_varint c)
 
-let events t = List.init t.count (fun i -> (time_at t i, event_at t i))
+(* How many int fields a record of each tag carries (a lock list's items
+   follow its length). *)
+let n_ints = [| 0; 4; 3; 5; 5; 5; 3; 4; 3; 6; 6; 1; 2; 2; 2; 2; 2; 4; 3; 3; 3; 3; 1; 3; 5; 1; 2; 0 |]
+
+(* The int fields are read in the order [put_record] wrote them, then the
+   event is built, [w j] being the [j]-th. *)
+let get_event c tag =
+  if tag < 1 || tag >= Array.length n_ints then
+    invalid_arg (Printf.sprintf "Trace: corrupt record tag %d" tag);
+  let v = Array.init n_ints.(tag) (fun _ -> Bytebuf.get_zigzag c) in
+  let w j = v.(j) in
+  match tag with
+  | 1 -> Txn_begin { site = w 0; txn = (w 1, w 2); n_ops = w 3 }
+  | 2 -> Txn_commit { site = w 0; txn = (w 1, w 2) }
+  | 3 -> Vm_created { site = w 0; dst = w 1; seq = w 2; item = w 3; amount = w 4 }
+  | 4 -> Vm_accepted { site = w 0; src = w 1; seq = w 2; item = w 3; amount = w 4 }
+  | 5 -> Vm_retransmit { site = w 0; dst = w 1; seq = w 2; item = w 3; amount = w 4 }
+  | 6 -> Vm_dup { site = w 0; src = w 1; seq = w 2 }
+  | 7 ->
+    let items = List.init (w 3) (fun _ -> Bytebuf.get_zigzag c) in
+    Lock_acquire { site = w 0; txn = (w 1, w 2); items }
+  | 8 -> Lock_release { site = w 0; txn = (w 1, w 2) }
+  | 9 -> Request_sent { site = w 0; dst = w 1; txn = (w 2, w 3); item = w 4; amount = w 5 }
+  | 10 -> Request_honored { site = w 0; src = w 1; txn = (w 2, w 3); item = w 4; amount = w 5 }
+  | 11 -> Crash { site = w 0 }
+  | 12 -> Recover { site = w 0; redo = w 1 }
+  | 13 -> Checkpoint { site = w 0; log_length = w 1 }
+  | 14 -> Wal_repair { site = w 0; dropped = w 1 }
+  | 15 -> Net_send { src = w 0; dst = w 1 }
+  | 16 -> Net_drop { src = w 0; dst = w 1 }
+  | 17 -> Evacuation { site = w 0; value_moved = w 1; vms_delivered = w 2; stranded = w 3 }
+  | 18 -> Outbox_high { site = w 0; depth = w 1; limit = w 2 }
+  | 19 -> Mailbox_high { site = w 0; depth = w 1; limit = w 2 }
+  | 20 -> Join { site = w 0; epoch = w 1; seeded = w 2 }
+  | 21 -> Leave { site = w 0; epoch = w 1; shed = w 2 }
+  | 22 -> Rebalance { moved = w 0 }
+  | 23 -> Txn_abort { site = w 0; txn = (w 1, w 2); reason = get_string c }
+  | 24 -> Request_ignored { site = w 0; src = w 1; txn = (w 2, w 3); item = w 4; reason = get_string c }
+  | 25 -> Storage_fault { site = w 0; kind = get_string c }
+  | 26 -> Health { site = w 0; peer = w 1; state = get_string c }
+  | _ ->
+    let category = get_string c in
+    Note { category; message = get_string c }
+
+let get_record r =
+  let c = r.c in
+  let head = Bytebuf.get_byte c in
+  if head land full_time = 0 then begin
+    let d = Bytebuf.get_zigzag c in
+    let time = Int64.float_of_bits (Int64.add (Int64.bits_of_float r.prev) (Int64.of_int d)) in
+    r.prev <- time;
+    (time, get_event c head)
+  end
+  else begin
+    let ev = get_event c (head land lnot full_time) in
+    let time = Bytebuf.get_float c in
+    r.prev <- time;
+    (time, ev)
+  end
+
+(* Point the reader at the start of the [k]-th live segment, past its
+   evicted records. *)
+let enter r k =
+  let t = r.ring in
+  r.k <- k;
+  r.prev <- 0.0;
+  Bytebuf.reset r.c (Bytes.unsafe_to_string t.segs.(slot t k)) ~pos:0 ~stop:(used t k);
+  for _ = 1 to gone t k do
+    ignore (get_record r)
+  done
+
+let reader t =
+  let r = { ring = t; c = Bytebuf.cursor (); k = 0; prev = 0.0; seq = t.dropped } in
+  if t.live > 0 then enter r 0;
+  r
+
+let rec next r =
+  if Bytebuf.remaining r.c > 0 then begin
+    let time, ev = get_record r in
+    r.seq <- r.seq + 1;
+    Some (r.seq - 1, time, ev)
+  end
+  else if r.k + 1 < r.ring.live then begin
+    enter r (r.k + 1);
+    next r
+  end
+  else None
+
+(* Oldest-first walk over the ring without materialising a list. *)
+let iter_seq t f =
+  let r = reader t in
+  let rec go () =
+    match next r with
+    | Some (seq, time, ev) ->
+      f seq time ev;
+      go ()
+    | None -> ()
+  in
+  go ()
+
+let iter_events t f = iter_seq t (fun _ time ev -> f ~time ev)
+
+let fold_rev t f =
+  let out = ref [] in
+  iter_seq t (fun seq time ev -> out := f seq time ev :: !out);
+  List.rev !out
+
+let events t = fold_rev t (fun _ time ev -> (time, ev))
 
 (* The ring drops oldest-first, so the i-th retained event (oldest first) is
    the ([dropped] + i)-th ever emitted: a stable per-ring sequence number
-   without widening the slots.  The shard merge uses it as a tie-break. *)
-let seq_events t = List.init t.count (fun i -> (t.dropped + i, time_at t i, event_at t i))
-
-(* Oldest-first walk over the ring without materialising a list. *)
-let iter_events t f =
-  for i = 0 to t.count - 1 do
-    f ~time:(time_at t i) (event_at t i)
-  done
+   that the records need not carry.  The shard merge uses it as a
+   tie-break. *)
+let seq_events t = fold_rev t (fun seq time ev -> (seq, time, ev))
 
 let count_events t ~f =
   let n = ref 0 in
@@ -216,9 +500,15 @@ let find_events t ~f =
   iter_events t (fun ~time ev -> if f ev then out := (time, ev) :: !out);
   List.rev !out
 
+(* Every segment is let go but the newest, kept as the spare. *)
 let clear t =
-  Hashtbl.reset t.spill;
-  t.next <- 0;
+  if t.live > 0 && Bytebuf.capacity t.w = seg_bytes then t.spare <- t.w.bytes;
+  t.segs <- [||];
+  t.meta <- [||];
+  t.first <- 0;
+  t.live <- 0;
+  t.newest <- 0;
+  t.sealed <- 0;
   t.count <- 0;
   t.dropped <- 0
 

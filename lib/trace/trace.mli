@@ -10,12 +10,17 @@
     oldest entries are dropped and {!drop_count} says how many, so a consumer
     can tell a clipped trace from a complete one.
 
-    The ring is flat: a time column plus a fixed-width int slot per event,
-    neither scanned by the GC nor filled at {!create}.  Emitting an event
-    whose fields are all ints allocates nothing; an event that carries a
-    string or locks more than three items is kept whole in a side table.
-    Readers ({!events}, {!iter_events}, …) decode each slot back into a
-    structurally equal event.
+    The ring is compact: each event is one variable-length record in 4 KB
+    byte segments, allocated as events arrive and released once every event
+    in them has been evicted.  A record is a tag byte, the event's ints as
+    zigzag varints (first the time's delta: its IEEE bit pattern minus the
+    previous record's, exact), any string with its length, and, only when
+    the delta does not fit an [int], the time's 8 bytes.  A slowly rising
+    clock costs a few bytes a record; an event of a local commit takes
+    about ten in all.  Nothing in the ring is scanned by the GC, and
+    emitting allocates no minor words.  Readers ({!events}, {!iter_events},
+    {!reader}, …) decode the records forward, each back into a structurally
+    equal event; times come back bit for bit.
 
     The legacy string API ({!record}, {!entries}, {!find}, …) is kept as a
     thin compatibility shim over the typed events: every typed event renders
@@ -77,9 +82,10 @@ type entry = { time : float; category : string; message : string }
     {!message_of_event}). *)
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 65536, must be positive) bounds the retained events.
-    Creation does no work proportional to it: memory becomes resident as
-    events are written. *)
+(** [capacity] (default 65536, must be positive) bounds the retained events:
+    the newest [capacity] are kept.  Creation allocates no segment and does
+    no work proportional to it; memory is taken as events are written, a
+    few bytes per event. *)
 
 val enabled : t -> bool
 
@@ -106,17 +112,25 @@ val seq_events : t -> (int * float * event) list
 val length : t -> int
 (** Number of retained events, in O(1): at most {!capacity}. *)
 
-val time_at : t -> int -> float
-(** [time_at t i] is the time of the [i]-th retained event, oldest first
-    ([0 <= i < length t]). *)
+val bytes_held : t -> int
+(** Bytes of record data the ring holds: everything written to its live
+    segments, including evicted records whose segment is not yet released.
+    [bytes_held t / length t] is the ring's cost per event. *)
 
-val event_at : t -> int -> event
-(** [event_at t i] decodes the [i]-th retained event, oldest first; its
-    sequence number (see {!seq_events}) is [drop_count t + i]. *)
+type reader
+(** A forward cursor over the retained window. *)
+
+val reader : t -> reader
+(** A reader at the oldest retained event.  The ring must not be written or
+    cleared while a reader of it is in use. *)
+
+val next : reader -> (int * float * event) option
+(** The next event, oldest first, with its sequence number (as in
+    {!seq_events}) and time; [None] past the newest. *)
 
 val iter_events : t -> (time:float -> event -> unit) -> unit
 (** Walk the retained window oldest-first without materialising a list —
-    the allocation-free way to scan a large trace. *)
+    the cheap way to scan a large trace (each event is decoded once). *)
 
 val find_events : t -> f:(event -> bool) -> (float * event) list
 

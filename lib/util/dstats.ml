@@ -62,15 +62,27 @@ module Sample = struct
 
   let create () = { data = Array.make 64 0.0; len = 0; sorted = true }
 
-  let add s x =
-    if s.len = Array.length s.data then begin
-      let fresh = Array.make (2 * s.len) 0.0 in
+  let reserve s n =
+    if s.len + n > Array.length s.data then begin
+      let fresh = Array.make (max (2 * Array.length s.data) (s.len + n)) 0.0 in
       Array.blit s.data 0 fresh 0 s.len;
       s.data <- fresh
-    end;
+    end
+
+  let add s x =
+    reserve s 1;
     s.data.(s.len) <- x;
     s.len <- s.len + 1;
     s.sorted <- false
+
+  let append dst src =
+    let n = src.len in
+    if n > 0 then begin
+      reserve dst n;
+      Array.blit src.data 0 dst.data dst.len n;
+      dst.len <- dst.len + n;
+      dst.sorted <- false
+    end
 
   let count s = s.len
 

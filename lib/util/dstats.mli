@@ -40,6 +40,10 @@ module Sample : sig
 
   val add : s -> float -> unit
 
+  val append : s -> s -> unit
+  (** [append dst src] adds every observation of [src] to [dst] with one
+      copy: no sort, and [src] is left as it was. *)
+
   val count : s -> int
 
   val percentile : s -> float -> float

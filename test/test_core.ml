@@ -332,6 +332,48 @@ let test_metrics_merge_reasons () =
   Alcotest.(check (float 1e-9)) "max lock hold" 0.7 (Metrics.max_lock_hold m);
   Alcotest.(check (float 1e-9)) "max blocked" 1.5 (Metrics.max_blocked m)
 
+(* [merge] appends latency samples without sorting them; its statistics
+   must be those of the concatenated samples, sorted.  The percentiles are
+   read first, so the mean sums the sorted data, as the reference does.
+   NaNs and infinities included, compared bit for bit. *)
+let prop_metrics_merge_latencies =
+  let latency =
+    QCheck.Gen.(frequency [ (8, float); (1, oneofl [ nan; infinity; neg_infinity; -0.0 ]) ])
+  in
+  let lats = QCheck.Gen.(list_size (int_bound 60) latency) in
+  QCheck.Test.make ~count:300 ~name:"merge latencies = sorted concatenation"
+    (QCheck.make QCheck.Gen.(pair lats lats))
+    (fun (xs, ys) ->
+      let of_list l =
+        let m = Metrics.create () in
+        List.iter (fun latency -> Metrics.txn_committed m ~latency) l;
+        m
+      in
+      let m = Metrics.merge (of_list xs) (of_list ys) in
+      let sorted = Array.of_list (xs @ ys) in
+      Array.sort Float.compare sorted;
+      let n = Array.length sorted in
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+        || (Float.is_nan a && Float.is_nan b)
+      in
+      let pct p =
+        if n = 0 then nan
+        else
+          let rank = p /. 100.0 *. float_of_int (n - 1) in
+          let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+          sorted.(lo) +. ((rank -. Float.floor rank) *. (sorted.(hi) -. sorted.(lo)))
+      in
+      let mean = if n = 0 then nan else Array.fold_left ( +. ) 0.0 sorted /. float_of_int n in
+      let got =
+        [ Metrics.latency_p50 m; Metrics.latency_p90 m; Metrics.latency_p99 m;
+          Metrics.latency_max m ]
+      in
+      Array.length (Metrics.latency_samples m) = n
+      && Metrics.committed m = n
+      && List.for_all2 same [ pct 50.0; pct 90.0; pct 99.0; (if n = 0 then nan else sorted.(n - 1)) ] got
+      && same mean (Metrics.latency_mean m))
+
 let test_metrics_per_commit_ratios () =
   let m = Metrics.create () in
   Metrics.add_messages m 30;
@@ -1776,6 +1818,7 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "merge reasons" `Quick test_metrics_merge_reasons;
+          QCheck_alcotest.to_alcotest prop_metrics_merge_latencies;
           Alcotest.test_case "per-commit ratios" `Quick test_metrics_per_commit_ratios;
         ] );
       ( "system",

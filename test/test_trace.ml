@@ -67,119 +67,7 @@ let test_drop_count () =
 
 (* ----------------------------------------------------------- the ring *)
 
-(* Every constructor, with the field values that stress a flat encoding:
-   negative ints and the int extremes, dst = -1 (a broadcast request),
-   empty/1-item/long lock lists, empty and non-ASCII strings. *)
-let gen_event =
-  let open QCheck.Gen in
-  let int =
-    frequency [ (4, small_signed_int); (1, oneofl [ min_int; max_int; -1; 0 ]); (2, int) ]
-  in
-  let str = oneof [ oneofl [ ""; "timeout"; "é"; "日本語 ✓"; "\x00\xff" ]; string_printable ] in
-  let ts = pair int int in
-  let items =
-    oneof
-      [
-        return []; map (fun i -> [ i ]) int; list_size (int_range 2 3) int;
-        list_size (int_range 4 12) int;
-      ]
-  in
-  oneof
-    [
-      map3 (fun site txn n_ops -> Trace.Txn_begin { site; txn; n_ops }) int ts int;
-      map2 (fun site txn -> Trace.Txn_commit { site; txn }) int ts;
-      map3 (fun site txn reason -> Trace.Txn_abort { site; txn; reason }) int ts str;
-      map3
-        (fun (site, dst) seq (item, amount) -> Trace.Vm_created { site; dst; seq; item; amount })
-        (pair int int) int (pair int int);
-      map3
-        (fun (site, src) seq (item, amount) -> Trace.Vm_accepted { site; src; seq; item; amount })
-        (pair int int) int (pair int int);
-      map3
-        (fun (site, dst) seq (item, amount) ->
-          Trace.Vm_retransmit { site; dst; seq; item; amount })
-        (pair int int) int (pair int int);
-      map3 (fun site src seq -> Trace.Vm_dup { site; src; seq }) int int int;
-      map3 (fun site txn items -> Trace.Lock_acquire { site; txn; items }) int ts items;
-      map2 (fun site txn -> Trace.Lock_release { site; txn }) int ts;
-      map3
-        (fun (site, dst) txn (item, amount) -> Trace.Request_sent { site; dst; txn; item; amount })
-        (pair int (oneof [ return (-1); int ])) ts (pair int int);
-      map3
-        (fun (site, src) txn (item, amount) ->
-          Trace.Request_honored { site; src; txn; item; amount })
-        (pair int int) ts (pair int int);
-      map3
-        (fun (site, src) txn (item, reason) ->
-          Trace.Request_ignored { site; src; txn; item; reason })
-        (pair int int) ts (pair int str);
-      map (fun site -> Trace.Crash { site }) int;
-      map2 (fun site redo -> Trace.Recover { site; redo }) int int;
-      map2 (fun site log_length -> Trace.Checkpoint { site; log_length }) int int;
-      map2 (fun site kind -> Trace.Storage_fault { site; kind }) int str;
-      map2 (fun site dropped -> Trace.Wal_repair { site; dropped }) int int;
-      map2 (fun src dst -> Trace.Net_send { src; dst }) int int;
-      map2 (fun src dst -> Trace.Net_drop { src; dst }) int int;
-      map3 (fun site peer state -> Trace.Health { site; peer; state }) int int str;
-      map2
-        (fun (site, value_moved) (vms_delivered, stranded) ->
-          Trace.Evacuation { site; value_moved; vms_delivered; stranded })
-        (pair int int) (pair int int);
-      map3 (fun site depth limit -> Trace.Outbox_high { site; depth; limit }) int int int;
-      map3 (fun site depth limit -> Trace.Mailbox_high { site; depth; limit }) int int int;
-      map3 (fun site epoch seeded -> Trace.Join { site; epoch; seeded }) int int int;
-      map3 (fun site epoch shed -> Trace.Leave { site; epoch; shed }) int int int;
-      map (fun moved -> Trace.Rebalance { moved }) int;
-      map2 (fun category message -> Trace.Note { category; message }) str str;
-    ]
-
-type ring_op = Emit of float * Trace.event | Clear
-
-(* Emits (and the odd clear) into a small ring, checked after every step
-   against a list model: the newest [capacity] events since the last clear,
-   [drop_count] = the rest, sequence numbers counted from the last clear.
-   Times compare by bit pattern, so NaNs and signed zeros must survive too. *)
-let prop_ring_roundtrip =
-  let gen =
-    QCheck.Gen.(
-      pair (oneofl [ 1; 4; 8 ])
-        (list_size (int_bound 40)
-           (frequency [ (12, map2 (fun t e -> Emit (t, e)) float gen_event); (1, return Clear) ])))
-  in
-  QCheck.Test.make ~count:500 ~name:"ring reads back what a list model holds" (QCheck.make gen)
-    (fun (capacity, ops) ->
-      let tr = Trace.create ~capacity () in
-      let same_time a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-      let emitted = ref [] (* newest first, since the last clear *) in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Emit (time, ev) ->
-            Trace.emit tr ~time ev;
-            emitted := (time, ev) :: !emitted
-          | Clear ->
-            Trace.clear tr;
-            emitted := []);
-          let n = List.length !emitted in
-          let dropped = max 0 (n - capacity) in
-          let model =
-            List.rev !emitted |> List.filteri (fun i _ -> i >= dropped)
-            |> List.mapi (fun i (time, ev) -> (dropped + i, time, ev))
-          in
-          let same_events = List.equal (fun (t, e) (t', e') -> same_time t t' && e = e') in
-          let model_events = List.map (fun (_, t, e) -> (t, e)) model in
-          let walked = ref [] in
-          Trace.iter_events tr (fun ~time ev -> walked := (time, ev) :: !walked);
-          Trace.drop_count tr = dropped
-          && Trace.length tr = List.length model
-          && List.map (fun (q, _, _) -> q) (Trace.seq_events tr)
-             = List.map (fun (q, _, _) -> q) model
-          && same_events model_events (List.map (fun (_, t, e) -> (t, e)) (Trace.seq_events tr))
-          && same_events model_events (Trace.events tr)
-          && same_events model_events (List.rev !walked))
-        ops)
-
-(* Int-payload events, including an inline lock list; none is spilled. *)
+(* Int-payload events, including a lock list. *)
 let int_payload_events =
   [|
     Trace.Txn_begin { site = 0; txn = (3, 0); n_ops = 2 };
@@ -197,8 +85,9 @@ let int_payload_events =
   |]
 
 (* The ring itself allocates nothing per int-payload emit: with prebuilt
-   events and a constant time, 100k emits (wrapping a 4096-slot ring many
-   times over) move the minor-heap counter by exactly zero words. *)
+   events and a constant time, 100k emits (growing a 4096-event ring from
+   empty, then wrapping it many times over) move the minor-heap counter by
+   exactly zero words. *)
 let test_emit_allocates_nothing () =
   let tr = Trace.create ~capacity:4096 () in
   let n = Array.length int_payload_events in
@@ -211,10 +100,10 @@ let test_emit_allocates_nothing () =
   Alcotest.(check (float 0.0)) "minor words for 100k emits" 0.0 (after -. before);
   Alcotest.(check int) "ring wrapped" (100_000 - 4096) (Trace.drop_count tr)
 
-(* A full ring of int-payload events holds 64 bytes (8 words) per slot plus
-   a constant (block headers, the empty spill table), all of it in blocks
-   the GC does not scan: a boxed ring's events would be separate heap blocks
-   reachable from the ring. *)
+(* A full ring of int-payload events holds no more than 64 bytes (8 words)
+   per event plus a constant (block headers, the segment deque), all of it
+   in blocks the GC does not scan: a boxed ring's events would be separate
+   heap blocks reachable from the ring. *)
 let test_resident_bytes_per_event () =
   let capacity = 1024 in
   let tr = Trace.create ~capacity () in
@@ -225,6 +114,211 @@ let test_resident_bytes_per_event () =
   let words = Obj.reachable_words (Obj.repr tr) in
   if words > (8 * capacity) + 64 then
     Alcotest.failf "%d words for %d slots, want <= 8 per slot + 64" words capacity
+
+(* ------------------------------------------------------ the ring model *)
+
+(* Field values at every varint width: the zigzag edges, the int extremes,
+   full-width values, and dst = -1 (a broadcast request). *)
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0; 1; -1; min_int; max_int; min_int + 1; max_int - 1 ]);
+        (3, small_signed_int);
+        (2, int);
+        (2, map (fun k -> (1 lsl k) - 1) (int_bound 62));
+        (1, map (fun k -> -(1 lsl k)) (int_bound 62));
+      ])
+
+(* Empty, short (non-ASCII and NUL included), and longer than one
+   4096-byte segment, once or several times over. *)
+let gen_string =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ ""; "timeout"; "é"; "日本語 ✓"; "\x00\xff" ]);
+        (4, string_size ~gen:printable (int_bound 12));
+        (1, map2 String.make (int_range 4097 20_000) printable);
+      ])
+
+(* Every constructor, with a [Lock_acquire] of 0 to 6 items. *)
+let gen_event =
+  let open QCheck.Gen in
+  let i = gen_int and str = gen_string in
+  let ts = pair i i in
+  let five f = map3 (fun (a, b) c (d, e) -> f a b c d e) (pair i i) i (pair i i) in
+  oneof
+    [
+      map3 (fun site txn n_ops -> Trace.Txn_begin { site; txn; n_ops }) i ts i;
+      map2 (fun site txn -> Trace.Txn_commit { site; txn }) i ts;
+      map3 (fun site txn reason -> Trace.Txn_abort { site; txn; reason }) i ts str;
+      five (fun site dst seq item amount -> Trace.Vm_created { site; dst; seq; item; amount });
+      five (fun site src seq item amount -> Trace.Vm_accepted { site; src; seq; item; amount });
+      five (fun site dst seq item amount -> Trace.Vm_retransmit { site; dst; seq; item; amount });
+      map3 (fun site src seq -> Trace.Vm_dup { site; src; seq }) i i i;
+      map3
+        (fun site txn items -> Trace.Lock_acquire { site; txn; items })
+        i ts (list_size (int_bound 6) i);
+      map2 (fun site txn -> Trace.Lock_release { site; txn }) i ts;
+      map3
+        (fun (site, dst) txn (item, amount) -> Trace.Request_sent { site; dst; txn; item; amount })
+        (pair i (oneof [ return (-1); i ])) ts (pair i i);
+      map3
+        (fun (site, src) txn (item, amount) ->
+          Trace.Request_honored { site; src; txn; item; amount })
+        (pair i i) ts (pair i i);
+      map3
+        (fun (site, src) txn (item, reason) ->
+          Trace.Request_ignored { site; src; txn; item; reason })
+        (pair i i) ts (pair i str);
+      map (fun site -> Trace.Crash { site }) i;
+      map2 (fun site redo -> Trace.Recover { site; redo }) i i;
+      map2 (fun site log_length -> Trace.Checkpoint { site; log_length }) i i;
+      map2 (fun site kind -> Trace.Storage_fault { site; kind }) i str;
+      map2 (fun site dropped -> Trace.Wal_repair { site; dropped }) i i;
+      map2 (fun src dst -> Trace.Net_send { src; dst }) i i;
+      map2 (fun src dst -> Trace.Net_drop { src; dst }) i i;
+      map3 (fun site peer state -> Trace.Health { site; peer; state }) i i str;
+      map2
+        (fun (site, value_moved) (vms_delivered, stranded) ->
+          Trace.Evacuation { site; value_moved; vms_delivered; stranded })
+        (pair i i) (pair i i);
+      map3 (fun site depth limit -> Trace.Outbox_high { site; depth; limit }) i i i;
+      map3 (fun site depth limit -> Trace.Mailbox_high { site; depth; limit }) i i i;
+      map3 (fun site epoch seeded -> Trace.Join { site; epoch; seeded }) i i i;
+      map3 (fun site epoch shed -> Trace.Leave { site; epoch; shed }) i i i;
+      map (fun moved -> Trace.Rebalance { moved }) i;
+      map2 (fun category message -> Trace.Note { category; message }) str str;
+    ]
+
+(* Times mostly rise by small steps, as a site clock's do, so most records
+   store a delta; now and then an arbitrary float (NaN, infinities, signed
+   zeros, a step back) is emitted as it comes. *)
+type ring_op = Emit_after of float * Trace.event | Emit_at of float * Trace.event | Clear
+
+let is_commit = function Trace.Txn_commit _ -> true | _ -> false
+
+(* Random emit scripts against a list model, over capacities from 1 up,
+   long enough to wrap the small ones many times.  Before every clear and
+   at the end, every reader must equal the model: the newest [capacity]
+   events since the last clear, the rest counted dropped, sequence numbers
+   counted from the last clear.  Times compare by bit pattern. *)
+let prop_ring_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 300)
+        (list_size (int_bound 600)
+           (frequency
+              [
+                (40, map2 (fun dt e -> Emit_after (dt, e)) (float_bound_inclusive 1e-3) gen_event);
+                (3, map2 (fun t e -> Emit_at (t, e)) float gen_event);
+                (1, return Clear);
+              ])))
+  in
+  QCheck.Test.make ~count:200 ~name:"ring reads back what a list model holds" (QCheck.make gen)
+    (fun (capacity, script) ->
+      let tr = Trace.create ~capacity () in
+      let clock = ref 1.0 and emitted = ref [] (* newest first *) and total = ref 0 in
+      let agrees () =
+        let dropped = max 0 (!total - capacity) in
+        let model = List.filteri (fun i _ -> i < capacity) !emitted |> List.rev in
+        let same_time a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        let same = List.equal (fun (t, e) (t', e') -> same_time t t' && e = e') in
+        let commits = List.filter (fun (_, e) -> is_commit e) model in
+        let walked = ref [] in
+        Trace.iter_events tr (fun ~time ev -> walked := (time, ev) :: !walked);
+        let jsonl =
+          String.concat ""
+            (List.map
+               (fun j -> Json.to_string j ^ "\n")
+               (Json.Obj
+                  [
+                    ("type", Json.String "meta");
+                    ("events", Json.Int (List.length model));
+                    ("dropped", Json.Int dropped);
+                    ("capacity", Json.Int capacity);
+                  ]
+               :: List.map (fun (time, ev) -> Trace.event_to_json ~time ev) model))
+        in
+        Trace.length tr = List.length model
+        && Trace.drop_count tr = dropped
+        && same (Trace.events tr) model
+        && same (List.rev !walked) model
+        && List.map (fun (q, _, _) -> q) (Trace.seq_events tr)
+           = List.mapi (fun i _ -> dropped + i) model
+        && same (List.map (fun (_, t, e) -> (t, e)) (Trace.seq_events tr)) model
+        && Trace.count_events tr ~f:is_commit = List.length commits
+        && same (Trace.find_events tr ~f:is_commit) commits
+        && Trace.to_jsonl tr = jsonl
+      in
+      let emit time ev =
+        Trace.emit tr ~time ev;
+        emitted := (time, ev) :: !emitted;
+        incr total
+      in
+      List.for_all
+        (function
+          | Emit_after (dt, ev) ->
+            clock := !clock +. dt;
+            emit !clock ev;
+            true
+          | Emit_at (time, ev) ->
+            emit time ev;
+            true
+          | Clear ->
+            let ok = agrees () in
+            Trace.clear tr;
+            emitted := [];
+            total := 0;
+            ok)
+        script
+      && agrees ())
+
+(* With the runtime's clamped clocks, and events stamped with readings a
+   callback already holds, every shard's times still never go back. *)
+let test_wall_shard_times_monotone () =
+  let module Cluster = Dvp_runtime.Cluster in
+  let c =
+    Cluster.create ~seed:21 ~tracing:true ~trace_capacity:(1 lsl 20) ~n:2
+      ~items:[ (0, 10_000) ] ()
+  in
+  let committed = Cluster.run_load c ~duration:0.3 ~item:0 () in
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  let shards = Option.get (Cluster.shards c) in
+  Cluster.stop c;
+  Alcotest.(check bool) "commits traced" true (committed > 0);
+  for i = 0 to Dvp_trace.Shards.n_shards shards - 1 do
+    let last = ref neg_infinity and back = ref 0 in
+    Trace.iter_events (Dvp_trace.Shards.shard shards i) (fun ~time _ ->
+        if time < !last then incr back;
+        last := Float.max !last time);
+    Alcotest.(check int) (Printf.sprintf "shard %d: times that went back" i) 0 !back
+  done
+
+(* The ring's memory budget: DES local commits (a begin, a lock, a release
+   and a commit each) at 20 bytes an event or less.  A fixed 64-byte slot
+   fails it. *)
+let test_ring_bytes_per_event () =
+  let module System = Dvp_core.System in
+  let trace = Trace.create ~capacity:(1 lsl 17) () in
+  let sys = System.create ~seed:3 ~trace ~n:2 () in
+  System.add_item sys ~item:0 ~total:1_000 ();
+  let engine = System.engine sys in
+  let commits = ref 0 in
+  for k = 0 to 9_999 do
+    ignore
+      (Engine.schedule_at engine ~at:(0.001 *. float_of_int k) (fun () ->
+           System.exec sys
+             (Dvp.Txn.write ~site:(k mod 2) [ (0, Dvp.Op.Incr 1) ])
+             ~on_done:(function Dvp.Txn.Committed _ -> incr commits | Dvp.Txn.Aborted _ -> ())))
+  done;
+  System.run_until sys 11.0;
+  Alcotest.(check int) "all committed" 10_000 !commits;
+  Alcotest.(check int) "nothing dropped" 0 (Trace.drop_count trace);
+  let per_event = float_of_int (Trace.bytes_held trace) /. float_of_int (Trace.length trace) in
+  if per_event > 20.0 then
+    Alcotest.failf "%.1f ring bytes per event over %d events, want <= 20" per_event
+      (Trace.length trace)
 
 (* Drive a real partitioned run and validate the Chrome export: the file
    must parse, use the envelope shape, and every duration slice must open
@@ -463,6 +557,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_ring_roundtrip;
           Alcotest.test_case "emit allocates nothing" `Quick test_emit_allocates_nothing;
           Alcotest.test_case "resident bytes per event" `Quick test_resident_bytes_per_event;
+          Alcotest.test_case "wall shard times monotone" `Quick test_wall_shard_times_monotone;
+          Alcotest.test_case "DES commits within 20 bytes per event" `Quick
+            test_ring_bytes_per_event;
         ] );
       ( "probe",
         [

@@ -74,6 +74,30 @@ let prop_merged_total_order =
       && Shards.total_events shards = retained
       && merged = by_sort)
 
+(* A fixed three-shard recording: shard clocks that stall and tie across
+   shards, payloads of several kinds, and 64-event rings that evict.  Its
+   merged JSONL dump must stay byte for byte what the slot-array ring with
+   its newest-first merge produced (the digest below). *)
+let test_merged_order_recorded () =
+  let shards = Shards.create ~capacity:64 ~n:3 () in
+  let clocks = [| 0.0; 0.0; 0.0 |] in
+  for k = 0 to 299 do
+    let s = k * 7 mod 3 in
+    clocks.(s) <- clocks.(s) +. (float_of_int (k * 13 mod 4) *. 0.25e-3);
+    let txn = (k, s) in
+    let ev =
+      match k mod 5 with
+      | 0 -> Trace.Txn_begin { site = s; txn; n_ops = k mod 3 }
+      | 1 -> Trace.Lock_acquire { site = s; txn; items = List.init (k mod 4) (fun i -> i * k) }
+      | 2 -> Trace.Txn_abort { site = s; txn; reason = String.make (k mod 7) 'r' }
+      | 3 -> Trace.Vm_created { site = s; dst = (s + 1) mod 3; seq = k; item = -k; amount = k * k }
+      | _ -> Trace.Note { category = "n"; message = string_of_int k }
+    in
+    Trace.emit (Shards.shard shards s) ~time:clocks.(s) ev
+  done;
+  Alcotest.(check string) "merged dump digest" "28746300339eaf39db074c148d7d7bbf"
+    (Digest.to_hex (Digest.string (Shards.to_jsonl shards)))
+
 (* ------------------------------- span commit counts vs Metrics, DES side *)
 
 let test_des_spans_match_metrics () =
@@ -357,7 +381,11 @@ let test_mailbox_high_event () =
 let () =
   Alcotest.run "dvp_wallobs"
     [
-      ("merge", [ QCheck_alcotest.to_alcotest prop_merged_total_order ]);
+      ( "merge",
+        [
+          QCheck_alcotest.to_alcotest prop_merged_total_order;
+          Alcotest.test_case "recorded multi-shard order" `Quick test_merged_order_recorded;
+        ] );
       ( "spans",
         [
           Alcotest.test_case "DES spans = metrics" `Quick test_des_spans_match_metrics;
