@@ -1738,7 +1738,7 @@ let e21_claims contract runs =
    storms of crashes, partitions, link loss, checkpoint jitter, and torn or
    corrupted log flushes, every invariant the paper promises still holds —
    conservation after each recovery, escrow non-negativity, exactly-once Vm
-   acceptance, and a clean log tail.  One row per profile, many seeds each;
+   acceptance, the stable-log audit, and a clean log tail.  One row per profile, many seeds each;
    any violation would abort the table with its reproducing seed. *)
 let chaos () =
   (* The id is lowercase "chaos", which the `section` helper's
@@ -1757,6 +1757,7 @@ let chaos () =
         ("recoveries", Table.Right);
         ("wal repairs", Table.Right);
         ("records truncated", Table.Right);
+        ("vm accepted", Table.Right);
       ]
   in
   List.iter
@@ -1774,6 +1775,7 @@ let chaos () =
           Table.fint r.Dvp.Chaos.Harness.total_recoveries;
           Table.fint r.Dvp.Chaos.Harness.total_wal_repairs;
           Table.fint r.Dvp.Chaos.Harness.total_repaired_records;
+          Table.fint r.Dvp.Chaos.Harness.total_vm_accepted;
         ];
       List.iter
         (fun (f : Dvp.Chaos.Harness.failure) ->

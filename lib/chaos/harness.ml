@@ -18,6 +18,7 @@ type seed_result = {
   recoveries : int;
   wal_repairs : int;
   repaired_records : int;
+  vm_accepted : int;
   crashdump : string option;
 }
 
@@ -153,6 +154,7 @@ let run_seed ~(profile : Profile.t) ~seed ?schedule ?extra_checks ?crashdumps ()
     recoveries = Metrics.recovery_count o.Runner.metrics;
     wal_repairs = sum_sites Wal.repairs;
     repaired_records = sum_sites Wal.repaired_records;
+    vm_accepted = Metrics.vm_accepted_count o.Runner.metrics;
     crashdump;
   }
 
@@ -171,6 +173,7 @@ type report = {
   total_recoveries : int;
   total_wal_repairs : int;
   total_repaired_records : int;
+  total_vm_accepted : int;
 }
 
 let shrink_failure ~profile ?extra_checks (r : seed_result) =
@@ -184,7 +187,7 @@ let shrink_failure ~profile ?extra_checks (r : seed_result) =
 let run ?(first_seed = 1) ~seeds ~profile ?extra_checks ?crashdumps () =
   let failures = ref [] in
   let committed = ref 0 and submitted = ref 0 in
-  let recoveries = ref 0 and repairs = ref 0 and repaired = ref 0 in
+  let recoveries = ref 0 and repairs = ref 0 and repaired = ref 0 and vms = ref 0 in
   for seed = first_seed to first_seed + seeds - 1 do
     let r = run_seed ~profile ~seed ?extra_checks ?crashdumps () in
     committed := !committed + r.committed;
@@ -192,6 +195,7 @@ let run ?(first_seed = 1) ~seeds ~profile ?extra_checks ?crashdumps () =
     recoveries := !recoveries + r.recoveries;
     repairs := !repairs + r.wal_repairs;
     repaired := !repaired + r.repaired_records;
+    vms := !vms + r.vm_accepted;
     if failed r then failures := shrink_failure ~profile ?extra_checks r :: !failures
   done;
   {
@@ -204,6 +208,7 @@ let run ?(first_seed = 1) ~seeds ~profile ?extra_checks ?crashdumps () =
     total_recoveries = !recoveries;
     total_wal_repairs = !repairs;
     total_repaired_records = !repaired;
+    total_vm_accepted = !vms;
   }
 
 let failure_to_json { result; shrunk } =
@@ -237,6 +242,7 @@ let report_to_json r =
       ("recoveries", Json.Int r.total_recoveries);
       ("wal_repairs", Json.Int r.total_wal_repairs);
       ("repaired_records", Json.Int r.total_repaired_records);
+      ("vm_accepted", Json.Int r.total_vm_accepted);
     ]
 
 let pp_failure ~profile_label ppf { result; shrunk } =
@@ -259,10 +265,11 @@ let pp_failure ~profile_label ppf { result; shrunk } =
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>chaos %s: %d seed(s) starting at %d@,\
-     commits: %d/%d  recoveries: %d  wal repairs: %d (%d record(s) truncated)@,"
+     commits: %d/%d  recoveries: %d  wal repairs: %d (%d record(s) truncated)  \
+     vm accepted: %d@,"
     r.profile.Profile.label r.seeds r.first_seed r.total_committed
     r.total_submitted r.total_recoveries r.total_wal_repairs
-    r.total_repaired_records;
+    r.total_repaired_records r.total_vm_accepted;
   (match r.failures with
   | [] -> Format.fprintf ppf "invariants: OK — no violations@]"
   | fs ->

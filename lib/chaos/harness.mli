@@ -16,6 +16,7 @@ type seed_result = {
   recoveries : int;  (** site recoveries performed *)
   wal_repairs : int;  (** recoveries that had to truncate a corrupt tail *)
   repaired_records : int;  (** log records truncated across those repairs *)
+  vm_accepted : int;  (** virtual messages accepted, from the run's merged metrics *)
   crashdump : string option;
       (** where the flight recorder dumped this seed's trace window and
           telemetry, when the run failed and crashdumps were enabled *)
@@ -56,6 +57,7 @@ type report = {
   total_recoveries : int;
   total_wal_repairs : int;
   total_repaired_records : int;
+  total_vm_accepted : int;
 }
 
 val run :

@@ -1,7 +1,9 @@
 module System = Dvp_core.System
 module Site = Dvp_core.Site
 module Wal = Dvp_storage.Wal
+module Local_db = Dvp_storage.Local_db
 module Log_event = Dvp_core.Log_event
+module Log_replay = Dvp_core.Log_replay
 module Metrics = Dvp_core.Metrics
 module Runner = Dvp_workload.Runner
 module Json = Dvp_util.Json
@@ -79,10 +81,52 @@ let check_log ~n ~site iter =
     | Log_event.Txn_applied _ | Log_event.Ack_progress _ -> ());
   List.rev !bad
 
-let stable_logs sys =
-  let n = System.n_sites sys in
-  List.concat
-    (List.init n (fun site -> check_log ~n ~site (Wal.iter (Site.wal (System.site sys site)))))
+(* The stable-log audit both substrates share (see the interface): each
+   log is read once, then replayed through [Log_replay], the definition
+   recovery uses, so the records alone must reproduce the caller's live
+   state and the N = Σᵢ Nᵢ + N_M ledger. *)
+let check_logs ~n ~items ~fragment ~in_flight logs =
+  let bad = ref [] in
+  let flag check fmt = Printf.ksprintf (fun detail -> bad := { check; detail } :: !bad) fmt in
+  let get tbl item = Option.value ~default:0 (Hashtbl.find_opt tbl item) in
+  let unaccepted = Hashtbl.create 8 in
+  List.iter
+    (fun (site, iter) ->
+      let rev = ref [] in
+      iter (fun r -> rev := r :: !rev);
+      let records = List.rev !rev in
+      let replay f = List.iter f records in
+      bad := List.rev_append (check_log ~n ~site replay) !bad;
+      let db = Log_replay.db_view replay and vm = Log_replay.vm_view ~n replay in
+      List.iter
+        (fun item ->
+          let replayed = Local_db.value db.Log_replay.db ~item in
+          let installed = get db.Log_replay.installed item
+          and delta = get db.Log_replay.deltas item
+          and sent = get vm.Log_replay.vm_cum_sent item
+          and received = get vm.Log_replay.vm_cum_recv item in
+          let ledger = installed + delta + received - sent in
+          if replayed <> ledger then
+            flag "log-ledger"
+              "site %d item %d: log replays to %d, installed %d + delta %d + received %d \
+               - sent %d = %d"
+              site item replayed installed delta received sent ledger;
+          (match fragment ~site ~item with
+          | Some live when live <> replayed ->
+            flag "log-durability" "site %d item %d: log replays to %d, live fragment is %d"
+              site item replayed live
+          | _ -> ());
+          Hashtbl.replace unaccepted item (get unaccepted item + sent - received))
+        items)
+    logs;
+  List.iter
+    (fun item ->
+      let logged = get unaccepted item and live = in_flight ~item in
+      if logged <> live then
+        flag "log-in-flight" "item %d: logs show %d sent but not accepted, live in-flight is %d"
+          item logged live)
+    items;
+  List.rev !bad
 
 (* A corrupt stable tail surviving past recovery would mean recovery replayed
    or appended around garbage. *)
@@ -100,7 +144,16 @@ let wal_integrity sys =
   List.rev !bad
 
 let check_system sys =
-  conservation sys @ non_negativity sys @ stable_logs sys @ wal_integrity sys
+  let n = System.n_sites sys in
+  let logs =
+    check_logs ~n ~items:(System.items sys)
+      ~fragment:(fun ~site ~item ->
+        let s = System.site sys site in
+        if Site.is_up s then Some (Site.fragment s ~item) else None)
+      ~in_flight:(fun ~item -> System.in_flight sys ~item)
+      (List.init n (fun site -> (site, Wal.iter (Site.wal (System.site sys site)))))
+  in
+  conservation sys @ non_negativity sys @ logs @ wal_integrity sys
 
 (* Counter cross-checks on a finished run.  The runner's own tallies and the
    merged site metrics describe the same transactions from two sides. *)

@@ -10,8 +10,8 @@
       (the paper's N = Σᵢ Nᵢ + N_M);
     - {b escrow non-negativity}: no fragment and no in-flight total is ever
       negative;
-    - {b the per-log checks} ({!check_log}) over every site's stable log:
-      Vm exactly-once and non-negative logged fragment values;
+    - {b the stable-log audit} ({!check_logs}) over every site's stable log,
+      against the system's live fragments and in-flight value;
     - {b WAL integrity}: no live site retains a corrupt stable tail after
       recovery;
     - {b metrics sanity} ({!check_outcome}): committed ≤ submitted,
@@ -35,6 +35,27 @@ val check_log :
       restarts one peer's channel;
     - ["non-negative-logged"]: no [Set_fragment] action, accepted
       [new_value] or checkpointed fragment is negative. *)
+
+val check_logs :
+  n:int ->
+  items:Dvp_core.Ids.item list ->
+  fragment:(site:int -> item:Dvp_core.Ids.item -> int option) ->
+  in_flight:(item:Dvp_core.Ids.item -> int) ->
+  (int * ((Dvp_core.Log_event.t -> unit) -> unit)) list ->
+  violation list
+(** The stable-log audit both substrates share, over one [(site, iter)]
+    per site: {!check_system} passes each site's [Wal.iter], the wall
+    harness each WAL file's valid frame prefix.  [fragment] is the caller's
+    live fragment ([None] for a site that is down), [in_flight] its live
+    value in unaccepted Vm.  Each log is read once and replayed through
+    {!Dvp_core.Log_replay}; the checks are {!check_log}'s and:
+
+    - ["log-ledger"]: per site and item, the replayed fragment equals
+      installed + committed delta + received − sent, all from the same log;
+    - ["log-durability"]: an up site's live fragment equals its replay;
+    - ["log-in-flight"]: per item, Σ sent − Σ received over the logs
+      equals the live in-flight value.  Only forced records count, so the
+      audit holds on what would survive a power cut. *)
 
 val check_outcome : Dvp_workload.Runner.outcome -> violation list
 (** Counter cross-checks on a finished run. *)

@@ -27,7 +27,9 @@ type t = {
 
 (* Small and quick: the tier-1 torture test and the check.sh smoke stage run
    hundreds of these.  The drain must exceed the transaction timeout so
-   every submitted transaction resolves before the metrics-sanity checks. *)
+   every submitted transaction resolves before the metrics-sanity checks.
+   bounded, default and heavy install 40 per item so that decrements run
+   sites short and value moves as Vm on every seed. *)
 let bounded =
   {
     label = "bounded";
@@ -36,7 +38,7 @@ let bounded =
     drain = 2.0;
     arrival_rate = 40.0;
     n_items = 2;
-    item_total = 2000;
+    item_total = 40;
     crash_rate = 0.5;
     mean_downtime = 0.6;
     storage_fault_prob = 0.6;
@@ -62,7 +64,7 @@ let default =
     drain = 3.0;
     arrival_rate = 60.0;
     n_items = 3;
-    item_total = 3000;
+    item_total = 40;
     crash_rate = 0.8;
     mean_downtime = 0.8;
     storage_fault_prob = 0.6;
@@ -88,7 +90,7 @@ let heavy =
     drain = 4.0;
     arrival_rate = 100.0;
     n_items = 4;
-    item_total = 4000;
+    item_total = 40;
     crash_rate = 1.5;
     mean_downtime = 1.0;
     storage_fault_prob = 0.7;

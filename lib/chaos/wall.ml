@@ -3,9 +3,6 @@ module Supervisor = Dvp_runtime.Supervisor
 module Fault = Dvp_runtime.Fault
 module Walfile = Dvp_runtime.Walfile
 module Observer = Dvp_runtime.Observer
-module Wal = Dvp_storage.Wal
-module Local_db = Dvp_storage.Local_db
-module Log_replay = Dvp_core.Log_replay
 module Config = Dvp_core.Config
 module Health = Dvp_health.Health
 module Json = Dvp_util.Json
@@ -88,98 +85,6 @@ type seed_report = {
 }
 
 let failed r = r.sr_violations <> []
-
-let tbl_get tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:0
-
-(* Rebuild an in-memory log from a site's on-disk frame prefix, so the
-   shared replay logic (Log_replay) defines what the file means — the same
-   definition live recovery uses. *)
-let wal_of_records records =
-  let w = Wal.create () in
-  List.iter (fun r -> Wal.append ~forced:false w r) records;
-  Wal.force w;
-  w
-
-(* The offline file oracle: audit the on-disk WAL frames directly, with no
-   help from the live structures.  Sound only at quiesce with every site
-   live (in-flight value zero, outboxes drained). *)
-let file_oracle ~cluster ~n ~items =
-  let violations = ref [] in
-  let viol check fmt =
-    Printf.ksprintf (fun detail -> violations := { Oracle.check; detail } :: !violations) fmt
-  in
-  let per_site =
-    List.init n (fun i ->
-        match Cluster.wal_path cluster i with
-        | None -> None
-        | Some path ->
-          let r = Walfile.read path in
-          if r.Walfile.torn then
-            viol "file_torn" "site %d: WAL file still torn at end of run" i;
-          let w = wal_of_records r.Walfile.records in
-          Some (i, r.Walfile.records, Log_replay.db_view w, Log_replay.vm_view ~n w))
-  in
-  let per_site = List.filter_map Fun.id per_site in
-  (* (a) durability: the file prefix replays to exactly the live fragments. *)
-  List.iter
-    (fun item ->
-      let live = Cluster.fragments cluster ~item in
-      List.iter
-        (fun (i, _, dbv, _) ->
-          let file_v = Local_db.value dbv.Log_replay.db ~item in
-          if file_v <> live.(i) then
-            viol "file_durability"
-              "site %d item %d: file replays to %d, live fragment is %d" i item
-              file_v live.(i))
-        per_site)
-    items;
-  (* (b) Vm in-flight from the files is zero at quiesce: every value launched
-     (forced Vm_create) was accepted (forced Vm_accept) somewhere. *)
-  List.iter
-    (fun item ->
-      let sent =
-        List.fold_left
-          (fun acc (_, _, _, vmv) -> acc + tbl_get vmv.Log_replay.vm_cum_sent item)
-          0 per_site
-      and recv =
-        List.fold_left
-          (fun acc (_, _, _, vmv) -> acc + tbl_get vmv.Log_replay.vm_cum_recv item)
-          0 per_site
-      in
-      if sent <> recv then
-        viol "file_inflight" "item %d: files show %d sent vs %d accepted" item sent
-          recv)
-    items;
-  (* (c) conservation from stable state alone: fragments = installs + committed
-     operator deltas, summed across sites (in-flight is zero by (b)). *)
-  List.iter
-    (fun item ->
-      let frag =
-        List.fold_left
-          (fun acc (_, _, dbv, _) -> acc + Local_db.value dbv.Log_replay.db ~item)
-          0 per_site
-      and installed =
-        List.fold_left
-          (fun acc (_, _, dbv, _) -> acc + tbl_get dbv.Log_replay.installed item)
-          0 per_site
-      and delta =
-        List.fold_left
-          (fun acc (_, _, dbv, _) -> acc + tbl_get dbv.Log_replay.deltas item)
-          0 per_site
-      in
-      if frag <> installed + delta then
-        viol "file_conservation"
-          "item %d: files hold %d but installed %d + deltas %d = %d" item frag
-          installed delta (installed + delta))
-    items;
-  (* (d) the per-log checks the DES oracle runs too: strict Vm exactly-once
-     and non-negative logged values, over each file's frame prefix. *)
-  List.iter
-    (fun (i, records, _, _) ->
-      violations :=
-        List.rev_append (Oracle.check_log ~n ~site:i (fun f -> List.iter f records)) !violations)
-    per_site;
-  List.rev !violations
 
 let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
   let wal_dir = Walfile.temp_dir (Printf.sprintf "wall-%d" seed) in
@@ -275,14 +180,28 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
               ci.Cluster.ci_in_flight ci.Cluster.ci_expected)
         al.Observer.al_cut.Cluster.cut_items)
     alarms;
-  (* Offline oracle over the on-disk frames — every force flushed, so the
-     files are current without stopping the cluster first. *)
-  let file_violations =
-    if quiesced && Cluster.dead_sites cluster = [] then
-      file_oracle ~cluster ~n:profile.n ~items:(Cluster.items cluster)
-    else []
-  in
-  violations := List.rev_append file_violations !violations;
+  (* The stable-log audit every DES oracle point runs too, over each site's
+     on-disk frame prefix (every force flushed, so the files are current)
+     against the live fragments and the final cut's in-flight value.  Sound
+     at quiesce with every site live: nothing moves in between. *)
+  if quiesced && Cluster.dead_sites cluster = [] then begin
+    let logs =
+      List.init profile.n (fun i ->
+          let r = Walfile.read (Walfile.path ~dir:wal_dir ~site:i) in
+          if r.Walfile.torn then viol "file_torn" "site %d: WAL file still torn at end of run" i;
+          (i, fun f -> List.iter f r.Walfile.records))
+    in
+    let items = Cluster.items cluster in
+    let live = List.map (fun item -> (item, Cluster.fragments cluster ~item)) items in
+    let in_flight ~item =
+      (List.find (fun ci -> ci.Cluster.ci_item = item) cut.Cluster.cut_items).Cluster.ci_in_flight
+    in
+    violations :=
+      List.rev_append
+        (Oracle.check_logs ~n:profile.n ~items ~in_flight logs
+           ~fragment:(fun ~site ~item -> Some (List.assoc item live).(site)))
+        !violations
+  end;
   let ordered = List.rev !violations in
   let crashdump =
     match List.find_map (fun al -> al.Observer.al_dump) alarms with

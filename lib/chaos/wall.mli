@@ -15,11 +15,12 @@
     - the final cut and the closed-loop expected totals;
     - recovery evidence: every site the plan killed must have replayed a
       positive number of records, and the load must have committed traffic;
-    - an offline replay of all the on-disk WAL files: final fragments must
-      match the live state record for record, in-flight value must be zero,
-      and every file must pass {!Oracle.check_log}, the per-log checks the
-      DES harness runs too (strict Vm exactly-once, non-negative logged
-      values).
+    - {!Oracle.check_logs}, the stable-log audit every DES oracle point
+      runs too, over each site's on-disk frame prefix: the per-log checks
+      (strict Vm exactly-once, non-negative logged values), each site's
+      ledger identity, replayed fragments equal to the live ones, and
+      value sent but not accepted in the files equal to the final cut's
+      in-flight value; a file still torn at the end is a violation too.
 
     Failing seeds dump trace and telemetry through the observer's
     {!Dvp_obs.Flight} recorder and can be shrunk with {!Shrink.minimize}

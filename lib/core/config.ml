@@ -70,7 +70,6 @@ type t = {
   auto_evacuate : bool;
   rebalance : rebalance option;
   vm_outbox_warn : int;
-  mailbox_warn : int;
 }
 
 let default =
@@ -86,7 +85,6 @@ let default =
     auto_evacuate = false;
     rebalance = None;
     vm_outbox_warn = 512;
-    mailbox_warn = 1024;
   }
 
 let pp_request ppf = function
@@ -117,9 +115,6 @@ let grant_amount policy ~requested ~fragment =
   in
   max 0 granted
 
-let other_sites ~self ~n =
-  List.filter (fun s -> s <> self) (List.init n (fun i -> i))
-
 let request_targets_among policy ~rng ~self ~candidates ~shortfall =
   let others = List.filter (fun s -> s <> self) candidates in
   match others with
@@ -137,6 +132,3 @@ let request_targets_among policy ~rng ~self ~candidates ~shortfall =
       Dvp_util.Rng.shuffle rng arr;
       let k = max 1 (min k (Array.length arr)) in
       Array.to_list (Array.sub arr 0 k) |> List.map (fun s -> (s, shortfall)))
-
-let request_targets policy ~rng ~self ~n ~shortfall =
-  request_targets_among policy ~rng ~self ~candidates:(other_sites ~self ~n) ~shortfall

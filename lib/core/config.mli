@@ -144,12 +144,6 @@ type t = {
       (** high-water mark on a site's total outstanding/parked Vm outbox
           depth; crossing it emits a one-shot
           {!Dvp_trace.Trace.constructor:Outbox_high} warning (default 512) *)
-  mailbox_warn : int;
-      (** high-water mark on the control-mailbox batch a runtime site domain
-          drains in one loop turn; crossing it emits a one-shot
-          {!Dvp_trace.Trace.constructor:Mailbox_high} warning mirroring
-          [Outbox_high] (default 1024; <= 0 disables).  DES systems have no
-          mailbox, so the knob only matters on the domains substrate. *)
 }
 
 val default : t
@@ -161,16 +155,6 @@ val pp : Format.formatter -> t -> unit
 val grant_amount : grant_policy -> requested:int -> fragment:int -> int
 (** Amount actually shipped; always in [0, fragment]. *)
 
-val request_targets :
-  request_policy ->
-  rng:Dvp_util.Rng.t ->
-  self:Ids.site ->
-  n:int ->
-  shortfall:int ->
-  (Ids.site * int) list
-(** The (site, amount) request fan-out for a shortfall.  Empty when there are
-    no other sites to ask. *)
-
 val request_targets_among :
   request_policy ->
   rng:Dvp_util.Rng.t ->
@@ -178,8 +162,9 @@ val request_targets_among :
   candidates:Ids.site list ->
   shortfall:int ->
   (Ids.site * int) list
-(** {!request_targets} restricted to an explicit candidate list — the
-    degraded-mode path, where the failure detector has excluded suspected
-    and condemned peers.  [Ask_all_split] divides the shortfall across the
-    {e remaining} candidates, spreading a dead site's share over healthy
-    ones.  [self] is filtered out of [candidates]. *)
+(** The (site, amount) request fan-out for a shortfall, over the candidate
+    peers — every other member, or in degraded mode those the failure
+    detector has not excluded as suspected or condemned.  [self] is
+    filtered out of [candidates]; the result is empty when no candidate is
+    left.  [Ask_all_split] divides the shortfall across the {e remaining}
+    candidates, spreading a dead site's share over healthy ones. *)

@@ -1,4 +1,3 @@
-module Wal = Dvp_storage.Wal
 module Db = Dvp_storage.Local_db
 
 type vm_outstanding = { item : Ids.item; amount : int; reply_to : Ids.txn option }
@@ -19,7 +18,7 @@ let tbl_reset tbl pairs =
   Hashtbl.reset tbl;
   List.iter (fun (key, v) -> Hashtbl.replace tbl key v) pairs
 
-let vm_view ~n wal =
+let vm_view ~n iter =
   let v =
     {
       vm_next_seq = Array.make n 0;
@@ -30,7 +29,7 @@ let vm_view ~n wal =
       vm_cum_recv = Hashtbl.create 16;
     }
   in
-  Wal.iter wal (fun record ->
+  iter (fun record ->
       match record with
       | Log_event.Vm_create { dst; seq; item; amount; reply_to; _ } ->
         (* [seq < next_seq] means a duplicate record image (e.g. a file
@@ -93,12 +92,12 @@ type db_view = {
   installed : (Ids.item, int) Hashtbl.t;
 }
 
-let db_view ?into wal =
+let db_view ?into iter =
   let db = match into with Some db -> db | None -> Db.create () in
   let committed = Hashtbl.create 16 and applied = Hashtbl.create 16 in
   let deltas = Hashtbl.create 16 and installed = Hashtbl.create 16 in
   let max_counter = ref 0 in
-  Wal.iter wal (fun record ->
+  iter (fun record ->
       match record with
       | Log_event.Vm_create { actions; _ } ->
         List.iter (Log_event.apply_action db) actions

@@ -1,13 +1,18 @@
 (** Shared stable-log replay logic.
 
-    Three consumers reconstruct state from a site's log: the site's own
-    recovery (database + clock), the Vm engine's recovery (sequence
-    counters, outbox, watermarks), and the omniscient invariant checker
-    (which must read a *crashed* site's stable state without touching the
-    live structures).  This module is the single definition of what a log
-    means, so the three can never disagree — including across {!Log_event.t}
-    [Checkpoint] records, which reset the scan to a snapshot (Section 7's
-    "checkpointing mechanisms" that bound the redo work). *)
+    Three consumers reconstruct state from a site's stable records: the
+    site's own recovery (database + clock), the Vm engine's recovery
+    (sequence counters, outbox, watermarks), and the invariant oracles,
+    which read a {e crashed} site's stable state, or a runtime site's WAL
+    file, without touching the live structures.  This module is the single
+    definition of what a log means, so they can never disagree — including
+    across {!Log_event.t} [Checkpoint] records, which reset the scan to a
+    snapshot (Section 7's "checkpointing mechanisms" that bound the redo
+    work).
+
+    Both views take the records as an iterator that feeds them
+    oldest-first: [Wal.iter wal] for an in-memory log, [List.iter f records]
+    over a file's valid frame prefix. *)
 
 type vm_outstanding = { item : Ids.item; amount : int; reply_to : Ids.txn option }
 
@@ -24,7 +29,7 @@ type vm_view = {
       (** cumulative value accepted per item, from in-order [Vm_accept]s *)
 }
 
-val vm_view : n:int -> Log_event.t Dvp_storage.Wal.t -> vm_view
+val vm_view : n:int -> ((Log_event.t -> unit) -> unit) -> vm_view
 (** The cumulative ledgers ([vm_cum_sent]/[vm_cum_recv], and [db_view]'s
     [deltas]/[installed]) are exact since birth: a [Checkpoint] snapshot
     carries them, so a checkpoint-truncated log replays to the same sums. *)
@@ -39,6 +44,6 @@ type db_view = {
       (** value provisioned by [Ids.ts_zero] install records per item *)
 }
 
-val db_view : ?into:Dvp_storage.Local_db.t -> Log_event.t Dvp_storage.Wal.t -> db_view
+val db_view : ?into:Dvp_storage.Local_db.t -> ((Log_event.t -> unit) -> unit) -> db_view
 (** [into] defaults to a fresh store; pass the site's live store during
     recovery. *)

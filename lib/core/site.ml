@@ -785,7 +785,7 @@ let recover t =
     let dropped = Wal.repair t.wal in
     if dropped > 0 then emit t (Trace.Wal_repair { site = t.self; dropped });
     Db.wipe t.db;
-    let view = Log_replay.db_view ~into:t.db t.wal in
+    let view = Log_replay.db_view ~into:t.db (Wal.iter t.wal) in
     Ids.Clock.reset_to t.clock view.Log_replay.max_counter;
     (* Rebuild the cumulative committed-delta and installed ledgers alongside
        the database: commit records are forced, so the replayed sums equal the
@@ -834,7 +834,7 @@ let stable_vm_view t =
   match t.vm_view_cache with
   | Some (v', view) when v' = v -> view
   | _ ->
-    let view = Log_replay.vm_view ~n:t.n t.wal in
+    let view = Log_replay.vm_view ~n:t.n (Wal.iter t.wal) in
     t.vm_view_cache <- Some (v, view);
     view
 
@@ -843,7 +843,7 @@ let stable_db_view t =
   match t.db_view_cache with
   | Some (v', view) when v' = v -> view
   | _ ->
-    let view = Log_replay.db_view t.wal in
+    let view = Log_replay.db_view (Wal.iter t.wal) in
     t.db_view_cache <- Some (v, view);
     view
 

@@ -534,7 +534,7 @@ let recover t =
   (* Rebuild exactly the protocol state from the stable log (including any
      checkpoint snapshot): per-destination sequence counters, the outbox of
      still-outstanding Vm, cumulative acks, and acceptance watermarks. *)
-  let view = Log_replay.vm_view ~n:t.n t.wal in
+  let view = Log_replay.vm_view ~n:t.n (Wal.iter t.wal) in
   t.next_seq <- view.Log_replay.vm_next_seq;
   t.acked_upto <- view.Log_replay.vm_acked;
   t.accepted <- view.Log_replay.vm_accepted;

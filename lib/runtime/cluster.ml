@@ -242,6 +242,10 @@ let stats_of site ~self ~item_list =
     st_active = Site.active_txns site;
   }
 
+(* The control-mailbox batch a site domain may drain in one loop turn before
+   it emits a [Mailbox_high] warning. *)
+let mailbox_warn = 1024
+
 let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     ~item_arr ~shard ~links ~chaos ~bg_row ~bg_done ~mode ~(ready : int Cell.t) () =
   let mb = mailboxes.(self) in
@@ -485,16 +489,11 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
      when a drained batch crosses the mark, re-arm once it falls to half. *)
   let mailbox_warned = ref false in
   let check_mailbox_depth batch_len =
-    if config.Config.mailbox_warn > 0 then begin
-      if (not !mailbox_warned) && batch_len > config.Config.mailbox_warn then begin
-        mailbox_warned := true;
-        emit
-          (Trace.Mailbox_high
-             { site = self; depth = batch_len; limit = config.Config.mailbox_warn })
-      end
-      else if !mailbox_warned && batch_len <= config.Config.mailbox_warn / 2 then
-        mailbox_warned := false
+    if (not !mailbox_warned) && batch_len > mailbox_warn then begin
+      mailbox_warned := true;
+      emit (Trace.Mailbox_high { site = self; depth = batch_len; limit = mailbox_warn })
     end
+    else if !mailbox_warned && batch_len <= mailbox_warn / 2 then mailbox_warned := false
   in
   (* Track the unconsumed remainder of the batch in flight, so a kill can
      fail the cells of messages it will never handle. *)

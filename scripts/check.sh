@@ -108,8 +108,9 @@ fi
 
 # Wall-clock chaos smoke: seeded crash-restart fuzzing on the real domains
 # runtime — hard kills mid-traffic, torn WAL tails, WAL sink faults, and
-# link storms, with the freeze-barrier cut oracle and the offline log
-# replay oracle.  The bounded profile keeps plans small and shrinks on
+# link storms, with the freeze-barrier cut oracle and, at quiesce, the
+# stable-log audit the DES chaos runs too (Oracle.check_logs over every WAL
+# file, against the live fragments and in-flight value).  The bounded profile keeps plans small and shrinks on
 # failure.  Real parallelism (and a meaningful kill of a *running* domain)
 # needs >= 2 cores; below that the stage is skipped with a notice.  Widen
 # with e.g. WALL_CHAOS_SEEDS=20.

@@ -164,6 +164,87 @@ let test_log_oracle_resets () =
     (log_checks
        [ accept 0; Dvp.Log_event.Vm_channel_reset { peer = 2; epoch = 2 }; accept 0 ])
 
+(* The stable-log audit on hand-built logs, written as frames to WAL files
+   and read back the way the wall harness reads them.  Site 0 installs 10,
+   commits a decrement of 3 and ships 2 to site 1, which accepts it; site 2
+   starts from a checkpoint and ships 4 to site 1 that is still in flight. *)
+let audit_checks ?(live = [| Some 5; Some 12; Some 6 |]) ?(in_flight = 4) logs =
+  let dir = Dvp.Walfile.temp_dir "audit" in
+  let read =
+    List.mapi
+      (fun site records ->
+        let path = Dvp.Walfile.path ~dir ~site in
+        let oc = Dvp.Walfile.create path in
+        Dvp.Walfile.append_batch oc records;
+        close_out oc;
+        let r = Dvp.Walfile.read path in
+        (site, fun f -> List.iter f r.Dvp.Walfile.records))
+      logs
+  in
+  let violations =
+    Oracle.check_logs ~n:3 ~items:[ 0 ]
+      ~fragment:(fun ~site ~item:_ -> live.(site))
+      ~in_flight:(fun ~item:_ -> in_flight)
+      read
+  in
+  Dvp.Walfile.remove_dir dir;
+  List.map (fun v -> v.Oracle.check) violations
+
+let set value = [ Dvp.Log_event.Set_fragment { item = 0; value } ]
+let install value = Dvp.Log_event.Txn_commit { txn = Dvp.Ids.ts_zero; actions = set value }
+
+let vm_create ~dst ~amount value =
+  Dvp.Log_event.Vm_create
+    { dst; seq = 0; item = 0; amount; reply_to = None; actions = set value }
+
+let site0 =
+  [
+    install 10;
+    Dvp.Log_event.Txn_commit { txn = (1, 0); actions = set 7 };
+    Dvp.Log_event.Txn_applied { txn = (1, 0) };
+    vm_create ~dst:1 ~amount:2 5;
+  ]
+
+let accept0 ?(amount = 2) ?(new_value = 12) seq =
+  Dvp.Log_event.Vm_accept { peer = 0; seq; item = 0; amount; new_value }
+
+let site1 = [ install 10; accept0 0 ]
+
+let site2 =
+  [
+    Dvp.Log_event.Checkpoint
+      {
+        fragments = [ (0, 10) ];
+        accepted = [];
+        next_seq = [];
+        acked = [];
+        outbox = [];
+        max_counter = 0;
+        installed = [ (0, 10) ];
+        deltas = [];
+        sent = [];
+        received = [];
+      };
+    vm_create ~dst:1 ~amount:4 6;
+  ]
+
+let test_log_audit () =
+  Alcotest.(check (list string)) "clean logs pass" [] (audit_checks [ site0; site1; site2 ]);
+  (* A crashed site is reported down, so only its log judges it. *)
+  Alcotest.(check (list string)) "accept off by one breaks the ledger" [ "log-ledger" ]
+    (audit_checks
+       ~live:[| Some 5; None; Some 6 |]
+       [ site0; [ install 10; accept0 ~new_value:13 0 ]; site2 ]);
+  Alcotest.(check (list string)) "accept with no create leaves in-flight short"
+    [ "log-in-flight" ]
+    (audit_checks
+       ~live:[| Some 5; Some 13; Some 6 |]
+       [ site0; site1 @ [ accept0 ~amount:1 ~new_value:13 1 ]; site2 ]);
+  Alcotest.(check (list string)) "repeated accept seq" [ "vm-exactly-once" ]
+    (audit_checks [ site0; site1 @ [ accept0 0 ]; site2 ]);
+  Alcotest.(check (list string)) "live fragment differs from the replay" [ "log-durability" ]
+    (audit_checks ~live:[| Some 6; Some 12; Some 6 |] [ site0; site1; site2 ])
+
 let test_storage_fault_traced_end_to_end () =
   (* The armed-fault → crash → repair path, observed through the trace: the
      arming emits Storage_fault, the recovery that truncates the resulting
@@ -223,10 +304,13 @@ let test_run_seed_deterministic () =
   Alcotest.(check int) "same commits" a.Harness.committed b.Harness.committed;
   Alcotest.(check int) "same submissions" a.Harness.submitted b.Harness.submitted;
   Alcotest.(check int) "same recoveries" a.Harness.recoveries b.Harness.recoveries;
-  Alcotest.(check int) "same repairs" a.Harness.wal_repairs b.Harness.wal_repairs
+  Alcotest.(check int) "same repairs" a.Harness.wal_repairs b.Harness.wal_repairs;
+  Alcotest.(check int) "same Vm accepted" a.Harness.vm_accepted b.Harness.vm_accepted
 
 (* The tier-1 torture run: a handful of bounded seeds, every invariant
-   checked after every recovery and at end of run.  The seeds are fixed, so
+   checked after every recovery and at end of run.  The profile's small
+   item totals run sites short, so value moves as Vm and the exactly-once
+   and log audits have something to judge.  The seeds are fixed, so
    this is deterministic; it doubles as the regression net for the whole
    crash/recovery path. *)
 let test_bounded_torture () =
@@ -244,7 +328,9 @@ let test_bounded_torture () =
     (report.Harness.total_recoveries > 0);
   Alcotest.(check bool) "torn writes were detected and repaired" true
     (report.Harness.total_wal_repairs > 0);
-  Alcotest.(check bool) "work still committed" true (report.Harness.total_committed > 0)
+  Alcotest.(check bool) "work still committed" true (report.Harness.total_committed > 0);
+  Alcotest.(check bool) "virtual messages carried value" true
+    (report.Harness.total_vm_accepted > 0)
 
 (* Churn schedules must contain membership events, and legacy profiles must
    keep their historical schedule streams (the churn generator draws from
@@ -308,6 +394,7 @@ let test_failure_report_shape () =
       recoveries = 1;
       wal_repairs = 1;
       repaired_records = 1;
+      vm_accepted = 0;
       crashdump = None;
     }
   in
@@ -322,6 +409,7 @@ let test_failure_report_shape () =
       total_recoveries = 1;
       total_wal_repairs = 1;
       total_repaired_records = 1;
+      total_vm_accepted = 0;
     }
   in
   let text = Format.asprintf "%a" Harness.pp_report report in
@@ -357,6 +445,7 @@ let () =
           Alcotest.test_case "catches double accept" `Quick test_oracle_catches_double_accept;
           Alcotest.test_case "log checks flag bad streams" `Quick test_log_oracle_flags;
           Alcotest.test_case "log checks honour resets" `Quick test_log_oracle_resets;
+          Alcotest.test_case "log audit over WAL files" `Quick test_log_audit;
           Alcotest.test_case "storage fault traced end to end" `Quick
             test_storage_fault_traced_end_to_end;
         ] );

@@ -282,7 +282,9 @@ let test_grant_policies () =
 
 let test_request_targets () =
   let rng = Rng.create 1 in
-  let targets p = Config.request_targets p ~rng ~self:0 ~n:4 ~shortfall:10 in
+  let targets ?(candidates = [ 0; 1; 2; 3 ]) p =
+    Config.request_targets_among p ~rng ~self:0 ~candidates ~shortfall:10
+  in
   (match targets Config.Ask_all_full with
   | l ->
     Alcotest.(check int) "three targets" 3 (List.length l);
@@ -297,9 +299,13 @@ let test_request_targets () =
     Alcotest.(check int) "full" 10 a
   | _ -> Alcotest.fail "expected one target");
   Alcotest.(check int) "ask-2" 2 (List.length (targets (Config.Ask_k 2)));
-  Alcotest.(check (list (pair int int))) "single site: none"
-    []
-    (Config.request_targets Config.Ask_all_full ~rng ~self:0 ~n:1 ~shortfall:5)
+  Alcotest.(check (list (pair int int))) "split over the remaining candidates"
+    [ (1, 5); (3, 5) ]
+    (targets ~candidates:[ 1; 3 ] Config.Ask_all_split);
+  Alcotest.(check (list (pair int int))) "single site: none" []
+    (targets ~candidates:[ 0 ] Config.Ask_all_full);
+  Alcotest.(check (list (pair int int))) "no candidates: none" []
+    (targets ~candidates:[] Config.Ask_one_random)
 
 (* -------------------------------------------------------------- Metrics *)
 
@@ -893,7 +899,7 @@ let test_checkpoint_shrinks_log_and_recovers () =
      checkpoint; the snapshot must carry them across the truncation. *)
   let ledgers () =
     let s = System.site sys 0 in
-    let installed = (Log_replay.db_view (Site.wal s)).Log_replay.installed in
+    let installed = (Log_replay.db_view (Dvp_storage.Wal.iter (Site.wal s))).Log_replay.installed in
     ( Option.value ~default:0 (Hashtbl.find_opt installed 0),
       Site.committed_delta s ~item:0,
       Site.value_sent s ~item:0,
