@@ -28,8 +28,8 @@ type t = {
 (* Small and quick: the tier-1 torture test and the check.sh smoke stage run
    hundreds of these.  The drain must exceed the transaction timeout so
    every submitted transaction resolves before the metrics-sanity checks.
-   bounded, default and heavy install 40 per item so that decrements run
-   sites short and value moves as Vm on every seed. *)
+   bounded, default, heavy and killer install 40 per item so that
+   decrements run sites short and value moves as Vm on every seed. *)
 let bounded =
   {
     label = "bounded";
@@ -120,7 +120,7 @@ let killer =
     drain = 3.0;
     arrival_rate = 50.0;
     n_items = 2;
-    item_total = 3000;
+    item_total = 40;
     crash_rate = 0.4;
     mean_downtime = 0.6;
     storage_fault_prob = 0.4;

@@ -2,6 +2,7 @@ module Substrate = Dvp_substrate.Substrate
 module Trace = Dvp_trace.Trace
 module Wal = Dvp_storage.Wal
 module Db = Dvp_storage.Local_db
+module Health = Dvp_health.Health
 
 type txn_result = Committed of { read_value : int option } | Aborted of Metrics.abort_reason
 
@@ -49,7 +50,7 @@ type t = {
      redistribution daemon *)
   askers : (Ids.item, (Ids.site, float) Hashtbl.t) Hashtbl.t;
   mutable up : bool;
-  (* The failure detector's verdict on each peer, wired by the system layer;
+  (* The failure detector's verdict on each peer, wired by [arm_detector];
      [None] = no detector, everyone presumed Up (the paper's fault model). *)
   mutable health : (Ids.site -> Dvp_health.Health.state) option;
   (* The membership view, wired by the system layer; [None] = the paper's
@@ -126,8 +127,6 @@ let locked t ~item = Lock_table.is_locked t.locks ~item
 let active_txns t = Hashtbl.length t.live
 
 let set_broadcast t b = t.broadcast <- Some b
-
-let set_health_view t f = t.health <- Some f
 
 let set_membership_view t f = t.membership <- Some f
 
@@ -717,6 +716,32 @@ let proactive_scan t (p : Config.proactive) =
         end
       end)
     t.askers
+
+(* The failure-detector hookup both substrates share.  Probes leave through
+   the site's own transport; each verdict is traced, drives the circuit
+   breaker toward that peer (the Vm channel parked while Suspected or
+   Condemned, unparked on Up), and feeds request routing through the health
+   view. *)
+let arm_detector t hcfg ~on_condemned =
+  let tr = t.cfg.Config.transport in
+  let det =
+    Health.create hcfg ~sub:t.sub ~self:t.self ~n:t.n
+      ~probe_every:tr.Config.Transport.probe_every
+      ~probe_idle:tr.Config.Transport.probe_idle
+      ~send_probe:(fun dst -> if t.up then t.send ~dst Proto.Probe)
+      ~on_transition:(fun ~peer st ->
+        emit t (Trace.Health { site = t.self; peer; state = Health.state_to_string st });
+        let vm = vm_exn t in
+        match st with
+        | Health.Up -> Vm.unpark vm ~dst:peer
+        | Health.Suspected -> Vm.park vm ~dst:peer
+        | Health.Condemned ->
+          Vm.park vm ~dst:peer;
+          on_condemned peer)
+  in
+  t.health <- Some (Health.state det);
+  Health.start det;
+  det
 
 let start_proactive t p =
   let rec tick () =

@@ -18,8 +18,9 @@
     ignored if the value is locked or the timestamp gate fails; under
     {!Config.Conc2} it waits in a FIFO queue for the lock.
 
-    The site never detects remote failures: a silent peer simply means
-    timeouts and aborts — the non-blocking property. *)
+    Without {!arm_detector} the site never detects remote failures: a
+    silent peer simply means timeouts and aborts — the non-blocking
+    property. *)
 
 type t
 
@@ -45,13 +46,20 @@ val set_broadcast : t -> (Proto.t list -> unit) -> unit
 (** Conc2 transport: how a transaction's request set leaves the site as one
     totally-ordered broadcast.  Unused under Conc1. *)
 
-val set_health_view : t -> (Ids.site -> Dvp_health.Health.state) -> unit
-(** Wire the failure detector's verdict into request routing (degraded-mode
-    operation): [Ask] strategies only target peers judged [Up], spreading a
-    dead site's share of a shortfall across healthy ones, and drain reads
-    stop waiting for [Condemned] peers (whose fragments are evacuation
-    property).  Without this, every peer is presumed [Up] — the paper's
-    original fault model. *)
+val arm_detector :
+  t -> Dvp_health.Health.config -> on_condemned:(Ids.site -> unit) -> Dvp_health.Health.t
+(** Create and start this site's failure detector on the site's substrate,
+    with the probe timings of [Config.Transport]; probes go out through the
+    site's own [send] while the site is up.  Every verdict change is traced
+    ([Health] event) and drives the circuit breaker toward that peer: the Vm
+    channel is parked on [Suspected] and [Condemned] and unparked on [Up].
+    The verdicts also steer request routing (degraded-mode operation):
+    [Ask] strategies only target peers judged [Up], spreading a dead site's
+    share of a shortfall across healthy ones, and drain reads stop waiting
+    for [Condemned] peers.  [on_condemned peer] runs after the park.
+    Without a detector every peer is presumed [Up] — the paper's original
+    fault model.  The caller feeds delivery evidence in with
+    {!Dvp_health.Health.note_alive}. *)
 
 val set_membership_view : t -> (Ids.site -> Membership.state) -> unit
 (** Wire the system's membership view into routing and admission (elastic

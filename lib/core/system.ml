@@ -226,38 +226,16 @@ and maybe_auto_evacuate t d =
            if (not t.evacuated.(d)) && not (Site.is_up t.sites.(d)) then
              ignore (evacuate t ~site:d ())))
 
-(* A detector verdict changed at site [i]: trace it and drive the circuit
-   breaker (parked outbox) on the request/Vm path. *)
-and handle_transition t i ~peer st =
-  emit t (Dvp_trace.Trace.Health { site = i; peer; state = Health.state_to_string st });
-  let vm = Site.vm t.sites.(i) in
-  (match st with
-  | Health.Up -> Vm.unpark vm ~dst:peer
-  | Health.Suspected -> Vm.park vm ~dst:peer
-  | Health.Condemned ->
-    Vm.park vm ~dst:peer;
-    maybe_auto_evacuate t peer)
-
-and arm_detectors t hcfg =
-  let n = Array.length t.sites in
-  let tr = t.cfg.Config.transport in
+let arm_detectors t hcfg =
   let dets =
-    Array.init n (fun i ->
-        Health.create hcfg ~sub:t.sub ~self:i ~n
-          ~probe_every:tr.Config.Transport.probe_every
-          ~probe_idle:tr.Config.Transport.probe_idle
-          ~send_probe:(fun dst ->
-            if Site.is_up t.sites.(i) then Network.send t.net ~src:i ~dst Proto.Probe)
-          ~on_transition:(fun ~peer st -> handle_transition t i ~peer st))
+    Array.map
+      (fun site -> Site.arm_detector site hcfg ~on_condemned:(maybe_auto_evacuate t))
+      t.sites
   in
   t.detectors <- dets;
   (* Piggyback tap: every successful delivery is liveness evidence about its
      sender — heartbeats ride the existing Vm/request traffic for free. *)
-  Network.set_observer t.net (fun ~src ~dst -> Health.note_alive dets.(dst) ~peer:src);
-  Array.iteri
-    (fun i site -> Site.set_health_view site (fun peer -> Health.state dets.(i) peer))
-    t.sites;
-  Array.iter Health.start dets
+  Network.set_observer t.net (fun ~src ~dst -> Health.note_alive dets.(dst) ~peer:src)
 
 (* ------------------------------------------------- elastic membership *)
 
@@ -339,11 +317,11 @@ let sync_health t =
       done)
     t.detectors
 
-let create ?(seed = 42) ?(config = Config.default) ?link ?trace ?capacity ?queue ~n () =
+let create ?(seed = 42) ?(config = Config.default) ?link ?trace ?capacity ~n () =
   if n <= 0 then invalid_arg "System.create: need at least one site";
   let capacity = match capacity with None -> n | Some c -> c in
   if capacity < n then invalid_arg "System.create: capacity < n";
-  let engine = Engine.create ?queue () in
+  let engine = Engine.create () in
   let sub = Dvp_sim.Substrate_des.of_engine engine in
   let rng = Dvp_util.Rng.create seed in
   let net_rng = Dvp_util.Rng.split rng in

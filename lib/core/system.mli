@@ -22,19 +22,13 @@ val create :
   ?link:Dvp_net.Linkstate.params ->
   ?trace:Dvp_trace.Trace.t ->
   ?capacity:int ->
-  ?queue:[ `Wheel | `Heap_reference ] ->
   n:int ->
   unit ->
   t
 (** [capacity] (default [n], must be [>= n]) sizes the installation's slot
     table: slots [0, n) start as members, slots [n, capacity) start
     {e detached} — crashed, off the network, outside every failure
-    detector's world — and come alive only through {!join}.
-
-    [queue] selects the engine's event-queue implementation (see
-    {!Dvp_sim.Engine.create}); the default timer wheel and the
-    [`Heap_reference] binary heap implement the same total event order, so
-    a same-seed run traces byte-identically on either. *)
+    detector's world — and come alive only through {!join}. *)
 
 val engine : t -> Dvp_sim.Engine.t
 (** The DES driver underneath: time only advances through

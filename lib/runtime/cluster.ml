@@ -1,5 +1,5 @@
 module Substrate = Dvp_substrate.Substrate
-module Heap = Dvp_util.Heap
+module Wheel = Dvp_util.Timer_wheel
 module Rng = Dvp_util.Rng
 module Site = Dvp_core.Site
 module Txn = Dvp_core.Txn
@@ -246,12 +246,16 @@ let stats_of site ~self ~item_list =
    it emits a [Mailbox_high] warning. *)
 let mailbox_warn = 1024
 
+(* Ring size of a site domain's timer wheel: a domain holds a few dozen
+   timers at most, and the default 1024-slot ring doubled cluster setup. *)
+let timer_slots = 64
+
 let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     ~item_arr ~shard ~links ~chaos ~bg_row ~bg_done ~mode ~(ready : int Cell.t) () =
   let mb = mailboxes.(self) in
   (* Each timer carries its arming number, so a pass of [fire_due] can tell
      the timers it found from those armed while it ran. *)
-  let timers : (int * (unit -> unit)) Heap.t = Heap.create () in
+  let timers : (int * (unit -> unit)) Wheel.t = Wheel.create ~slots:timer_slots () in
   let armed = ref 0 in
   (* Clamp the wall clock monotone per domain: gettimeofday can step
      backwards (NTP), and the trace-merge total order leans on per-shard
@@ -267,8 +271,8 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   in
   let sched at f =
     incr armed;
-    let h = Heap.add timers ~priority:at (!armed, f) in
-    Substrate.timer_of_thunk (fun () -> Heap.cancel timers h)
+    let h = Wheel.add timers ~priority:at (!armed, f) in
+    Substrate.timer_of_thunk (fun () -> Wheel.cancel timers h)
   in
   let sub =
     (* The domain's trace shard rides on the substrate: Site/Network/Health
@@ -359,30 +363,13 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       attach_sink oc;
       Some oc
   in
-  (* Failure detector: same Health policy the DES runs, driven by this
-     domain's timers.  Every delivery is liveness evidence about its sender
-     (the piggyback tap); transitions park/unpark the Vm circuit breakers so
-     a killed peer stops eating retransmissions until it provably returns. *)
+  (* Failure detector: the Health policy and wiring the DES runs, driven by
+     this domain's timers.  Every delivery is liveness evidence about its
+     sender (the piggyback tap). *)
   let detector =
-    match config.Config.health with
-    | None -> None
-    | Some hcfg ->
-      let tr = config.Config.transport in
-      let det =
-        Health.create hcfg ~sub ~self ~n
-          ~probe_every:tr.Config.Transport.probe_every
-          ~probe_idle:tr.Config.Transport.probe_idle
-          ~send_probe:(fun dst -> if Site.is_up site then send ~dst Proto.Probe)
-          ~on_transition:(fun ~peer st ->
-            emit (Trace.Health { site = self; peer; state = Health.state_to_string st });
-            let vm = Site.vm site in
-            match st with
-            | Health.Up -> Dvp_core.Vm.unpark vm ~dst:peer
-            | Health.Suspected | Health.Condemned -> Dvp_core.Vm.park vm ~dst:peer)
-      in
-      Site.set_health_view site (fun peer -> Health.state det peer);
-      Health.start det;
-      Some det
+    Option.map
+      (fun hcfg -> Site.arm_detector site hcfg ~on_condemned:ignore)
+      config.Config.health
   in
   (* Background chaos load: self-driving mixed traffic (escrow increments,
      decrements that may need remote value, explicit cross-site pushes)
@@ -444,9 +431,10 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   let fire_due () =
     let horizon = now () and last = !armed in
     let rec go () =
-      match Heap.peek timers with
-      | Some (at, (k, _)) when at <= horizon && k <= last ->
-        (match Heap.pop timers with Some (_, (_, f)) -> f () | None -> ());
+      match Wheel.peek timers with
+      | Some (at, (k, f)) when at <= horizon && k <= last ->
+        ignore (Wheel.pop_min timers);
+        f ();
         go ()
       | _ -> ()
     in
@@ -516,11 +504,11 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
        (* Sleep until the next timer, or for good without one; when it is
           already due, go straight back round instead of selecting. *)
        if not !stop then begin
-         match Heap.peek timers with
-         | Some (at, _) ->
+         let at = Wheel.next_at timers in
+         if at = infinity then Mailbox.wait mb ~timeout:(-1.0)
+         else
            let timeout = at -. now () in
            if timeout > 0.0 then Mailbox.wait mb ~timeout
-         | None -> Mailbox.wait mb ~timeout:(-1.0)
        end
      done;
      close_wal ()

@@ -58,9 +58,9 @@ val create :
     the run — roughly four events per committed transaction.
 
     With [config.health] set, every site runs a {!Dvp_health.Health}
-    detector on its own timers: deliveries feed [note_alive], transitions
-    emit [Health] trace events and park/unpark the Vm circuit breaker toward
-    the peer — so a killed site's outbox backlog stops burning
+    detector on its own timers, wired by {!Dvp_core.Site.arm_detector} as
+    in the DES: deliveries feed [note_alive], transitions emit [Health]
+    trace events and park/unpark the Vm circuit breaker toward the peer — so a killed site's outbox backlog stops burning
     retransmissions until the peer provably returns. *)
 
 val n_sites : t -> int

@@ -1,13 +1,7 @@
-type queue =
-  | Wheel of (unit -> unit) Dvp_util.Timer_wheel.t
-  | Heap_ref of (unit -> unit) Dvp_util.Heap.t
-
-type timer =
-  | Twheel of (unit -> unit) Dvp_util.Timer_wheel.handle
-  | Theap of Dvp_util.Heap.handle
+module Wheel = Dvp_util.Timer_wheel
 
 type t = {
-  queue : queue;
+  queue : (unit -> unit) Wheel.t;
   (* One-element float array: flat storage, so advancing the clock on every
      event does not box a float. *)
   clock : float array;
@@ -15,15 +9,9 @@ type t = {
   mutable events : int;
 }
 
-exception Stopped
+type timer = (unit -> unit) Wheel.handle
 
-let create ?(queue = `Wheel) () =
-  let queue =
-    match queue with
-    | `Wheel -> Wheel (Dvp_util.Timer_wheel.create ())
-    | `Heap_reference -> Heap_ref (Dvp_util.Heap.create ())
-  in
-  { queue; clock = [| 0.0 |]; stopping = false; events = 0 }
+let create () = { queue = Wheel.create (); clock = [| 0.0 |]; stopping = false; events = 0 }
 
 let now t = t.clock.(0)
 
@@ -31,61 +19,32 @@ let events t = t.events
 
 let schedule_at t ~at f =
   let at = if at < t.clock.(0) then t.clock.(0) else at in
-  match t.queue with
-  | Wheel w -> Twheel (Dvp_util.Timer_wheel.add w ~priority:at f)
-  | Heap_ref h -> Theap (Dvp_util.Heap.add h ~priority:at f)
+  Wheel.add t.queue ~priority:at f
 
 let schedule t ~delay f =
   let delay = if delay < 0.0 then 0.0 else delay in
   schedule_at t ~at:(t.clock.(0) +. delay) f
 
-let cancel t timer =
-  match (t.queue, timer) with
-  | Wheel w, Twheel h -> Dvp_util.Timer_wheel.cancel w h
-  | Heap_ref q, Theap h -> Dvp_util.Heap.cancel q h
-  | _ -> false (* timer from a different queue flavour: never pending here *)
+let cancel t timer = Wheel.cancel t.queue timer
 
-let pending t =
-  match t.queue with
-  | Wheel w -> Dvp_util.Timer_wheel.length w
-  | Heap_ref h -> Dvp_util.Heap.length h
+let pending t = Wheel.length t.queue
 
 let step t =
-  match t.queue with
-  | Wheel w ->
-    if Dvp_util.Timer_wheel.is_empty w then false
-    else begin
-      let at = Dvp_util.Timer_wheel.next_at w in
-      let f = Dvp_util.Timer_wheel.pop_min w in
-      t.clock.(0) <- at;
-      t.events <- t.events + 1;
-      f ();
-      true
-    end
-  | Heap_ref h -> (
-    match Dvp_util.Heap.pop h with
-    | None -> false
-    | Some (at, f) ->
-      t.clock.(0) <- at;
-      t.events <- t.events + 1;
-      f ();
-      true)
-
-(* Whether the next event is due at or before [horizon], without allocating
-   (the wheel path boxes nothing; the heap reference path keeps the old
-   peek-an-option behaviour). *)
-let due t horizon =
-  match t.queue with
-  | Wheel w -> Dvp_util.Timer_wheel.has_due w ~horizon
-  | Heap_ref h -> (
-    match Dvp_util.Heap.peek h with
-    | Some (at, _) -> at <= horizon
-    | None -> false)
+  let w = t.queue in
+  if Wheel.is_empty w then false
+  else begin
+    let at = Wheel.next_at w in
+    let f = Wheel.pop_min w in
+    t.clock.(0) <- at;
+    t.events <- t.events + 1;
+    f ();
+    true
+  end
 
 let run_until t horizon =
   let rec loop () =
     if t.stopping then t.stopping <- false
-    else if due t horizon then begin
+    else if Wheel.has_due t.queue ~horizon then begin
       ignore (step t);
       loop ()
     end

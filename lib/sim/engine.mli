@@ -12,13 +12,10 @@ type t
 type timer
 (** A cancellable handle for a scheduled event. *)
 
-val create : ?queue:[ `Wheel | `Heap_reference ] -> unit -> t
-(** [`Wheel] (the default) backs the engine with the calendar-queue timer
-    wheel ({!Dvp_util.Timer_wheel}); [`Heap_reference] keeps the original
-    binary heap ({!Dvp_util.Heap}).  Both implement the same total order —
-    (time, scheduling order) — so same-seed runs produce byte-identical
-    traces on either; the reference flavour exists for the equivalence and
-    trace-regression suites. *)
+val create : unit -> t
+(** An empty engine at time [0.], backed by the calendar-queue timer wheel
+    ({!Dvp_util.Timer_wheel}) — the same queue the runtime's site domains
+    arm their timers on. *)
 
 val now : t -> float
 (** Current simulated time. *)
@@ -51,8 +48,6 @@ val run_until : t -> float -> unit
 
 val run : t -> unit
 (** Drain the queue completely.  Beware of self-perpetuating event chains. *)
-
-exception Stopped
 
 val stop : t -> unit
 (** Request that [run]/[run_until] return after the current event.  Used by

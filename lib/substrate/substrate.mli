@@ -26,6 +26,10 @@
     - [Dvp_runtime.Cluster] gives each site its own OCaml 5 domain with
       wall-clock timers and mailbox transport.
 
+    Both keep their timers on one {!Dvp_util.Timer_wheel}: the engine's
+    event queue in the DES, a per-domain wheel in the runtime — so timers
+    with the same deadline fire in arming order on either substrate.
+
     Invariants every implementation must uphold (the protocol depends on
     them):
 

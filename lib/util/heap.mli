@@ -1,9 +1,12 @@
-(** Binary min-heap with stable handles, used as the simulator event queue.
+(** Binary min-heap with stable handles: the reference order that
+    {!Timer_wheel} is tested against.
 
     Entries are ordered by a float priority with an integer sequence number as
-    tie-breaker, which makes simulation runs fully deterministic: two events
-    scheduled for the same instant fire in insertion order.  Handles permit
-    O(log n) cancellation of pending timers. *)
+    tie-breaker: two entries with equal priority pop in insertion order.
+    Handles permit O(log n) cancellation.  No substrate schedules on this
+    structure — both the simulator and the runtime's site domains run on
+    {!Timer_wheel}; the wheel-vs-heap lockstep and QCheck suites keep the two
+    orders identical. *)
 
 type 'a t
 

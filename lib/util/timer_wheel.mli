@@ -1,6 +1,7 @@
-(** Calendar-queue timer wheel: the scalable event queue behind the simulator.
+(** Calendar-queue timer wheel: the one timer queue of both substrates — the
+    simulator's event queue and each runtime site domain's timer queue.
 
-    Drop-in ordering-compatible replacement for {!Heap}: entries are ordered
+    Ordering-compatible with the reference {!Heap}: entries are ordered
     by a float priority with an integer sequence number as tie-breaker, so two
     entries with equal priority pop in insertion order and a pop stream from
     this structure is byte-for-byte identical to one from {!Heap} fed the same

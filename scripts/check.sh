@@ -22,6 +22,15 @@ if grep -rn Marshal lib; then
   exit 1
 fi
 
+# One timer queue: both substrates arm their timers on Dvp_util.Timer_wheel.
+# The binary heap stays in lib/util only as the reference order the wheel is
+# tested against; nothing else under lib/ may schedule on it.
+echo "== no second timer queue under lib/ =="
+if grep -rnE 'Dvp_util\.Heap|module Heap\b' lib | grep -vE '^lib/util/heap\.mli?:'; then
+  echo "a Heap timer queue is used under lib/; arm timers on Timer_wheel" >&2
+  exit 1
+fi
+
 # @fmt needs the ocamlformat binary, which not every environment carries.
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

@@ -373,6 +373,22 @@ let test_churn_torture () =
   Alcotest.(check int) "zero invariant violations" 0 (List.length report.Harness.failures);
   Alcotest.(check bool) "work still committed" true (report.Harness.total_committed > 0)
 
+(* Killer seeds end to end, one [Harness.run] per seed: detection, breaker
+   parking, a permanent kill and auto-evacuation, with value moving as Vm on
+   every seed so the exactly-once and log audits have traffic to judge. *)
+let test_killer_torture () =
+  for seed = 1 to 5 do
+    let report = Harness.run ~first_seed:seed ~seeds:1 ~profile:Profile.killer () in
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: zero invariant violations" seed)
+      0
+      (List.length report.Harness.failures);
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: value moved as Vm" seed)
+      true
+      (report.Harness.total_vm_accepted > 0)
+  done
+
 let test_failure_report_shape () =
   (* No real seed fails, so exercise the violation-report path on a
      synthesized failure: the rendering must carry the reproducing seed and
@@ -462,5 +478,6 @@ let () =
           Alcotest.test_case "churn schedule shape" `Quick test_churn_schedule_shape;
           Alcotest.test_case "bounded torture" `Slow test_bounded_torture;
           Alcotest.test_case "churn torture" `Slow test_churn_torture;
+          Alcotest.test_case "killer torture" `Slow test_killer_torture;
         ] );
     ]

@@ -11,6 +11,10 @@ module Supervisor = Dvp_runtime.Supervisor
 module Log_event = Dvp_core.Log_event
 module Txn = Dvp_core.Txn
 module Op = Dvp_core.Op
+module Config = Dvp_core.Config
+module Health = Dvp_health.Health
+module Trace = Dvp_trace.Trace
+module Shards = Dvp_trace.Shards
 
 (* ---------------------------------------------------------------- mailbox *)
 
@@ -316,6 +320,56 @@ let test_exec_during_load () =
   Cluster.stop c;
   Alcotest.(check bool) "conserved" true conserved
 
+(* The detector wiring on the runtime substrate: a killed peer's silence
+   shows up in a survivor's shard as a Health verdict, and the heal step
+   (respawn + announce_up) brings the verdict back to up.  Short probe
+   intervals keep the wall-clock waits small. *)
+let test_detector_wiring () =
+  let dir = Walfile.temp_dir "test-runtime" in
+  let config =
+    {
+      Config.default with
+      Config.transport = Config.Transport.v ~probe_every:0.01 ~probe_idle:0.02 ();
+      Config.health =
+        Some { Health.default_config with Health.suspect_after = 0.05; condemn_after = 0.2 };
+    }
+  in
+  let c =
+    Cluster.create ~seed:26 ~config ~wal_dir:dir ~tracing:true ~n:3 ~items:[ (0, 90) ] ()
+  in
+  Alcotest.(check bool) "push before the kill" true
+    (Cluster.push_value c ~src:0 ~dst:2 ~item:0 ~amount:5);
+  Alcotest.(check bool) "kill lands" true (Cluster.kill_site c 2);
+  Unix.sleepf 0.4;
+  Alcotest.(check bool) "respawn" true (Cluster.respawn_site c 2 <> None);
+  Cluster.announce_up c;
+  Unix.sleepf 0.1;
+  Alcotest.(check bool) "post-heal exec" true
+    (Txn.committed (Cluster.exec c (Txn.write ~site:2 [ (0, Op.Incr 1) ])));
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  let conserved = Cluster.conserved_all c in
+  Cluster.stop c;
+  Walfile.remove_dir dir;
+  Alcotest.(check bool) "conserved" true conserved;
+  let shard0 = Shards.shard (Option.get (Cluster.shards c)) 0 in
+  let verdicts =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with
+        | Trace.Health { site = 0; peer = 2; state } -> Some state
+        | _ -> None)
+      (Trace.events shard0)
+  in
+  let rec after_loss = function
+    | ("suspected" | "condemned") :: rest -> Some rest
+    | _ :: rest -> after_loss rest
+    | [] -> None
+  in
+  match after_loss verdicts with
+  | None -> Alcotest.fail "site 0 never suspected the killed peer"
+  | Some rest ->
+    Alcotest.(check bool) "peer 2 back up after the heal" true (List.mem "up" rest)
+
 let () =
   Alcotest.run "dvp_runtime"
     [
@@ -343,6 +397,8 @@ let () =
         [
           Alcotest.test_case "push_value range-checks sites" `Quick test_push_value_range;
           Alcotest.test_case "exec served during a load" `Quick test_exec_during_load;
+          Alcotest.test_case "detector verdicts traced and healed" `Quick
+            test_detector_wiring;
         ] );
       ( "supervisor",
         [

@@ -16,9 +16,9 @@ open Dvp
 
 (* A workload with enough variety to touch timers, Vm retransmission and the
    request protocol: concentrated quotas force cross-site pulls. *)
-let traced_run ?queue () =
+let traced_run () =
   let trace = Trace.create ~capacity:65_536 () in
-  let sys = System.create ~seed:77 ~trace ?queue ~n:4 () in
+  let sys = System.create ~seed:77 ~trace ~n:4 () in
   System.add_item sys ~item:0 ~total:120 ~split:(`Explicit [ 90; 10; 10; 10 ]) ();
   System.add_item sys ~item:1 ~total:80 ();
   for i = 0 to 11 do
@@ -41,15 +41,6 @@ let test_des_determinism () =
   let b = traced_run () in
   Alcotest.(check bool) "trace non-trivial" true (String.length a > 1000);
   Alcotest.(check string) "byte-identical traces" a b
-
-(* The engine-swap regression: the timer wheel (default) and the reference
-   binary heap implement the same total event order, so the same seeded
-   workload must trace byte-identically on either queue. *)
-let test_des_engine_swap () =
-  let wheel = traced_run ~queue:`Wheel () in
-  let heap = traced_run ~queue:`Heap_reference () in
-  Alcotest.(check bool) "trace non-trivial" true (String.length wheel > 1000);
-  Alcotest.(check string) "wheel and heap traces byte-identical" wheel heap
 
 (* Golden digests: the MD5 of the JSONL trace of three fixed-seed runs: the
    retrying decrements above, a banking workload, and a churn chaos run
@@ -325,8 +316,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical traces" `Quick test_des_determinism;
-          Alcotest.test_case "engine swap (wheel vs heap)" `Quick
-            test_des_engine_swap;
           Alcotest.test_case "golden trace digests" `Quick test_golden_digests;
         ] );
       ( "equivalence",
