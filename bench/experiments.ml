@@ -1762,7 +1762,8 @@ let chaos () =
   in
   List.iter
     (fun (profile, seeds) ->
-      let r = Dvp.Chaos.Harness.run ~seeds ~profile () in
+      let r = Dvp.Chaos.Harness.run ~seeds (Dvp.Chaos.Harness.des profile) in
+      let total = Dvp.Chaos.Harness.total r in
       Report.record_json (Dvp.Chaos.Harness.report_to_json r);
       Table.add_row t
         [
@@ -1770,21 +1771,19 @@ let chaos () =
           Table.fint seeds;
           Table.fint (List.length r.Dvp.Chaos.Harness.failures);
           Table.fpct
-            (float_of_int r.Dvp.Chaos.Harness.total_committed
-            /. float_of_int (max 1 r.Dvp.Chaos.Harness.total_submitted));
-          Table.fint r.Dvp.Chaos.Harness.total_recoveries;
-          Table.fint r.Dvp.Chaos.Harness.total_wal_repairs;
-          Table.fint r.Dvp.Chaos.Harness.total_repaired_records;
-          Table.fint r.Dvp.Chaos.Harness.total_vm_accepted;
+            (float_of_int (total "committed") /. float_of_int (max 1 (total "submitted")));
+          Table.fint (total "recoveries");
+          Table.fint (total "wal_repairs");
+          Table.fint (total "repaired_records");
+          Table.fint (total "vm_accepted");
         ];
       List.iter
-        (fun (f : Dvp.Chaos.Harness.failure) ->
-          Printf.printf "  FAILED seed %d (%d violation(s)); reproduce with\n"
-            f.Dvp.Chaos.Harness.result.Dvp.Chaos.Harness.seed
+        (fun (f : _ Dvp.Chaos.Harness.failure) ->
+          let seed = f.Dvp.Chaos.Harness.result.Dvp.Chaos.Harness.seed in
+          Printf.printf "  FAILED seed %d (%d violation(s)); reproduce with\n" seed
             (List.length f.Dvp.Chaos.Harness.result.Dvp.Chaos.Harness.violations);
           Printf.printf "    dvp-cli chaos --profile %s --seed %d --seeds 1\n"
-            profile.Dvp.Chaos.Profile.label
-            f.Dvp.Chaos.Harness.result.Dvp.Chaos.Harness.seed)
+            profile.Dvp.Chaos.Profile.label seed)
         r.Dvp.Chaos.Harness.failures)
     [ (Dvp.Chaos.Profile.bounded, 40); (Dvp.Chaos.Profile.default, 15) ];
   Table.print t

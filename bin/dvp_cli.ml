@@ -480,37 +480,31 @@ let rebalance_cmd sites total slack json =
     exit 1
   end
 
-(* `chaos --wall` targets the multicore runtime: real domain kills, on-disk
-   WAL recovery, wall-clock fault plans — the DES fuzzer's sibling. *)
-let wall_chaos_cmd seeds first_seed profile_name crashdumps json =
-  match Dvp.Chaos.Wall.profile_of_string profile_name with
-  | None ->
-    Printf.eprintf "unknown wall chaos profile %S (bounded|default|killer)\n"
-      profile_name;
-    exit 2
-  | Some profile ->
-    let report = Dvp.Chaos.Wall.run ~profile ~seeds ~first_seed ?crashdumps () in
-    if json then
-      print_endline
-        (Dvp.Util.Json.to_string_pretty (Dvp.Chaos.Wall.report_to_json report))
-    else Format.printf "%a@." Dvp.Chaos.Wall.pp_report report;
-    if not (Dvp.Chaos.Wall.ok report) then exit 1
-
+(* One code path for both substrates: `--wall` picks the multicore runtime
+   (real domain kills, on-disk WAL recovery, wall-clock fault plans) and its
+   profile table; the seed loop, report and exit status are shared. *)
 let chaos_cmd wall seeds first_seed profile_name crashdumps json =
-  if wall then wall_chaos_cmd seeds first_seed profile_name crashdumps json
+  let go sub =
+    let report = Dvp.Chaos.Harness.run ~first_seed ~seeds ?crashdumps sub in
+    if json then
+      print_endline (Dvp.Util.Json.to_string_pretty (Dvp.Chaos.Harness.report_to_json report))
+    else Format.printf "%a@." Dvp.Chaos.Harness.pp_report report;
+    if report.Dvp.Chaos.Harness.failures <> [] then exit 1
+  in
+  let unknown names =
+    Printf.eprintf "unknown %schaos profile %S (%s)\n"
+      (if wall then "wall " else "")
+      profile_name (String.concat "|" names);
+    exit 2
+  in
+  if wall then
+    match Dvp.Chaos.Wall.profile_of_string profile_name with
+    | Some p -> go (Dvp.Chaos.Wall.substrate p)
+    | None -> unknown Dvp.Chaos.Wall.profile_names
   else
     match Dvp.Chaos.Profile.of_string profile_name with
-    | None ->
-      Printf.eprintf "unknown chaos profile %S (%s)\n" profile_name
-        (String.concat "|" Dvp.Chaos.Profile.names);
-      exit 2
-    | Some profile ->
-      let report = Dvp.Chaos.Harness.run ~first_seed ~seeds ~profile ?crashdumps () in
-      if json then
-        print_endline
-          (Dvp.Util.Json.to_string_pretty (Dvp.Chaos.Harness.report_to_json report))
-      else Format.printf "%a@." Dvp.Chaos.Harness.pp_report report;
-      if report.Dvp.Chaos.Harness.failures <> [] then exit 1
+    | Some p -> go (Dvp.Chaos.Harness.des p)
+    | None -> unknown Dvp.Chaos.Profile.names
 
 let analyze_cmd file json =
   if not (Sys.file_exists file) then begin
@@ -972,8 +966,9 @@ let profile_arg =
     & opt string "bounded"
     & info [ "profile" ]
         ~doc:
-          "Chaos profile: bounded, default, heavy, killer, or churn (DES); with \
-           $(b,--wall): bounded, default, or killer.")
+          (Printf.sprintf "Chaos profile: %s (DES); with $(b,--wall): %s."
+             (String.concat ", " Dvp.Chaos.Profile.names)
+             (String.concat ", " Dvp.Chaos.Wall.profile_names)))
 
 let chaos_wall_arg =
   Arg.(

@@ -9,20 +9,49 @@ module Driver = Dvp_workload.Driver
 module Setup = Dvp_workload.Setup
 module Json = Dvp_util.Json
 
-type seed_result = {
+type 'plan seed_result = {
   seed : int;
-  schedule : Faultplan.t;
+  schedule : 'plan;
   violations : (float * Oracle.violation) list;
-  committed : int;
-  submitted : int;
-  recoveries : int;
-  wal_repairs : int;
-  repaired_records : int;
-  vm_accepted : int;
   crashdump : string option;
+  tallies : (string * int) list;
 }
 
 let failed r = r.violations <> []
+
+let lookup what tallies name =
+  match List.assoc_opt name tallies with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "Harness.%s: no tally %S" what name)
+
+let tally r = lookup "tally" r.tallies
+
+type 'e substrate = {
+  command : string;
+  label : string;
+  profile_json : Json.t;
+  tally_names : string list;
+  pp_totals : Format.formatter -> (string -> int) -> unit;
+  pp_plan : Format.formatter -> 'e list -> unit;
+  plan_to_json : 'e list -> Json.t;
+  shrinks : 'e list -> bool;
+  exec : seed:int -> plan:'e list option -> crashdumps:string option -> 'e list seed_result;
+}
+
+let violation_json (at, viol) =
+  match Oracle.violation_to_json viol with
+  | Json.Obj fields -> Json.Obj (("at", Json.Float at) :: fields)
+  | other -> other
+
+let write_crashdump flight ~label violations =
+  match (flight, violations) with
+  | Some fl, _ :: _ -> (
+    let verdict = Json.List (List.map violation_json violations) in
+    try Some (Dvp_obs.Flight.dump fl ~label ~verdict)
+    with e ->
+      Printf.eprintf "crashdump %s failed: %s\n%!" label (Printexc.to_string e);
+      None)
+  | _ -> None
 
 (* One run is a pure function of (profile, seed, schedule): the workload
    stream derives from the seed, the fault stream from the schedule, and the
@@ -127,157 +156,136 @@ let run_seed ~(profile : Profile.t) ~seed ?schedule ?extra_checks ?crashdumps ()
        failure; otherwise any oracle violation triggers one here. *)
     match o.Runner.crashdump with
     | Some _ as d -> d
-    | None -> (
-      match (flight, ordered_violations) with
-      | Some fl, _ :: _ ->
-        let verdict =
-          Json.List
-            (List.map
-               (fun (at, viol) ->
-                 match Oracle.violation_to_json viol with
-                 | Json.Obj fields -> Json.Obj (("at", Json.Float at) :: fields)
-                 | other -> other)
-               ordered_violations)
-        in
-        Some
-          (Dvp_obs.Flight.dump fl
-             ~label:(Printf.sprintf "chaos-seed%d" seed)
-             ~verdict)
-      | _ -> None)
+    | None ->
+      write_crashdump flight ~label:(Printf.sprintf "chaos-seed%d" seed)
+        ordered_violations
   in
   {
     seed;
     schedule = plan;
     violations = ordered_violations;
-    committed = o.Runner.committed;
-    submitted = o.Runner.submitted;
-    recoveries = Metrics.recovery_count o.Runner.metrics;
-    wal_repairs = sum_sites Wal.repairs;
-    repaired_records = sum_sites Wal.repaired_records;
-    vm_accepted = Metrics.vm_accepted_count o.Runner.metrics;
     crashdump;
+    tallies =
+      [
+        ("committed", o.Runner.committed);
+        ("submitted", o.Runner.submitted);
+        ("recoveries", Metrics.recovery_count o.Runner.metrics);
+        ("wal_repairs", sum_sites Wal.repairs);
+        ("repaired_records", sum_sites Wal.repaired_records);
+        ("vm_accepted", Metrics.vm_accepted_count o.Runner.metrics);
+      ];
   }
 
-type failure = {
-  result : seed_result;
-  shrunk : Faultplan.t;  (** 1-minimal schedule still reproducing it *)
-}
+let des ?extra_checks profile =
+  {
+    command = "chaos";
+    label = profile.Profile.label;
+    profile_json = Profile.to_json profile;
+    tally_names =
+      [ "committed"; "submitted"; "recoveries"; "wal_repairs"; "repaired_records"; "vm_accepted" ];
+    pp_totals =
+      (fun ppf t ->
+        Format.fprintf ppf
+          "commits: %d/%d  recoveries: %d  wal repairs: %d (%d record(s) truncated)  \
+           vm accepted: %d"
+          (t "committed") (t "submitted") (t "recoveries") (t "wal_repairs")
+          (t "repaired_records") (t "vm_accepted"));
+    pp_plan = Faultplan.pp;
+    plan_to_json = Faultplan.to_json;
+    shrinks = (fun _ -> true);
+    exec =
+      (fun ~seed ~plan ~crashdumps ->
+        run_seed ~profile ~seed ?schedule:plan ?extra_checks ?crashdumps ());
+  }
 
-type report = {
-  profile : Profile.t;
+type 'plan failure = { result : 'plan seed_result; shrunk : 'plan option }
+
+type 'e report = {
+  substrate : 'e substrate;
   first_seed : int;
   seeds : int;
-  failures : failure list;
-  total_committed : int;
-  total_submitted : int;
-  total_recoveries : int;
-  total_wal_repairs : int;
-  total_repaired_records : int;
-  total_vm_accepted : int;
+  failures : 'e list failure list;
+  totals : (string * int) list;
 }
 
-let shrink_failure ~profile ?extra_checks (r : seed_result) =
-  (* Shrink re-runs never write crashdumps — only the original failing run
-     leaves an artifact. *)
-  let fails plan =
-    failed (run_seed ~profile ~seed:r.seed ~schedule:plan ?extra_checks ())
-  in
-  { result = r; shrunk = Shrink.minimize ~fails r.schedule }
+let total r = lookup "total" r.totals
 
-let run ?(first_seed = 1) ~seeds ~profile ?extra_checks ?crashdumps () =
+let run ?(first_seed = 1) ~seeds ?crashdumps sub =
   let failures = ref [] in
-  let committed = ref 0 and submitted = ref 0 in
-  let recoveries = ref 0 and repairs = ref 0 and repaired = ref 0 and vms = ref 0 in
+  let totals = ref (List.map (fun name -> (name, 0)) sub.tally_names) in
   for seed = first_seed to first_seed + seeds - 1 do
-    let r = run_seed ~profile ~seed ?extra_checks ?crashdumps () in
-    committed := !committed + r.committed;
-    submitted := !submitted + r.submitted;
-    recoveries := !recoveries + r.recoveries;
-    repairs := !repairs + r.wal_repairs;
-    repaired := !repaired + r.repaired_records;
-    vms := !vms + r.vm_accepted;
-    if failed r then failures := shrink_failure ~profile ?extra_checks r :: !failures
+    let r = sub.exec ~seed ~plan:None ~crashdumps in
+    totals := List.map (fun (name, sum) -> (name, sum + tally r name)) !totals;
+    if failed r then begin
+      (* Shrink re-runs never write crashdumps — only the original failing
+         run leaves an artifact. *)
+      let fails plan = failed (sub.exec ~seed ~plan:(Some plan) ~crashdumps:None) in
+      let shrunk =
+        if sub.shrinks r.schedule then Some (Shrink.minimize ~fails r.schedule) else None
+      in
+      failures := { result = r; shrunk } :: !failures
+    end
   done;
-  {
-    profile;
-    first_seed;
-    seeds;
-    failures = List.rev !failures;
-    total_committed = !committed;
-    total_submitted = !submitted;
-    total_recoveries = !recoveries;
-    total_wal_repairs = !repairs;
-    total_repaired_records = !repaired;
-    total_vm_accepted = !vms;
-  }
+  { substrate = sub; first_seed; seeds; failures = List.rev !failures; totals = !totals }
 
-let failure_to_json { result; shrunk } =
+let tallies_json tallies = Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) tallies)
+
+let failure_to_json sub { result; shrunk } =
   Json.Obj
     [
       ("seed", Json.Int result.seed);
-      ( "violations",
-        Json.List
-          (List.map
-             (fun (at, viol) ->
-               match Oracle.violation_to_json viol with
-               | Json.Obj fields -> Json.Obj (("at", Json.Float at) :: fields)
-               | other -> other)
-             result.violations) );
+      ("violations", Json.List (List.map violation_json result.violations));
       ("schedule_events", Json.Int (List.length result.schedule));
-      ("shrunk_schedule", Faultplan.to_json shrunk);
+      ("schedule", sub.plan_to_json result.schedule);
+      ( "shrunk_schedule",
+        match shrunk with Some p -> sub.plan_to_json p | None -> Json.Null );
       ( "crashdump",
         match result.crashdump with Some p -> Json.String p | None -> Json.Null );
+      ("tallies", tallies_json result.tallies);
     ]
 
 let report_to_json r =
   Json.Obj
-    [
-      ("profile", Profile.to_json r.profile);
-      ("first_seed", Json.Int r.first_seed);
-      ("seeds", Json.Int r.seeds);
-      ("violations", Json.Int (List.length r.failures));
-      ("failures", Json.List (List.map failure_to_json r.failures));
-      ("committed", Json.Int r.total_committed);
-      ("submitted", Json.Int r.total_submitted);
-      ("recoveries", Json.Int r.total_recoveries);
-      ("wal_repairs", Json.Int r.total_wal_repairs);
-      ("repaired_records", Json.Int r.total_repaired_records);
-      ("vm_accepted", Json.Int r.total_vm_accepted);
-    ]
+    ([
+       ("profile", r.substrate.profile_json);
+       ("first_seed", Json.Int r.first_seed);
+       ("seeds", Json.Int r.seeds);
+       ("violations", Json.Int (List.length r.failures));
+       ("failures", Json.List (List.map (failure_to_json r.substrate) r.failures));
+     ]
+    @ List.map (fun (name, v) -> (name, Json.Int v)) r.totals)
 
-let pp_failure ~profile_label ppf { result; shrunk } =
+let pp_failure sub ppf { result; shrunk } =
   Format.fprintf ppf "@[<v>seed %d: %d violation(s)@," result.seed
     (List.length result.violations);
   List.iter
     (fun (at, viol) ->
       Format.fprintf ppf "  [t=%.3f] %a@," at Oracle.pp_violation viol)
     result.violations;
-  Format.fprintf ppf "  reproduce: chaos --profile %s --seed %d --seeds 1@,"
-    profile_label result.seed;
+  Format.fprintf ppf "  reproduce: %s --profile %s --seed %d --seeds 1@,"
+    sub.command sub.label result.seed;
   (match result.crashdump with
   | Some path -> Format.fprintf ppf "  crashdump: %s@," path
   | None -> ());
-  Format.fprintf ppf "  minimal schedule (%d of %d events):@,    @[<v>%a@]@]"
-    (List.length shrunk)
-    (List.length result.schedule)
-    Faultplan.pp shrunk
+  Format.fprintf ppf "  tallies: %s@,"
+    (String.concat ", "
+       (List.map (fun (name, v) -> Printf.sprintf "%s %d" name v) result.tallies));
+  let n = List.length result.schedule in
+  match shrunk with
+  | Some p ->
+    Format.fprintf ppf "  minimal schedule (%d of %d events):@,    @[<v>%a@]@]"
+      (List.length p) n sub.pp_plan p
+  | None ->
+    Format.fprintf ppf "  schedule (%d events, not shrunk):@,    @[<v>%a@]@]" n
+      sub.pp_plan result.schedule
 
 let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>chaos %s: %d seed(s) starting at %d@,\
-     commits: %d/%d  recoveries: %d  wal repairs: %d (%d record(s) truncated)  \
-     vm accepted: %d@,"
-    r.profile.Profile.label r.seeds r.first_seed r.total_committed
-    r.total_submitted r.total_recoveries r.total_wal_repairs
-    r.total_repaired_records r.total_vm_accepted;
+  let sub = r.substrate in
+  Format.fprintf ppf "@[<v>%s %s: %d seed(s) starting at %d@,%a@," sub.command sub.label
+    r.seeds r.first_seed sub.pp_totals (total r);
   (match r.failures with
   | [] -> Format.fprintf ppf "invariants: OK — no violations@]"
   | fs ->
     Format.fprintf ppf "invariants: %d seed(s) FAILED@," (List.length fs);
-    List.iter
-      (fun f ->
-        Format.fprintf ppf "%a@,"
-          (pp_failure ~profile_label:r.profile.Profile.label)
-          f)
-      fs;
+    List.iter (fun f -> Format.fprintf ppf "%a@," (pp_failure sub) f) fs;
     Format.fprintf ppf "@]")

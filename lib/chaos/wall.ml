@@ -61,32 +61,47 @@ let bounded_profile =
     shrink = true;
   }
 
-let profile_of_string = function
-  | "default" -> Some default_profile
-  | "killer" -> Some killer_profile
-  | "bounded" -> Some bounded_profile
-  | _ -> None
+let profiles = [ bounded_profile; default_profile; killer_profile ]
+let profile_names = List.map (fun p -> p.name) profiles
+let profile_of_string s = List.find_opt (fun p -> p.name = s) profiles
 
-type seed_report = {
-  sr_seed : int;
-  sr_plan : Fault.t;
-  sr_kills : int list;
-  sr_forever : int list;
-  sr_respawns : int;
-  sr_replayed : (int * int) list;
-  sr_torn : int;
-  sr_sink_fails : int;
-  sr_chaos : int * int * int;
-  sr_bg_committed : int;
-  sr_quiesced : bool;
-  sr_violations : Oracle.violation list;
-  sr_crashdump : string option;
-  sr_shrunk : Fault.t option;
-}
+(* One violation per item a cut flags, saying which half of the verdict
+   failed: the conservation identity, or a live fragment below zero. *)
+let cut_violations ~check (cut : Cluster.cut) =
+  List.filter_map
+    (fun (ci : Cluster.cut_item) ->
+      if ci.Cluster.ci_ok then None
+      else
+        let item = ci.Cluster.ci_item in
+        let conservation =
+          if ci.Cluster.ci_fragments + ci.Cluster.ci_in_flight = ci.Cluster.ci_expected then []
+          else
+            [
+              Printf.sprintf "fragments %d + in-flight %d <> expected %d"
+                ci.Cluster.ci_fragments ci.Cluster.ci_in_flight ci.Cluster.ci_expected;
+            ]
+        in
+        let negative =
+          List.filter_map
+            (fun (st : Cluster.site_stats) ->
+              match List.assoc_opt item st.Cluster.st_fragments with
+              | Some v when v < 0 -> Some (Printf.sprintf "site %d fragment %d < 0" st.Cluster.st_site v)
+              | _ -> None)
+            (Array.to_list cut.Cluster.cut_sites)
+        in
+        Some
+          ( cut.Cluster.cut_at,
+            {
+              Oracle.check;
+              detail =
+                Printf.sprintf "item %d: %s" item (String.concat "; " (conservation @ negative));
+            } ))
+    cut.Cluster.cut_items
 
-let failed r = r.sr_violations <> []
-
-let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
+let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
+  let plan =
+    match plan with Some p -> p | None -> Fault.plan ~seed ~n:profile.n profile.spec
+  in
   let wal_dir = Walfile.temp_dir (Printf.sprintf "wall-%d" seed) in
   let config =
     {
@@ -106,7 +121,10 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
   let sup = Supervisor.create cluster in
   let violations = ref [] in
   let viol check fmt =
-    Printf.ksprintf (fun detail -> violations := { Oracle.check; detail } :: !violations) fmt
+    Printf.ksprintf
+      (fun detail ->
+        violations := (Cluster.now cluster, { Oracle.check; detail }) :: !violations)
+      fmt
   in
   let t0 = Unix.gettimeofday () in
   Cluster.start_bg_load cluster ~duration:profile.load ~amount:profile.amount ();
@@ -133,15 +151,7 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
     viol "quiesce" "cluster failed to quiesce within %.1fs" profile.quiesce_timeout;
   (* Live verdicts: the final freeze-barrier cut and the closed-loop totals. *)
   let cut = Cluster.sample_cut cluster in
-  if not (Cluster.cut_ok cut) then
-    List.iter
-      (fun ci ->
-        if not ci.Cluster.ci_ok then
-          viol "cut"
-            "final cut, item %d: fragments %d + in-flight %d <> expected %d"
-            ci.Cluster.ci_item ci.Cluster.ci_fragments ci.Cluster.ci_in_flight
-            ci.Cluster.ci_expected)
-      cut.Cluster.cut_items;
+  violations := List.rev_append (cut_violations ~check:"cut" cut) !violations;
   if not (Cluster.conserved_all cluster) then
     List.iter
       (fun item ->
@@ -157,28 +167,22 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
      respawn never read the file), and the run must have carried traffic. *)
   let kills = Fault.kills_of plan in
   let replayed =
-    List.map
-      (fun i ->
+    List.fold_left
+      (fun acc i ->
         let r = Cluster.replayed cluster i in
         if r = 0 then viol "no_replay" "killed site %d replayed no records" i;
-        (i, r))
-      kills
+        acc + r)
+      0 kills
   in
   let bg = Cluster.bg_committed cluster in
   if bg = 0 then viol "no_traffic" "background load committed nothing";
-  (* Watchdog alarms recorded during the run are conservation violations the
-     final state cannot show (the cut that caught them is in the alarm). *)
+  (* Watchdog alarms recorded during the run are violations the final state
+     cannot show (the cut that caught them is in the alarm). *)
   let alarms = Observer.alarms observer in
   List.iter
     (fun al ->
-      List.iter
-        (fun ci ->
-          if not ci.Cluster.ci_ok then
-            viol "watchdog"
-              "cut at t=%.3f, item %d: fragments %d + in-flight %d <> expected %d"
-              al.Observer.al_at ci.Cluster.ci_item ci.Cluster.ci_fragments
-              ci.Cluster.ci_in_flight ci.Cluster.ci_expected)
-        al.Observer.al_cut.Cluster.cut_items)
+      violations :=
+        List.rev_append (cut_violations ~check:"watchdog" al.Observer.al_cut) !violations)
     alarms;
   (* The stable-log audit every DES oracle point runs too, over each site's
      on-disk frame prefix (every force flushed, so the files are current)
@@ -196,175 +200,69 @@ let exec_seed ~(profile : profile) ~seed ~plan ?crashdumps () =
     let in_flight ~item =
       (List.find (fun ci -> ci.Cluster.ci_item = item) cut.Cluster.cut_items).Cluster.ci_in_flight
     in
-    violations :=
-      List.rev_append
-        (Oracle.check_logs ~n:profile.n ~items ~in_flight logs
-           ~fragment:(fun ~site ~item -> Some (List.assoc item live).(site)))
-        !violations
+    let at = Cluster.now cluster in
+    List.iter
+      (fun v -> violations := (at, v) :: !violations)
+      (Oracle.check_logs ~n:profile.n ~items ~in_flight logs
+         ~fragment:(fun ~site ~item -> Some (List.assoc item live).(site)))
   end;
   let ordered = List.rev !violations in
   let crashdump =
     match List.find_map (fun al -> al.Observer.al_dump) alarms with
     | Some _ as d -> d
     | None ->
-      if ordered <> [] && crashdumps <> None then (
-        let verdict = Json.List (List.map Oracle.violation_to_json ordered) in
-        let label = Printf.sprintf "wall-seed%d" seed in
-        try Some (Dvp_obs.Flight.dump (Observer.flight observer) ~label ~verdict)
-        with _ -> None)
-      else None
+      Harness.write_crashdump
+        (Option.map (fun _ -> Observer.flight observer) crashdumps)
+        ~label:(Printf.sprintf "wall-seed%d" seed) ordered
   in
-  let chaos = Cluster.chaos_counts cluster in
+  let drops, dups, delays = Cluster.chaos_counts cluster in
   Observer.stop observer;
   Cluster.stop cluster;
   Walfile.remove_dir wal_dir;
   {
-    sr_seed = seed;
-    sr_plan = plan;
-    sr_kills = kills;
-    sr_forever = Fault.forever_of plan;
-    sr_respawns = pr.Supervisor.pr_respawns + !revived;
-    sr_replayed = replayed;
-    sr_torn = pr.Supervisor.pr_torn;
-    sr_sink_fails = pr.Supervisor.pr_sink_fails;
-    sr_chaos = chaos;
-    sr_bg_committed = bg;
-    sr_quiesced = quiesced;
-    sr_violations = ordered;
-    sr_crashdump = crashdump;
-    sr_shrunk = None;
+    Harness.seed;
+    schedule = plan;
+    violations = ordered;
+    crashdump;
+    tallies =
+      [
+        ("kills", List.length kills);
+        ("permanent_kills", List.length (Fault.forever_of plan));
+        ("respawns", pr.Supervisor.pr_respawns + !revived);
+        ("replayed_records", replayed);
+        ("torn_tails", pr.Supervisor.pr_torn);
+        ("sink_fails", pr.Supervisor.pr_sink_fails);
+        ("msgs_dropped", drops);
+        ("msgs_duplicated", dups);
+        ("msgs_delayed", delays);
+        ("bg_committed", bg);
+      ];
   }
 
-let rec run_seed ~profile ~seed ?plan ?crashdumps () =
-  let plan =
-    match plan with
-    | Some p -> p
-    | None -> Fault.plan ~seed ~n:profile.n profile.spec
-  in
-  let r = exec_seed ~profile ~seed ~plan ?crashdumps () in
-  (* Shrinking re-runs the plan on real hardware, so the minimal plan is
-     evidence (it failed when we re-ran it), not proof of determinism.
-     Bounded to short plans: each probe is a full wall-clock run. *)
-  if failed r && profile.shrink && List.length plan <= 12 then
-    let quiet = { profile with shrink = false } in
-    let fails p = failed (run_seed ~profile:quiet ~seed ~plan:p ()) in
-    { r with sr_shrunk = Some (Shrink.minimize ~fails plan) }
-  else r
-
-type report = {
-  rp_profile : string;
-  rp_first_seed : int;
-  rp_seeds : int;
-  rp_results : seed_report list;
-  rp_failures : int;
-  rp_kills : int;
-  rp_respawns : int;
-  rp_replayed : int;
-  rp_bg_committed : int;
-}
-
-let run ?(profile = default_profile) ?(seeds = 5) ?(first_seed = 1) ?crashdumps () =
-  let results = ref [] in
-  for seed = first_seed to first_seed + seeds - 1 do
-    results := run_seed ~profile ~seed ?crashdumps () :: !results
-  done;
-  let results = List.rev !results in
+let substrate profile =
   {
-    rp_profile = profile.name;
-    rp_first_seed = first_seed;
-    rp_seeds = seeds;
-    rp_results = results;
-    rp_failures = List.length (List.filter failed results);
-    rp_kills = List.fold_left (fun a r -> a + List.length r.sr_kills) 0 results;
-    rp_respawns = List.fold_left (fun a r -> a + r.sr_respawns) 0 results;
-    rp_replayed =
-      List.fold_left
-        (fun a r -> a + List.fold_left (fun b (_, n) -> b + n) 0 r.sr_replayed)
-        0 results;
-    rp_bg_committed = List.fold_left (fun a r -> a + r.sr_bg_committed) 0 results;
+    Harness.command = "chaos --wall";
+    label = profile.name;
+    profile_json = Json.String profile.name;
+    tally_names =
+      [
+        "kills"; "permanent_kills"; "respawns"; "replayed_records"; "torn_tails"; "sink_fails";
+        "msgs_dropped"; "msgs_duplicated"; "msgs_delayed"; "bg_committed";
+      ];
+    pp_totals =
+      (fun ppf t ->
+        Format.fprintf ppf
+          "kills: %d (%d permanent)  respawns: %d  records replayed: %d  torn tails: %d  \
+           sink faults: %d@,\
+           links: %d dropped / %d duplicated / %d delayed  background commits: %d"
+          (t "kills") (t "permanent_kills") (t "respawns") (t "replayed_records")
+          (t "torn_tails") (t "sink_fails") (t "msgs_dropped") (t "msgs_duplicated")
+          (t "msgs_delayed") (t "bg_committed"));
+    pp_plan = Fault.pp;
+    plan_to_json = Fault.to_json;
+    (* Shrinking re-runs the plan on real hardware, so the minimal plan is
+       evidence (it failed when re-run), not proof of determinism.  Bounded
+       to short plans: each probe is a full wall-clock run. *)
+    shrinks = (fun plan -> profile.shrink && List.length plan <= 12);
+    exec = (fun ~seed ~plan ~crashdumps -> run_seed ~profile ~seed ?plan ?crashdumps ());
   }
-
-let ok r = r.rp_failures = 0
-
-let seed_report_to_json r =
-  let drops, dups, delays = r.sr_chaos in
-  Json.Obj
-    [
-      ("seed", Json.Int r.sr_seed);
-      ("plan", Fault.to_json r.sr_plan);
-      ("kills", Json.List (List.map (fun i -> Json.Int i) r.sr_kills));
-      ("forever", Json.List (List.map (fun i -> Json.Int i) r.sr_forever));
-      ("respawns", Json.Int r.sr_respawns);
-      ( "replayed",
-        Json.Obj
-          (List.map (fun (i, n) -> (string_of_int i, Json.Int n)) r.sr_replayed) );
-      ("torn_tails", Json.Int r.sr_torn);
-      ("sink_fails", Json.Int r.sr_sink_fails);
-      ("msgs_dropped", Json.Int drops);
-      ("msgs_duplicated", Json.Int dups);
-      ("msgs_delayed", Json.Int delays);
-      ("bg_committed", Json.Int r.sr_bg_committed);
-      ("quiesced", Json.Bool r.sr_quiesced);
-      ("violations", Json.List (List.map Oracle.violation_to_json r.sr_violations));
-      ( "crashdump",
-        match r.sr_crashdump with Some p -> Json.String p | None -> Json.Null );
-      ( "shrunk_plan",
-        match r.sr_shrunk with Some p -> Fault.to_json p | None -> Json.Null );
-    ]
-
-let report_to_json r =
-  Json.Obj
-    [
-      ("profile", Json.String r.rp_profile);
-      ("first_seed", Json.Int r.rp_first_seed);
-      ("seeds", Json.Int r.rp_seeds);
-      ("failures", Json.Int r.rp_failures);
-      ("kills", Json.Int r.rp_kills);
-      ("respawns", Json.Int r.rp_respawns);
-      ("replayed_records", Json.Int r.rp_replayed);
-      ("bg_committed", Json.Int r.rp_bg_committed);
-      ("seeds_detail", Json.List (List.map seed_report_to_json r.rp_results));
-    ]
-
-let pp_seed ppf r =
-  let drops, dups, delays = r.sr_chaos in
-  Format.fprintf ppf
-    "@[<v>seed %d: %d kill(s) (%d permanent), %d respawn(s), %d record(s) \
-     replayed@,\
-     torn tails repaired: %d  sink faults: %d  links: %d dropped / %d duplicated \
-     / %d delayed@,\
-     background commits: %d  quiesced: %b@,"
-    r.sr_seed (List.length r.sr_kills)
-    (List.length r.sr_forever)
-    r.sr_respawns
-    (List.fold_left (fun a (_, n) -> a + n) 0 r.sr_replayed)
-    r.sr_torn r.sr_sink_fails drops dups delays r.sr_bg_committed r.sr_quiesced;
-  (match r.sr_violations with
-  | [] -> Format.fprintf ppf "invariants: OK"
-  | vs ->
-    Format.fprintf ppf "invariants: %d violation(s)@," (List.length vs);
-    List.iter (fun v -> Format.fprintf ppf "  [%s] %s@," v.Oracle.check v.Oracle.detail) vs;
-    (match r.sr_crashdump with
-    | Some p -> Format.fprintf ppf "  crashdump: %s@," p
-    | None -> ());
-    match r.sr_shrunk with
-    | Some p ->
-      Format.fprintf ppf "  minimal plan (%d of %d events):@,    @[<v>%a@]"
-        (List.length p) (List.length r.sr_plan) Fault.pp p
-    | None -> ());
-  Format.fprintf ppf "@]"
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>wall chaos %s: %d seed(s) starting at %d@,\
-     kills: %d  respawns: %d  records replayed: %d  background commits: %d@,"
-    r.rp_profile r.rp_seeds r.rp_first_seed r.rp_kills r.rp_respawns r.rp_replayed
-    r.rp_bg_committed;
-  if r.rp_failures = 0 then Format.fprintf ppf "invariants: OK — no violations@]"
-  else begin
-    Format.fprintf ppf "invariants: %d seed(s) FAILED@," r.rp_failures;
-    List.iter
-      (fun sr -> if failed sr then Format.fprintf ppf "%a@," pp_seed sr)
-      r.rp_results;
-    Format.fprintf ppf "@]"
-  end

@@ -1,17 +1,22 @@
-(** Chaos on real domains: crash-restart runs against the wall-clock
-    {!Dvp_runtime.Cluster}.
+(** Chaos on real domains: crash-restart seeds against the wall-clock
+    {!Dvp_runtime.Cluster}, run through {!Harness.run} like the DES.
 
-    Where {!Harness} drives the DES (deterministic replay, exact oracles at
-    simulated instants), this harness drives the multicore runtime: real
-    hard kills of site domains mid-traffic, real file-backed recovery, real
-    races.  Each seed builds a cluster with a file-backed WAL per site,
-    starts the self-driving background load, executes a seeded
-    {!Dvp_runtime.Fault} plan through {!Dvp_runtime.Supervisor}, then heals,
-    revives every remaining dead site, quiesces, and audits:
+    Where the DES substrate gives deterministic replay and exact oracles at
+    simulated instants, this one drives the multicore runtime: real hard
+    kills of site domains mid-traffic, real file-backed recovery, real
+    races.  This module keeps only what is specific to the runtime — its
+    profiles and the body of one seed; {!Harness} owns the seed loop, the
+    shrink step, the report, its JSON and its printer.
 
-    - the conservation watchdog's freeze-barrier cuts, sampled live
-      throughout the run by {!Dvp_runtime.Observer} (exact even while sites
-      are dead — live-set identity), any alarm is a violation;
+    Each seed builds a cluster with a file-backed WAL per site, starts the
+    self-driving background load, executes a seeded {!Dvp_runtime.Fault}
+    plan through {!Dvp_runtime.Supervisor}, then heals, revives every
+    remaining dead site, quiesces, and audits:
+
+    - the watchdog's freeze-barrier cuts, sampled live throughout the run
+      by {!Dvp_runtime.Observer} (exact even while sites are dead —
+      live-set identity, and no live fragment below zero); any alarm is a
+      violation;
     - the final cut and the closed-loop expected totals;
     - recovery evidence: every site the plan killed must have replayed a
       positive number of records, and the load must have committed traffic;
@@ -22,10 +27,12 @@
       value sent but not accepted in the files equal to the final cut's
       in-flight value; a file still torn at the end is a violation too.
 
+    Violations are stamped with the cluster clock: the alarm's cut time for
+    watchdog alarms, the quiesce-time clock for the end-of-run checks.
     Failing seeds dump trace and telemetry through the observer's
-    {!Dvp_obs.Flight} recorder and can be shrunk with {!Shrink.minimize}
-    over the fault plan (re-runs on real hardware are evidence, not proof —
-    the shrunk plan is re-checked, never assumed). *)
+    {!Dvp_obs.Flight} recorder, and profiles with [shrink] set minimize
+    plans of at most 12 events (re-runs on real hardware are evidence, not
+    proof — the shrunk plan is re-checked, never assumed). *)
 
 type profile = {
   name : string;
@@ -47,28 +54,10 @@ val killer_profile : profile
 val bounded_profile : profile
 (** Small and fast (CI smoke): 3 sites, short load, at most a few faults. *)
 
+val profile_names : string list
+(** ["bounded"], ["default"], ["killer"]. *)
+
 val profile_of_string : string -> profile option
-(** ["default"], ["killer"], ["bounded"]. *)
-
-type seed_report = {
-  sr_seed : int;
-  sr_plan : Dvp_runtime.Fault.t;  (** the plan that ran *)
-  sr_kills : int list;  (** distinct sites the plan killed *)
-  sr_forever : int list;  (** of those, killed permanently *)
-  sr_respawns : int;  (** respawns (plan + final revival) *)
-  sr_replayed : (int * int) list;  (** (site, records replayed), killed sites *)
-  sr_torn : int;  (** WAL tails torn and repaired *)
-  sr_sink_fails : int;  (** injected force failures *)
-  sr_chaos : int * int * int;  (** messages (dropped, duplicated, delayed) *)
-  sr_bg_committed : int;  (** background transactions committed *)
-  sr_quiesced : bool;
-  sr_violations : Oracle.violation list;  (** empty = seed passed *)
-  sr_crashdump : string option;
-  sr_shrunk : Dvp_runtime.Fault.t option;
-      (** 1-minimal plan still failing, when shrinking ran *)
-}
-
-val failed : seed_report -> bool
 
 val run_seed :
   profile:profile ->
@@ -76,35 +65,16 @@ val run_seed :
   ?plan:Dvp_runtime.Fault.t ->
   ?crashdumps:string ->
   unit ->
-  seed_report
+  Dvp_runtime.Fault.t Harness.seed_result
 (** Run one seed.  [plan] overrides the generated
     {!Dvp_runtime.Fault.plan} (used by the shrinker and tests).
     [crashdumps] names a directory for flight-recorder dumps of failing
-    runs. *)
+    runs.  Its tallies are [kills] and [permanent_kills] (distinct sites
+    the plan killed, and of those the permanent ones), [respawns] (plan
+    and final revival), [replayed_records] (over the killed sites),
+    [torn_tails], [sink_fails], [msgs_dropped], [msgs_duplicated],
+    [msgs_delayed] and [bg_committed] (background transactions). *)
 
-type report = {
-  rp_profile : string;
-  rp_first_seed : int;
-  rp_seeds : int;
-  rp_results : seed_report list;  (** in seed order *)
-  rp_failures : int;
-  rp_kills : int;
-  rp_respawns : int;
-  rp_replayed : int;
-  rp_bg_committed : int;
-}
-
-val run :
-  ?profile:profile ->
-  ?seeds:int ->
-  ?first_seed:int ->
-  ?crashdumps:string ->
-  unit ->
-  report
-
-val ok : report -> bool
-
-val seed_report_to_json : seed_report -> Dvp_util.Json.t
-val report_to_json : report -> Dvp_util.Json.t
-val pp_seed : Format.formatter -> seed_report -> unit
-val pp_report : Format.formatter -> report -> unit
+val substrate : profile -> Dvp_runtime.Fault.event Harness.substrate
+(** {!run_seed} under [profile], for {!Harness.run}: reproduce lines read
+    [chaos --wall --profile P --seed N --seeds 1]. *)

@@ -99,7 +99,7 @@ type cut_item = {
   ci_fragments : int;  (* Σ live fragments on the cut *)
   ci_in_flight : int;  (* Σ sent − Σ recv over the live set *)
   ci_delta : int;  (* Σ live committed deltas on the cut *)
-  ci_ok : bool;  (* ci_fragments + ci_in_flight = ci_expected *)
+  ci_ok : bool;  (* conserves, and no live fragment is negative *)
 }
 
 type cut = {
@@ -707,7 +707,9 @@ let assemble_cut ~at ~base ~item_list ~dead (sites : site_stats array) =
           ci_fragments = fragments;
           ci_in_flight = in_flight;
           ci_delta = delta;
-          ci_ok = fragments + in_flight = expected;
+          ci_ok =
+            fragments + in_flight = expected
+            && Array.for_all (fun st -> look st.st_fragments >= 0) sites;
         })
       item_list
   in

@@ -244,7 +244,9 @@ type cut_item = {
           accepted.  May be negative while a site is dead (its live peers
           have accepted more from it than they have launched toward it). *)
   ci_delta : int;  (** Σ committed deltas on the cut *)
-  ci_ok : bool;  (** [ci_fragments + ci_in_flight = ci_expected] *)
+  ci_ok : bool;
+      (** [ci_fragments + ci_in_flight = ci_expected], and every live
+          site's fragment of the item is [>= 0] (escrow non-negativity) *)
 }
 
 type cut = {
@@ -257,7 +259,8 @@ type cut = {
 }
 
 val cut_ok : cut -> bool
-(** Epoch-consistent and every item conserves exactly. *)
+(** Epoch-consistent, and every item conserves exactly with no negative
+    live fragment. *)
 
 val cut_of_stats :
   at:float ->

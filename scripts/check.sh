@@ -120,7 +120,8 @@ fi
 # link storms, with the freeze-barrier cut oracle and, at quiesce, the
 # stable-log audit the DES chaos runs too (Oracle.check_logs over every WAL
 # file, against the live fragments and in-flight value).  The bounded profile keeps plans small and shrinks on
-# failure.  Real parallelism (and a meaningful kill of a *running* domain)
+# failure.  One killer seed adds the permanent kill and the end-of-run
+# revival.  Real parallelism (and a meaningful kill of a *running* domain)
 # needs >= 2 cores; below that the stage is skipped with a notice.  Widen
 # with e.g. WALL_CHAOS_SEEDS=20.
 WALL_CHAOS_SEEDS="${WALL_CHAOS_SEEDS:-2}"
@@ -128,6 +129,8 @@ if [ "$cores" -ge 2 ]; then
   echo "== dvp-cli chaos --wall --profile bounded --seeds $WALL_CHAOS_SEEDS =="
   dune exec bin/dvp_cli.exe -- chaos --wall --profile bounded \
     --seeds "$WALL_CHAOS_SEEDS"
+  echo "== dvp-cli chaos --wall --profile killer --seeds 1 =="
+  dune exec bin/dvp_cli.exe -- chaos --wall --profile killer --seeds 1
 else
   echo "== skipping wall chaos smoke (host has $cores core(s), need >= 2) =="
 fi

@@ -10,6 +10,7 @@ module Gen = Dvp_chaos.Gen
 module Oracle = Dvp_chaos.Oracle
 module Shrink = Dvp_chaos.Shrink
 module Harness = Dvp_chaos.Harness
+module Wall = Dvp_chaos.Wall
 
 (* ------------------------------------------------------------ generation *)
 
@@ -301,11 +302,13 @@ let test_run_seed_deterministic () =
   let profile = Profile.bounded in
   let a = Harness.run_seed ~profile ~seed:11 () in
   let b = Harness.run_seed ~profile ~seed:11 () in
-  Alcotest.(check int) "same commits" a.Harness.committed b.Harness.committed;
-  Alcotest.(check int) "same submissions" a.Harness.submitted b.Harness.submitted;
-  Alcotest.(check int) "same recoveries" a.Harness.recoveries b.Harness.recoveries;
-  Alcotest.(check int) "same repairs" a.Harness.wal_repairs b.Harness.wal_repairs;
-  Alcotest.(check int) "same Vm accepted" a.Harness.vm_accepted b.Harness.vm_accepted
+  List.iter
+    (fun name ->
+      Alcotest.(check int) ("same " ^ name) (Harness.tally a name) (Harness.tally b name))
+    [ "committed"; "submitted"; "recoveries"; "wal_repairs"; "vm_accepted" ];
+  Alcotest.check_raises "an unknown tally raises"
+    (Invalid_argument "Harness.tally: no tally \"commited\"") (fun () ->
+      ignore (Harness.tally a "commited"))
 
 (* The tier-1 torture run: a handful of bounded seeds, every invariant
    checked after every recovery and at end of run.  The profile's small
@@ -314,9 +317,9 @@ let test_run_seed_deterministic () =
    this is deterministic; it doubles as the regression net for the whole
    crash/recovery path. *)
 let test_bounded_torture () =
-  let report = Harness.run ~first_seed:1 ~seeds:8 ~profile:Profile.bounded () in
+  let report = Harness.run ~first_seed:1 ~seeds:8 (Harness.des Profile.bounded) in
   List.iter
-    (fun (f : Harness.failure) ->
+    (fun (f : _ Harness.failure) ->
       List.iter
         (fun (at, viol) ->
           Printf.printf "seed %d t=%.3f %s: %s\n" f.Harness.result.Harness.seed at
@@ -325,12 +328,12 @@ let test_bounded_torture () =
     report.Harness.failures;
   Alcotest.(check int) "zero invariant violations" 0 (List.length report.Harness.failures);
   Alcotest.(check bool) "the storm actually crashed sites" true
-    (report.Harness.total_recoveries > 0);
+    (Harness.total report "recoveries" > 0);
   Alcotest.(check bool) "torn writes were detected and repaired" true
-    (report.Harness.total_wal_repairs > 0);
-  Alcotest.(check bool) "work still committed" true (report.Harness.total_committed > 0);
+    (Harness.total report "wal_repairs" > 0);
+  Alcotest.(check bool) "work still committed" true (Harness.total report "committed" > 0);
   Alcotest.(check bool) "virtual messages carried value" true
-    (report.Harness.total_vm_accepted > 0)
+    (Harness.total report "vm_accepted" > 0)
 
 (* Churn schedules must contain membership events, and legacy profiles must
    keep their historical schedule streams (the churn generator draws from
@@ -361,9 +364,9 @@ let test_churn_schedule_shape () =
    restarts under background crash/partition/loss noise, with every
    invariant checked along the way.  Fixed seeds keep it deterministic. *)
 let test_churn_torture () =
-  let report = Harness.run ~first_seed:1 ~seeds:4 ~profile:Profile.churn () in
+  let report = Harness.run ~first_seed:1 ~seeds:4 (Harness.des Profile.churn) in
   List.iter
-    (fun (f : Harness.failure) ->
+    (fun (f : _ Harness.failure) ->
       List.iter
         (fun (at, viol) ->
           Printf.printf "seed %d t=%.3f %s: %s\n" f.Harness.result.Harness.seed at
@@ -371,14 +374,14 @@ let test_churn_torture () =
         f.Harness.result.Harness.violations)
     report.Harness.failures;
   Alcotest.(check int) "zero invariant violations" 0 (List.length report.Harness.failures);
-  Alcotest.(check bool) "work still committed" true (report.Harness.total_committed > 0)
+  Alcotest.(check bool) "work still committed" true (Harness.total report "committed" > 0)
 
 (* Killer seeds end to end, one [Harness.run] per seed: detection, breaker
    parking, a permanent kill and auto-evacuation, with value moving as Vm on
    every seed so the exactly-once and log audits have traffic to judge. *)
 let test_killer_torture () =
   for seed = 1 to 5 do
-    let report = Harness.run ~first_seed:seed ~seeds:1 ~profile:Profile.killer () in
+    let report = Harness.run ~first_seed:seed ~seeds:1 (Harness.des Profile.killer) in
     Alcotest.(check int)
       (Printf.sprintf "seed %d: zero invariant violations" seed)
       0
@@ -386,13 +389,56 @@ let test_killer_torture () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: value moved as Vm" seed)
       true
-      (report.Harness.total_vm_accepted > 0)
+      (Harness.total report "vm_accepted" > 0)
   done
+
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* One synthesized failing seed on [sub], reported through the shared
+   loop's report type. *)
+let failing_report sub ~seed schedule ~shrunk =
+  let result =
+    {
+      Harness.seed;
+      schedule;
+      violations = [ (1.701, { Oracle.check = "conservation"; detail = "item 0: off by 5" }) ];
+      crashdump = None;
+      tallies = List.map (fun name -> (name, 1)) sub.Harness.tally_names;
+    }
+  in
+  {
+    Harness.substrate = sub;
+    first_seed = seed;
+    seeds = 1;
+    failures = [ { Harness.result; shrunk } ];
+    totals = result.Harness.tallies;
+  }
+
+let check_failure_report ~what ~reproduce ~plan_word report =
+  (* The rendering must carry the reproducing command and the schedule,
+     which is what makes a chaos failure actionable on either substrate. *)
+  let text = Format.asprintf "%a" Harness.pp_report report in
+  Alcotest.(check bool) (what ^ ": names the reproduce command") true (contains reproduce text);
+  Alcotest.(check bool) (what ^ ": prints the violation") true (contains "conservation" text);
+  Alcotest.(check bool) (what ^ ": prints the schedule") true (contains plan_word text);
+  match Harness.report_to_json report with
+  | Dvp_util.Json.Obj fields -> (
+    match List.assoc_opt "failures" fields with
+    | Some (Dvp_util.Json.List [ Dvp_util.Json.Obj entry ]) ->
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (what ^ ": failure entry has " ^ key) true
+            (List.mem_assoc key entry))
+        [ "seed"; "violations"; "schedule"; "shrunk_schedule"; "crashdump"; "tallies" ]
+    | _ -> Alcotest.fail (what ^ ": json failures must be a list of one entry"))
+  | _ -> Alcotest.fail "report_to_json must be an object"
 
 let test_failure_report_shape () =
   (* No real seed fails, so exercise the violation-report path on a
-     synthesized failure: the rendering must carry the reproducing seed and
-     the shrunk schedule, which is what makes a chaos failure actionable. *)
+     synthesized failure from each substrate. *)
   let schedule =
     [
       Faultplan.at 1.0 (Faultplan.Storage_fault (2, Wal.Corrupt_tail));
@@ -400,47 +446,52 @@ let test_failure_report_shape () =
       Faultplan.at 1.7 (Faultplan.Recover 2);
     ]
   in
-  let result =
-    {
-      Harness.seed = 99;
-      schedule;
-      violations = [ (1.701, { Oracle.check = "conservation"; detail = "item 0: off by 5" }) ];
-      committed = 10;
-      submitted = 12;
-      recoveries = 1;
-      wal_repairs = 1;
-      repaired_records = 1;
-      vm_accepted = 0;
-      crashdump = None;
-    }
+  check_failure_report ~what:"des" ~reproduce:"chaos --profile bounded --seed 99 --seeds 1"
+    ~plan_word:"crash"
+    (failing_report (Harness.des Profile.bounded) ~seed:99 schedule ~shrunk:(Some schedule));
+  let plan =
+    [
+      {
+        Dvp_runtime.Fault.at = 0.3;
+        action = Dvp_runtime.Fault.Kill { site = 1; downtime = 0.1; wal_fault = None };
+      };
+    ]
   in
-  let report =
-    {
-      Harness.profile = Profile.bounded;
-      first_seed = 99;
-      seeds = 1;
-      failures = [ { Harness.result; shrunk = schedule } ];
-      total_committed = 10;
-      total_submitted = 12;
-      total_recoveries = 1;
-      total_wal_repairs = 1;
-      total_repaired_records = 1;
-      total_vm_accepted = 0;
-    }
-  in
-  let text = Format.asprintf "%a" Harness.pp_report report in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "names the seed" true (contains "--seed 99" text);
-  Alcotest.(check bool) "prints the violation" true (contains "conservation" text);
-  Alcotest.(check bool) "prints the schedule" true (contains "crash" text);
-  match Harness.report_to_json report with
-  | Dvp_util.Json.Obj fields ->
-    Alcotest.(check bool) "json has failures" true (List.mem_assoc "failures" fields)
+  check_failure_report ~what:"wall"
+    ~reproduce:"chaos --wall --profile bounded --seed 7 --seeds 1" ~plan_word:"kill"
+    (failing_report (Wall.substrate Wall.bounded_profile) ~seed:7 plan ~shrunk:None)
+
+let json_keys = function
+  | Dvp_util.Json.Obj fields -> List.map fst fields
   | _ -> Alcotest.fail "report_to_json must be an object"
+
+(* One wall seed through the shared harness: real domain kills, respawns
+   from the WAL files, and the report in the DES shape — the same frame
+   keys, then the substrate's own tallies. *)
+let test_wall_seed_through_harness () =
+  let sub = Wall.substrate Wall.bounded_profile in
+  let report = Harness.run ~first_seed:1 ~seeds:1 sub in
+  List.iter
+    (fun (f : _ Harness.failure) ->
+      List.iter
+        (fun (at, viol) ->
+          Printf.printf "wall seed %d t=%.3f %s: %s\n" f.Harness.result.Harness.seed at
+            viol.Oracle.check viol.Oracle.detail)
+        f.Harness.result.Harness.violations)
+    report.Harness.failures;
+  Alcotest.(check int) "no failures" 0 (List.length report.Harness.failures);
+  Alcotest.(check bool) "a killed site respawned" true (Harness.total report "respawns" >= 1);
+  Alcotest.(check bool) "respawns replayed records" true
+    (Harness.total report "replayed_records" > 0);
+  let des = Harness.des Profile.bounded in
+  let des_keys = json_keys (Harness.report_to_json (Harness.run ~seeds:1 des)) in
+  let wall_keys = json_keys (Harness.report_to_json report) in
+  let frame keys names = List.filter (fun k -> not (List.mem k names)) keys in
+  Alcotest.(check (list string)) "same top-level keys as a DES report, but the tallies"
+    (frame des_keys des.Harness.tally_names)
+    (frame wall_keys sub.Harness.tally_names);
+  Alcotest.(check (list string)) "then every wall tally" sub.Harness.tally_names
+    (List.filter (fun k -> List.mem k sub.Harness.tally_names) wall_keys)
 
 let () =
   Alcotest.run "dvp_chaos"
@@ -475,6 +526,8 @@ let () =
         [
           Alcotest.test_case "run_seed deterministic" `Quick test_run_seed_deterministic;
           Alcotest.test_case "failure report shape" `Quick test_failure_report_shape;
+          Alcotest.test_case "wall seed through the harness" `Quick
+            test_wall_seed_through_harness;
           Alcotest.test_case "churn schedule shape" `Quick test_churn_schedule_shape;
           Alcotest.test_case "bounded torture" `Slow test_bounded_torture;
           Alcotest.test_case "churn torture" `Slow test_churn_torture;

@@ -296,6 +296,16 @@ let test_cut_fold_cases () =
       |]
   in
   Alcotest.(check bool) "leaking cut trips" false (Cluster.cut_ok leak_cut);
+  (* Balanced, but one live fragment is overdrawn: escrow non-negativity
+     must trip the cut on its own. *)
+  let overdrawn_cut =
+    Cluster.cut_of_stats ~at:3.5 ~initial ~items
+      [|
+        mk_stats ~site:0 ~frag:(-1) ~sent:0 ~recv:0 ~delta:0 ();
+        mk_stats ~site:1 ~frag:101 ~sent:0 ~recv:0 ~delta:0 ();
+      |]
+  in
+  Alcotest.(check bool) "overdrawn cut trips" false (Cluster.cut_ok overdrawn_cut);
   (* Sites disagreeing on the membership epoch invalidate the cut even if
      the arithmetic happens to balance. *)
   let torn_cut =
