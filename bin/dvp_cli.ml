@@ -246,6 +246,15 @@ let demo_cmd () =
   print_endline "Running the airline workload on DvP with a partition window...";
   run_cmd Dvp_sys Spec.Airline 6 80.0 15.0 7 (Some (5.0, 5.0)) None None None Jsonl false
 
+let print_fragments sys =
+  List.iter
+    (fun item ->
+      let frags = Dvp.System.fragments sys ~item in
+      Printf.printf "  item %-3d total %-8d fragments [%s]\n" item
+        (Dvp.System.total_at_sites sys ~item)
+        (String.concat "; " (Array.to_list (Array.map string_of_int frags))))
+    (Dvp.System.items sys)
+
 let restore_cmd workload sites dir =
   (* Rebuild an installation from exported logs: the spec supplies the same
      item registry the exporting run used; everything else comes from the
@@ -258,23 +267,10 @@ let restore_cmd workload sites dir =
     exit 1
   | Ok n ->
     Printf.printf "restored %d stable log records from %s\n" n dir;
-    List.iter
-      (fun item ->
-        let frags = Dvp.System.fragments sys ~item in
-        Printf.printf "  item %-3d total %-8d fragments [%s]\n" item
-          (Dvp.System.total_at_sites sys ~item)
-          (String.concat "; " (Array.to_list (Array.map string_of_int frags))))
-      (Dvp.System.items sys);
-    Printf.printf "conservation: %b\n" (Dvp.System.conserved_all sys)
-
-let print_fragments sys =
-  List.iter
-    (fun item ->
-      let frags = Dvp.System.fragments sys ~item in
-      Printf.printf "  item %-3d total %-8d fragments [%s]\n" item
-        (Dvp.System.total_at_sites sys ~item)
-        (String.concat "; " (Array.to_list (Array.map string_of_int frags))))
-    (Dvp.System.items sys)
+    print_fragments sys;
+    let conserved = Dvp.System.conserved_all sys in
+    Printf.printf "conservation: %b\n" conserved;
+    if not conserved then exit 1
 
 let evacuate_cmd workload sites rate duration seed kill_at victim force json =
   (* Operator drill for degraded-mode recovery: run a workload with the

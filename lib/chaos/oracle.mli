@@ -1,7 +1,7 @@
 (** The invariant oracle.
 
     Every check reads only what the protocol itself guarantees durable —
-    live state for up sites, stable-log replay for crashed ones — so the
+    live state for up sites, the site's stable fold for crashed ones — so the
     oracle can run at any event boundary, including in the middle of an
     outage, and after every injected recovery:
 
@@ -10,8 +10,8 @@
       (the paper's N = Σᵢ Nᵢ + N_M);
     - {b escrow non-negativity}: no fragment and no in-flight total is ever
       negative;
-    - {b the stable-log audit} ({!check_logs}) over every site's stable log,
-      against the system's live fragments and in-flight value;
+    - {b the stable-log audit} ({!check_logs}) over every site's stable
+      fold, against the system's live fragments and in-flight value;
     - {b WAL integrity}: no live site retains a corrupt stable tail after
       recovery;
     - {b metrics sanity} ({!check_outcome}): committed ≤ submitted,
@@ -23,33 +23,23 @@ type violation = { check : string; detail : string }
 val check_system : Dvp_core.System.t -> violation list
 (** All state invariants, meaningful between simulator events. *)
 
-val check_log :
-  n:int -> site:int -> ((Dvp_core.Log_event.t -> unit) -> unit) -> violation list
-(** The per-log checks both substrates share, over one site's stable records
-    fed oldest-first by the iterator ([Wal.iter] on the simulator, the
-    on-disk frame prefix on real domains); [n] bounds the peer ids:
-
-    - ["vm-exactly-once"]: every [Vm_accept] from a peer carries that peer's
-      watermark plus one — a repeat is a double credit, a skip a lost one.
-      [Checkpoint] resets the watermarks to its snapshot, [Vm_channel_reset]
-      restarts one peer's channel;
-    - ["non-negative-logged"]: no [Set_fragment] action, accepted
-      [new_value] or checkpointed fragment is negative. *)
-
 val check_logs :
-  n:int ->
   items:Dvp_core.Ids.item list ->
   fragment:(site:int -> item:Dvp_core.Ids.item -> int option) ->
   in_flight:(item:Dvp_core.Ids.item -> int) ->
-  (int * ((Dvp_core.Log_event.t -> unit) -> unit)) list ->
+  (int * Dvp_core.Log_replay.t) list ->
   violation list
-(** The stable-log audit both substrates share, over one [(site, iter)]
-    per site: {!check_system} passes each site's [Wal.iter], the wall
-    harness each WAL file's valid frame prefix.  [fragment] is the caller's
-    live fragment ([None] for a site that is down), [in_flight] its live
-    value in unaccepted Vm.  Each log is read once and replayed through
-    {!Dvp_core.Log_replay}; the checks are {!check_log}'s and:
+(** The stable-log audit both substrates share, over one [(site, fold)] per
+    site: {!check_system} passes each site's stable fold
+    ({!Dvp_core.Site.stable}), the wall harness a fold of each WAL file's
+    valid frame prefix.  [fragment] is the caller's live fragment ([None]
+    for a site that is down), [in_flight] its live value in unaccepted Vm.
+    The checks:
 
+    - ["vm-exactly-once"]: the fold noted a [Vm_accept] that is not the
+      peer's watermark plus one — a repeat is a double credit, a skip a
+      lost one ({!Dvp_core.Log_replay.anomaly});
+    - ["non-negative-logged"]: the fold noted a negative logged fragment;
     - ["log-ledger"]: per site and item, the replayed fragment equals
       installed + committed delta + received − sent, all from the same log;
     - ["log-durability"]: an up site's live fragment equals its replay;

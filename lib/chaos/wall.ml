@@ -4,6 +4,7 @@ module Fault = Dvp_runtime.Fault
 module Walfile = Dvp_runtime.Walfile
 module Observer = Dvp_runtime.Observer
 module Config = Dvp_core.Config
+module Log_replay = Dvp_core.Log_replay
 module Health = Dvp_health.Health
 module Json = Dvp_util.Json
 
@@ -189,11 +190,13 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
      against the live fragments and the final cut's in-flight value.  Sound
      at quiesce with every site live: nothing moves in between. *)
   if quiesced && Cluster.dead_sites cluster = [] then begin
-    let logs =
+    let folds =
       List.init profile.n (fun i ->
           let r = Walfile.read (Walfile.path ~dir:wal_dir ~site:i) in
           if r.Walfile.torn then viol "file_torn" "site %d: WAL file still torn at end of run" i;
-          (i, fun f -> List.iter f r.Walfile.records))
+          let fold = Log_replay.create ~n:profile.n () in
+          List.iter (Log_replay.feed fold) r.Walfile.records;
+          (i, fold))
     in
     let items = Cluster.items cluster in
     let live = List.map (fun item -> (item, Cluster.fragments cluster ~item)) items in
@@ -203,7 +206,7 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
     let at = Cluster.now cluster in
     List.iter
       (fun v -> violations := (at, v) :: !violations)
-      (Oracle.check_logs ~n:profile.n ~items ~in_flight logs
+      (Oracle.check_logs ~items ~in_flight folds
          ~fragment:(fun ~site ~item -> Some (List.assoc item live).(site)))
   end;
   let ordered = List.rev !violations in

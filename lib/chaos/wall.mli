@@ -21,9 +21,10 @@
     - recovery evidence: every site the plan killed must have replayed a
       positive number of records, and the load must have committed traffic;
     - {!Oracle.check_logs}, the stable-log audit every DES oracle point
-      runs too, over each site's on-disk frame prefix: the per-log checks
-      (strict Vm exactly-once, non-negative logged values), each site's
-      ledger identity, replayed fragments equal to the live ones, and
+      runs too, over one fold of each site's on-disk frame prefix: the
+      anomalies the fold noted (strict Vm exactly-once, non-negative
+      logged values), each site's ledger identity, replayed fragments
+      equal to the live ones, and
       value sent but not accepted in the files equal to the final cut's
       in-flight value; a file still torn at the end is a violation too.
 

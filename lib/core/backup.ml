@@ -12,17 +12,6 @@ let import_records ~path =
   let records, valid = Log_event.read_frames s in
   if valid = String.length s then Ok records else Error valid
 
-let apply_records site records =
-  (* Crash the site (dropping volatile state), swap in the backup as its
-     entire stable log, and let ordinary recovery rebuild everything. *)
-  Site.crash site;
-  let wal = Site.wal site in
-  Wal.truncate_before wal ~keep_from:(Wal.end_index wal);
-  List.iter (fun r -> Wal.append ~forced:false wal r) records;
-  Wal.force wal;
-  Site.recover site;
-  List.length records
-
 let export_system sys ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let total = ref 0 in
@@ -34,11 +23,18 @@ let export_system sys ~dir =
 let restore_system sys ~dir =
   (* Two phases, so a bad backup cannot leave the system half-restored:
      first parse every site file (any missing file or malformed frame fails
-     the whole restore before a single site is touched), then apply. *)
+     the whole restore before a single site is touched, and so does a log
+     of a site the system lacks, whose value would silently vanish), then
+     apply. *)
+  let n = System.n_sites sys in
+  let path i = Filename.concat dir (Printf.sprintf "site-%d.log" i) in
   let rec validate i acc =
-    if i >= System.n_sites sys then Ok (List.rev acc)
+    if i >= n then
+      if Sys.file_exists (path n) then
+        Error (Printf.sprintf "site-%d.log: the backup holds more sites than this system's %d" n n)
+      else Ok (List.rev acc)
     else
-      match import_records ~path:(Filename.concat dir (Printf.sprintf "site-%d.log" i)) with
+      match import_records ~path:(path i) with
       | Ok records -> validate (i + 1) (records :: acc)
       | Error off -> Error (Printf.sprintf "site %d: malformed frame at byte %d" i off)
       | exception Sys_error e -> Error (Printf.sprintf "site %d: %s" i e)
@@ -46,9 +42,6 @@ let restore_system sys ~dir =
   match validate 0 [] with
   | Error _ as e -> e
   | Ok all ->
-    let total = ref 0 in
-    List.iteri
-      (fun i records -> total := !total + apply_records (System.site sys i) records)
-      all;
+    List.iteri (fun i records -> Site.restore (System.site sys i) records) all;
     System.recalibrate_expected sys;
-    Ok !total
+    Ok (List.fold_left (fun acc records -> acc + List.length records) 0 all)

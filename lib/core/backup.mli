@@ -2,8 +2,8 @@
 
     The stable log *is* a site's durable identity: everything recovery needs
     is in it (Section 7), so exporting the log to a file is a complete
-    backup, and loading it into a fresh site followed by {!Site.recover} is
-    a complete restore — including outstanding virtual messages, which
+    backup, and {!Site.restore} — the same path a runtime respawn takes —
+    is a complete restore, including outstanding virtual messages, which
     resume retransmission on the restored site.
 
     A file is the site's records as {!Log_event} frames, oldest first, in
@@ -21,7 +21,9 @@ val export_system : System.t -> dir:string -> int
 (** Export every site's log to [dir/site-<i>.log]; returns total records. *)
 
 val restore_system : System.t -> dir:string -> (int, string) result
-(** Restore every site of a (fresh) system from [dir].  Atomic with respect
-    to validation: every [site-<i>.log] is read up front, and a missing
-    file or malformed frame fails the whole restore with [Error] before any
-    site has been touched. *)
+(** Restore every site of a (fresh) system from [dir] through
+    {!Site.restore}.  Atomic with respect to validation: every
+    [site-<i>.log] is read up front, and a missing file, a malformed frame,
+    or a [site-<n>.log] beyond the system's [n] sites (whose value would
+    silently vanish) fails the whole restore with [Error] before any site
+    has been touched. *)

@@ -64,19 +64,17 @@ type t = {
      it gives each site an instantaneous local conservation identity
      (fragment = installed + received + delta - sent), which the runtime's
      watchdog folds across a consistent cut. *)
-  cum_delta : (Ids.item, int) Hashtbl.t;
+  mutable cum_delta : (Ids.item, int) Hashtbl.t;
   (* Value provisioned per item by [install_fragment]: the identity's
      [installed] term, carried into checkpoints with the other ledgers. *)
-  installed : (Ids.item, int) Hashtbl.t;
+  mutable installed : (Ids.item, int) Hashtbl.t;
   (* Shared, permanently-empty drain ledger handed to General transactions —
      only Drain_read transactions ever write one, so the common commit path
      allocates no per-txn table. *)
   no_drain : (Ids.item * Ids.site, unit) Hashtbl.t;
-  (* Stable-view caches keyed on the WAL's stable-contents version: the
-     conservation oracle probes every site's replayed state after each fault,
-     and without the cache each probe costs a full log replay per call. *)
-  mutable vm_view_cache : (int * Log_replay.vm_view) option;
-  mutable db_view_cache : (int * Log_replay.db_view) option;
+  (* The fold of the stable log the oracles and evacuation read, created on
+     first use and advanced past its cursor on each read. *)
+  mutable stable : Log_replay.t option;
 }
 
 let vm_exn t = match t.vm with Some v -> v | None -> assert false
@@ -809,27 +807,33 @@ let recover t =
        never forced, so no externalized effect depended on them. *)
     let dropped = Wal.repair t.wal in
     if dropped > 0 then emit t (Trace.Wal_repair { site = t.self; dropped });
-    Db.wipe t.db;
-    let view = Log_replay.db_view ~into:t.db (Wal.iter t.wal) in
-    Ids.Clock.reset_to t.clock view.Log_replay.max_counter;
-    (* Rebuild the cumulative committed-delta and installed ledgers alongside
-       the database: commit records are forced, so the replayed sums equal the
-       live counters at the moment of the last force, and the conservation cut
-       identity (fragment = installed + received + delta - sent) holds again
-       the instant the site rejoins. *)
-    let refill dst src =
-      Hashtbl.reset dst;
-      Hashtbl.iter (Hashtbl.replace dst) src
-    in
-    refill t.cum_delta view.Log_replay.deltas;
-    refill t.installed view.Log_replay.installed;
-    Vm.recover (vm_exn t);
+    let fold = Log_replay.create ~into:t.db ~n:t.n () in
+    Log_replay.catch_up fold t.wal;
+    Ids.Clock.reset_to t.clock fold.Log_replay.max_counter;
+    (* Adopt the cumulative committed-delta and installed ledgers folded
+       alongside the database: commit records are forced, so the replayed
+       sums equal the live counters at the moment of the last force, and the
+       conservation cut identity (fragment = installed + received + delta -
+       sent) holds again the instant the site rejoins. *)
+    t.cum_delta <- fold.Log_replay.deltas;
+    t.installed <- fold.Log_replay.installed;
+    Vm.recover (vm_exn t) fold;
     t.up <- true;
     (* Independent recovery: zero messages to other sites (Section 7). *)
-    Metrics.recovery_event t.metrics ~messages:0 ~redo:view.Log_replay.redo
+    Metrics.recovery_event t.metrics ~messages:0 ~redo:fold.Log_replay.redo
       ~duration:(Substrate.now t.sub -. started);
-    emit t (Trace.Recover { site = t.self; redo = view.Log_replay.redo })
+    emit t (Trace.Recover { site = t.self; redo = fold.Log_replay.redo })
   end
+
+(* A restore: the given records become the site's entire stable log, and
+   ordinary recovery rebuilds everything from them.  Forced in one batch;
+   a force sink attached at the time receives them. *)
+let restore t records =
+  crash t;
+  Wal.truncate_before t.wal ~keep_from:(Wal.end_index t.wal);
+  List.iter (Wal.append ~forced:false t.wal) records;
+  Wal.force t.wal;
+  recover t
 
 (* Section 7's checkpointing: force one snapshot record carrying the
    database fragments, the full Vm state (including outstanding virtual
@@ -849,40 +853,14 @@ let checkpoint t =
 
 (* ------------------------------------------------- stable-state oracles *)
 
-(* The oracles below replay the stable log, which the invariant checker does
-   for every site after every fault — and, pairwise, for every (src, dst)
-   edge.  Both views are cached against the WAL's stable-contents version,
-   so a burst of oracle calls over a quiet log replays it at most once. *)
-
-let stable_vm_view t =
-  let v = Wal.version t.wal in
-  match t.vm_view_cache with
-  | Some (v', view) when v' = v -> view
-  | _ ->
-    let view = Log_replay.vm_view ~n:t.n (Wal.iter t.wal) in
-    t.vm_view_cache <- Some (v, view);
-    view
-
-let stable_db_view t =
-  let v = Wal.version t.wal in
-  match t.db_view_cache with
-  | Some (v', view) when v' = v -> view
-  | _ ->
-    let view = Log_replay.db_view (Wal.iter t.wal) in
-    t.db_view_cache <- Some (v, view);
-    view
-
-let stable_fragment t ~item = Db.value (stable_db_view t).Log_replay.db ~item
-
-let stable_accepted_upto t ~peer = (stable_vm_view t).Log_replay.vm_accepted.(peer)
-
-let stable_outstanding_to t ~dst =
-  let view = stable_vm_view t in
-  Hashtbl.fold
-    (fun (d, seq) o acc ->
-      if d = dst then (seq, o.Log_replay.item, o.Log_replay.amount) :: acc else acc)
-    view.Log_replay.vm_outbox []
-  |> List.sort compare
+(* The invariant checker reads every site's stable state after every fault,
+   and evacuation a dead site's; the one fold folds only what was forced
+   since the last read. *)
+let stable t =
+  let fold = match t.stable with Some fold -> fold | None -> Log_replay.create ~n:t.n () in
+  t.stable <- Some fold;
+  Log_replay.catch_up fold t.wal;
+  fold
 
 (* --------------------------------------------------------------- create *)
 
@@ -916,8 +894,7 @@ let create sub ~self ~n ~send ~config ~rng ?trace () =
       cum_delta = Hashtbl.create 8;
       installed = Hashtbl.create 8;
       no_drain = Hashtbl.create 1;
-      vm_view_cache = None;
-      db_view_cache = None;
+      stable = None;
     }
   in
   let vm =

@@ -157,8 +157,15 @@ val crash : t -> unit
     with [Crashed]; stable log survives. *)
 
 val recover : t -> unit
-(** Independent recovery: rebuild the database and Vm state from the local
-    stable log, release (forget) all locks, resume.  Sends no messages. *)
+(** Independent recovery: fold the local stable log once into the live
+    store ({!Log_replay}), hand the fold's Vm half to {!Vm.recover}, release
+    (forget) all locks, resume.  Sends no messages. *)
+
+val restore : t -> Log_event.t list -> unit
+(** Crash, replace the whole stable log with [records] (forced as one
+    batch, so an attached force sink receives them), and {!recover} — the
+    one restore path for a backup ({!Backup}) and a runtime respawn from
+    its WAL file. *)
 
 val checkpoint : t -> unit
 (** Force a snapshot record (fragments, full Vm state including
@@ -184,23 +191,11 @@ val clock : t -> Ids.Clock.t
 
 val locked : t -> item:Ids.item -> bool
 
-(** {2 Stable-state oracles (for invariant checking and tests)}
+(** {2 Stable state (for invariant checking, evacuation and tests)} *)
 
-    These replay the stable log into scratch structures without touching the
-    live site, so the conservation invariant can be evaluated even while the
-    site is crashed.  The replayed views are cached against the WAL's
-    stable-contents version ({!Dvp_storage.Wal.version}), so repeated oracle
-    calls over a quiet log replay it at most once. *)
-
-val stable_vm_view : t -> Log_replay.vm_view
-(** The site's full replayed Vm view (cached).  The system-wide in-flight
-    oracle folds one of these per site instead of one per (src, dst) pair. *)
-
-val stable_fragment : t -> item:Ids.item -> int
-
-val stable_accepted_upto : t -> peer:Ids.site -> int
-
-val stable_outstanding_to :
-  t -> dst:Ids.site -> (int * Ids.item * int) list
-(** (seq, item, amount) of Vm created, minus those known accepted via logged
-    ack progress; ascending seq. *)
+val stable : t -> Log_replay.t
+(** The site's one fold of its stable log, advanced past its cursor to the
+    current valid prefix (see {!Log_replay.catch_up}).  It reads the log
+    without touching the live site, so the oracles work while the site is
+    crashed, and each read folds only what was forced since the last.  Read
+    it; do not hand it to {!Vm.recover}. *)

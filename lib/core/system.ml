@@ -185,10 +185,12 @@ and start_sweep t d =
         let sp = t.sites.(p) in
         let acked =
           if Site.is_up sp then Vm.accepted_upto (Site.vm sp) ~peer:d
-          else Site.stable_accepted_upto sp ~peer:d
+          else (Site.stable sp).Log_replay.accepted.(d)
         in
         let pending =
-          List.filter (fun (seq, _, _) -> seq > acked) (Site.stable_outstanding_to dead ~dst:p)
+          List.filter
+            (fun (seq, _, _) -> seq > acked)
+            (Log_replay.outstanding_to (Site.stable dead) ~dst:p)
         in
         if pending <> [] then
           if Site.is_up sp then begin
@@ -202,7 +204,7 @@ and start_sweep t d =
                        amount;
                        ts_counter = Ids.Clock.current_counter (Site.clock dead);
                        reply_to = None;
-                       ack_upto = Site.stable_accepted_upto dead ~peer:p;
+                       ack_upto = (Site.stable dead).Log_replay.accepted.(p);
                        epoch = t.epoch;
                      }))
               pending;
@@ -667,7 +669,7 @@ let leave t i =
                  else
                    List.for_all
                      (fun (seq, _, _) -> seq <= Vm.accepted_upto lvm ~peer:p)
-                     (Site.stable_outstanding_to t.sites.(p) ~dst:i))
+                     (Log_replay.outstanding_to (Site.stable t.sites.(p)) ~dst:i))
                (List.init n (fun p -> p))
         in
         if drained then begin
@@ -709,29 +711,29 @@ let leave t i =
 
 let fragments t ~item =
   Array.map
-    (fun s -> if Site.is_up s then Site.fragment s ~item else Site.stable_fragment s ~item)
+    (fun s ->
+      if Site.is_up s then Site.fragment s ~item
+      else Dvp_storage.Local_db.value (Site.stable s).Log_replay.db ~item)
     t.sites
 
 let total_at_sites t ~item = Array.fold_left ( + ) 0 (fragments t ~item)
 
 (* A Vm is in flight iff its sender logged the creation and its receiver has
-   not logged the acceptance.  One (cached) replayed view per site — the
-   outbox entries of src's view are checked against dst's acceptance
-   watermark directly — rather than one replay per (src, dst) pair, so the
-   oracle costs O(sites + outstanding Vm), not O(sites²) replays. *)
+   not logged the acceptance.  Each site's stable fold is read once — the
+   outbox entries of src's fold are checked against dst's acceptance
+   watermark directly — so the oracle costs O(sites + outstanding Vm), not
+   O(sites²) log reads. *)
 let in_flight t ~item =
-  let n = Array.length t.sites in
+  let folds = Array.map Site.stable t.sites in
   let total = ref 0 in
-  for src = 0 to n - 1 do
-    let view = Site.stable_vm_view t.sites.(src) in
-    Hashtbl.iter
-      (fun (dst, seq) (o : Log_replay.vm_outstanding) ->
-        if
-          o.Log_replay.item = item && dst <> src
-          && seq > Site.stable_accepted_upto t.sites.(dst) ~peer:src
-        then total := !total + o.Log_replay.amount)
-      view.Log_replay.vm_outbox
-  done;
+  Array.iteri
+    (fun src (fold : Log_replay.t) ->
+      Hashtbl.iter
+        (fun (dst, seq) (o : Log_replay.outstanding) ->
+          if o.item = item && dst <> src && seq > folds.(dst).accepted.(src) then
+            total := !total + o.amount)
+        fold.outbox)
+    folds;
   !total
 
 let expected_total t ~item =

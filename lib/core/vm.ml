@@ -2,7 +2,7 @@ module Substrate = Dvp_substrate.Substrate
 module Trace = Dvp_trace.Trace
 module Wal = Dvp_storage.Wal
 
-type outstanding = Log_replay.vm_outstanding = {
+type outstanding = Log_replay.outstanding = {
   item : Ids.item;
   amount : int;
   reply_to : Ids.txn option;
@@ -86,8 +86,8 @@ type t = {
      and a checkpoint snapshot carries both sums), so the cut identity
      survives a hard kill and respawn — which is what lets the wall-clock
      supervisor check conservation across restarts. *)
-  cum_sent : (Ids.item, int) Hashtbl.t;
-  cum_recv : (Ids.item, int) Hashtbl.t;
+  mutable cum_sent : (Ids.item, int) Hashtbl.t;
+  mutable cum_recv : (Ids.item, int) Hashtbl.t;
   (* Volatile receiver state (rebuilt from the log on recovery). *)
   mutable accepted : int array; (* per peer, highest in-order accepted seq *)
   mutable timer : Substrate.timer option;
@@ -530,30 +530,27 @@ let crash t =
   Hashtbl.reset t.items_out;
   t.warned <- false
 
-let recover t =
-  (* Rebuild exactly the protocol state from the stable log (including any
+let recover t (fold : Log_replay.t) =
+  (* Adopt exactly the protocol state the stable log folds to (including any
      checkpoint snapshot): per-destination sequence counters, the outbox of
-     still-outstanding Vm, cumulative acks, and acceptance watermarks. *)
-  let view = Log_replay.vm_view ~n:t.n (Wal.iter t.wal) in
-  t.next_seq <- view.Log_replay.vm_next_seq;
-  t.acked_upto <- view.Log_replay.vm_acked;
-  t.accepted <- view.Log_replay.vm_accepted;
-  Hashtbl.reset t.cum_sent;
-  Hashtbl.reset t.cum_recv;
-  Hashtbl.iter (fun item v -> Hashtbl.replace t.cum_sent item v)
-    view.Log_replay.vm_cum_sent;
-  Hashtbl.iter (fun item v -> Hashtbl.replace t.cum_recv item v)
-    view.Log_replay.vm_cum_recv;
+     still-outstanding Vm, cumulative acks, and acceptance watermarks.  The
+     fold is the caller's own fresh one, so its arrays and ledgers become live
+     state. *)
+  t.next_seq <- fold.Log_replay.next_seq;
+  t.acked_upto <- fold.Log_replay.acked;
+  t.accepted <- fold.Log_replay.accepted;
+  t.cum_sent <- fold.Log_replay.sent;
+  t.cum_recv <- fold.Log_replay.received;
   Array.fill t.dsts 0 t.n None;
   Array.fill t.active_pos 0 t.n (-1);
   t.n_active <- 0;
   t.depth <- 0;
   Hashtbl.reset t.items_out;
   t.warned <- false;
-  (* The replay view is unordered; sort once here so the queues are ascending
-     by seq again — the only sort left in the Vm engine. *)
+  (* The fold's outbox is unordered; sort once here so the queues are
+     ascending by seq again — the only sort left in the Vm engine. *)
   let entries =
-    Hashtbl.fold (fun (dst, seq) v acc -> (dst, seq, v) :: acc) view.Log_replay.vm_outbox []
+    Hashtbl.fold (fun (dst, seq) v acc -> (dst, seq, v) :: acc) fold.Log_replay.outbox []
     |> List.sort compare
   in
   List.iter

@@ -165,9 +165,11 @@ val accepted_upto : t -> peer:Ids.site -> int
 val crash : t -> unit
 (** Wipe all volatile state and halt retransmission. *)
 
-val recover : t -> unit
+val recover : t -> Log_replay.t -> unit
 (** Rebuild sender outbox, sequence counters, and acceptance watermarks from
-    the stable log, then restart retransmission. *)
+    the Vm half of a fold of the stable log, then restart retransmission.
+    The fold's arrays become live state, so pass a fresh fold, never one
+    that is read again. *)
 
 val reset_channel : t -> peer:Ids.site -> epoch:int -> unit
 (** Membership transition: restart the channel with [peer] at seq 0 under

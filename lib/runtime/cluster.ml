@@ -340,12 +340,12 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     | Respawn, None -> invalid_arg "Cluster: cannot respawn a site without a wal_dir"
     | Respawn, Some dir ->
       (* Recovery from the on-disk mirror: read the valid frame prefix,
-         repair any torn tail, seed the in-memory WAL with the replayed
-         records (forced with no sink attached, so nothing is re-written to
-         the file), then run the ordinary crash/recover pair.  The sink is
-         re-attached only afterwards: post-recovery appends extend the same
-         file.  Fragments are NOT re-installed — the install records are in
-         the log and replay like everything else. *)
+         repair any torn tail, and restore the site from the records — the
+         path a backup takes ([Site.restore]), with no sink attached yet,
+         so nothing is re-written to the file.  The sink is re-attached
+         only afterwards: post-recovery appends extend the same file.
+         Fragments are NOT re-installed — the install records are in the
+         log and replay like everything else. *)
       let path = Walfile.path ~dir ~site:self in
       let r = Walfile.read path in
       if r.Walfile.torn then begin
@@ -353,12 +353,8 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
         emit (Trace.Storage_fault { site = self; kind = "torn_tail" });
         emit (Trace.Wal_repair { site = self; dropped = 1 })
       end;
-      let wal = Site.wal site in
-      List.iter (fun record -> Wal.append ~forced:false wal record) r.Walfile.records;
-      Wal.force wal;
+      Site.restore site r.Walfile.records;
       replayed := List.length r.Walfile.records;
-      Site.crash site;
-      Site.recover site;
       let oc = Walfile.open_append path in
       attach_sink oc;
       Some oc

@@ -74,8 +74,7 @@ type 'r t = {
   mutable valid_len : int;
   mutable valid_dirty : bool;
   (* Bumped whenever the *stable* contents change (force, faulty crash,
-     repair, truncation).  Readers that cache a replayed view key it on this
-     and skip the replay while the counter stands still. *)
+     repair, truncation). *)
   mutable version : int;
   mutable force_sink : ('r list -> unit) option;
       (* runtime hook: newly-stabilised records on each force *)

@@ -151,9 +151,7 @@ val end_index : 'r t -> int
 
 val version : 'r t -> int
 (** A counter bumped whenever the stable contents change (a force that moved
-    records, a faulty crash, a repair, a truncation).  Oracles that replay
-    the log cache their view keyed on this, so repeated conservation checks
-    over a quiet log cost O(1) instead of a replay each. *)
+    records, a faulty crash, a repair, a truncation). *)
 
 val truncate_before : 'r t -> keep_from:int -> unit
 (** Checkpointing support: drop stable records with index < [keep_from].

@@ -83,6 +83,17 @@ test -s "$tmpdir/BENCH_E1.json" || {
   exit 1
 }
 
+# DES backup smoke: a run's exported logs restore into a system of the same
+# shape (restore exits 1 unless value is conserved), and a restore into
+# fewer sites than the backup holds logs for must refuse, not drop value.
+echo "== backup smoke: run --export, restore =="
+dune exec bin/dvp_cli.exe -- run --duration 2 --export "$tmpdir/bk" >/dev/null
+dune exec bin/dvp_cli.exe -- restore --dir "$tmpdir/bk" >/dev/null
+if dune exec bin/dvp_cli.exe -- restore --dir "$tmpdir/bk" --sites 4 >/dev/null 2>&1; then
+  echo "restore into 4 sites accepted a 6-site backup" >&2
+  exit 1
+fi
+
 # Multicore smoke: a short closed-loop run on the domains runtime; `bench
 # --wall` exits nonzero unless value is conserved at quiesce.  That the loop
 # commits is test_wallobs "live feed" in @runtest and the gate's E20_wall

@@ -108,12 +108,16 @@ let test_oracle_catches_double_accept () =
   Alcotest.(check bool) "exactly-once violated" true
     (List.exists (fun v -> v.Oracle.check = "vm-exactly-once") violations)
 
-(* The per-log checks on hand-built record streams: the same function judges
-   the simulator's stable logs and the runtime's WAL files. *)
+(* The per-log checks on hand-built record streams: the anomalies one fold
+   notes, as the audit reports them (no items, so no ledger checks) — the
+   same fold judges the simulator's stable logs and the runtime's WAL files. *)
 let log_checks records =
+  let fold = Dvp.Log_replay.create ~n:3 () in
+  List.iter (Dvp.Log_replay.feed fold) records;
   List.map
     (fun v -> v.Oracle.check)
-    (Oracle.check_log ~n:3 ~site:0 (fun f -> List.iter f records))
+    (Oracle.check_logs ~items:[] ~fragment:(fun ~site:_ ~item:_ -> None)
+       ~in_flight:(fun ~item:_ -> 0) [ (0, fold) ])
 
 let accept ?(peer = 1) ?(new_value = 10) seq =
   Dvp.Log_event.Vm_accept { peer; seq; item = 0; amount = 1; new_value }
@@ -178,12 +182,13 @@ let audit_checks ?(live = [| Some 5; Some 12; Some 6 |]) ?(in_flight = 4) logs =
         let oc = Dvp.Walfile.create path in
         Dvp.Walfile.append_batch oc records;
         close_out oc;
-        let r = Dvp.Walfile.read path in
-        (site, fun f -> List.iter f r.Dvp.Walfile.records))
+        let fold = Dvp.Log_replay.create ~n:3 () in
+        List.iter (Dvp.Log_replay.feed fold) (Dvp.Walfile.read path).Dvp.Walfile.records;
+        (site, fold))
       logs
   in
   let violations =
-    Oracle.check_logs ~n:3 ~items:[ 0 ]
+    Oracle.check_logs ~items:[ 0 ]
       ~fragment:(fun ~site ~item:_ -> live.(site))
       ~in_flight:(fun ~item:_ -> in_flight)
       read

@@ -8,6 +8,7 @@
 [@@@alert "-deprecated"]
 
 module Rng = Dvp_util.Rng
+module Wal = Dvp_storage.Wal
 open Dvp
 
 let result_testable =
@@ -899,7 +900,7 @@ let test_checkpoint_shrinks_log_and_recovers () =
      checkpoint; the snapshot must carry them across the truncation. *)
   let ledgers () =
     let s = System.site sys 0 in
-    let installed = (Log_replay.db_view (Dvp_storage.Wal.iter (Site.wal s))).Log_replay.installed in
+    let installed = (Site.stable s).Log_replay.installed in
     ( Option.value ~default:0 (Hashtbl.find_opt installed 0),
       Site.committed_delta s ~item:0,
       Site.value_sent s ~item:0,
@@ -1439,6 +1440,30 @@ let test_restore_system_atomic_on_corrupt_file () =
   | Ok _ -> Alcotest.fail "restore with a missing site log accepted");
   Alcotest.(check (array int)) "still untouched" before (System.fragments sys2 ~item:0)
 
+let test_restore_system_refuses_extra_site_logs () =
+  (* A backup of 4 sites restored into 3 would leave site 3's value behind,
+     and re-basing the expected totals on what is left would hide the loss:
+     restore_system must refuse, naming the file, before touching a site. *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dvp-backup-extra-test" in
+  let sys = mk_system ~seed:101 ~items:[ (0, 100) ] () in
+  submit sys ~site:3 ~ops:[ (0, Op.Decr 10) ] ~on_done:quiet;
+  System.run_until sys 2.0;
+  ignore (Backup.export_system sys ~dir);
+  let sys3 = mk_system ~seed:102 ~n:3 ~items:[ (0, 100) ] () in
+  System.run_until sys3 1.0;
+  let before = System.fragments sys3 ~item:0 in
+  let log_before = System.stable_log_length sys3 in
+  (match Backup.restore_system sys3 ~dir with
+  | Error e ->
+    Alcotest.(check bool) "error names the extra log" true
+      (String.length e >= 10 && String.sub e 0 10 = "site-3.log")
+  | Ok _ -> Alcotest.fail "a backup with more sites than the target accepted");
+  Alcotest.(check (array int)) "no site mutated" before (System.fragments sys3 ~item:0);
+  Alcotest.(check int) "no log touched" log_before (System.stable_log_length sys3);
+  Alcotest.(check int) "expected total unchanged" 100 (System.expected_total sys3 ~item:0);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* Conc2 stress: heavy contention on a healthy network — everything waits,
    nothing deadlocks, value is conserved. *)
 let test_conc2_contention_stress () =
@@ -1774,6 +1799,108 @@ let prop_conservation_under_chaos =
       && Metrics.max_lock_hold (System.metrics sys)
          <= Config.default.Config.txn_timeout +. 1e-6)
 
+(* Property: a site's incremental stable fold, read at random points, equals
+   a from-scratch fold of its whole log in every field, anomalies included.
+   The runs mix traffic, forces, crashes with torn and corrupt flushes,
+   repairs, checkpoint truncations, forged records and restores of an older
+   backup, which replace the history behind the fold's cursor. *)
+let fold_summary (f : Log_replay.t) =
+  let tbl t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []) in
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let ledger t = String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) (tbl t)) in
+  let txns t = String.concat ";" (List.map (fun ((c, s), ()) -> Printf.sprintf "%d.%d" c s) (tbl t)) in
+  let anomaly = function
+    | Log_replay.Accept_out_of_order { peer; seq; watermark } ->
+      Printf.sprintf "accept(%d,%d,%d)" peer seq watermark
+    | Log_replay.Negative_logged { item; value } -> Printf.sprintf "negative(%d,%d)" item value
+  in
+  String.concat "\n"
+    [
+      "db " ^ ints (List.concat_map (fun i -> [ i; Dvp_storage.Local_db.value f.db ~item:i ])
+                      (Dvp_storage.Local_db.items f.db));
+      Printf.sprintf "redo %d max_counter %d" f.redo f.max_counter;
+      "deltas " ^ ledger f.deltas;
+      "installed " ^ ledger f.installed;
+      "committed " ^ txns f.committed;
+      "applied " ^ txns f.applied;
+      "next_seq " ^ ints (Array.to_list f.next_seq);
+      "acked " ^ ints (Array.to_list f.acked);
+      "accepted " ^ ints (Array.to_list f.accepted);
+      "outbox "
+      ^ String.concat ";"
+          (List.map
+             (fun ((d, q), (o : Log_replay.outstanding)) -> Printf.sprintf "%d.%d:%d:%d" d q o.item o.amount)
+             (tbl f.outbox));
+      "sent " ^ ledger f.sent;
+      "received " ^ ledger f.received;
+      "anomalies " ^ String.concat ";" (List.map anomaly f.anomalies);
+    ]
+
+let prop_stable_fold_incremental =
+  QCheck.Test.make ~name:"stable fold incremental = from scratch" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 in
+      let link = { Dvp_net.Linkstate.default with loss_prob = 0.1; dup_prob = 0.1 } in
+      let sys = System.create ~seed ~link ~n () in
+      System.add_item sys ~item:0 ~total:90 ();
+      System.add_item sys ~item:1 ~total:60 ();
+      let backups = Array.make n [] in
+      let ok = ref true in
+      let check i =
+        let s = System.site sys i in
+        let scratch = Log_replay.create ~n () in
+        Log_replay.catch_up scratch (Site.wal s);
+        let got = fold_summary (Site.stable s) and want = fold_summary scratch in
+        if got <> want then begin
+          ok := false;
+          QCheck.Test.fail_reportf "site %d: incremental fold\n%s\nfrom scratch\n%s" i got want
+        end
+      in
+      for _ = 1 to 60 do
+        let i = Rng.int rng n in
+        let s = System.site sys i in
+        let wal = Site.wal s in
+        (match Rng.int rng 11 with
+        | 0 | 1 | 2 | 3 ->
+          if Site.is_up s then begin
+            let m = 1 + Rng.int rng 40 in
+            let op = if Rng.bool rng then Op.Decr m else Op.Incr m in
+            submit sys ~site:i ~ops:[ (Rng.int rng 2, op) ] ~on_done:quiet
+          end
+        | 4 ->
+          if Site.is_up s then begin
+            (* A record left unforced for the armed fault to tear. *)
+            Wal.append ~forced:false wal
+              (Log_event.Ack_progress { dst = (i + 1) mod n; upto = -1 });
+            (match Rng.int rng 3 with
+            | 0 -> System.inject_wal_fault sys i (Wal.Torn { persist = 1 + Rng.int rng 3 })
+            | 1 -> System.inject_wal_fault sys i Wal.Corrupt_tail
+            | _ -> ());
+            System.crash_site sys i
+          end
+        | 5 -> if Site.is_up s then ignore (Wal.repair wal) else System.recover_site sys i
+        | 6 -> ignore (Wal.repair wal)
+        | 7 -> System.checkpoint_site sys i
+        | 8 -> backups.(i) <- Wal.records wal
+        | 9 ->
+          (* A forged record for the fold to note: out of order (unless the
+             watermark happens to be 4) and negative. *)
+          Wal.append wal
+            (Log_event.Vm_accept
+               { peer = (i + 1) mod n; seq = 5; item = 0; amount = 0; new_value = -1 })
+        | _ -> if Site.is_up s && backups.(i) <> [] then Site.restore s backups.(i));
+        System.run_until sys (System.now sys +. Rng.float rng 0.3);
+        for i = 0 to n - 1 do
+          if Rng.bool rng then check i
+        done
+      done;
+      for i = 0 to n - 1 do
+        check i
+      done;
+      !ok)
+
 let () =
   Alcotest.run "dvp_core"
     [
@@ -1898,6 +2025,8 @@ let () =
           Alcotest.test_case "backup rejects garbage" `Quick test_backup_rejects_garbage;
           Alcotest.test_case "restore atomic on corrupt file" `Quick
             test_restore_system_atomic_on_corrupt_file;
+          Alcotest.test_case "restore refuses extra site logs" `Quick
+            test_restore_system_refuses_extra_site_logs;
           Alcotest.test_case "conc2 contention stress" `Quick test_conc2_contention_stress;
           Alcotest.test_case "determinism under faults" `Quick
             test_system_determinism_under_faults;
@@ -1930,5 +2059,6 @@ let () =
             test_capped_never_exceeds_cap_under_stress;
           Alcotest.test_case "capped: read" `Quick test_capped_read;
           QCheck_alcotest.to_alcotest prop_conservation_under_chaos;
+          QCheck_alcotest.to_alcotest prop_stable_fold_incremental;
         ] );
     ]

@@ -303,7 +303,7 @@ let prop_recover_idempotent =
       System.recover_site sys victim;
       let snapshot () =
         ( List.map (fun item -> (item, Site.fragment site ~item)) (Site.items site),
-          List.init 4 (fun p -> Site.stable_accepted_upto site ~peer:p),
+          Array.to_list (Site.stable site).Log_replay.accepted,
           List.init 4 (fun p -> Vm.outstanding_to (Site.vm site) p),
           Vm.outbox_depth (Site.vm site) )
       in

@@ -46,6 +46,13 @@ let mk_harness ?(items = 4) () =
   Array.iter Vm.start vms;
   { engine; wals; vms; queues; frags; defer; metrics }
 
+(* Recover one engine from a fresh fold of its own stable log, the way
+   [Site.recover] does. *)
+let recover h i =
+  let fold = Log_replay.create ~n:2 () in
+  Log_replay.catch_up fold h.wals.(i);
+  Vm.recover h.vms.(i) fold
+
 (* Deliver one queued message from [src] into the peer's engine. *)
 let deliver h ~src msg =
   let dst = 1 - src in
@@ -187,7 +194,7 @@ let test_sender_crash_resumes_outbox () =
   Vm.crash h.vms.(0);
   Wal.crash h.wals.(0);
   Alcotest.(check bool) "volatile wiped" false (Vm.has_outstanding h.vms.(0) ~item:0);
-  Vm.recover h.vms.(0);
+  recover h 0;
   Alcotest.(check bool) "outbox rebuilt" true (Vm.has_outstanding h.vms.(0) ~item:0);
   Alcotest.(check int) "seq counter rebuilt" 1 (Vm.next_seq h.vms.(0) ~dst:1);
   Engine.run_until h.engine 0.2;
@@ -204,7 +211,7 @@ let test_receiver_crash_no_double_credit () =
      the Vm_accept record so the retransmission is discarded. *)
   Vm.crash h.vms.(1);
   Wal.crash h.wals.(1);
-  Vm.recover h.vms.(1);
+  recover h 1;
   Alcotest.(check int) "watermark rebuilt" 0 (Vm.accepted_upto h.vms.(1) ~peer:0);
   deliver h ~src:0 msg;
   (* frags array is test-local volatile state; the engine must not call
@@ -231,7 +238,7 @@ let test_recover_equals_live_state () =
   let live_next = Vm.next_seq h.vms.(0) ~dst:1 in
   let live_out = Vm.outstanding_to h.vms.(0) 1 in
   Vm.crash h.vms.(0);
-  Vm.recover h.vms.(0);
+  recover h 0;
   Alcotest.(check int) "next_seq equal" live_next (Vm.next_seq h.vms.(0) ~dst:1);
   Alcotest.(check (list (triple int int int)))
     "outbox equal" live_out
@@ -258,7 +265,7 @@ let test_snapshot_roundtrip () =
   Wal.truncate_before h.wals.(0) ~keep_from:(Wal.end_index h.wals.(0) - 1);
   Alcotest.(check int) "log truncated to snapshot" 1 (Wal.stable_length h.wals.(0));
   Vm.crash h.vms.(0);
-  Vm.recover h.vms.(0);
+  recover h 0;
   Alcotest.(check int) "next_seq from snapshot" live_next (Vm.next_seq h.vms.(0) ~dst:1);
   Alcotest.(check (list (triple int int int)))
     "outbox from snapshot" live_out
@@ -433,12 +440,12 @@ let prop_vm_conserves_value =
             drop_all h ~src:0;
             Vm.crash h.vms.(0);
             Wal.crash h.wals.(0);
-            Vm.recover h.vms.(0)
+            recover h 0
           | `Crash_receiver ->
             drop_all h ~src:1;
             Vm.crash h.vms.(1);
             Wal.crash h.wals.(1);
-            Vm.recover h.vms.(1)
+            recover h 1
           | `Tick -> Engine.run_until h.engine (Engine.now h.engine +. 0.2))
         ops;
       (* Let retransmissions settle everything that is still owed. *)
