@@ -62,10 +62,10 @@ let () =
   print_state sys;
 
   (* Show the virtual-message traffic from the trace. *)
-  let honors = Dvp.Trace.find trace ~category:"honor" in
-  List.iter
-    (fun e -> Printf.printf "   [t=%.3f] %s\n" e.Dvp.Trace.time e.Dvp.Trace.message)
-    honors;
+  Dvp.Trace.iter_events trace (fun ~time -> function
+    | Dvp.Trace.Request_honored { src; item; amount; _ } ->
+      Printf.printf "   [t=%.3f] item %d: %d units -> site %d\n" time item amount src
+    | _ -> ());
 
   print_endline "\n-- a cancellation at Z returns two seats --";
   Dvp.System.exec sys

@@ -2,10 +2,10 @@
 
    Run with:  dune exec examples/trace_tour.exe
 
-   We attach a typed trace and a periodic probe to a 4-site system, run a
-   short partitioned workload through System.exec, then narrate the run
-   from the recorded events and write both export formats into the
-   (gitignored) artifacts/ directory:
+   We attach a typed trace and the standard telemetry to a 4-site system,
+   run a short partitioned workload through System.exec, then narrate the
+   run from the recorded events, print the telemetry table, and write both
+   export formats into the (gitignored) artifacts/ directory:
 
      artifacts/trace_tour.jsonl        a meta header line, then one JSON
                                        object per event, oldest first —
@@ -17,6 +17,7 @@
                                        arrows between sites. *)
 
 module Trace = Dvp.Trace
+module Telemetry = Dvp.Obs.Telemetry
 
 let () =
   print_endline "== trace tour ==";
@@ -24,9 +25,11 @@ let () =
   let sys = Dvp.System.create ~seed:11 ~trace ~n:4 () in
   Dvp.System.add_item sys ~item:0 ~total:200 ();
 
-  (* A periodic probe: every 0.5 s, the fragment vector, the value riding
-     in unaccepted virtual messages (N_M), and the stable log length. *)
-  let probe = Dvp.System.start_probe sys ~every:0.5 in
+  (* Telemetry sampled every 0.5 s: commit and abort rates, the value
+     riding in unaccepted virtual messages (N_M), and the stable log
+     length. *)
+  let tel = Telemetry.of_system sys in
+  Telemetry.attach tel (Dvp.System.engine sys) ~period:0.5;
 
   (* Load: site 1 repeatedly wants more than its fragment holds, so value
      must be gathered from peers as virtual messages; a mid-run partition
@@ -50,6 +53,7 @@ let () =
   ignore (Dvp.Engine.schedule_at engine ~at:3.0 (fun () -> Dvp.System.crash_site sys 3));
   ignore (Dvp.Engine.schedule_at engine ~at:3.6 (fun () -> Dvp.System.recover_site sys 3));
   Dvp.System.run_until sys 6.0;
+  Telemetry.stop tel;
 
   (* Narrate the run from the typed events. *)
   let count f = List.length (Trace.find_events trace ~f) in
@@ -81,18 +85,12 @@ let () =
     | _ -> print_endline "  (still in flight)")
   | _ -> print_endline "  (no remote value was needed)");
 
-  (* The probe series: the conservation terms over time. *)
-  print_endline "\nprobe series (fragments | N_M | log length):";
-  List.iter
-    (fun (t, s) ->
-      let frags =
-        match s.Dvp.System.fragments with (_, f) :: _ -> f | [] -> [||]
-      in
-      let nm = match s.Dvp.System.in_flight with (_, v) :: _ -> v | [] -> 0 in
-      Printf.printf "  t=%4.1f  [%s] | %3d | %d\n" t
-        (String.concat "; " (Array.to_list (Array.map string_of_int frags)))
-        nm s.Dvp.System.log_length)
-    (Dvp.Probe.series probe);
+  (* The time series, then where the value ended up. *)
+  print_newline ();
+  print_string (Telemetry.render tel);
+  Printf.printf "final fragments: [%s]\n"
+    (String.concat "; "
+       (Array.to_list (Array.map string_of_int (Dvp.System.fragments sys ~item:0))));
   Printf.printf "conserved at the end: %b\n" (Dvp.System.conserved_all sys);
 
   (* Both export formats, into the gitignored artifacts/ directory. *)

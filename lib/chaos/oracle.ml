@@ -16,12 +16,12 @@ let v check fmt = Printf.ksprintf (fun detail -> { check; detail }) fmt
    decrements must abort rather than overdraw), and no virtual message
    carries negative value.  Crashed sites contribute their stable folds'
    fragments, so the checks are meaningful at any event boundary, including
-   mid-outage. *)
-let conservation_and_escrow sys =
+   mid-outage.  [in_flight] pairs each item with its N_M. *)
+let conservation_and_escrow sys in_flight =
   let lost = ref [] and neg = ref [] in
   List.iter
-    (fun item ->
-      let frags = System.fragments sys ~item and in_flight = System.in_flight sys ~item in
+    (fun (item, in_flight) ->
+      let frags = System.fragments sys ~item in
       let at_sites = Array.fold_left ( + ) 0 frags and expected = System.expected_total sys ~item in
       if at_sites + in_flight <> expected then
         lost :=
@@ -35,7 +35,7 @@ let conservation_and_escrow sys =
         frags;
       if in_flight < 0 then
         neg := v "non-negative-in-flight" "item %d: in-flight %d" item in_flight :: !neg)
-    (System.items sys);
+    in_flight;
   List.rev_append !lost (List.rev !neg)
 
 (* The stable-log audit both substrates share (see the interface): each
@@ -103,16 +103,18 @@ let wal_integrity sys =
   List.rev !bad
 
 let check_system sys =
-  let n = System.n_sites sys in
+  let n = System.n_sites sys and items = System.items sys in
+  (* N_M is read once per item; both passes check against the same values. *)
+  let in_flight = List.map (fun item -> (item, System.in_flight sys ~item)) items in
   let logs =
-    check_logs ~items:(System.items sys)
+    check_logs ~items
       ~fragment:(fun ~site ~item ->
         let s = System.site sys site in
         if Site.is_up s then Some (Site.fragment s ~item) else None)
-      ~in_flight:(fun ~item -> System.in_flight sys ~item)
+      ~in_flight:(fun ~item -> List.assoc item in_flight)
       (List.init n (fun site -> (site, Site.stable (System.site sys site))))
   in
-  conservation_and_escrow sys @ logs @ wal_integrity sys
+  conservation_and_escrow sys in_flight @ logs @ wal_integrity sys
 
 (* Counter cross-checks on a finished run.  The runner's own tallies and the
    merged site metrics describe the same transactions from two sides. *)

@@ -79,11 +79,6 @@ type t = {
 
 let vm_exn t = match t.vm with Some v -> v | None -> assert false
 
-let tracef t category fmt =
-  match t.trace with
-  | Some tr -> Trace.recordf tr ~time:(Substrate.now t.sub) ~category fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 (* [emit_at] stamps the event with a clock reading the caller already holds
    from the same callback; [emit] reads the clock afresh. *)
 let emit_at t ~time ev = match t.trace with Some tr -> Trace.emit tr ~time ev | None -> ()
@@ -92,6 +87,12 @@ let emit t ev =
   match t.trace with
   | Some tr -> Trace.emit tr ~time:(Substrate.now t.sub) ev
   | None -> ()
+
+(* A [Note]; the message is formatted only when the ring is recording. *)
+let tracef t category fmt =
+  if Trace.recording t.trace then
+    Format.kasprintf (fun message -> emit t (Trace.Note { category; message })) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 (* ------------------------------------------------------------ accessors *)
 

@@ -797,71 +797,3 @@ let metrics t =
   | Some tr -> Metrics.set_trace_dropped m (Dvp_trace.Trace.drop_count tr)
   | None -> ());
   m
-
-(* --------------------------------------------------------------- probes *)
-
-module Json = Dvp_util.Json
-
-type probe_sample = {
-  fragments : (Ids.item * int array) list;
-  in_flight : (Ids.item * int) list;
-  active_txns : int;
-  log_length : int;
-}
-
-let probe_sample t =
-  let its = items t in
-  {
-    fragments = List.map (fun item -> (item, fragments t ~item)) its;
-    (* Each site's cumulative Vm ledger (value sent − value received), not
-       the log-replaying oracle: O(sites × items) per sample, no replay.  The
-       two agree because every term is forced to the log where it changes and
-       rebuilt from it (checkpoints included) on recovery. *)
-    in_flight =
-      List.map
-        (fun item ->
-          ( item,
-            Array.fold_left
-              (fun acc s -> acc + Site.value_sent s ~item - Site.value_received s ~item)
-              0 t.sites ))
-        its;
-    active_txns =
-      Array.fold_left
-        (fun acc s -> if Site.is_up s then acc + Site.active_txns s else acc)
-        0 t.sites;
-    log_length = stable_log_length t;
-  }
-
-let start_probe t ~every =
-  Dvp_sim.Probe.start t.engine ~period:every ~sample:(fun _ -> probe_sample t)
-
-let probe_sample_to_json s =
-  Json.Obj
-    [
-      ( "fragments",
-        Json.Obj
-          (List.map
-             (fun (item, frags) ->
-               ( string_of_int item,
-                 Json.List (Array.to_list (Array.map (fun v -> Json.Int v) frags)) ))
-             s.fragments) );
-      ( "in_flight",
-        Json.Obj
-          (List.map (fun (item, v) -> (string_of_int item, Json.Int v)) s.in_flight) );
-      ("active_txns", Json.Int s.active_txns);
-      ("log_length", Json.Int s.log_length);
-    ]
-
-let probe_series_to_json p =
-  Json.Obj
-    [
-      ("period", Json.Float (Dvp_sim.Probe.period p));
-      ( "samples",
-        Json.List
-          (List.map
-             (fun (time, s) ->
-               match probe_sample_to_json s with
-               | Json.Obj fields -> Json.Obj (("time", Json.Float time) :: fields)
-               | j -> j)
-             (Dvp_sim.Probe.series p)) );
-    ]

@@ -240,34 +240,3 @@ val stable_log_length : t -> int
 val metrics : t -> Metrics.t
 (** Merged metrics of all sites, with network message counts and log-force
     counts folded in. *)
-
-(** {2 Probes}
-
-    Periodic sampling of the live installation into a time series (see
-    {!Dvp_sim.Probe}): every item's fragment vector, the value in flight as
-    unaccepted Vm (N_M), the active transaction count, and the total stable
-    log length.  The series charts the paper's conservation terms over a
-    whole run. *)
-
-type probe_sample = {
-  fragments : (Ids.item * int array) list;  (** per-site fragment vector *)
-  in_flight : (Ids.item * int) list;  (** N_M per item *)
-  active_txns : int;  (** live transactions across all up sites *)
-  log_length : int;  (** total stable log records (redo-cost surface) *)
-}
-
-val probe_sample : t -> probe_sample
-(** One sample, now.  [in_flight] sums {!Site.value_sent} −
-    {!Site.value_received} over all sites — the per-site ledger the wall
-    cut and the Observer read, O(sites × items) with no log replay — while
-    the {!in_flight} oracle above stays log-derived.  The two agree because
-    both ledgers are forced where they change and survive recovery and
-    checkpoint truncation. *)
-
-val start_probe : t -> every:float -> probe_sample Dvp_sim.Probe.t
-(** Sample on a fixed simulated-time period until [Probe.stop]. *)
-
-val probe_sample_to_json : probe_sample -> Dvp_util.Json.t
-
-val probe_series_to_json : probe_sample Dvp_sim.Probe.t -> Dvp_util.Json.t
-(** [{ "period": p, "samples": [ { "time": t, ... }, ... ] }]. *)

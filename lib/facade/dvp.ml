@@ -37,7 +37,6 @@ module Substrate_des = Dvp_sim.Substrate_des
 module Engine = Dvp_sim.Engine
 module Trace = Dvp_trace.Trace
 module Shards = Dvp_trace.Shards
-module Probe = Dvp_sim.Probe
 module Cluster = Dvp_runtime.Cluster
 module Observer = Dvp_runtime.Observer
 module Supervisor = Dvp_runtime.Supervisor

@@ -1,4 +1,4 @@
-module Probe = Dvp_sim.Probe
+module Engine = Dvp_sim.Engine
 module Json = Dvp_util.Json
 module Table = Dvp_util.Table
 
@@ -6,62 +6,77 @@ type kind = Counter | Gauge
 
 type instrument = { name : string; kind : kind; read : unit -> float }
 
+type sampler = {
+  now : unit -> float;  (* the engine's clock, or the caller's *)
+  period : float;
+  mutable rows : (float * float array) list;  (* newest first *)
+  mutable running : bool;
+}
+
 type t = {
   mutable instruments : instrument list;  (* newest first until attach *)
   mutable attached : instrument array;
   mutable baseline : float array;
-  mutable probe : float array Probe.t option;
+  mutable sampler : sampler option;
 }
 
 let create () =
-  { instruments = []; attached = [||]; baseline = [||]; probe = None }
+  { instruments = []; attached = [||]; baseline = [||]; sampler = None }
 
 let register t kind name read =
-  if t.probe <> None then invalid_arg "Telemetry: cannot register after attach";
+  if t.sampler <> None then invalid_arg "Telemetry: cannot register after attach";
   t.instruments <- { name; kind; read } :: t.instruments
 
 let counter t name read = register t Counter name read
 
 let gauge t name read = register t Gauge name read
 
-let attach t engine ~period =
-  if t.probe <> None then invalid_arg "Telemetry.attach: already attached";
+let read_all ins = Array.map (fun i -> i.read ()) ins
+
+let take t s =
+  let time = s.now () in
+  s.rows <- (time, read_all t.attached) :: s.rows
+
+let start t ~now ~period =
+  if t.sampler <> None then invalid_arg "Telemetry: already attached";
+  if period <= 0.0 then invalid_arg "Telemetry: period must be positive";
   let ins = Array.of_list (List.rev t.instruments) in
   t.attached <- ins;
   (* Counters may already be non-zero at attach time; windows are deltas
      against this baseline, not against zero. *)
-  t.baseline <- Array.map (fun i -> i.read ()) ins;
-  t.probe <-
-    Some
-      (Probe.start engine ~period ~sample:(fun _ ->
-           Array.map (fun i -> i.read ()) ins))
+  t.baseline <- read_all ins;
+  let s = { now; period; rows = []; running = true } in
+  t.sampler <- Some s;
+  s
 
+let attach t engine ~period =
+  let s = start t ~now:(fun () -> Engine.now engine) ~period in
+  let rec tick () =
+    if s.running then begin
+      take t s;
+      ignore (Engine.schedule engine ~delay:period tick)
+    end
+  in
+  ignore (Engine.schedule engine ~delay:period tick)
+
+(* Nothing scheduled: the caller drives sampling via [sample_now]. *)
 let attach_clock t ~clock ~period =
-  if t.probe <> None then invalid_arg "Telemetry.attach_clock: already attached";
-  let ins = Array.of_list (List.rev t.instruments) in
-  t.attached <- ins;
-  t.baseline <- Array.map (fun i -> i.read ()) ins;
-  (* Manual probe: nothing scheduled — the caller (e.g. the wall-clock
-     observer domain) drives sampling via sample_now on its own cadence. *)
-  t.probe <-
-    Some
-      (Probe.manual ~clock ~period ~sample:(fun _ ->
-           Array.map (fun i -> i.read ()) ins))
+  ignore (start t ~now:clock ~period)
 
 let sample_now t =
-  match t.probe with
+  match t.sampler with
   | None -> invalid_arg "Telemetry.sample_now: not attached"
-  | Some p -> Probe.sample_now p
+  | Some s -> take t s
 
-let attached t = t.probe <> None
+let attached t = t.sampler <> None
 
 let stop t =
-  match t.probe with
+  match t.sampler with
   | None -> ()
-  | Some p ->
+  | Some s ->
     (* One last sample so the final partial window is not lost. *)
-    Probe.sample_now p;
-    Probe.stop p
+    take t s;
+    s.running <- false
 
 (* ------------------------------------------------------------- windows *)
 
@@ -73,10 +88,10 @@ type series = {
 }
 
 let series t =
-  match t.probe with
+  match t.sampler with
   | None -> []
-  | Some p ->
-    let raw = Probe.series p in
+  | Some s ->
+    let raw = List.rev s.rows in
     Array.to_list
       (Array.mapi
          (fun idx ins ->
@@ -95,7 +110,7 @@ let series t =
            { s_name = ins.name; s_kind = ins.kind; points })
          t.attached)
 
-let period t = match t.probe with None -> nan | Some p -> Probe.period p
+let period t = match t.sampler with None -> nan | Some s -> s.period
 
 (* ---------------------------------------------------------------- JSON *)
 
@@ -126,7 +141,7 @@ let to_json t =
     ]
 
 let snapshot t =
-  (* Instantaneous readings, independent of the probe — usable even before
+  (* Instantaneous readings, independent of the sampler — usable even before
      attach (reads the registration list directly). *)
   let ins =
     if t.attached <> [||] then Array.to_list t.attached

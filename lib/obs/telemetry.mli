@@ -2,10 +2,10 @@
 
     A registry holds {e counters} (monotonic cumulative sources, exported as
     per-window increments — i.e. rates) and {e gauges} (instantaneous
-    values, exported as sampled).  {!attach} starts a {!Dvp_sim.Probe} that
-    reads every instrument on a fixed simulated-time period; {!stop} takes a
-    final out-of-cadence sample (via [Probe.sample_now]) so the last partial
-    window is preserved, then halts the probe.
+    values, exported as sampled).  {!attach} schedules engine events that
+    read every instrument on a fixed simulated-time period, so a sample sees
+    the system between events; {!stop} takes a final out-of-cadence sample
+    so the last partial window is preserved, then halts the sampling.
 
     {!of_system} wires the standard instruments for a DvP installation:
     per-site commit/abort counters, global abort counters by reason, the
@@ -26,14 +26,17 @@ val counter : t -> string -> (unit -> float) -> unit
 val gauge : t -> string -> (unit -> float) -> unit
 
 val attach : t -> Dvp_sim.Engine.t -> period:float -> unit
-(** Start periodic sampling.  Counter baselines are read here, so windows
-    report increments since attach, not since zero. *)
+(** Start periodic sampling: the first sample is taken one [period] from
+    now, then one every [period] until {!stop}.  Counter baselines are read
+    here, so windows report increments since attach, not since zero.
+    Raises [Invalid_argument] when already attached or when [period] is not
+    positive. *)
 
 val attach_clock : t -> clock:(unit -> float) -> period:float -> unit
-(** Attach without an engine (a {!Dvp_sim.Probe.manual} probe): nothing is
-    scheduled, the caller drives sampling by calling {!sample_now} on its
-    own cadence (nominally every [period]) and timestamps come from
-    [clock].  This is the wall-clock observer's path. *)
+(** Attach without an engine: nothing is scheduled, the caller drives
+    sampling by calling {!sample_now} on its own cadence (nominally every
+    [period]) and timestamps come from [clock].  This is the wall-clock
+    observer's path.  Raises as {!attach} does. *)
 
 val sample_now : t -> unit
 (** Read every instrument once, at the current clock time.  Raises

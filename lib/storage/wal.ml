@@ -73,9 +73,6 @@ type 'r t = {
      next fault is O(1). *)
   mutable valid_len : int;
   mutable valid_dirty : bool;
-  (* Bumped whenever the *stable* contents change (force, faulty crash,
-     repair, truncation). *)
-  mutable version : int;
   mutable force_sink : ('r list -> unit) option;
       (* runtime hook: newly-stabilised records on each force *)
   (* Sink failures (ENOSPC/EIO from the backing file) must not corrupt the
@@ -226,15 +223,12 @@ let create ?codec () =
     repaired_count = 0;
     valid_len = 0;
     valid_dirty = false;
-    version = 0;
     force_sink = None;
     sink_pending = [];
     sink_error_count = 0;
     last_sink_error = None;
     on_force_error = None;
   }
-
-let version t = t.version
 
 let stable_length t =
   match t.region with Boxed { stable; _ } -> stable.len | Framed { stable; _ } -> stable.total
@@ -337,7 +331,6 @@ let stabilise t n ~corrupt =
 let force t =
   let n = buffered t in
   if n > 0 then begin
-    t.version <- t.version + 1;
     let clean_before = (not t.valid_dirty) && t.valid_len = stable_length t in
     stabilise t n ~corrupt:false;
     (* Freshly forced records are valid by construction: the prefix cache
@@ -373,7 +366,6 @@ let apply_fault t f =
     | Corrupt_tail -> buffered t
   in
   if persist > 0 then begin
-    t.version <- t.version + 1;
     stabilise t persist ~corrupt:true;
     t.valid_dirty <- true
   end
@@ -388,7 +380,6 @@ let corrupt_tail t = stable_length t - valid_length t
 let repair t =
   let bad = corrupt_tail t in
   if bad > 0 then begin
-    t.version <- t.version + 1;
     (match t.region with
     | Boxed { stable; _ } -> stable.len <- valid_length t
     | Framed { stable; _ } -> drop_back stable (valid_length t));
@@ -442,7 +433,6 @@ let iter_from t ~from f = iter_valid t ~from:(max 0 (from - t.base_index)) f
 let truncate_before t ~keep_from =
   let drop = keep_from - t.base_index in
   if drop > 0 then begin
-    t.version <- t.version + 1;
     (match t.region with
     | Boxed { stable; _ } ->
       let keep = max 0 (stable.len - drop) in

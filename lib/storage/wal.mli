@@ -149,10 +149,6 @@ val end_index : 'r t -> int
 (** Absolute index one past the newest stable record (monotone across
     truncations). *)
 
-val version : 'r t -> int
-(** A counter bumped whenever the stable contents change (a force that moved
-    records, a faulty crash, a repair, a truncation). *)
-
 val truncate_before : 'r t -> keep_from:int -> unit
 (** Checkpointing support: drop stable records with index < [keep_from].
     Subsequent {!records} still yields oldest-first with original order.  A

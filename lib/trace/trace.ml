@@ -31,8 +31,6 @@ type event =
   | Rebalance of { moved : int }
   | Note of { category : string; message : string }
 
-type entry = { time : float; category : string; message : string }
-
 (* A ring of compact records in byte segments.  A record is a head byte
    (the constructor's tag, with [full_time] set when the time is stored
    whole), then its ints as zigzag varints, then its strings, each its
@@ -511,105 +509,6 @@ let clear t =
   t.sealed <- 0;
   t.count <- 0;
   t.dropped <- 0
-
-(* ------------------------------------------------- legacy entry rendering *)
-
-let category_of_event = function
-  | Txn_begin _ -> "begin"
-  | Txn_commit _ -> "commit"
-  | Txn_abort _ -> "abort"
-  | Vm_created _ | Vm_accepted _ | Vm_retransmit _ | Vm_dup _ -> "vm"
-  | Lock_acquire _ | Lock_release _ -> "lock"
-  | Request_sent _ -> "request"
-  | Request_honored _ -> "honor"
-  | Request_ignored _ -> "refuse"
-  | Crash _ -> "crash"
-  | Recover _ -> "recover"
-  | Checkpoint _ -> "checkpoint"
-  | Storage_fault _ | Wal_repair _ -> "storage"
-  | Net_send _ | Net_drop _ -> "net"
-  | Health _ -> "health"
-  | Evacuation _ -> "evac"
-  | Outbox_high _ -> "outbox"
-  | Mailbox_high _ -> "mailbox"
-  | Join _ | Leave _ | Rebalance _ -> "member"
-  | Note { category; _ } -> category
-
-let pp_txn_id ppf (c, s) = Format.fprintf ppf "%d.%d" c s
-
-let message_of_event = function
-  | Txn_begin { txn; n_ops; _ } ->
-    Format.asprintf "txn %a begins (%d ops)" pp_txn_id txn n_ops
-  | Txn_commit { txn; _ } -> Format.asprintf "txn %a committed" pp_txn_id txn
-  | Txn_abort { txn; reason; _ } ->
-    Format.asprintf "txn %a aborted: %s" pp_txn_id txn reason
-  | Vm_created { dst; seq; item; amount; _ } ->
-    Printf.sprintf "vm #%d created: item %d, %d units -> site %d" seq item amount dst
-  | Vm_accepted { src; seq; item; amount; _ } ->
-    Printf.sprintf "vm #%d accepted: item %d, %d units from site %d" seq item amount src
-  | Vm_retransmit { dst; seq; item; amount; _ } ->
-    Printf.sprintf "vm #%d retransmit: item %d, %d units -> site %d" seq item amount dst
-  | Vm_dup { src; seq; _ } -> Printf.sprintf "vm #%d duplicate from site %d discarded" seq src
-  | Lock_acquire { txn; items; _ } ->
-    Format.asprintf "txn %a locks [%s]" pp_txn_id txn
-      (String.concat "; " (List.map string_of_int items))
-  | Lock_release { txn; _ } -> Format.asprintf "txn %a releases its locks" pp_txn_id txn
-  | Request_sent { dst; txn; item; amount; _ } ->
-    Format.asprintf "txn %a asks site %d for %d of item %d" pp_txn_id txn dst amount item
-  | Request_honored { src; item; amount; _ } ->
-    Printf.sprintf "item %d: %d units -> site %d" item amount src
-  | Request_ignored { item; reason; _ } -> Printf.sprintf "item %d: %s" item reason
-  | Crash { site } -> Printf.sprintf "site %d down" site
-  | Recover { site; redo } -> Printf.sprintf "site %d up (redo=%d)" site redo
-  | Checkpoint { site; log_length } ->
-    Printf.sprintf "site %d checkpointed (log=%d)" site log_length
-  | Storage_fault { site; kind } -> Printf.sprintf "site %d storage fault armed: %s" site kind
-  | Wal_repair { site; dropped } ->
-    Printf.sprintf "site %d truncated %d corrupt log record%s" site dropped
-      (if dropped = 1 then "" else "s")
-  | Net_send { src; dst } -> Printf.sprintf "message %d -> %d" src dst
-  | Net_drop { src; dst } -> Printf.sprintf "message %d -> %d dropped" src dst
-  | Health { site; peer; state } ->
-    Printf.sprintf "site %d judges site %d %s" site peer state
-  | Evacuation { site; value_moved; vms_delivered; stranded } ->
-    Printf.sprintf "site %d evacuated: %d units re-homed, %d vms delivered, %d stranded"
-      site value_moved vms_delivered stranded
-  | Outbox_high { site; depth; limit } ->
-    Printf.sprintf "site %d outbox depth %d past high-water %d" site depth limit
-  | Mailbox_high { site; depth; limit } ->
-    Printf.sprintf "site %d mailbox depth %d past high-water %d" site depth limit
-  | Join { site; epoch; seeded } ->
-    Printf.sprintf "site %d joined (epoch %d, seeded %d units)" site epoch seeded
-  | Leave { site; epoch; shed } ->
-    Printf.sprintf "site %d left (epoch %d, shed %d units)" site epoch shed
-  | Rebalance { moved } -> Printf.sprintf "rebalance moved %d units" moved
-  | Note { message; _ } -> message
-
-let entry_of (time, ev) =
-  { time; category = category_of_event ev; message = message_of_event ev }
-
-let record t ~time ~category message = emit t ~time (Note { category; message })
-
-let recordf t ~time ~category fmt =
-  Format.kasprintf (fun s -> if t.on then record t ~time ~category s) fmt
-
-let entries t = List.map entry_of (events t)
-
-(* Match on the typed category first; only matching events are rendered to
-   strings.  [count] renders nothing at all. *)
-let find t ~category =
-  find_events t ~f:(fun ev -> category_of_event ev = category) |> List.map entry_of
-
-let count t ~category = count_events t ~f:(fun ev -> category_of_event ev = category)
-
-let pp_entry ppf e = Format.fprintf ppf "[%10.4f] %-12s %s" e.time e.category e.message
-
-let dump t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" pp_entry e))
-    (entries t);
-  Buffer.contents buf
 
 (* ------------------------------------------------------------- JSON form *)
 

@@ -20,11 +20,7 @@
     about ten in all.  Nothing in the ring is scanned by the GC, and
     emitting allocates no minor words.  Readers ({!events}, {!iter_events},
     {!reader}, …) decode the records forward, each back into a structurally
-    equal event; times come back bit for bit.
-
-    The legacy string API ({!record}, {!entries}, {!find}, …) is kept as a
-    thin compatibility shim over the typed events: every typed event renders
-    to the same [(time, category, message)] triples the old API produced. *)
+    equal event; times come back bit for bit. *)
 
 type t
 
@@ -33,8 +29,7 @@ type ts = int * int
     depending on the core library. *)
 
 (** One protocol-level occurrence.  Constructors carry the site/txn/item/seq
-    fields the exporters and invariant checks need; [Note] carries anything
-    recorded through the legacy string API. *)
+    fields the exporters and invariant checks need. *)
 type event =
   | Txn_begin of { site : int; txn : ts; n_ops : int }
   | Txn_commit of { site : int; txn : ts }
@@ -76,10 +71,8 @@ type event =
   | Rebalance of { moved : int }
       (** one rebalance pass moved [moved] units from hot to cold members *)
   | Note of { category : string; message : string }
-
-type entry = { time : float; category : string; message : string }
-(** Legacy view of an event (see {!category_of_event} and
-    {!message_of_event}). *)
+      (** free-form narration with no typed constructor of its own (a
+          site's stale-epoch rejections, proactive pushes) *)
 
 val create : ?capacity:int -> unit -> t
 (** [capacity] (default 65536, must be positive) bounds the retained events:
@@ -135,52 +128,18 @@ val iter_events : t -> (time:float -> event -> unit) -> unit
 val find_events : t -> f:(event -> bool) -> (float * event) list
 
 val count_events : t -> f:(event -> bool) -> int
-(** Number of retained events satisfying [f]; no lists built, nothing
-    rendered.  [count] is this with a category predicate. *)
+(** Number of retained events satisfying [f]; no lists built. *)
 
 val capacity : t -> int
 (** The bound the ring was created with. *)
 
 val drop_count : t -> int
 (** Number of events evicted because the buffer was full.  Non-zero means
-    {!events}/{!entries} show only the newest [capacity] events — consumers
+    {!events} shows only the newest [capacity] events — consumers
     must not read a clipped trace as complete. *)
-
-val category_of_event : event -> string
-(** The legacy category each typed event files under ("commit", "abort",
-    "request", "honor", "refuse", "vm", "lock", "crash", "recover",
-    "checkpoint", "storage", "net", "begin" — or the [Note]'s own
-    category). *)
-
-val message_of_event : event -> string
-
-(** {2 Legacy string API (compatibility shim)} *)
-
-val record : t -> time:float -> category:string -> string -> unit
-(** Records a [Note] event. *)
-
-val recordf :
-  t -> time:float -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant; the format is only evaluated when the trace is
-    enabled. *)
-
-val entries : t -> entry list
-(** Oldest first; typed events appear as their rendered [(category, message)]
-    pair. *)
-
-val find : t -> category:string -> entry list
-(** Only the matching events are rendered to strings. *)
-
-val count : t -> category:string -> int
-(** Typed counting ({!count_events} over {!category_of_event}) — no string
-    rendering at all. *)
 
 val clear : t -> unit
 (** Drops all events and resets {!drop_count}, in O(1). *)
-
-val pp_entry : Format.formatter -> entry -> unit
-
-val dump : t -> string
 
 (** {2 Export} *)
 

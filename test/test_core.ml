@@ -1348,8 +1348,13 @@ let test_multi_item_snapshot_read_times_out_under_partition () =
 
 (* Backup / restore (the codec made load-bearing). *)
 
+(* A fresh backup directory of its own, removed however [f] ends. *)
+let with_backup_dir label f =
+  let dir = Dvp_runtime.Walfile.temp_dir label in
+  Fun.protect ~finally:(fun () -> Dvp_runtime.Walfile.remove_dir dir) (fun () -> f dir)
+
 let test_backup_roundtrip_system () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dvp-backup-test" in
+  with_backup_dir "backup" @@ fun dir ->
   let sys = mk_system ~seed:95 ~items:[ (0, 100); (1, 50) ] () in
   submit sys ~site:1 ~ops:[ (0, Op.Decr 40) ] ~on_done:quiet;
   submit sys ~site:2 ~ops:[ (1, Op.Incr 7) ] ~on_done:quiet;
@@ -1376,7 +1381,7 @@ let test_backup_roundtrip_system () =
 let test_backup_restores_outstanding_vm () =
   (* Export while a Vm is outstanding (receiver down); the restored system
      must finish the delivery. *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dvp-backup-vm-test" in
+  with_backup_dir "backup-vm" @@ fun dir ->
   let config = { Config.default with Config.request_policy = Config.Ask_all_full } in
   let sys = mk_system ~seed:97 ~config () in
   System.crash_site sys 1;
@@ -1409,7 +1414,7 @@ let test_restore_system_atomic_on_corrupt_file () =
   (* restore_system validates every site log before mutating anything: one
      corrupt file must fail the whole restore and leave every site — not
      just the corrupt one — exactly as it was. *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dvp-backup-atomic-test" in
+  with_backup_dir "backup-atomic" @@ fun dir ->
   let sys = mk_system ~seed:99 ~items:[ (0, 100) ] () in
   submit sys ~site:0 ~ops:[ (0, Op.Decr 10) ] ~on_done:quiet;
   System.run_until sys 2.0;
@@ -1444,7 +1449,7 @@ let test_restore_system_refuses_extra_site_logs () =
   (* A backup of 4 sites restored into 3 would leave site 3's value behind,
      and re-basing the expected totals on what is left would hide the loss:
      restore_system must refuse, naming the file, before touching a site. *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dvp-backup-extra-test" in
+  with_backup_dir "backup-extra" @@ fun dir ->
   let sys = mk_system ~seed:101 ~items:[ (0, 100) ] () in
   submit sys ~site:3 ~ops:[ (0, Op.Decr 10) ] ~on_done:quiet;
   System.run_until sys 2.0;
@@ -1460,9 +1465,7 @@ let test_restore_system_refuses_extra_site_logs () =
   | Ok _ -> Alcotest.fail "a backup with more sites than the target accepted");
   Alcotest.(check (array int)) "no site mutated" before (System.fragments sys3 ~item:0);
   Alcotest.(check int) "no log touched" log_before (System.stable_log_length sys3);
-  Alcotest.(check int) "expected total unchanged" 100 (System.expected_total sys3 ~item:0);
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+  Alcotest.(check int) "expected total unchanged" 100 (System.expected_total sys3 ~item:0)
 
 (* Conc2 stress: heavy contention on a healthy network — everything waits,
    nothing deadlocks, value is conserved. *)

@@ -1,11 +1,10 @@
 (* Tests for lib/obs: span reconstruction, telemetry time-series, and the
    crash flight recorder — plus the trace/metrics satellites that feed them
-   (JSONL meta header, Metrics.trace_dropped, Probe.sample_now). *)
+   (JSONL meta header, Metrics.trace_dropped). *)
 
 module Json = Dvp_util.Json
 module Engine = Dvp_sim.Engine
 module Trace = Dvp_trace.Trace
-module Probe = Dvp_sim.Probe
 module Spans = Dvp_obs.Spans
 module Telemetry = Dvp_obs.Telemetry
 module Flight = Dvp_obs.Flight
@@ -121,21 +120,53 @@ let test_metrics_trace_dropped () =
   | Some (Json.Int 17) -> ()
   | _ -> Alcotest.fail "trace_dropped missing from Metrics.to_json"
 
-(* ------------------------------------------------------- Probe.sample_now *)
+(* ------------------------------------------------- Telemetry sampling *)
 
-let test_probe_sample_now () =
+(* [stop] takes one last sample at the current clock time, whether the
+   registry is sampled by the engine or by its caller. *)
+let test_telemetry_final_sample () =
+  let points tel =
+    match Telemetry.series tel with
+    | [ s ] -> s.Telemetry.points
+    | _ -> Alcotest.fail "expected one series"
+  in
   let engine = Engine.create () in
-  let p = Probe.start engine ~period:1.0 ~sample:(fun now -> now) in
+  let tel = Telemetry.create () in
+  Telemetry.gauge tel "now" (fun () -> Engine.now engine);
+  Telemetry.attach tel engine ~period:1.0;
   Engine.run_until engine 2.5;
-  Alcotest.(check int) "periodic samples" 2 (Probe.length p);
-  Probe.sample_now p;
-  Probe.stop p;
-  Alcotest.(check int) "final sample added" 3 (Probe.length p);
-  match List.rev (Probe.series p) with
-  | (t, v) :: _ ->
-    Alcotest.(check (float 1e-9)) "final sample at now" 2.5 t;
-    Alcotest.(check (float 1e-9)) "sampler saw now" 2.5 v
-  | [] -> Alcotest.fail "empty series"
+  Alcotest.(check int) "periodic samples" 2 (List.length (points tel));
+  Telemetry.stop tel;
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "engine mode: final sample at now"
+    [ (1.0, 1.0); (2.0, 2.0); (2.5, 2.5) ]
+    (points tel);
+  let clock = ref 0.0 in
+  let tel = Telemetry.create () in
+  Telemetry.gauge tel "now" (fun () -> !clock);
+  Telemetry.attach_clock tel ~clock:(fun () -> !clock) ~period:1.0;
+  clock := 1.0;
+  Telemetry.sample_now tel;
+  clock := 1.7;
+  Telemetry.stop tel;
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "clock mode: final sample at now"
+    [ (1.0, 1.0); (1.7, 1.7) ]
+    (points tel)
+
+let test_telemetry_period_positive () =
+  List.iter
+    (fun period ->
+      let rejected attach =
+        match attach (Telemetry.create ()) with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "engine attach rejects" true
+        (rejected (fun tel -> Telemetry.attach tel (Engine.create ()) ~period));
+      Alcotest.(check bool) "clock attach rejects" true
+        (rejected (fun tel -> Telemetry.attach_clock tel ~clock:(fun () -> 0.0) ~period)))
+    [ 0.0; -1.0 ]
 
 (* ------------------------------------------------------------------ spans *)
 
@@ -437,7 +468,6 @@ let () =
         [
           Alcotest.test_case "jsonl meta header" `Quick test_jsonl_meta;
           Alcotest.test_case "metrics trace_dropped" `Quick test_metrics_trace_dropped;
-          Alcotest.test_case "probe sample_now" `Quick test_probe_sample_now;
         ] );
       ( "spans",
         [
@@ -450,6 +480,8 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "windowed series" `Quick test_telemetry_windows;
+          Alcotest.test_case "final sample on stop" `Quick test_telemetry_final_sample;
+          Alcotest.test_case "period must be positive" `Quick test_telemetry_period_positive;
           Alcotest.test_case "outbox + health gauges" `Quick
             test_of_system_outbox_and_health_gauges;
         ] );

@@ -115,55 +115,50 @@ let test_periodic_pattern () =
 
 (* ---------------------------------------------------------------- Trace *)
 
+let note category message = Trace.Note { category; message }
+
+let messages t =
+  List.filter_map
+    (function _, Trace.Note { message; _ } -> Some message | _ -> None)
+    (Trace.events t)
+
 let test_trace_basic () =
   let t = Trace.create () in
-  Trace.record t ~time:1.0 ~category:"msg" "hello";
-  Trace.record t ~time:2.0 ~category:"txn" "commit";
-  Trace.record t ~time:3.0 ~category:"msg" "world";
-  Alcotest.(check int) "all entries" 3 (List.length (Trace.entries t));
-  Alcotest.(check int) "msg count" 2 (Trace.count t ~category:"msg");
-  let msgs = Trace.find t ~category:"msg" in
-  Alcotest.(check (list string))
-    "messages in order" [ "hello"; "world" ]
-    (List.map (fun e -> e.Trace.message) msgs)
+  Trace.emit t ~time:1.0 (note "msg" "hello");
+  Trace.emit t ~time:2.0 (note "txn" "commit");
+  Trace.emit t ~time:3.0 (note "msg" "world");
+  Alcotest.(check int) "all events" 3 (Trace.length t);
+  let is_msg = function Trace.Note { category = "msg"; _ } -> true | _ -> false in
+  Alcotest.(check int) "msg count" 2 (Trace.count_events t ~f:is_msg);
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "messages in order"
+    [ (1.0, "hello"); (3.0, "world") ]
+    (List.map
+       (function t, Trace.Note { message; _ } -> (t, message) | t, _ -> (t, ""))
+       (Trace.find_events t ~f:is_msg))
 
 let test_trace_disabled () =
   let t = Trace.create () in
   Trace.set_enabled t false;
-  Trace.record t ~time:1.0 ~category:"x" "dropped";
-  Trace.recordf t ~time:2.0 ~category:"x" "also %s" "dropped";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.entries t))
-
-let test_trace_recordf () =
-  let t = Trace.create () in
-  Trace.recordf t ~time:1.5 ~category:"fmt" "value=%d site=%s" 42 "X";
-  match Trace.entries t with
-  | [ e ] ->
-    Alcotest.(check string) "formatted" "value=42 site=X" e.Trace.message;
-    Alcotest.(check (float 0.0)) "time kept" 1.5 e.Trace.time
-  | _ -> Alcotest.fail "expected exactly one entry"
+  Trace.emit t ~time:1.0 (note "x" "dropped");
+  Alcotest.(check bool) "not recording" false (Trace.recording (Some t));
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length t)
 
 let test_trace_ring_overflow () =
   let t = Trace.create ~capacity:4 () in
   for i = 1 to 10 do
-    Trace.record t ~time:(float_of_int i) ~category:"n" (string_of_int i)
+    Trace.emit t ~time:(float_of_int i) (note "n" (string_of_int i))
   done;
-  let kept = List.map (fun e -> e.Trace.message) (Trace.entries t) in
-  Alcotest.(check (list string)) "last four kept" [ "7"; "8"; "9"; "10" ] kept
+  Alcotest.(check (list string)) "last four kept" [ "7"; "8"; "9"; "10" ] (messages t);
+  Alcotest.(check int) "six dropped" 6 (Trace.drop_count t)
 
 let test_trace_clear () =
   let t = Trace.create () in
-  Trace.record t ~time:1.0 ~category:"c" "x";
+  Trace.emit t ~time:1.0 (note "c" "x");
   Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.entries t));
-  Trace.record t ~time:2.0 ~category:"c" "y";
-  Alcotest.(check int) "usable after clear" 1 (List.length (Trace.entries t))
-
-let test_trace_dump () =
-  let t = Trace.create () in
-  Trace.record t ~time:1.0 ~category:"cat" "something happened";
-  let s = Trace.dump t in
-  Alcotest.(check bool) "nonempty dump" true (String.length s > 0)
+  Alcotest.(check int) "cleared" 0 (Trace.length t);
+  Trace.emit t ~time:2.0 (note "c" "y");
+  Alcotest.(check (list string)) "usable after clear" [ "y" ] (messages t)
 
 (* Property: engine fires every scheduled event exactly once, in
    nondecreasing time order, for random schedules. *)
@@ -203,9 +198,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_trace_basic;
           Alcotest.test_case "disabled" `Quick test_trace_disabled;
-          Alcotest.test_case "recordf" `Quick test_trace_recordf;
           Alcotest.test_case "ring overflow" `Quick test_trace_ring_overflow;
           Alcotest.test_case "clear" `Quick test_trace_clear;
-          Alcotest.test_case "dump" `Quick test_trace_dump;
         ] );
     ]

@@ -587,7 +587,6 @@ let prop_wal_codec_is_boxed =
           && Wal.corrupt_tail c = Wal.corrupt_tail b
           && Wal.end_index c = Wal.end_index b
           && Wal.buffered c = Wal.buffered b
-          && Wal.version c = Wal.version b
           && Wal.sink_pending c = Wal.sink_pending b
           && !c_batches = !b_batches)
         ops)

@@ -1,10 +1,10 @@
 (* Tests for the observability layer: typed trace events and their JSONL /
-   Chrome exporters, probe sampling, and the JSON metric/outcome export. *)
+   Chrome exporters, telemetry sampling, and the JSON metric/outcome export. *)
 
 module Json = Dvp_util.Json
 module Engine = Dvp_sim.Engine
 module Trace = Dvp_trace.Trace
-module Probe = Dvp_sim.Probe
+module Telemetry = Dvp_obs.Telemetry
 module Spec = Dvp_workload.Spec
 module Setup = Dvp_workload.Setup
 module Runner = Dvp_workload.Runner
@@ -384,79 +384,31 @@ let test_chrome_export () =
     in
     Alcotest.(check bool) "crash instant present" true (List.mem "crash" phases)
 
-let test_compat_categories () =
-  let trace, _ = traced_run () in
-  Alcotest.(check bool) "commits seen" true (Trace.count trace ~category:"commit" > 0);
-  Alcotest.(check bool) "crash seen" true (Trace.count trace ~category:"crash" > 0);
-  Alcotest.(check bool) "recover seen" true (Trace.count trace ~category:"recover" > 0);
-  (* Typed and legacy views agree on cardinality. *)
-  Alcotest.(check int) "entries = events"
-    (List.length (Trace.events trace))
-    (List.length (Trace.entries trace))
-
 let test_probe_cadence () =
   let e = Engine.create () in
-  let ticks = ref 0 in
-  let p =
-    Probe.start e ~period:0.5 ~sample:(fun now ->
-        incr ticks;
-        now)
+  let tel = Telemetry.create () in
+  Telemetry.gauge tel "now" (fun () -> Engine.now e);
+  Telemetry.attach tel e ~period:0.5;
+  let points () =
+    match Telemetry.series tel with
+    | [ s ] -> s.Telemetry.points
+    | _ -> Alcotest.fail "expected one series"
   in
   Engine.run_until e 5.25;
-  Alcotest.(check int) "ten samples in 5.25s at 0.5s period" 10 !ticks;
-  Alcotest.(check int) "series matches" 10 (Probe.length p);
+  Alcotest.(check int) "ten samples in 5.25s at 0.5s period" 10 (List.length (points ()));
   List.iteri
     (fun i (t, v) ->
       Alcotest.(check (float 1e-9)) "sampled on the period" (0.5 *. float_of_int (i + 1)) t;
       Alcotest.(check (float 1e-9)) "sample saw the same clock" t v)
-    (Probe.series p);
-  Probe.stop p;
+    (points ());
+  Telemetry.stop tel;
+  Alcotest.(check int) "stop takes one final sample" 11 (List.length (points ()));
   Engine.run_until e 20.0;
-  Alcotest.(check int) "stop ends sampling" 10 (Probe.length p)
-
-let test_system_probe_conservation () =
-  let spec =
-    {
-      Spec.default with
-      Spec.label = "probe-test";
-      Spec.n_sites = 4;
-      Spec.items = [ (0, 1000) ];
-      Spec.arrival_rate = 50.0;
-      Spec.duration = 3.0;
-      Spec.seed = 5;
-    }
-  in
-  let sys = Setup.dvp_system spec in
-  let probe = Dvp.System.start_probe sys ~every:0.25 in
-  let driver = Dvp_workload.Driver.of_dvp sys in
-  ignore (Runner.run driver spec ());
-  Alcotest.(check bool) "sampled" true (Dvp_sim.Probe.length probe > 0);
-  (* Between events N = Σᵢ Nᵢ + N_M; the probe samples between events, and
-     only commits move the expected total, so each sample must conserve
-     whatever the expected total was — we check the weaker, time-invariant
-     form: fragments + in-flight stays non-negative and the series
-     serializes. *)
-  List.iter
-    (fun (_, s) ->
-      List.iter
-        (fun (item, frags) ->
-          let nm = List.assoc item s.Dvp.System.in_flight in
-          Alcotest.(check bool) "no negative aggregate" true
-            (Array.fold_left ( + ) 0 frags + nm >= 0))
-        s.Dvp.System.fragments)
-    (Dvp_sim.Probe.series probe);
-  match Json.parse (Json.to_string (Dvp.System.probe_series_to_json probe)) with
-  | Error e -> Alcotest.fail ("probe series JSON invalid: " ^ e)
-  | Ok json ->
-    let samples =
-      Json.to_list (Option.value ~default:Json.Null (Json.member "samples" json))
-    in
-    Alcotest.(check int) "all samples exported" (Dvp_sim.Probe.length probe)
-      (List.length samples)
+  Alcotest.(check int) "stop ends sampling" 11 (List.length (points ()))
 
 let test_probe_agrees_with_oracle () =
-  (* The probe's in-flight value is each site's cumulative ledger (sent −
-     received); the oracle replays the stable logs.  Periodic checkpoints
+  (* Each site's cumulative Vm ledger (sent − received), summed over the
+     sites, against the oracle, which replays the stable logs.  Periodic checkpoints
      truncate those logs, and site 2 crashes and recovers from a truncated
      one, so the ledgers must have crossed the checkpoints intact. *)
   let module System = Dvp.System in
@@ -477,15 +429,19 @@ let test_probe_agrees_with_oracle () =
   List.iter
     (fun at ->
       System.run_until sys at;
-      let s = System.probe_sample sys in
       List.iter
         (fun item ->
           let oracle = System.in_flight sys ~item in
           if oracle <> 0 then incr moving;
+          let ledger = ref 0 in
+          for i = 0 to System.n_sites sys - 1 do
+            let site = System.site sys i in
+            ledger :=
+              !ledger + Dvp.Site.value_sent site ~item - Dvp.Site.value_received site ~item
+          done;
           Alcotest.(check int)
             (Printf.sprintf "in flight, item %d at t=%.2f" item at)
-            oracle
-            (List.assoc item s.System.in_flight))
+            oracle !ledger)
         (System.items sys))
     [ 0.52; 0.97; 1.5; 2.02; 2.13; 2.6; 3.3; 4.71; 8.0 ];
   Alcotest.(check bool) "some pause saw value in flight" true (!moving > 0);
@@ -550,7 +506,6 @@ let () =
           Alcotest.test_case "jsonl skips garbage" `Quick test_jsonl_skips_garbage;
           Alcotest.test_case "drop count" `Quick test_drop_count;
           Alcotest.test_case "chrome well-formed" `Quick test_chrome_export;
-          Alcotest.test_case "compat categories" `Quick test_compat_categories;
         ] );
       ( "ring",
         [
@@ -564,7 +519,6 @@ let () =
       ( "probe",
         [
           Alcotest.test_case "cadence" `Quick test_probe_cadence;
-          Alcotest.test_case "system conservation" `Quick test_system_probe_conservation;
           Alcotest.test_case "agrees with the log oracle" `Quick test_probe_agrees_with_oracle;
         ] );
       ( "metrics",
