@@ -1778,7 +1778,7 @@ let chaos () =
           Table.fint (total "vm_accepted");
         ];
       List.iter
-        (fun (f : _ Dvp.Chaos.Harness.failure) ->
+        (fun (f : Dvp.Chaos.Harness.failure) ->
           let seed = f.Dvp.Chaos.Harness.result.Dvp.Chaos.Harness.seed in
           Printf.printf "  FAILED seed %d (%d violation(s)); reproduce with\n" seed
             (List.length f.Dvp.Chaos.Harness.result.Dvp.Chaos.Harness.violations);

@@ -9,9 +9,9 @@ module Driver = Dvp_workload.Driver
 module Setup = Dvp_workload.Setup
 module Json = Dvp_util.Json
 
-type 'plan seed_result = {
+type seed_result = {
   seed : int;
-  schedule : 'plan;
+  schedule : Faultplan.t;
   violations : (float * Oracle.violation) list;
   crashdump : string option;
   tallies : (string * int) list;
@@ -26,16 +26,14 @@ let lookup what tallies name =
 
 let tally r = lookup "tally" r.tallies
 
-type 'e substrate = {
+type substrate = {
   command : string;
   label : string;
   profile_json : Json.t;
   tally_names : string list;
   pp_totals : Format.formatter -> (string -> int) -> unit;
-  pp_plan : Format.formatter -> 'e list -> unit;
-  plan_to_json : 'e list -> Json.t;
-  shrinks : 'e list -> bool;
-  exec : seed:int -> plan:'e list option -> crashdumps:string option -> 'e list seed_result;
+  shrinks : Faultplan.t -> bool;
+  exec : seed:int -> plan:Faultplan.t option -> crashdumps:string option -> seed_result;
 }
 
 let violation_json (at, viol) =
@@ -190,21 +188,19 @@ let des ?extra_checks profile =
            vm accepted: %d"
           (t "committed") (t "submitted") (t "recoveries") (t "wal_repairs")
           (t "repaired_records") (t "vm_accepted"));
-    pp_plan = Faultplan.pp;
-    plan_to_json = Faultplan.to_json;
     shrinks = (fun _ -> true);
     exec =
       (fun ~seed ~plan ~crashdumps ->
         run_seed ~profile ~seed ?schedule:plan ?extra_checks ?crashdumps ());
   }
 
-type 'plan failure = { result : 'plan seed_result; shrunk : 'plan option }
+type failure = { result : seed_result; shrunk : Faultplan.t option }
 
-type 'e report = {
-  substrate : 'e substrate;
+type report = {
+  substrate : substrate;
   first_seed : int;
   seeds : int;
-  failures : 'e list failure list;
+  failures : failure list;
   totals : (string * int) list;
 }
 
@@ -230,15 +226,15 @@ let run ?(first_seed = 1) ~seeds ?crashdumps sub =
 
 let tallies_json tallies = Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) tallies)
 
-let failure_to_json sub { result; shrunk } =
+let failure_to_json { result; shrunk } =
   Json.Obj
     [
       ("seed", Json.Int result.seed);
       ("violations", Json.List (List.map violation_json result.violations));
       ("schedule_events", Json.Int (List.length result.schedule));
-      ("schedule", sub.plan_to_json result.schedule);
+      ("schedule", Faultplan.to_json result.schedule);
       ( "shrunk_schedule",
-        match shrunk with Some p -> sub.plan_to_json p | None -> Json.Null );
+        match shrunk with Some p -> Faultplan.to_json p | None -> Json.Null );
       ( "crashdump",
         match result.crashdump with Some p -> Json.String p | None -> Json.Null );
       ("tallies", tallies_json result.tallies);
@@ -251,7 +247,7 @@ let report_to_json r =
        ("first_seed", Json.Int r.first_seed);
        ("seeds", Json.Int r.seeds);
        ("violations", Json.Int (List.length r.failures));
-       ("failures", Json.List (List.map (failure_to_json r.substrate) r.failures));
+       ("failures", Json.List (List.map failure_to_json r.failures));
      ]
     @ List.map (fun (name, v) -> (name, Json.Int v)) r.totals)
 
@@ -274,10 +270,10 @@ let pp_failure sub ppf { result; shrunk } =
   match shrunk with
   | Some p ->
     Format.fprintf ppf "  minimal schedule (%d of %d events):@,    @[<v>%a@]@]"
-      (List.length p) n sub.pp_plan p
+      (List.length p) n Faultplan.pp p
   | None ->
     Format.fprintf ppf "  schedule (%d events, not shrunk):@,    @[<v>%a@]@]" n
-      sub.pp_plan result.schedule
+      Faultplan.pp result.schedule
 
 let pp_report ppf r =
   let sub = r.substrate in

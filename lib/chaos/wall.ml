@@ -1,11 +1,12 @@
 module Cluster = Dvp_runtime.Cluster
 module Supervisor = Dvp_runtime.Supervisor
-module Fault = Dvp_runtime.Fault
 module Walfile = Dvp_runtime.Walfile
 module Observer = Dvp_runtime.Observer
 module Config = Dvp_core.Config
 module Log_replay = Dvp_core.Log_replay
 module Health = Dvp_health.Health
+module Faultplan = Dvp_workload.Faultplan
+module Wal = Dvp_storage.Wal
 module Json = Dvp_util.Json
 
 type profile = {
@@ -14,11 +15,23 @@ type profile = {
   items : (int * int) list;
   load : float;
   amount : int;
-  spec : Fault.spec;
+  spec : Gen.wall_spec;
   watch_every : float;
   quiesce_timeout : float;
   shrink : bool;
 }
+
+let default_spec =
+  {
+    Gen.horizon = 2.0;
+    kills = 2.0;
+    kill_forever = false;
+    sink_fails = 1.0;
+    link_storms = 1.0;
+    min_downtime = 0.05;
+    max_downtime = 0.3;
+    torn_tail_prob = 0.25;
+  }
 
 let default_profile =
   {
@@ -27,7 +40,7 @@ let default_profile =
     items = [ (0, 4000); (1, 2400) ];
     load = 2.0;
     amount = 1;
-    spec = Fault.default_spec;
+    spec = default_spec;
     watch_every = 0.15;
     quiesce_timeout = 30.0;
     shrink = false;
@@ -38,7 +51,15 @@ let killer_profile =
     default_profile with
     name = "killer";
     load = 2.5;
-    spec = Fault.killer_spec;
+    spec =
+      {
+        default_spec with
+        Gen.kills = 3.0;
+        kill_forever = true;
+        sink_fails = 1.5;
+        link_storms = 1.5;
+        torn_tail_prob = 0.4;
+      };
   }
 
 let bounded_profile =
@@ -50,12 +71,12 @@ let bounded_profile =
     amount = 1;
     spec =
       {
-        Fault.default_spec with
-        Fault.horizon = 0.8;
-        Fault.kills = 1.0;
-        Fault.sink_fails = 0.5;
-        Fault.link_storms = 0.5;
-        Fault.max_downtime = 0.2;
+        default_spec with
+        Gen.horizon = 0.8;
+        kills = 1.0;
+        sink_fails = 0.5;
+        link_storms = 0.5;
+        max_downtime = 0.2;
       };
     watch_every = 0.1;
     quiesce_timeout = 15.0;
@@ -99,11 +120,117 @@ let cut_violations ~check (cut : Cluster.cut) =
             } ))
     cut.Cluster.cut_items
 
+(* ------------------------------------------------------ plan interpreter *)
+
+let performs = function
+  | Faultplan.Checkpoint _ | Faultplan.Join _ | Faultplan.Leave _ -> false
+  | _ -> true
+
+type performed = { respawns : int; torn : int; sink_fails : int }
+
+(* Run a plan against the wall clock, blocking until every event has fired
+   and every respawn it scheduled has happened (or its site's breaker
+   tripped).  Event times count from the call.  A [Storage_fault] is armed
+   for its site's next kill and performed right after that kill lands, on
+   the file: a torn frame of [persist] junk bytes (none for
+   [Corrupt_tail]).  A [Recover] respawns at the later of its own time and
+   the kill's time plus the site's backoff; after a [Kill_forever] the
+   site's recoveries are ignored, as on the DES. *)
+let perform sup plan =
+  let cluster = Supervisor.cluster sup in
+  let n = Cluster.n_sites cluster in
+  let armed = Array.make n None in
+  let killed_at = Array.make n 0.0 in
+  let forever = Array.make n false in
+  let respawns = ref 0 and torn = ref 0 and sink_fails = ref 0 in
+  (* Respawns due, soonest first: plan events and respawns share one clock. *)
+  let pending = ref [] in
+  let kill site =
+    let landed = Supervisor.kill sup site in
+    (match armed.(site) with
+    | Some fault when landed ->
+      let junk = match fault with Wal.Torn { persist } -> persist | Wal.Corrupt_tail -> 0 in
+      Walfile.tear (Option.get (Cluster.wal_path cluster site)) ~junk;
+      incr torn
+    | _ -> ());
+    armed.(site) <- None;
+    if landed then killed_at.(site) <- Cluster.now cluster
+  in
+  let perform_action = function
+    | Faultplan.Crash s -> kill s
+    | Faultplan.Kill_forever s ->
+      (* Whether the kill lands now or the site is already down, it stays
+         down: cancel any respawn pending for it. *)
+      kill s;
+      forever.(s) <- true;
+      pending := List.filter (fun (_, i) -> i <> s) !pending
+    | Faultplan.Recover s ->
+      if not forever.(s) then begin
+        let due =
+          Float.max (Cluster.now cluster) (killed_at.(s) +. Supervisor.backoff sup s)
+        in
+        pending := List.merge compare [ (due, s) ] !pending
+      end
+    | Faultplan.Storage_fault (s, fault) -> armed.(s) <- Some fault
+    | Faultplan.Fail_forces (s, count) ->
+      incr sink_fails;
+      Cluster.fail_forces cluster s ~count
+    | Faultplan.Set_links p -> Cluster.set_links cluster p
+    | Faultplan.Partition groups -> Cluster.set_partition cluster groups
+    | Faultplan.Heal -> Cluster.heal_partition cluster
+    | Faultplan.Checkpoint _ | Faultplan.Join _ | Faultplan.Leave _ ->
+      assert false (* refused by [performs] before the run *)
+  in
+  let t0 = Cluster.now cluster in
+  let rec loop events =
+    let next_event =
+      match events with [] -> infinity | e :: _ -> t0 +. e.Faultplan.at
+    in
+    let next_respawn = match !pending with [] -> infinity | (at, _) :: _ -> at in
+    let due = Float.min next_event next_respawn in
+    if due < infinity then begin
+      let now = Cluster.now cluster in
+      if due > now then begin
+        Unix.sleepf (Float.min 0.05 (due -. now));
+        loop events
+      end
+      else if next_event <= next_respawn then begin
+        perform_action (List.hd events).Faultplan.action;
+        loop (List.tl events)
+      end
+      else begin
+        let i = snd (List.hd !pending) in
+        pending := List.tl !pending;
+        if Supervisor.revive sup i <> None then incr respawns;
+        loop events
+      end
+    end
+  in
+  loop (Faultplan.merge plan []);
+  { respawns = !respawns; torn = !torn; sink_fails = !sink_fails }
+
+(* Distinct sites the plan kills; with [forever], only permanently. *)
+let killed ?(forever = false) plan =
+  List.filter_map
+    (fun e ->
+      match e.Faultplan.action with
+      | Faultplan.Kill_forever s -> Some s
+      | Faultplan.Crash s when not forever -> Some s
+      | _ -> None)
+    plan
+  |> List.sort_uniq compare
+
+(* -------------------------------------------------------------- one seed *)
+
 let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
   let plan =
-    match plan with Some p -> p | None -> Fault.plan ~seed ~n:profile.n profile.spec
+    match plan with Some p -> p | None -> Gen.wall_plan ~seed ~n:profile.n profile.spec
   in
+  (* Refuse before anything is spawned or created, so a bad plan leaks
+     neither domains nor a WAL directory. *)
+  Faultplan.validate ~who:"the wall runtime" ~n_sites:profile.n ~performs plan;
   let wal_dir = Walfile.temp_dir (Printf.sprintf "wall-%d" seed) in
+  Fun.protect ~finally:(fun () -> Walfile.remove_dir wal_dir) @@ fun () ->
   let config =
     {
       Config.default with
@@ -115,10 +242,12 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
     Cluster.create ~seed ~config ~wal_dir ~tracing:true ~n:profile.n
       ~items:profile.items ()
   in
+  Fun.protect ~finally:(fun () -> Cluster.stop cluster) @@ fun () ->
   let observer =
     Observer.start ~every:profile.watch_every ~watchdog:true
       ?flight_dir:crashdumps cluster
   in
+  Fun.protect ~finally:(fun () -> Observer.stop observer) @@ fun () ->
   let sup = Supervisor.create cluster in
   let violations = ref [] in
   let viol check fmt =
@@ -129,7 +258,7 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
   in
   let t0 = Unix.gettimeofday () in
   Cluster.start_bg_load cluster ~duration:profile.load ~amount:profile.amount ();
-  let pr = Supervisor.run_plan sup plan in
+  let done_ = perform sup plan in
   (* Let the background load run out before healing, so recovery always
      happens under traffic rather than on an idle cluster. *)
   let remain = t0 +. profile.load -. Unix.gettimeofday () in
@@ -166,7 +295,7 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
   (* Recovery evidence: every killed site must have replayed its stable log
      (install records guarantee a non-empty log, so zero replay means the
      respawn never read the file), and the run must have carried traffic. *)
-  let kills = Fault.kills_of plan in
+  let kills = killed plan in
   let replayed =
     List.fold_left
       (fun acc i ->
@@ -219,9 +348,6 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
         ~label:(Printf.sprintf "wall-seed%d" seed) ordered
   in
   let drops, dups, delays = Cluster.chaos_counts cluster in
-  Observer.stop observer;
-  Cluster.stop cluster;
-  Walfile.remove_dir wal_dir;
   {
     Harness.seed;
     schedule = plan;
@@ -230,11 +356,11 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
     tallies =
       [
         ("kills", List.length kills);
-        ("permanent_kills", List.length (Fault.forever_of plan));
-        ("respawns", pr.Supervisor.pr_respawns + !revived);
+        ("permanent_kills", List.length (killed ~forever:true plan));
+        ("respawns", done_.respawns + !revived);
         ("replayed_records", replayed);
-        ("torn_tails", pr.Supervisor.pr_torn);
-        ("sink_fails", pr.Supervisor.pr_sink_fails);
+        ("torn_tails", done_.torn);
+        ("sink_fails", done_.sink_fails);
         ("msgs_dropped", drops);
         ("msgs_duplicated", dups);
         ("msgs_delayed", delays);
@@ -261,8 +387,6 @@ let substrate profile =
           (t "kills") (t "permanent_kills") (t "respawns") (t "replayed_records")
           (t "torn_tails") (t "sink_fails") (t "msgs_dropped") (t "msgs_duplicated")
           (t "msgs_delayed") (t "bg_committed"));
-    pp_plan = Fault.pp;
-    plan_to_json = Fault.to_json;
     (* Shrinking re-runs the plan on real hardware, so the minimal plan is
        evidence (it failed when re-run), not proof of determinism.  Bounded
        to short plans: each probe is a full wall-clock run. *)

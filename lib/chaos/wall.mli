@@ -5,13 +5,27 @@
     simulated instants, this one drives the multicore runtime: real hard
     kills of site domains mid-traffic, real file-backed recovery, real
     races.  This module keeps only what is specific to the runtime — its
-    profiles and the body of one seed; {!Harness} owns the seed loop, the
-    shrink step, the report, its JSON and its printer.
+    profiles, its interpreter of {!Dvp_workload.Faultplan} plans, and the
+    body of one seed; {!Harness} owns the seed loop, the shrink step, the
+    report, its JSON and its printer.
 
     Each seed builds a cluster with a file-backed WAL per site, starts the
-    self-driving background load, executes a seeded {!Dvp_runtime.Fault}
-    plan through {!Dvp_runtime.Supervisor}, then heals, revives every
-    remaining dead site, quiesces, and audits:
+    self-driving background load, and runs a fault plan ({!Gen.wall_plan}
+    unless one is given) against the wall clock:
+    - [Crash] and [Kill_forever] hard-kill the site's domain through
+      {!Dvp_runtime.Supervisor}; a [Recover] respawns it from its WAL file
+      at the later of its own time and the kill's time plus the site's
+      restart backoff, and is ignored after a [Kill_forever];
+    - a [Storage_fault] tears the site's WAL file just after its next kill
+      lands ({!Dvp_runtime.Walfile.tear}, [persist] junk bytes);
+    - [Fail_forces], [Set_links], [Partition] and [Heal] go to the
+      {!Dvp_runtime.Cluster} knobs of the same names;
+    - [Checkpoint], [Join] and [Leave] cannot run here: a plan holding one,
+      or naming a site outside the profile's [n], is refused with
+      [Invalid_argument] before any domain or file is created.
+
+    Then it heals, revives every remaining dead site, quiesces, and
+    audits:
 
     - the watchdog's freeze-barrier cuts, sampled live throughout the run
       by {!Dvp_runtime.Observer} (exact even while sites are dead —
@@ -41,7 +55,7 @@ type profile = {
   items : (int * int) list;  (** (item, installed total) *)
   load : float;  (** background-load duration, seconds *)
   amount : int;  (** per-op value of the background load *)
-  spec : Dvp_runtime.Fault.spec;  (** fault-plan envelope *)
+  spec : Gen.wall_spec;  (** fault-plan envelope *)
   watch_every : float;  (** observer tick / watchdog cut period *)
   quiesce_timeout : float;
   shrink : bool;  (** minimize failing plans by re-running *)
@@ -63,12 +77,13 @@ val profile_of_string : string -> profile option
 val run_seed :
   profile:profile ->
   seed:int ->
-  ?plan:Dvp_runtime.Fault.t ->
+  ?plan:Dvp_workload.Faultplan.t ->
   ?crashdumps:string ->
   unit ->
-  Dvp_runtime.Fault.t Harness.seed_result
-(** Run one seed.  [plan] overrides the generated
-    {!Dvp_runtime.Fault.plan} (used by the shrinker and tests).
+  Harness.seed_result
+(** Run one seed.  [plan] overrides the generated {!Gen.wall_plan} (used
+    by the shrinker and tests).  The cluster, its observer and its WAL
+    directory are released however the run ends.
     [crashdumps] names a directory for flight-recorder dumps of failing
     runs.  Its tallies are [kills] and [permanent_kills] (distinct sites
     the plan killed, and of those the permanent ones), [respawns] (plan
@@ -76,6 +91,6 @@ val run_seed :
     [torn_tails], [sink_fails], [msgs_dropped], [msgs_duplicated],
     [msgs_delayed] and [bg_committed] (background transactions). *)
 
-val substrate : profile -> Dvp_runtime.Fault.event Harness.substrate
+val substrate : profile -> Harness.substrate
 (** {!run_seed} under [profile], for {!Harness.run}: reproduce lines read
     [chaos --wall --profile P --seed N --seeds 1]. *)

@@ -40,7 +40,6 @@ module Shards = Dvp_trace.Shards
 module Cluster = Dvp_runtime.Cluster
 module Observer = Dvp_runtime.Observer
 module Supervisor = Dvp_runtime.Supervisor
-module Fault = Dvp_runtime.Fault
 module Walfile = Dvp_runtime.Walfile
 
 (* Failure detection. *)

@@ -147,6 +147,10 @@ type chaos_counters = {
   cc_delays : int Atomic.t;
 }
 
+(* What every inter-domain send reads, in its one atomic load: the link
+   quality and, while a partition is on, each site's group. *)
+type links = { params : Linkstate.params; group_of : int array option }
+
 type spawn_mode = Fresh | Respawn
 
 type t = {
@@ -165,7 +169,7 @@ type t = {
   cut_mutex : Mutex.t; (* serialises cut takers, kills, and respawns *)
   wal_dir : string option;
   master_rng : Rng.t; (* respawn streams; guarded by cut_mutex *)
-  links : Linkstate.params Atomic.t;
+  links : links Atomic.t; (* written by the main thread only *)
   chaos : chaos_counters;
   bg_deltas : int Atomic.t array array; (* site × item index *)
   bg_committed : int Atomic.t array; (* per site *)
@@ -288,23 +292,32 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   let net_rng = Rng.split rng in
   let bg_rng = Rng.split rng in
   let deliver dst msg = Mailbox.push mailboxes.(dst) (Deliver (self, msg)) in
-  (* Every inter-domain send passes through the live link-quality knob: a
-     storm turns the lossless mailbox transport into a lossy, reordering,
-     duplicating network — precisely the fault model the Vm acknowledgement
-     protocol exists to absorb. *)
+  (* Every inter-domain send passes through the live links: a partition
+     drops what crosses groups, as the DES Network does, and a storm turns
+     the lossless mailbox transport into a lossy, reordering, duplicating
+     network — precisely the fault model the Vm acknowledgement protocol
+     exists to absorb.  A delayed copy is dropped at delivery too if a
+     partition has cut the link meanwhile. *)
+  let crosses l dst = match l.group_of with Some g -> g.(self) <> g.(dst) | None -> false in
   let send ~dst msg =
     let l = Atomic.get links in
-    if l.Linkstate.loss_prob > 0.0 && Rng.bernoulli net_rng l.Linkstate.loss_prob then
-      Atomic.incr chaos.cc_drops
+    let p = l.params in
+    if
+      crosses l dst
+      || (p.Linkstate.loss_prob > 0.0 && Rng.bernoulli net_rng p.Linkstate.loss_prob)
+    then Atomic.incr chaos.cc_drops
     else begin
-      if Linkstate.duplicates_p l net_rng then begin
+      if Linkstate.duplicates_p p net_rng then begin
         Atomic.incr chaos.cc_dups;
         deliver dst msg
       end;
-      if l.Linkstate.delay_mean > 0.0 || l.Linkstate.delay_jitter > 0.0 then begin
+      if p.Linkstate.delay_mean > 0.0 || p.Linkstate.delay_jitter > 0.0 then begin
         Atomic.incr chaos.cc_delays;
-        let at = now () +. Linkstate.sample_delay_p l net_rng in
-        ignore (sched at (fun () -> deliver dst msg))
+        let at = now () +. Linkstate.sample_delay_p p net_rng in
+        ignore
+          (sched at (fun () ->
+               if crosses (Atomic.get links) dst then Atomic.incr chaos.cc_drops
+               else deliver dst msg))
       end
       else deliver dst msg
     end
@@ -551,7 +564,7 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
     if tracing then Some (Shards.create ~capacity:trace_capacity ~n:(n + 1) ()) else None
   in
   let shard_of i = Option.map (fun s -> Shards.shard s i) shards in
-  let links = Atomic.make Linkstate.quiet in
+  let links = Atomic.make { params = Linkstate.quiet; group_of = None } in
   let chaos =
     { cc_drops = Atomic.make 0; cc_dups = Atomic.make 0; cc_delays = Atomic.make 0 }
   in
@@ -759,7 +772,22 @@ let sample_cut t =
 
 (* --------------------------------------------------------- fault surface *)
 
-let set_links t l = Atomic.set t.links l
+let set_links t params = Atomic.set t.links { (Atomic.get t.links) with params }
+
+let set_partition t groups =
+  (* Unmentioned sites each get a singleton group, as in the DES Network. *)
+  let g = Array.init t.n (fun i -> -(i + 1)) in
+  List.iteri
+    (fun gid members ->
+      List.iter
+        (fun m ->
+          if m < 0 || m >= t.n then invalid_arg "Cluster.set_partition: site out of range";
+          g.(m) <- gid)
+        members)
+    groups;
+  Atomic.set t.links { (Atomic.get t.links) with group_of = Some g }
+
+let heal_partition t = Atomic.set t.links { (Atomic.get t.links) with group_of = None }
 
 let chaos_counts t =
   (Atomic.get t.chaos.cc_drops, Atomic.get t.chaos.cc_dups, Atomic.get t.chaos.cc_delays)

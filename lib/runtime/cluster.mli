@@ -5,9 +5,9 @@
     parallelism: each site runs in its own domain with a serial event loop
     (so the substrate's serial-execution invariant holds), wall-clock timers,
     mailbox transport between domains (lossless and FIFO per pair unless a
-    {!set_links} storm is on — real channels still go through the full Vm
-    acknowledgement protocol), and optionally a file per site backing every
-    WAL force ({!Walfile} frames).
+    {!set_links} storm or a {!set_partition} is on — real channels still go
+    through the full Vm acknowledgement protocol), and optionally a file
+    per site backing every WAL force ({!Walfile} frames).
 
     The main thread is the client: {!exec} ships a transaction to its home
     site's mailbox and blocks for the outcome; {!run_load} puts every site in
@@ -137,7 +137,7 @@ val conserved_all : t -> bool
 (** {1 Crash-restart}
 
     The supervision surface: hard kills, respawns, and the fault-injection
-    knobs {!Supervisor} drives from a {!Fault.t} plan. *)
+    knobs the wall chaos harness drives from a fault plan. *)
 
 val site_alive : t -> int -> bool
 
@@ -176,10 +176,25 @@ val set_links : t -> Dvp_net.Linkstate.params -> unit
     sender's own RNG stream).  {!Dvp_net.Linkstate.quiet} links push
     straight into the peer's mailbox with no draw and no timer.
     Control-plane traffic (stats, cuts, kills) is never perturbed — only
-    protocol messages ride the links. *)
+    protocol messages ride the links.  Leaves any partition in place.
+    Main thread only. *)
+
+val set_partition : t -> int list list -> unit
+(** Split the sites into groups, as the DES network's partitions do: every
+    protocol message between two groups is dropped and counted as a drop
+    in {!chaos_counts}, whatever the link quality.  Sites no group names
+    each form a group of their own.  Effective immediately; a delayed copy
+    still in flight is dropped at delivery if it would cross groups.  Main
+    thread only.
+    @raise Invalid_argument if a group names a site outside the cluster. *)
+
+val heal_partition : t -> unit
+(** Reconnect every group ({!set_partition} undone); link quality is
+    unchanged.  Main thread only. *)
 
 val chaos_counts : t -> int * int * int
-(** (dropped, duplicated, delayed) message counts since creation. *)
+(** (dropped, duplicated, delayed) message counts since creation; drops
+    count both link loss and partition cuts. *)
 
 val fail_forces : t -> int -> count:int -> unit
 (** Make site [i]'s next [count] WAL file forces fail: the sink raises

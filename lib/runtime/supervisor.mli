@@ -1,14 +1,12 @@
 (** Per-site crash-restart supervision for a running {!Cluster}.
 
-    The supervisor owns the kill/respawn lifecycle: it executes {!Fault.t}
-    plans against the wall clock ({!run_plan}), applies exponential restart
-    backoff per site, and trips a restart-storm circuit breaker when a site
-    restarts too often inside a sliding window — a site that cannot stay up
-    stays down until an operator {!reset_breaker}s it, rather than burning
-    the machine in a crash loop.
-
-    Manual {!kill} / {!revive} expose the same machinery to the serve REPL
-    and tests without a plan. *)
+    The supervisor owns the kill/respawn lifecycle: {!kill} and {!revive},
+    exponential restart backoff per site, and a restart-storm circuit
+    breaker that trips when a site restarts too often inside a sliding
+    window — a site that cannot stay up stays down until an operator
+    {!reset_breaker}s it, rather than burning the machine in a crash loop.
+    The wall chaos harness ([Dvp_chaos.Wall]) drives it from a fault plan;
+    the serve REPL and tests drive it by hand. *)
 
 type policy = {
   backoff_base : float;  (** first respawn delay floor, seconds *)
@@ -40,8 +38,9 @@ val revive : t -> int -> int option
     bookkeeping.  Returns the replayed record count; [None] if alive. *)
 
 val heal : t -> unit
-(** Quiet the links ({!Dvp_net.Linkstate.quiet}) and broadcast peer-up so detectors
-    drop stale suspicion — the end-of-chaos convergence step. *)
+(** Reconnect any partition, quiet the links ({!Dvp_net.Linkstate.quiet})
+    and broadcast peer-up so detectors drop stale suspicion — the
+    end-of-chaos convergence step. *)
 
 val breaker_tripped : t -> int -> bool
 
@@ -52,25 +51,8 @@ val reset_breaker : t -> int -> unit
 val restarts : t -> int -> int
 (** Total respawns of site [i] performed by this supervisor. *)
 
-(** {2 Plan execution} *)
-
-(** What a {!run_plan} did — the evidence the chaos harness audits. *)
-type plan_report = {
-  pr_kills : int;  (** kill events executed (transient + forever) *)
-  pr_respawns : int;  (** respawns performed *)
-  pr_replayed : (int * int) list;  (** (site, records replayed), per respawn sum *)
-  pr_forever : int list;  (** sites left dead by [Kill_forever] *)
-  pr_breaker : int list;  (** sites whose breaker tripped during the plan *)
-  pr_sink_fails : int;  (** force-failure budgets injected *)
-  pr_storms : int;  (** link storms applied *)
-  pr_torn : int;  (** WAL tails torn before respawn *)
-}
-
-val run_plan : t -> Fault.t -> plan_report
-(** Execute a fault plan against the wall clock, blocking the calling thread
-    until every event has fired and every pending respawn has completed (or
-    its breaker tripped).  Kills are immediate hard kills; the respawn of a
-    transient kill happens at [kill time + max(downtime, backoff)]; a
-    [wal_fault] damages the victim's file between the kill and the respawn,
-    so the respawn exercises the torn-tail repair path for real. *)
-
+val backoff : t -> int -> float
+(** Site [i]'s current restart backoff: how long after a kill its next
+    scheduled respawn may come at the earliest.  Starts at the policy's
+    base and grows by its multiplier, up to its ceiling, on every
+    restart. *)

@@ -11,6 +11,7 @@ type action =
   | Storage_fault of Dvp_core.Ids.site * Dvp_storage.Wal.fault
   | Join of Dvp_core.Ids.site
   | Leave of Dvp_core.Ids.site
+  | Fail_forces of Dvp_core.Ids.site * int
 
 type event = { at : float; action : action }
 
@@ -113,27 +114,6 @@ let random ~rng ~n_sites ~until ?(start = 0.0) ?(crash_rate = 0.0)
   in
   merge crashes (merge partitions losses)
 
-(* ------------------------------------------------------------ application *)
-
-let apply (d : Driver.t) = function
-  | Partition groups -> d.Driver.partition groups
-  | Heal -> d.Driver.heal ()
-  | Crash s -> d.Driver.crash s
-  | Recover s -> d.Driver.recover s
-  | Kill_forever s -> d.Driver.kill_forever s
-  | Set_links p -> d.Driver.set_links p
-  | Checkpoint s -> d.Driver.checkpoint s
-  | Storage_fault (s, f) -> d.Driver.inject_storage_fault s f
-  | Join s -> d.Driver.join s
-  | Leave s -> d.Driver.leave s
-
-let schedule d plan =
-  List.iter
-    (fun { at = time; action } ->
-      ignore
-        (Dvp_substrate.Substrate.schedule_at d.Driver.sub ~at:time (fun () -> apply d action)))
-    plan
-
 (* -------------------------------------------------------------- printing *)
 
 let action_label = function
@@ -148,8 +128,9 @@ let action_label = function
   | Recover s -> Printf.sprintf "recover site %d" s
   | Kill_forever s -> Printf.sprintf "kill site %d forever" s
   | Set_links p ->
-    Printf.sprintf "set-links loss=%.2f dup=%.2f" p.Dvp_net.Linkstate.loss_prob
-      p.Dvp_net.Linkstate.dup_prob
+    Printf.sprintf "set-links loss=%.2f dup=%.2f delay=%.4f+%.4f" p.Dvp_net.Linkstate.loss_prob
+      p.Dvp_net.Linkstate.dup_prob p.Dvp_net.Linkstate.delay_mean
+      p.Dvp_net.Linkstate.delay_jitter
   | Checkpoint s -> Printf.sprintf "checkpoint site %d" s
   | Storage_fault (s, Dvp_storage.Wal.Torn { persist }) ->
     Printf.sprintf "storage-fault site %d: torn flush (persist %d)" s persist
@@ -157,6 +138,7 @@ let action_label = function
     Printf.sprintf "storage-fault site %d: corrupt tail" s
   | Join s -> Printf.sprintf "join site %d" s
   | Leave s -> Printf.sprintf "leave site %d" s
+  | Fail_forces (s, n) -> Printf.sprintf "fail %d forces at site %d" n s
 
 let pp_event ppf e = Format.fprintf ppf "[%8.4f] %s" e.at (action_label e.action)
 
@@ -171,8 +153,77 @@ let pp ppf plan =
 
 let to_json plan =
   let module Json = Dvp_util.Json in
+  let site kind s rest = (kind, ("site", Json.Int s) :: rest) in
+  let ints l = Json.List (List.map (fun s -> Json.Int s) l) in
+  let fields = function
+    | Partition groups -> ("partition", [ ("groups", Json.List (List.map ints groups)) ])
+    | Heal -> ("heal", [])
+    | Crash s -> site "crash" s []
+    | Recover s -> site "recover" s []
+    | Kill_forever s -> site "kill_forever" s []
+    | Set_links p ->
+      ( "set_links",
+        [
+          ("delay_mean", Json.Float p.Dvp_net.Linkstate.delay_mean);
+          ("delay_jitter", Json.Float p.Dvp_net.Linkstate.delay_jitter);
+          ("loss_prob", Json.Float p.Dvp_net.Linkstate.loss_prob);
+          ("dup_prob", Json.Float p.Dvp_net.Linkstate.dup_prob);
+        ] )
+    | Checkpoint s -> site "checkpoint" s []
+    | Storage_fault (s, Dvp_storage.Wal.Torn { persist }) ->
+      site "storage_fault" s [ ("fault", Json.String "torn"); ("persist", Json.Int persist) ]
+    | Storage_fault (s, Dvp_storage.Wal.Corrupt_tail) ->
+      site "storage_fault" s [ ("fault", Json.String "corrupt_tail") ]
+    | Join s -> site "join" s []
+    | Leave s -> site "leave" s []
+    | Fail_forces (s, n) -> site "fail_forces" s [ ("count", Json.Int n) ]
+  in
   Json.List
     (List.map
        (fun e ->
-         Json.Obj [ ("at", Json.Float e.at); ("action", Json.String (action_label e.action)) ])
+         let kind, rest = fields e.action in
+         Json.Obj (("at", Json.Float e.at) :: ("kind", Json.String kind) :: rest))
        plan)
+
+(* ------------------------------------------------------------ application *)
+
+let sites_of = function
+  | Partition groups -> List.concat groups
+  | Heal | Set_links _ -> []
+  | Crash s | Recover s | Kill_forever s | Checkpoint s | Storage_fault (s, _) | Join s
+  | Leave s | Fail_forces (s, _) ->
+    [ s ]
+
+let validate ~who ~n_sites ~performs plan =
+  List.iter
+    (fun e ->
+      let refuse why =
+        invalid_arg (Format.asprintf "%s %s %a" who why pp_event e)
+      in
+      if List.exists (fun s -> s < 0 || s >= n_sites) (sites_of e.action) then
+        refuse (Printf.sprintf "has no such site (%d sites):" n_sites)
+      else if not (performs e.action) then refuse "cannot perform")
+    plan
+
+let apply (d : Driver.t) = function
+  | Partition groups -> d.Driver.partition groups
+  | Heal -> d.Driver.heal ()
+  | Crash s -> d.Driver.crash s
+  | Recover s -> d.Driver.recover s
+  | Kill_forever s -> d.Driver.kill_forever s
+  | Set_links p -> d.Driver.set_links p
+  | Checkpoint s -> d.Driver.checkpoint s
+  | Storage_fault (s, f) -> d.Driver.inject_storage_fault s f
+  | Join s -> d.Driver.join s
+  | Leave s -> d.Driver.leave s
+  | Fail_forces _ -> assert false (* refused by [validate] *)
+
+let schedule d plan =
+  validate ~who:"the DES" ~n_sites:d.Driver.n_sites
+    ~performs:(function Fail_forces _ -> false | _ -> true)
+    plan;
+  List.iter
+    (fun { at = time; action } ->
+      ignore
+        (Dvp_substrate.Substrate.schedule_at d.Driver.sub ~at:time (fun () -> apply d action)))
+    plan

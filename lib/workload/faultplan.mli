@@ -1,10 +1,15 @@
-(** Declarative fault schedules.
+(** Declarative fault schedules: the one fault vocabulary of both
+    substrates.
 
-    A plan is a list of timed actions applied to a {!Driver.t}; experiments
-    build plans with the combinators below and hand them to {!Runner.run}.
-    Beyond the curated combinators, {!random} draws a whole schedule from a
+    A plan is a list of timed actions.  On the DES, {!schedule} installs it
+    on a {!Driver.t}; experiments build plans with the combinators below and
+    hand them to {!Runner.run}, and {!random} draws a whole schedule from a
     seeded {!Dvp_util.Rng.t} so experiments (and the chaos harness) can mix
-    hand-written and randomized faults via {!merge}. *)
+    hand-written and randomized faults via {!merge}.  The wall-clock runtime
+    runs the same plans through [Dvp_chaos.Wall].  Each substrate refuses,
+    before its run starts ({!validate}), an action it cannot perform: the
+    DES cannot fail forces (it has no file sink); the wall cannot
+    checkpoint, join or leave. *)
 
 type action =
   | Partition of Dvp_core.Ids.site list list
@@ -17,13 +22,18 @@ type action =
   | Checkpoint of Dvp_core.Ids.site
       (** force a snapshot record and truncate the site's log *)
   | Storage_fault of Dvp_core.Ids.site * Dvp_storage.Wal.fault
-      (** arm a WAL fault, applied at the site's next crash *)
+      (** arm a WAL fault, applied at the site's next crash.  The wall
+          tears the site's WAL file after the kill instead, with a torn
+          frame of [persist] junk bytes ([Corrupt_tail]: none) *)
   | Join of Dvp_core.Ids.site
       (** bring a detached spare slot online through the membership
           handshake (no-op for baselines, which have a fixed roster) *)
   | Leave of Dvp_core.Ids.site
       (** start a graceful voluntary leave of a member (no-op for
           baselines) *)
+  | Fail_forces of Dvp_core.Ids.site * int
+      (** make the site's next [n] WAL file forces fail: the batch is
+          retained and re-offered (wall only) *)
 
 type event = { at : float; action : action }
 
@@ -89,12 +99,21 @@ val merge : t -> t -> t
     relative order, so a [Storage_fault] placed before its [Crash] at the
     same instant stays before it. *)
 
+val validate : who:string -> n_sites:int -> performs:(action -> bool) -> t -> unit
+(** Refuse a plan before a run starts: raises [Invalid_argument] naming
+    the first event that names a site outside [0, n_sites) or whose action
+    [performs] rejects, e.g. ["the DES cannot perform [  0.4000] fail 2
+    forces at site 1"].  [who] names the substrate. *)
+
 val schedule : Driver.t -> t -> unit
-(** Install every event on the driver's engine. *)
+(** Install every event on the driver's engine, after {!validate} against
+    the driver's sites: the DES performs every action but [Fail_forces]. *)
 
 (** {2 Printing} *)
 
 val action_label : action -> string
+(** Every field of the action, e.g. ["set-links loss=0.25 dup=0.10
+    delay=0.0000+0.0125"]. *)
 
 val pp_event : Format.formatter -> event -> unit
 
@@ -103,4 +122,7 @@ val pp : Format.formatter -> t -> unit
     schedules in. *)
 
 val to_json : t -> Dvp_util.Json.t
-(** [[{"at": t, "action": "<label>"}, ...]]. *)
+(** [[{"at": t, "kind": "<kind>", ...}, ...]]: one object per event with
+    every field of its action — [site], [count], [groups], the four link
+    parameters, or [fault] (["torn"] with [persist], or
+    ["corrupt_tail"]). *)

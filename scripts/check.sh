@@ -31,6 +31,14 @@ if grep -rnE 'Dvp_util\.Heap|module Heap\b' lib | grep -vE '^lib/util/heap\.mli?
   exit 1
 fi
 
+# One fault vocabulary: both substrates run Dvp_workload.Faultplan plans, so
+# no other fault action type may appear under lib/.
+echo "== one fault vocabulary under lib/ =="
+if grep -rnE '^\s*(type|and) +action\b' lib | grep -vE '^lib/workload/faultplan\.mli?:'; then
+  echo "a second fault action type is defined under lib/; extend Faultplan.action" >&2
+  exit 1
+fi
+
 # @fmt needs the ocamlformat binary, which not every environment carries.
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
@@ -126,12 +134,16 @@ else
   echo "== skipping multicore smoke (host has $cores core(s), need >= 2) =="
 fi
 
-# Wall-clock chaos smoke: seeded crash-restart fuzzing on the real domains
-# runtime — hard kills mid-traffic, torn WAL tails, WAL sink faults, and
-# link storms, with the freeze-barrier cut oracle and, at quiesce, the
-# stable-log audit the DES chaos runs too (Oracle.check_logs over every WAL
-# file, against the live fragments and in-flight value).  The bounded profile keeps plans small and shrinks on
-# failure.  One killer seed adds the permanent kill and the end-of-run
+# Wall-clock chaos smoke: seeded Faultplan plans on the real domains
+# runtime — hard kills mid-traffic (Crash, with a Recover after the
+# downtime; Kill_forever), torn WAL tails (Storage_fault), forced-write
+# failures (Fail_forces) and link storms (Set_links) — with the
+# freeze-barrier cut oracle and, at quiesce, the stable-log audit the DES
+# chaos runs too (Oracle.check_logs over every WAL file, against the live
+# fragments and in-flight value).  The wall also performs Partition and
+# Heal, which its profiles do not draw yet (test_chaos "wall partition
+# drops and heals" runs one).  The bounded profile keeps plans small and
+# shrinks on failure.  One killer seed adds the permanent kill and the end-of-run
 # revival.  Real parallelism (and a meaningful kill of a *running* domain)
 # needs >= 2 cores; below that the stage is skipped with a notice.  Widen
 # with e.g. WALL_CHAOS_SEEDS=20.

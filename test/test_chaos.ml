@@ -70,6 +70,122 @@ let test_merge_keeps_equal_time_order () =
       (String.length crash >= 5 && String.sub crash 0 5 = "crash")
   | _ -> Alcotest.fail "expected exactly the two same-time events"
 
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* One event of every constructor: the printer shows every field's value
+   and the JSON object carries every field, so a failing seed's schedule
+   is the plan that ran. *)
+let test_plan_fields_printed () =
+  let links =
+    {
+      Dvp_net.Linkstate.delay_mean = 0.0125;
+      delay_jitter = 0.0075;
+      loss_prob = 0.25;
+      dup_prob = 0.5;
+    }
+  in
+  let cases =
+    [
+      (Faultplan.Partition [ [ 0; 1 ]; [ 2 ] ], [ "[0 1] | [2]" ], [ "groups" ]);
+      (Faultplan.Heal, [ "heal" ], []);
+      (Faultplan.Crash 3, [ "3" ], [ "site" ]);
+      (Faultplan.Recover 4, [ "4" ], [ "site" ]);
+      (Faultplan.Kill_forever 5, [ "5" ], [ "site" ]);
+      ( Faultplan.Set_links links,
+        [ "0.0125"; "0.0075"; "0.25"; "0.50" ],
+        [ "delay_mean"; "delay_jitter"; "loss_prob"; "dup_prob" ] );
+      (Faultplan.Checkpoint 6, [ "6" ], [ "site" ]);
+      ( Faultplan.Storage_fault (7, Wal.Torn { persist = 11 }),
+        [ "7"; "torn"; "11" ],
+        [ "site"; "fault"; "persist" ] );
+      (Faultplan.Storage_fault (8, Wal.Corrupt_tail), [ "8"; "corrupt" ], [ "site"; "fault" ]);
+      (Faultplan.Join 9, [ "9" ], [ "site" ]);
+      (Faultplan.Leave 10, [ "10" ], [ "site" ]);
+      (Faultplan.Fail_forces (12, 13), [ "12"; "13" ], [ "site"; "count" ]);
+    ]
+  in
+  List.iter
+    (fun (action, shown, keys) ->
+      let plan = [ Faultplan.at 0.375 action ] in
+      let text = Format.asprintf "%a" Faultplan.pp plan in
+      List.iter
+        (fun v -> Alcotest.(check bool) (text ^ " shows " ^ v) true (contains v text))
+        ("0.3750" :: shown);
+      match Faultplan.to_json plan with
+      | Dvp_util.Json.List [ Dvp_util.Json.Obj fields ] ->
+        Alcotest.(check (list string))
+          (text ^ " encodes every field")
+          ("at" :: "kind" :: keys) (List.map fst fields)
+      | _ -> Alcotest.fail "to_json: one object per event")
+    cases
+
+(* ------------------------------------------------------------ wall plans *)
+
+let killer_spec = Wall.killer_profile.Wall.spec
+
+let test_wall_plan_deterministic () =
+  let a = Gen.wall_plan ~seed:99 ~n:4 killer_spec in
+  let b = Gen.wall_plan ~seed:99 ~n:4 killer_spec in
+  Alcotest.(check bool) "same seed, same plan" true (a = b);
+  let c = Gen.wall_plan ~seed:100 ~n:4 killer_spec in
+  Alcotest.(check bool) "different seed, different plan" true (a <> c)
+
+let test_wall_plan_shape () =
+  for seed = 1 to 30 do
+    let plan = Gen.wall_plan ~seed ~n:4 killer_spec in
+    let sites f = List.filter_map (fun e -> f e.Faultplan.action) plan in
+    let crashed = sites (function Faultplan.Crash s -> Some s | _ -> None) in
+    let forever = sites (function Faultplan.Kill_forever s -> Some s | _ -> None) in
+    Alcotest.(check bool) "at least one transient crash" true (crashed <> []);
+    Alcotest.(check int) "exactly one permanent kill" 1 (List.length forever);
+    (* An injected sink fault on a killed site would turn into real record
+       loss (the retained batch dies with the domain), so the generator must
+       keep the two fault classes on disjoint sites. *)
+    List.iter
+      (fun s ->
+        Alcotest.(check bool) "sink faults only on never-killed sites" false
+          (List.mem s (crashed @ forever)))
+      (sites (function Faultplan.Fail_forces (s, _) -> Some s | _ -> None));
+    (* Sorted by time, all inside the horizon. *)
+    let rec sorted = function
+      | [] | [ _ ] -> true
+      | a :: (b :: _ as rest) -> a.Faultplan.at <= b.Faultplan.at && sorted rest
+    in
+    Alcotest.(check bool) "events time-sorted" true (sorted plan);
+    List.iter
+      (fun e ->
+        Alcotest.(check bool) "event inside horizon" true
+          (e.Faultplan.at >= 0.0 && e.Faultplan.at <= killer_spec.Gen.horizon))
+      plan;
+    (* Every transient crash has a later recovery of its site, and every
+       torn tail sits at its kill's instant, just before it. *)
+    let rec walk = function
+      | [] -> ()
+      | e :: rest ->
+        (match e.Faultplan.action with
+        | Faultplan.Crash s ->
+          Alcotest.(check bool) "crash recovered later" true
+            (List.exists
+               (fun r ->
+                 r.Faultplan.action = Faultplan.Recover s && r.Faultplan.at > e.Faultplan.at)
+               rest)
+        | Faultplan.Storage_fault (s, _) -> (
+          match rest with
+          | k :: _ ->
+            Alcotest.(check bool) "storage fault just before its kill" true
+              (k.Faultplan.at = e.Faultplan.at
+              && (k.Faultplan.action = Faultplan.Crash s
+                 || k.Faultplan.action = Faultplan.Kill_forever s))
+          | [] -> Alcotest.fail "storage fault ends the plan")
+        | _ -> ());
+        walk rest
+    in
+    walk plan
+  done
+
 (* ---------------------------------------------------------------- oracle *)
 
 let small_system () =
@@ -324,7 +440,7 @@ let test_run_seed_deterministic () =
 let test_bounded_torture () =
   let report = Harness.run ~first_seed:1 ~seeds:8 (Harness.des Profile.bounded) in
   List.iter
-    (fun (f : _ Harness.failure) ->
+    (fun (f : Harness.failure) ->
       List.iter
         (fun (at, viol) ->
           Printf.printf "seed %d t=%.3f %s: %s\n" f.Harness.result.Harness.seed at
@@ -371,7 +487,7 @@ let test_churn_schedule_shape () =
 let test_churn_torture () =
   let report = Harness.run ~first_seed:1 ~seeds:4 (Harness.des Profile.churn) in
   List.iter
-    (fun (f : _ Harness.failure) ->
+    (fun (f : Harness.failure) ->
       List.iter
         (fun (at, viol) ->
           Printf.printf "seed %d t=%.3f %s: %s\n" f.Harness.result.Harness.seed at
@@ -396,11 +512,6 @@ let test_killer_torture () =
       true
       (Harness.total report "vm_accepted" > 0)
   done
-
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 (* One synthesized failing seed on [sub], reported through the shared
    loop's report type. *)
@@ -454,16 +565,9 @@ let test_failure_report_shape () =
   check_failure_report ~what:"des" ~reproduce:"chaos --profile bounded --seed 99 --seeds 1"
     ~plan_word:"crash"
     (failing_report (Harness.des Profile.bounded) ~seed:99 schedule ~shrunk:(Some schedule));
-  let plan =
-    [
-      {
-        Dvp_runtime.Fault.at = 0.3;
-        action = Dvp_runtime.Fault.Kill { site = 1; downtime = 0.1; wal_fault = None };
-      };
-    ]
-  in
+  let plan = Faultplan.crash_cycle ~site:1 ~first:0.3 ~downtime:0.1 in
   check_failure_report ~what:"wall"
-    ~reproduce:"chaos --wall --profile bounded --seed 7 --seeds 1" ~plan_word:"kill"
+    ~reproduce:"chaos --wall --profile bounded --seed 7 --seeds 1" ~plan_word:"crash site 1"
     (failing_report (Wall.substrate Wall.bounded_profile) ~seed:7 plan ~shrunk:None)
 
 let json_keys = function
@@ -477,7 +581,7 @@ let test_wall_seed_through_harness () =
   let sub = Wall.substrate Wall.bounded_profile in
   let report = Harness.run ~first_seed:1 ~seeds:1 sub in
   List.iter
-    (fun (f : _ Harness.failure) ->
+    (fun (f : Harness.failure) ->
       List.iter
         (fun (at, viol) ->
           Printf.printf "wall seed %d t=%.3f %s: %s\n" f.Harness.result.Harness.seed at
@@ -498,6 +602,88 @@ let test_wall_seed_through_harness () =
   Alcotest.(check (list string)) "then every wall tally" sub.Harness.tally_names
     (List.filter (fun k -> List.mem k sub.Harness.tally_names) wall_keys)
 
+let raises_naming what needle f =
+  match f () with
+  | _ -> Alcotest.fail (what ^ ": not refused")
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg needle) true
+      (contains needle msg)
+
+(* A plan the wall cannot run is refused before the cluster exists: no
+   domain is spawned (domain ids only grow, so a probe spawned after the
+   refusal is the very next one) and no WAL directory is left behind. *)
+let test_wall_refuses_before_spawning () =
+  let tmp = Filename.get_temp_dir_name () in
+  let wall_dirs () =
+    let mine = Printf.sprintf "-%d-" (Unix.getpid ()) in
+    Array.to_list (Sys.readdir tmp)
+    |> List.filter (fun d -> String.starts_with ~prefix:"dvp-wall-" d && contains mine d)
+    |> List.sort compare
+  in
+  let probe () = (Domain.get_id (Domain.spawn ignore) :> int) in
+  let before = wall_dirs () in
+  let id0 = probe () in
+  (* The bad event follows a good crash cycle: the whole plan is checked
+     before anything runs. *)
+  let run action () =
+    let plan = Faultplan.crash_cycle ~site:0 ~first:0.1 ~downtime:0.1 in
+    Wall.run_seed ~profile:Wall.bounded_profile ~seed:1
+      ~plan:(plan @ [ Faultplan.at 0.3 action ])
+      ()
+  in
+  raises_naming "site out of range" "crash site 7" (run (Faultplan.Crash 7));
+  raises_naming "checkpoint" "checkpoint site 1" (run (Faultplan.Checkpoint 1));
+  raises_naming "join" "join site 1" (run (Faultplan.Join 1));
+  raises_naming "leave" "leave site 2" (run (Faultplan.Leave 2));
+  Alcotest.(check int) "no domain spawned" (id0 + 1) (probe ());
+  Alcotest.(check (list string)) "no WAL directory left behind" before (wall_dirs ())
+
+(* One vocabulary: the wall's own plans run on the DES under its oracles.
+   Forced-write failures need the wall's file sink, so the DES refuses a
+   plan holding one, naming it; without them every seed is green. *)
+let test_wall_plans_on_the_des () =
+  let des = Harness.des Profile.bounded in
+  let refused = ref 0 in
+  for seed = 1 to 3 do
+    let wall = Wall.bounded_profile in
+    let plan = Gen.wall_plan ~seed ~n:wall.Wall.n wall.Wall.spec in
+    let run plan () = des.Harness.exec ~seed ~plan:(Some plan) ~crashdumps:None in
+    let fails = function Faultplan.Fail_forces _ -> true | _ -> false in
+    (match List.find_opt (fun e -> fails e.Faultplan.action) plan with
+    | Some e ->
+      incr refused;
+      raises_naming "the DES" (Faultplan.action_label e.Faultplan.action) (run plan)
+    | None -> ());
+    let r = run (List.filter (fun e -> not (fails e.Faultplan.action)) plan) () in
+    List.iter
+      (fun (at, v) ->
+        Printf.printf "seed %d t=%.3f %s: %s\n" seed at v.Oracle.check v.Oracle.detail)
+      r.Harness.violations;
+    Alcotest.(check bool) (Printf.sprintf "wall plan %d green on the DES" seed) false
+      (Harness.failed r)
+  done;
+  if !refused = 0 then
+    raises_naming "the DES" "fail 2 forces at site 1"
+      (fun () ->
+        des.Harness.exec ~seed:1
+          ~plan:(Some [ Faultplan.at 0.4 (Faultplan.Fail_forces (1, 2)) ])
+          ~crashdumps:None)
+
+(* The wall performs partitions itself: messages that cross groups are
+   dropped while no link loses anything, and after the heal the run
+   reconverges — cuts, the log audit and quiescence all green. *)
+let test_wall_partition () =
+  let plan =
+    Faultplan.partition_window ~start:0.2 ~len:0.3 [ [ 0 ]; [ 1; 2 ] ]
+  in
+  let r = Wall.run_seed ~profile:Wall.bounded_profile ~seed:1 ~plan () in
+  List.iter
+    (fun (at, v) -> Printf.printf "t=%.3f %s: %s\n" at v.Oracle.check v.Oracle.detail)
+    r.Harness.violations;
+  Alcotest.(check bool) "green" false (Harness.failed r);
+  Alcotest.(check bool) "messages dropped at the cut" true (Harness.tally r "msgs_dropped" > 0);
+  Alcotest.(check bool) "background load committed" true (Harness.tally r "bg_committed" > 0)
+
 let () =
   Alcotest.run "dvp_chaos"
     [
@@ -509,6 +695,12 @@ let () =
             test_faultplan_random_deterministic;
           Alcotest.test_case "merge keeps same-time order" `Quick
             test_merge_keeps_equal_time_order;
+          Alcotest.test_case "every field printed and encoded" `Quick test_plan_fields_printed;
+        ] );
+      ( "fault",
+        [
+          Alcotest.test_case "plans are seed-deterministic" `Quick test_wall_plan_deterministic;
+          Alcotest.test_case "plan shape invariants" `Quick test_wall_plan_shape;
         ] );
       ( "oracle",
         [
@@ -533,6 +725,10 @@ let () =
           Alcotest.test_case "failure report shape" `Quick test_failure_report_shape;
           Alcotest.test_case "wall seed through the harness" `Quick
             test_wall_seed_through_harness;
+          Alcotest.test_case "wall refuses before spawning" `Quick
+            test_wall_refuses_before_spawning;
+          Alcotest.test_case "wall plans on the DES" `Quick test_wall_plans_on_the_des;
+          Alcotest.test_case "wall partition drops and heals" `Quick test_wall_partition;
           Alcotest.test_case "churn schedule shape" `Quick test_churn_schedule_shape;
           Alcotest.test_case "bounded torture" `Slow test_bounded_torture;
           Alcotest.test_case "churn torture" `Slow test_churn_torture;

@@ -5,7 +5,6 @@
 
 module Mailbox = Dvp_runtime.Mailbox
 module Walfile = Dvp_runtime.Walfile
-module Fault = Dvp_runtime.Fault
 module Cluster = Dvp_runtime.Cluster
 module Supervisor = Dvp_runtime.Supervisor
 module Log_event = Dvp_core.Log_event
@@ -168,46 +167,6 @@ let test_walfile_missing () =
   let r = Walfile.read "/nonexistent/never/site-0.wal" in
   Alcotest.(check bool) "missing file reads as empty, not torn" true
     (r.Walfile.records = [] && not r.Walfile.torn)
-
-(* ------------------------------------------------------------ fault plans *)
-
-let test_fault_plan_deterministic () =
-  let a = Fault.plan ~seed:99 ~n:4 Fault.killer_spec in
-  let b = Fault.plan ~seed:99 ~n:4 Fault.killer_spec in
-  Alcotest.(check bool) "same seed, same plan" true (a = b);
-  let c = Fault.plan ~seed:100 ~n:4 Fault.killer_spec in
-  Alcotest.(check bool) "different seed, different plan" true (a <> c)
-
-let test_fault_plan_shape () =
-  for seed = 1 to 30 do
-    let plan = Fault.plan ~seed ~n:4 Fault.killer_spec in
-    Alcotest.(check bool) "at least one kill" true (Fault.kills_of plan <> []);
-    Alcotest.(check int) "exactly one permanent kill" 1
-      (List.length (Fault.forever_of plan));
-    (* An injected sink fault on a killed site would turn into real record
-       loss (the retained batch dies with the domain), so the generator must
-       keep the two fault classes on disjoint sites. *)
-    let killed = Fault.kills_of plan in
-    List.iter
-      (fun e ->
-        match e.Fault.action with
-        | Fault.Sink_fail { site; _ } ->
-          Alcotest.(check bool) "sink faults only on never-killed sites" false
-            (List.mem site killed)
-        | _ -> ())
-      plan;
-    (* Sorted by time, all inside the horizon. *)
-    let rec sorted = function
-      | [] | [ _ ] -> true
-      | a :: (b :: _ as rest) -> a.Fault.at <= b.Fault.at && sorted rest
-    in
-    Alcotest.(check bool) "events time-sorted" true (sorted plan);
-    List.iter
-      (fun e ->
-        Alcotest.(check bool) "event inside horizon" true
-          (e.Fault.at >= 0.0 && e.Fault.at <= Fault.killer_spec.Fault.horizon))
-      plan
-  done
 
 (* ------------------------------------------------------------- supervisor *)
 
@@ -386,12 +345,6 @@ let () =
           Alcotest.test_case "missing file is empty" `Quick test_walfile_missing;
           Alcotest.test_case "batch append writes the same frames" `Quick test_walfile_batch;
           Alcotest.test_case "foreign payload is refused" `Quick test_walfile_foreign_payload;
-        ] );
-      ( "fault",
-        [
-          Alcotest.test_case "plans are seed-deterministic" `Quick
-            test_fault_plan_deterministic;
-          Alcotest.test_case "plan shape invariants" `Quick test_fault_plan_shape;
         ] );
       ( "cluster",
         [
