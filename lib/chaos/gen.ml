@@ -214,7 +214,7 @@ let wall_plan ~seed ~n spec =
       let stop = Float.min (at +. len) (0.9 *. spec.horizon) in
       if stop > at then begin
         add at (Faultplan.Set_links l);
-        add stop (Faultplan.Set_links Linkstate.quiet);
+        add stop Faultplan.Reset_links;
         clip (stop +. 0.01) rest
       end
       else clip t0 rest

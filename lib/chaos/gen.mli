@@ -16,8 +16,7 @@
     ([Wall]): hard kills with a [Recover] after their downtime, at most one
     [Kill_forever], torn WAL tails ([Storage_fault] just before the kill it
     damages), [Fail_forces] on sites the plan never kills, and
-    non-overlapping link storms ([Set_links], ended by
-    {!Dvp_net.Linkstate.quiet}). *)
+    non-overlapping link storms ([Set_links], each ended by [Reset_links]). *)
 
 val schedule : seed:int -> profile:Profile.t -> Dvp_workload.Faultplan.t
 

@@ -176,6 +176,7 @@ let perform sup plan =
       incr sink_fails;
       Cluster.fail_forces cluster s ~count
     | Faultplan.Set_links p -> Cluster.set_links cluster p
+    | Faultplan.Reset_links -> Cluster.set_links cluster Dvp_net.Linkstate.quiet
     | Faultplan.Partition groups -> Cluster.set_partition cluster groups
     | Faultplan.Heal -> Cluster.heal_partition cluster
     | Faultplan.Checkpoint _ | Faultplan.Join _ | Faultplan.Leave _ ->
@@ -321,10 +322,10 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
   if quiesced && Cluster.dead_sites cluster = [] then begin
     let folds =
       List.init profile.n (fun i ->
-          let r = Walfile.read (Walfile.path ~dir:wal_dir ~site:i) in
-          if r.Walfile.torn then viol "file_torn" "site %d: WAL file still torn at end of run" i;
           let fold = Log_replay.create ~n:profile.n () in
-          List.iter (Log_replay.feed fold) r.Walfile.records;
+          let frames = Walfile.scan ~f:(Log_replay.feed fold) (Walfile.path ~dir:wal_dir ~site:i) in
+          if Dvp_storage.Frame.torn frames then
+            viol "file_torn" "site %d: WAL file still torn at end of run" i;
           (i, fold))
     in
     let items = Cluster.items cluster in

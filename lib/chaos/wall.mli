@@ -19,7 +19,8 @@
     - a [Storage_fault] tears the site's WAL file just after its next kill
       lands ({!Dvp_runtime.Walfile.tear}, [persist] junk bytes);
     - [Fail_forces], [Set_links], [Partition] and [Heal] go to the
-      {!Dvp_runtime.Cluster} knobs of the same names;
+      {!Dvp_runtime.Cluster} knobs of the same names, and [Reset_links]
+      sets the lossless mailbox links ({!Dvp_net.Linkstate.quiet});
     - [Checkpoint], [Join] and [Leave] cannot run here: a plan holding one,
       or naming a site outside the profile's [n], is refused with
       [Invalid_argument] before any domain or file is created.

@@ -1,16 +1,14 @@
 module Wal = Dvp_storage.Wal
+module Frame = Dvp_storage.Frame
 
 let export_site site ~path =
-  let records = Wal.records (Site.wal site) in
-  let b = Log_event.buf () in
-  Log_event.add_frames b records;
-  Out_channel.with_open_bin path (fun oc -> Log_event.output oc b);
-  List.length records
+  let wal = Site.wal site in
+  Out_channel.with_open_bin path (fun oc -> Wal.iter_bytes wal (Out_channel.output oc));
+  Wal.stable_length wal - Wal.corrupt_tail wal
 
-let import_records ~path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  let records, valid = Log_event.read_frames s in
-  if valid = String.length s then Ok records else Error valid
+let import_site ~path =
+  let frames = Frame.scan_file Log_event.codec path in
+  if Frame.torn frames then Error frames.Frame.valid else Ok frames
 
 let export_system sys ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -22,7 +20,7 @@ let export_system sys ~dir =
 
 let restore_system sys ~dir =
   (* Two phases, so a bad backup cannot leave the system half-restored:
-     first parse every site file (any missing file or malformed frame fails
+     first scan every site file (any missing file or malformed frame fails
      the whole restore before a single site is touched, and so does a log
      of a site the system lacks, whose value would silently vanish), then
      apply. *)
@@ -34,14 +32,14 @@ let restore_system sys ~dir =
         Error (Printf.sprintf "site-%d.log: the backup holds more sites than this system's %d" n n)
       else Ok (List.rev acc)
     else
-      match import_records ~path:(path i) with
-      | Ok records -> validate (i + 1) (records :: acc)
+      match import_site ~path:(path i) with
+      | Ok frames -> validate (i + 1) (frames :: acc)
       | Error off -> Error (Printf.sprintf "site %d: malformed frame at byte %d" i off)
       | exception Sys_error e -> Error (Printf.sprintf "site %d: %s" i e)
   in
   match validate 0 [] with
   | Error _ as e -> e
   | Ok all ->
-    List.iteri (fun i records -> Site.restore (System.site sys i) records) all;
+    List.iteri (fun i frames -> Site.restore (System.site sys i) frames) all;
     System.recalibrate_expected sys;
-    Ok (List.fold_left (fun acc records -> acc + List.length records) 0 all)
+    Ok (List.fold_left (fun acc frames -> acc + frames.Frame.count) 0 all)

@@ -7,15 +7,19 @@
     resume retransmission on the restored site.
 
     A file is the site's records as {!Log_event} frames, oldest first, in
-    the same binary format as the runtime's file WAL.  A backup is complete
-    or rejected: any byte after the last valid frame fails the import. *)
+    the same binary format as the in-memory log and the runtime's file WAL:
+    an export writes the log's own bytes, and a restore adopts the file's.
+    A backup is complete or rejected: any byte after the last valid frame
+    fails the import. *)
 
 val export_site : Site.t -> path:string -> int
-(** Write the site's stable log to [path]; returns the record count. *)
+(** Write the bytes of the site's valid stable prefix to [path]; returns
+    the record count. *)
 
-val import_records : path:string -> (Log_event.t list, int) result
-(** Read a backup file; [Error off] is the byte offset of the first frame
-    that does not decode.  Raises [Sys_error] if the file cannot be read. *)
+val import_site : path:string -> (Log_event.t Dvp_storage.Frame.frames, int) result
+(** Read and scan a backup file; [Error off] is the byte offset of the
+    first frame that does not decode.  Raises [Sys_error] if the file
+    cannot be read. *)
 
 val export_system : System.t -> dir:string -> int
 (** Export every site's log to [dir/site-<i>.log]; returns total records. *)

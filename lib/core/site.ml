@@ -826,14 +826,11 @@ let recover t =
     emit t (Trace.Recover { site = t.self; redo = fold.Log_replay.redo })
   end
 
-(* A restore: the given records become the site's entire stable log, and
-   ordinary recovery rebuilds everything from them.  Forced in one batch;
-   a force sink attached at the time receives them. *)
-let restore t records =
+(* A restore: the given frames become the site's entire stable log, as
+   they are, and ordinary recovery folds them once. *)
+let restore t frames =
   crash t;
-  Wal.truncate_before t.wal ~keep_from:(Wal.end_index t.wal);
-  List.iter (Wal.append ~forced:false t.wal) records;
-  Wal.force t.wal;
+  Wal.adopt t.wal frames;
   recover t
 
 (* Section 7's checkpointing: force one snapshot record carrying the

@@ -161,11 +161,11 @@ val recover : t -> unit
     store ({!Log_replay}), hand the fold's Vm half to {!Vm.recover}, release
     (forget) all locks, resume.  Sends no messages. *)
 
-val restore : t -> Log_event.t list -> unit
-(** Crash, replace the whole stable log with [records] (forced as one
-    batch, so an attached force sink receives them), and {!recover} — the
-    one restore path for a backup ({!Backup}) and a runtime respawn from
-    its WAL file. *)
+val restore : t -> Log_event.t Dvp_storage.Frame.frames -> unit
+(** Crash, make the scanned frames the whole stable log
+    ({!Dvp_storage.Wal.adopt}: no re-encode, no force, no sink), and
+    {!recover}, which folds them once — the one restore path for a backup
+    ({!Backup}) and a runtime respawn from its WAL file. *)
 
 val checkpoint : t -> unit
 (** Force a snapshot record (fragments, full Vm state including

@@ -20,6 +20,7 @@ type 'p t = {
   rng : Dvp_util.Rng.t;
   n : int;
   mutable link : Linkstate.params; (* every link's timing and loss model *)
+  baseline : Linkstate.params; (* [link] at creation, what a reset restores *)
   link_up : Bytes.t; (* n*n up flags, row-major [(src * n) + dst], '\001' = up *)
   handlers : (src:int -> 'p -> unit) option array;
   up : bool array;
@@ -40,6 +41,7 @@ let create sub ~rng ~n ?(default = Linkstate.default) ?trace () =
     rng;
     n;
     link = default;
+    baseline = default;
     link_up = Bytes.make (n * n) '\001';
     handlers = Array.make n None;
     up = Array.make n true;
@@ -87,6 +89,10 @@ let set_link_up t ~src ~dst v =
   Bytes.set t.link_up (link_index t ~src ~dst) (if v then '\001' else '\000')
 
 let set_all_links t params = t.link <- params
+
+let reset_links t = t.link <- t.baseline
+
+let links t = t.link
 
 let site_up t i =
   check_site t i;

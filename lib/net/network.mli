@@ -72,6 +72,13 @@ val set_link_up : 'p t -> src:int -> dst:int -> bool -> unit
 val set_all_links : 'p t -> Linkstate.params -> unit
 (** Replace the timing and loss model of every link. *)
 
+val reset_links : 'p t -> unit
+(** Restore every link to the model the network was created with
+    ([default]): the end of a link storm. *)
+
+val links : 'p t -> Linkstate.params
+(** The current model of every link. *)
+
 val site_up : 'p t -> int -> bool
 
 val set_site_up : 'p t -> int -> bool -> unit

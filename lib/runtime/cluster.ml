@@ -8,6 +8,7 @@ module Config = Dvp_core.Config
 module Proto = Dvp_core.Proto
 module Metrics = Dvp_core.Metrics
 module Wal = Dvp_storage.Wal
+module Frame = Dvp_storage.Frame
 module Health = Dvp_health.Health
 module Linkstate = Dvp_net.Linkstate
 module Trace = Dvp_trace.Trace
@@ -124,6 +125,7 @@ type ctl =
   | Kill
   | Peer_up of int
   | Fail_forces of int
+  | Inspect of (Site.t option -> unit)
   | Stop
 
 (* Fail a control message a dead site will never answer: every client-facing
@@ -139,6 +141,7 @@ let fail_ctl = function
        completion under the cut mutex, which kills also take. *)
     Cell.fill reply None
   | Load { reply; _ } -> Cell.fill reply 0
+  | Inspect f -> f None
   | Deliver _ | Bgload _ | Kill | Peer_up _ | Fail_forces _ | Stop -> ()
 
 type chaos_counters = {
@@ -352,22 +355,22 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       Some oc
     | Respawn, None -> invalid_arg "Cluster: cannot respawn a site without a wal_dir"
     | Respawn, Some dir ->
-      (* Recovery from the on-disk mirror: read the valid frame prefix,
-         repair any torn tail, and restore the site from the records — the
-         path a backup takes ([Site.restore]), with no sink attached yet,
-         so nothing is re-written to the file.  The sink is re-attached
-         only afterwards: post-recovery appends extend the same file.
-         Fragments are NOT re-installed — the install records are in the
-         log and replay like everything else. *)
+      (* Recovery from the on-disk mirror: scan the file's frames, repair
+         any torn tail, and restore the site from the scanned buffer — the
+         path a backup takes ([Site.restore]): the log adopts the bytes as
+         they are, so nothing is re-encoded or re-written to the file.  The
+         sink is attached only afterwards: post-recovery forces extend the
+         same file.  Fragments are NOT re-installed — the install records
+         are in the log and replay like everything else. *)
       let path = Walfile.path ~dir ~site:self in
-      let r = Walfile.read path in
-      if r.Walfile.torn then begin
-        Walfile.truncate path r.Walfile.valid_bytes;
+      let frames = Walfile.scan path in
+      if Frame.torn frames then begin
+        Walfile.truncate path frames.Frame.valid;
         emit (Trace.Storage_fault { site = self; kind = "torn_tail" });
         emit (Trace.Wal_repair { site = self; dropped = 1 })
       end;
-      Site.restore site r.Walfile.records;
-      replayed := List.length r.Walfile.records;
+      Site.restore site frames;
+      replayed := frames.Frame.count;
       let oc = Walfile.open_append path in
       attach_sink oc;
       Some oc
@@ -480,6 +483,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
         else Health.note_alive d ~peer
       | None -> ())
     | Fail_forces k -> sink_budget := !sink_budget + k
+    | Inspect f -> f (Some site)
     | Stop -> stop := true
   in
   (* One-shot mailbox high-water warning, mirroring Vm's Outbox_high: warn
@@ -669,6 +673,17 @@ let push_value t ~src ~dst ~item ~amount =
   match Mailbox.send t.mailboxes.(src) (Push { dst; item; amount; reply }) with
   | Mailbox.Poisoned | Mailbox.Closed -> false
   | Mailbox.Sent -> Cell.await reply
+
+let with_site t i f =
+  if i < 0 || i >= t.n then invalid_arg "Cluster.with_site: site out of range";
+  let reply = Cell.create () in
+  let run site =
+    Cell.fill reply (Option.map (fun s -> match f s with v -> Ok v | exception e -> Error e) site)
+  in
+  match Mailbox.send t.mailboxes.(i) (Inspect run) with
+  | Mailbox.Poisoned | Mailbox.Closed -> None
+  | Mailbox.Sent -> (
+    match Cell.await reply with None -> None | Some (Ok v) -> Some v | Some (Error e) -> raise e)
 
 (* Ask every live site; a site that dies between the liveness check and the
    answer resolves to None (its message was either dropped by the poisoned

@@ -18,8 +18,9 @@
     the domain unwinds abandoning all volatile state (live transactions abort
     with [Crashed], its mailbox is poisoned so peers' messages drop — network
     loss semantics), and only the on-disk WAL survives.  {!respawn_site}
-    brings the site back: the file's valid frame prefix is replayed into a
-    fresh in-memory WAL, torn tails are truncated, {!Dvp_core.Site.recover}
+    brings the site back: torn tails are truncated, the site's fresh
+    in-memory WAL adopts the file's valid frame prefix as it is (no record
+    list, no re-encode), {!Dvp_core.Site.recover}
     rebuilds the database, ledgers, and Vm protocol state, and the site
     rejoins under the same identity.  Killing and respawning serialise with
     conservation cuts, so every cut sees a stable live set.
@@ -156,13 +157,14 @@ val kill_site : t -> int -> bool
 
 val respawn_site : t -> int -> int option
 (** Restart a killed site under the same identity, from its on-disk WAL:
-    repair any torn tail, replay the valid frame prefix into a fresh
-    in-memory WAL, run crash/recover (database, cumulative ledgers, Vm
+    scan the file into one buffer, repair any torn tail, restore the site
+    from the buffer ({!Dvp_core.Site.restore}: its fresh in-memory WAL
+    adopts the valid frame prefix), run crash/recover (database, cumulative ledgers, Vm
     outbox and watermarks all rebuilt), re-attach the file sink in append
     mode, announce the rejoin to peers ([Peer_up] — detectors reinstate,
     parked outboxes unpark on their next transition), and resume the
     background load if one is still running.  Returns the number of records
-    replayed, or [None] if the site is alive.  Requires a [wal_dir].
+    replayed (the file's valid frames), or [None] if the site is alive.  Requires a [wal_dir].
     @raise Invalid_argument if the cluster has no [wal_dir]. *)
 
 val replayed : t -> int -> int
@@ -202,6 +204,14 @@ val fail_forces : t -> int -> count:int -> unit
     the next force, and each failure surfaces as a typed
     {!Dvp_storage.Wal.force_error}, a [storage_force_errors] metric tick,
     and a [Storage_fault] trace event. *)
+
+val with_site : t -> int -> (Dvp_core.Site.t -> 'a) -> 'a option
+(** [with_site t i f] runs [f] on site [i] inside its domain's serial loop,
+    between two handlers, and returns the result; [None] if the site is
+    dead or dies first.  An exception [f] raises is re-raised here.  [f]
+    must not block, and must not keep the site: it belongs to its domain.
+    For tests and offline tooling that need a look at a live site's log.
+    Any thread except a site domain. *)
 
 val announce_up : t -> unit
 (** Broadcast [Peer_up] for every live site to every live site: detectors

@@ -1,3 +1,5 @@
+module Frame = Dvp_storage.Frame
+
 let path ~dir ~site = Filename.concat dir (Printf.sprintf "site-%d.wal" site)
 
 (* The pid keeps concurrent processes apart, the counter concurrent
@@ -47,11 +49,19 @@ type read_result = {
   torn : bool;
 }
 
+let scan ?f path =
+  let codec = Dvp_core.Log_event.codec in
+  try Frame.scan_file ?f codec path with Sys_error _ -> Frame.scan codec Bytes.empty
+
 let read path =
-  let contents = try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> "" in
-  let records, valid = Dvp_core.Log_event.read_frames contents in
-  let total = String.length contents in
-  { records; valid_bytes = valid; total_bytes = total; torn = valid < total }
+  let acc = ref [] in
+  let fr = scan ~f:(fun r -> acc := r :: !acc) path in
+  {
+    records = List.rev !acc;
+    valid_bytes = fr.Frame.valid;
+    total_bytes = Bytes.length fr.Frame.bytes;
+    torn = Frame.torn fr;
+  }
 
 let truncate = Unix.truncate
 

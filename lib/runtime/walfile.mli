@@ -14,8 +14,11 @@
     ever cost the unforced suffix, exactly the loss budget the protocol's
     log-before-send discipline already tolerates.
 
-    The in-memory {!Dvp_storage.Wal} stays authoritative while a site is up;
-    this file is its crash mirror, replayed on respawn. *)
+    The in-memory {!Dvp_storage.Wal} stays authoritative while a site is up,
+    and this file is its crash mirror, holding the same bytes.  A respawn
+    adopts the file: {!scan} checks its frames in one buffer, and the
+    site's new log takes that buffer's valid prefix as its stable region
+    ({!Dvp_core.Site.restore}), with no record list and no re-encode. *)
 
 val path : dir:string -> site:int -> string
 (** [dir]/site-[site].wal — the naming convention [Cluster] uses. *)
@@ -51,10 +54,16 @@ type read_result = {
   torn : bool;  (** a bad frame (torn write / garbage) stopped the scan *)
 }
 
+val scan : ?f:(Dvp_core.Log_event.t -> unit) -> string -> Dvp_core.Log_event.t Dvp_storage.Frame.frames
+(** Read the whole file in one call into one buffer and check its frames
+    ({!Dvp_storage.Frame.scan}): the valid prefix, its frame count, and the
+    buffer, without a record list; each record is handed to [f] as it is
+    decoded.  Never raises on malformed content — a bad frame just ends the
+    valid prefix.  A missing file reads as empty.  What a respawn and the
+    wall harness's log audit read. *)
+
 val read : string -> read_result
-(** Read the whole file in one call and scan its frames in place.  Never
-    raises on malformed content — a bad frame just ends the valid prefix.
-    A missing file reads as empty. *)
+(** {!scan}, collecting the valid prefix's records into a list. *)
 
 val truncate : string -> int -> unit
 (** Cut the file to the given byte length — how a respawn repairs a torn

@@ -52,23 +52,46 @@ let decode_payload codec c s payload len =
   if Bytebuf.remaining c <> 0 then raise_notrace Bytebuf.Malformed;
   r
 
-let read codec s =
+type 'r frames = { bytes : Bytes.t; valid : int; count : int }
+
+let scan ?(f = ignore) codec bytes =
+  let s = Bytes.unsafe_to_string bytes in
   let total = String.length s in
   let c = Bytebuf.cursor () in
-  let rec scan acc valid =
+  let rec go count valid =
     let payload = valid + header_bytes in
-    if payload > total || get_u32 s valid <> magic then (acc, valid)
+    if payload > total || get_u32 s valid <> magic then (count, valid)
     else
       let len = get_u32 s (valid + 4) in
       if len > total - payload || checksum s payload len <> get_u32 s (valid + 8) then
-        (acc, valid)
+        (count, valid)
       else
         match decode_payload codec c s payload len with
-        | r -> scan (r :: acc) (payload + len)
-        | exception Bytebuf.Malformed -> (acc, valid)
+        | r ->
+          f r;
+          go (count + 1) (payload + len)
+        | exception Bytebuf.Malformed -> (count, valid)
   in
-  let acc, valid = scan [] 0 in
-  (List.rev acc, valid)
+  let count, valid = go 0 0 in
+  { bytes; valid; count }
+
+let torn fr = fr.valid < Bytes.length fr.bytes
+
+let scan_file ?f codec path =
+  let bytes =
+    In_channel.with_open_bin path (fun ic ->
+        let len = Int64.to_int (In_channel.length ic) in
+        let bytes = Bytes.create len in
+        really_input ic bytes 0 len;
+        bytes)
+  in
+  scan ?f codec bytes
+
+let read codec s =
+  let acc = ref [] in
+  (* The scan only reads its bytes, and [fr] does not outlive this call. *)
+  let fr = scan ~f:(fun r -> acc := r :: !acc) codec (Bytes.unsafe_of_string s) in
+  (List.rev !acc, fr.valid)
 
 (* The frames of a buffer the caller wrote itself: their headers are
    trusted, only their checksums are in question. *)

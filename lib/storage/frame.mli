@@ -23,11 +23,38 @@ val add_raw_frame : Bytebuf.t -> string -> unit
 (** Append a frame around arbitrary payload bytes, with a correct length and
     checksum — for fault injection and for tests of foreign payloads. *)
 
+(** {2 Scanning foreign bytes}
+
+    Bytes read from a file or a backup: every frame is checked.  A frame
+    ends the valid prefix if its magic, length or checksum does not check
+    out, or if its payload is not exactly one record of the codec.  The
+    scanners never raise. *)
+
+type 'r frames = private {
+  bytes : Bytes.t;  (** the scanned bytes, valid prefix first *)
+  valid : int;  (** byte length of the longest valid prefix *)
+  count : int;  (** frames in it *)
+}
+(** The valid frame prefix of a buffer, as {!scan} checked it against a
+    codec of records ['r]; what {!Wal.adopt} takes. *)
+
+val scan : ?f:('r -> unit) -> 'r codec -> Bytes.t -> 'r frames
+(** [scan codec bytes] checks the frames from the start of [bytes] and
+    returns the valid prefix, without building a record list: each payload
+    is decoded once, handed to [f] (default: dropped) oldest first, and
+    let go.  [bytes] are not copied; whoever keeps the result must not
+    write them. *)
+
+val torn : 'r frames -> bool
+(** Bytes follow the valid prefix (a torn tail, or garbage). *)
+
+val scan_file : ?f:('r -> unit) -> 'r codec -> string -> 'r frames
+(** {!scan} the whole file at the path, read in one call into one buffer
+    of its size.  Raises [Sys_error] if the file cannot be read. *)
+
 val read : 'r codec -> string -> 'r list * int
-(** [read codec s] decodes frames from the start of [s] and returns the
-    records of the longest valid prefix, oldest first, with its byte length.
-    A frame ends the prefix if its magic, length or checksum does not check
-    out, or if its payload is not exactly one record.  Never raises. *)
+(** [read codec s] is {!scan} collecting the records: the valid prefix's
+    records, oldest first, with its byte length. *)
 
 (** {2 Frames in a buffer its owner wrote}
 

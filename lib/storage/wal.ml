@@ -303,8 +303,8 @@ let buffered_records t =
   !recs
 
 (* A codec log's buffer slots are the only references its records have
-   left once forced: a large buffer (a recovery seeding the log) is
-   dropped, not kept holding the whole replayed log alive. *)
+   left once forced: a large buffer is dropped, not kept holding them
+   alive. *)
 let clear_buffer t =
   match t.region with
   | Boxed { buffer; _ } -> buffer.len <- 0
@@ -427,6 +427,48 @@ let fold t ~init ~f =
 let records t = List.rev (fold t ~init:[] ~f:(fun acc r -> r :: acc))
 
 let end_index t = t.base_index + stable_length t
+
+let no_codec name = invalid_arg (name ^ ": a log without a codec holds no frames")
+
+(* The valid prefix's bytes: whole segments, then the segment the prefix
+   ends in, up to its end. *)
+let iter_bytes t f =
+  match t.region with
+  | Boxed _ -> no_codec "Wal.iter_bytes"
+  | Framed { stable; _ } ->
+    let n = valid_length t in
+    if n > 0 then begin
+      let last, _, stop = locate stable n in
+      for s = 0 to last do
+        let seg = stable.segs.arr.(s) in
+        let stop = if s = last then stop else Bytebuf.length seg.frames in
+        if stop > seg.start then f seg.frames.Bytebuf.bytes seg.start (stop - seg.start)
+      done
+    end
+
+(* The adopted bytes become one sealed segment, never written: only the
+   open segment after it takes new frames, fault corruption included, and
+   a repair cannot reach back into it because its frames are all valid. *)
+let adopt t (fr : 'r Frame.frames) =
+  match t.region with
+  | Boxed _ -> no_codec "Wal.adopt"
+  | Framed { stable; _ } ->
+    let base = end_index t in
+    clear_buffer t;
+    let segs = stable.segs in
+    segs.len <- 0;
+    if fr.count > 0 then
+      vec_push segs
+        { frames = Bytebuf.sealed fr.bytes ~len:fr.valid; start = 0; count = fr.count };
+    stable.total <- fr.count;
+    stable.next_capacity <- 2 * first_segment;
+    open_segment stable first_segment;
+    release_tail segs;
+    t.base_index <- base;
+    t.valid_len <- fr.count;
+    t.valid_dirty <- false;
+    t.append_count <- t.append_count + fr.count;
+    t.sink_pending <- []
 
 let iter_from t ~from f = iter_valid t ~from:(max 0 (from - t.base_index)) f
 

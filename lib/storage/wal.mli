@@ -149,6 +149,25 @@ val end_index : 'r t -> int
 (** Absolute index one past the newest stable record (monotone across
     truncations). *)
 
+val adopt : 'r t -> 'r Frame.frames -> unit
+(** Replace the whole log — stable region and unforced buffer — by the
+    scanned frames, without decoding or copying them: their valid prefix
+    becomes one sealed segment, followed by a fresh open one.  This is how
+    a log is rebuilt from bytes that are already stable elsewhere (a WAL
+    file, a backup), so nothing is forced and no force sink sees them;
+    records the sink had not yet accepted are dropped with the history they
+    belonged to.  Indices continue: the adopted records start at the old
+    {!end_index}.  They count as {!appended}.  The log owns the bytes from
+    now on and never writes them.
+    @raise Invalid_argument on a log without a codec. *)
+
+val iter_bytes : 'r t -> (Bytes.t -> int -> int -> unit) -> unit
+(** [iter_bytes t f] calls [f bytes off len] on the valid stable prefix's
+    frames, oldest first, one byte range per segment: their concatenation
+    is the prefix in the {!Frame} format, the bytes a WAL file or a backup
+    holds.  [f] must not write the bytes.
+    @raise Invalid_argument on a log without a codec. *)
+
 val truncate_before : 'r t -> keep_from:int -> unit
 (** Checkpointing support: drop stable records with index < [keep_from].
     Subsequent {!records} still yields oldest-first with original order.  A

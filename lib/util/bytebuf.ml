@@ -8,6 +8,8 @@ let create () = { bytes = Bytes.create 256; len = 0; fixed = false }
 
 let segment capacity = { bytes = Bytes.create capacity; len = 0; fixed = true }
 
+let sealed bytes ~len = { bytes; len; fixed = true }
+
 let attach b bytes =
   b.bytes <- bytes;
   b.len <- 0

@@ -27,6 +27,10 @@ val segment : int -> t
     capacity raises {!Full} and leaves the bytes already written in place,
     so the writer can {!truncate} back to the last whole record. *)
 
+val sealed : Bytes.t -> len:int -> t
+(** [sealed bytes ~len]: a segment over [bytes], not copied, whose first
+    [len] bytes are its contents — how a log adopts bytes it read. *)
+
 val attach : t -> Bytes.t -> unit
 (** [attach b bytes] empties [b] and makes it write into [bytes] from their
     start: with a segment, a way to move on to fresh bytes without

@@ -18,6 +18,7 @@ type t = {
   recover : Dvp_core.Ids.site -> unit;
   kill_forever : Dvp_core.Ids.site -> unit;
   set_links : Dvp_net.Linkstate.params -> unit;
+  reset_links : unit -> unit;
   checkpoint : Dvp_core.Ids.site -> unit;
   inject_storage_fault : Dvp_core.Ids.site -> Dvp_storage.Wal.fault -> unit;
   join : Dvp_core.Ids.site -> unit;
@@ -50,6 +51,7 @@ let of_dvp ?(name = "dvp") sys =
     recover = (fun s -> Dvp_core.System.recover_site sys s);
     kill_forever = (fun s -> Dvp_core.System.kill_forever sys s);
     set_links = (fun p -> Dvp_core.System.set_all_links sys p);
+    reset_links = (fun () -> Dvp_net.Network.reset_links (Dvp_core.System.network sys));
     checkpoint = (fun s -> Dvp_core.System.checkpoint_site sys s);
     inject_storage_fault = (fun s f -> Dvp_core.System.inject_wal_fault sys s f);
     (* Chaos schedules fire joins and leaves blind — the system's own
@@ -84,6 +86,7 @@ let of_trad ?(name = "trad") sys =
         (* Baseline network parameters are fixed at creation; experiments
            that sweep link quality construct fresh systems instead. *)
         ());
+    reset_links = (fun () -> ());
     checkpoint = (fun _ -> ());
     inject_storage_fault =
       (fun _ _ ->

@@ -28,6 +28,9 @@ type t = {
       (** permanent crash: the site never recovers for the rest of the run
           (baselines degrade this to a plain crash) *)
   set_links : Dvp_net.Linkstate.params -> unit;
+  reset_links : unit -> unit;
+      (** restore the system's baseline links, those it was created with
+          (no-op for baselines, whose links never change) *)
   checkpoint : Dvp_core.Ids.site -> unit;
       (** checkpoint one site (no-op for baselines and while crashed) *)
   inject_storage_fault : Dvp_core.Ids.site -> Dvp_storage.Wal.fault -> unit;

@@ -7,6 +7,7 @@ type action =
   | Recover of Dvp_core.Ids.site
   | Kill_forever of Dvp_core.Ids.site
   | Set_links of Dvp_net.Linkstate.params
+  | Reset_links
   | Checkpoint of Dvp_core.Ids.site
   | Storage_fault of Dvp_core.Ids.site * Dvp_storage.Wal.fault
   | Join of Dvp_core.Ids.site
@@ -39,7 +40,7 @@ let crash_cycle ~site ~first ~downtime =
 let lossy_window ~start ~len ~loss =
   [
     at start (Set_links (Dvp_net.Linkstate.lossy loss));
-    at (start +. len) (Set_links Dvp_net.Linkstate.default);
+    at (start +. len) Reset_links;
   ]
 
 (* Stable sort: events at equal times keep their relative order, so a
@@ -131,6 +132,7 @@ let action_label = function
     Printf.sprintf "set-links loss=%.2f dup=%.2f delay=%.4f+%.4f" p.Dvp_net.Linkstate.loss_prob
       p.Dvp_net.Linkstate.dup_prob p.Dvp_net.Linkstate.delay_mean
       p.Dvp_net.Linkstate.delay_jitter
+  | Reset_links -> "reset-links"
   | Checkpoint s -> Printf.sprintf "checkpoint site %d" s
   | Storage_fault (s, Dvp_storage.Wal.Torn { persist }) ->
     Printf.sprintf "storage-fault site %d: torn flush (persist %d)" s persist
@@ -169,6 +171,7 @@ let to_json plan =
           ("loss_prob", Json.Float p.Dvp_net.Linkstate.loss_prob);
           ("dup_prob", Json.Float p.Dvp_net.Linkstate.dup_prob);
         ] )
+    | Reset_links -> ("reset_links", [])
     | Checkpoint s -> site "checkpoint" s []
     | Storage_fault (s, Dvp_storage.Wal.Torn { persist }) ->
       site "storage_fault" s [ ("fault", Json.String "torn"); ("persist", Json.Int persist) ]
@@ -189,7 +192,7 @@ let to_json plan =
 
 let sites_of = function
   | Partition groups -> List.concat groups
-  | Heal | Set_links _ -> []
+  | Heal | Set_links _ | Reset_links -> []
   | Crash s | Recover s | Kill_forever s | Checkpoint s | Storage_fault (s, _) | Join s
   | Leave s | Fail_forces (s, _) ->
     [ s ]
@@ -212,6 +215,7 @@ let apply (d : Driver.t) = function
   | Recover s -> d.Driver.recover s
   | Kill_forever s -> d.Driver.kill_forever s
   | Set_links p -> d.Driver.set_links p
+  | Reset_links -> d.Driver.reset_links ()
   | Checkpoint s -> d.Driver.checkpoint s
   | Storage_fault (s, f) -> d.Driver.inject_storage_fault s f
   | Join s -> d.Driver.join s

@@ -19,6 +19,9 @@ type action =
   | Kill_forever of Dvp_core.Ids.site
       (** permanent crash: the site stays dead for the rest of the run *)
   | Set_links of Dvp_net.Linkstate.params
+  | Reset_links
+      (** end a link storm: back to this substrate's baseline links — the
+          DES network's creation default, the wall's lossless mailbox *)
   | Checkpoint of Dvp_core.Ids.site
       (** force a snapshot record and truncate the site's log *)
   | Storage_fault of Dvp_core.Ids.site * Dvp_storage.Wal.fault
@@ -56,7 +59,7 @@ val crash_cycle : site:Dvp_core.Ids.site -> first:float -> downtime:float -> t
 
 val lossy_window : start:float -> len:float -> loss:float -> t
 (** Degrade every link to the given loss probability for a window, then
-    restore defaults. *)
+    restore the baseline links ({!Reset_links}). *)
 
 val crash_storm :
   rng:Dvp_util.Rng.t ->

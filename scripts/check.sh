@@ -31,6 +31,15 @@ if grep -rnE 'Dvp_util\.Heap|module Heap\b' lib | grep -vE '^lib/util/heap\.mli?
   exit 1
 fi
 
+# List-free recovery: a respawn, a backup restore and the wall audit scan a
+# log file's frames in one buffer (Walfile.scan, Frame.scan_file).  Only
+# lib/runtime/walfile.ml may decode a WAL file into a record list.
+echo "== no WAL file decoded into a record list under lib/ =="
+if grep -rnE 'Walfile\.read\b|Log_event\.read_frames\b' lib | grep -vE '^lib/runtime/walfile\.mli?:'; then
+  echo "a WAL file is decoded into a record list under lib/; scan it with Walfile.scan" >&2
+  exit 1
+fi
+
 # One fault vocabulary: both substrates run Dvp_workload.Faultplan plans, so
 # no other fault action type may appear under lib/.
 echo "== one fault vocabulary under lib/ =="

@@ -97,6 +97,7 @@ let test_plan_fields_printed () =
       ( Faultplan.Set_links links,
         [ "0.0125"; "0.0075"; "0.25"; "0.50" ],
         [ "delay_mean"; "delay_jitter"; "loss_prob"; "dup_prob" ] );
+      (Faultplan.Reset_links, [ "reset-links" ], []);
       (Faultplan.Checkpoint 6, [ "6" ], [ "site" ]);
       ( Faultplan.Storage_fault (7, Wal.Torn { persist = 11 }),
         [ "7"; "torn"; "11" ],
@@ -299,7 +300,7 @@ let audit_checks ?(live = [| Some 5; Some 12; Some 6 |]) ?(in_flight = 4) logs =
         Dvp.Walfile.append_batch oc records;
         close_out oc;
         let fold = Dvp.Log_replay.create ~n:3 () in
-        List.iter (Dvp.Log_replay.feed fold) (Dvp.Walfile.read path).Dvp.Walfile.records;
+        ignore (Dvp.Walfile.scan ~f:(Dvp.Log_replay.feed fold) path);
         (site, fold))
       logs
   in
@@ -640,10 +641,12 @@ let test_wall_refuses_before_spawning () =
 
 (* One vocabulary: the wall's own plans run on the DES under its oracles.
    Forced-write failures need the wall's file sink, so the DES refuses a
-   plan holding one, naming it; without them every seed is green. *)
+   plan holding one, naming it; without them every seed is green.  A storm
+   ends with the DES's own baseline links (5 ms), not the wall's lossless
+   mailbox. *)
 let test_wall_plans_on_the_des () =
   let des = Harness.des Profile.bounded in
-  let refused = ref 0 in
+  let refused = ref 0 and storms = ref 0 in
   for seed = 1 to 3 do
     let wall = Wall.bounded_profile in
     let plan = Gen.wall_plan ~seed ~n:wall.Wall.n wall.Wall.spec in
@@ -654,14 +657,30 @@ let test_wall_plans_on_the_des () =
       incr refused;
       raises_naming "the DES" (Faultplan.action_label e.Faultplan.action) (run plan)
     | None -> ());
-    let r = run (List.filter (fun e -> not (fails e.Faultplan.action)) plan) () in
+    let runnable = List.filter (fun e -> not (fails e.Faultplan.action)) plan in
+    let r = run runnable () in
     List.iter
       (fun (at, v) ->
         Printf.printf "seed %d t=%.3f %s: %s\n" seed at v.Oracle.check v.Oracle.detail)
       r.Harness.violations;
     Alcotest.(check bool) (Printf.sprintf "wall plan %d green on the DES" seed) false
-      (Harness.failed r)
+      (Harness.failed r);
+    let storm = function Faultplan.Set_links _ -> true | _ -> false in
+    if List.exists (fun e -> storm e.Faultplan.action) runnable then begin
+      incr storms;
+      let sys = Dvp_workload.Setup.dvp_system (Profile.spec Profile.bounded ~seed) in
+      Faultplan.schedule (Dvp_workload.Driver.of_dvp sys) runnable;
+      let last = List.fold_left (fun acc e -> Float.max acc e.Faultplan.at) 0.0 runnable in
+      Dvp.System.run_until sys (last +. 0.1);
+      let links = Dvp_net.Network.links (Dvp.System.network sys) in
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "wall plan %d: DES links back at 5 ms" seed)
+        0.005 links.Dvp_net.Linkstate.delay_mean;
+      Alcotest.(check bool) "every link parameter at the DES default" true
+        (links = Dvp_net.Linkstate.default)
+    end
   done;
+  Alcotest.(check bool) "some plan held a storm" true (!storms > 0);
   if !refused = 0 then
     raises_naming "the DES" "fail 2 forces at site 1"
       (fun () ->

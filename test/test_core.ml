@@ -9,6 +9,7 @@
 
 module Rng = Dvp_util.Rng
 module Wal = Dvp_storage.Wal
+module Frame = Dvp_storage.Frame
 open Dvp
 
 let result_testable =
@@ -1405,7 +1406,7 @@ let test_backup_rejects_garbage () =
   Out_channel.with_open_bin path (fun oc ->
       output_string oc good;
       output_string oc "this is not a log record\n");
-  (match Backup.import_records ~path with
+  (match Backup.import_site ~path with
   | Error off -> Alcotest.(check int) "names the bad offset" (String.length good) off
   | Ok _ -> Alcotest.fail "garbage accepted");
   Sys.remove path
@@ -1839,6 +1840,13 @@ let fold_summary (f : Log_replay.t) =
       "anomalies " ^ String.concat ";" (List.map anomaly f.anomalies);
     ]
 
+(* A backup of the log's valid prefix, taken in memory: its bytes, scanned
+   as a restore scans a backup file. *)
+let frames_of wal =
+  let b = Buffer.create 256 in
+  Wal.iter_bytes wal (Buffer.add_subbytes b);
+  Frame.scan Log_event.codec (Buffer.to_bytes b)
+
 let prop_stable_fold_incremental =
   QCheck.Test.make ~name:"stable fold incremental = from scratch" ~count:40
     QCheck.(int_range 0 1_000_000)
@@ -1849,7 +1857,7 @@ let prop_stable_fold_incremental =
       let sys = System.create ~seed ~link ~n () in
       System.add_item sys ~item:0 ~total:90 ();
       System.add_item sys ~item:1 ~total:60 ();
-      let backups = Array.make n [] in
+      let backups = Array.make n None in
       let ok = ref true in
       let check i =
         let s = System.site sys i in
@@ -1886,14 +1894,17 @@ let prop_stable_fold_incremental =
         | 5 -> if Site.is_up s then ignore (Wal.repair wal) else System.recover_site sys i
         | 6 -> ignore (Wal.repair wal)
         | 7 -> System.checkpoint_site sys i
-        | 8 -> backups.(i) <- Wal.records wal
+        | 8 -> backups.(i) <- Some (frames_of wal)
         | 9 ->
           (* A forged record for the fold to note: out of order (unless the
              watermark happens to be 4) and negative. *)
           Wal.append wal
             (Log_event.Vm_accept
                { peer = (i + 1) mod n; seq = 5; item = 0; amount = 0; new_value = -1 })
-        | _ -> if Site.is_up s && backups.(i) <> [] then Site.restore s backups.(i));
+        | _ -> (
+          match backups.(i) with
+          | Some frames when Site.is_up s && frames.Frame.count > 0 -> Site.restore s frames
+          | _ -> ()));
         System.run_until sys (System.now sys +. Rng.float rng 0.3);
         for i = 0 to n - 1 do
           if Rng.bool rng then check i

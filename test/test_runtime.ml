@@ -8,6 +8,9 @@ module Walfile = Dvp_runtime.Walfile
 module Cluster = Dvp_runtime.Cluster
 module Supervisor = Dvp_runtime.Supervisor
 module Log_event = Dvp_core.Log_event
+module Site = Dvp_core.Site
+module Wal = Dvp_storage.Wal
+module Frame = Dvp_storage.Frame
 module Txn = Dvp_core.Txn
 module Op = Dvp_core.Op
 module Config = Dvp_core.Config
@@ -329,6 +332,83 @@ let test_detector_wiring () =
   | Some rest ->
     Alcotest.(check bool) "peer 2 back up after the heal" true (List.mem "up" rest)
 
+(* --------------------------------------------------- the file is the log *)
+
+(* A site's in-memory valid prefix, its segments' byte ranges concatenated,
+   and the first segment's buffer. *)
+let log_bytes site =
+  let b = Buffer.create 4096 and first = ref None in
+  Wal.iter_bytes (Site.wal site) (fun bytes off len ->
+      if !first = None then first := Some bytes;
+      Buffer.add_subbytes b bytes off len);
+  (Buffer.contents b, !first)
+
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* Random forces at site 0 (odd amounts commit a local increment there,
+   even ones push value to it from site 1, which it accepts with a forced
+   record), a kill with an optional torn tail, a respawn, more forces, and
+   a checkpoint.  Throughout, site 0's WAL file holds exactly the bytes of
+   its in-memory valid prefix: read inside the site's loop, between
+   handlers, where every force has been flushed.  The respawn replays every
+   frame of the file and adopts the file's buffer as the log's first
+   segment, and a checkpoint drops that segment whole. *)
+let prop_file_is_the_log =
+  QCheck.Test.make ~count:8 ~name:"WAL file is the log, byte for byte"
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 12) (int_range 1 9))
+        bool
+        (list_of_size Gen.(0 -- 6) (int_range 1 9)))
+    (fun (before, tear, after) ->
+      let dir = Walfile.temp_dir "test-runtime" in
+      let c = Cluster.create ~seed:27 ~wal_dir:dir ~n:2 ~items:[ (0, 100) ] () in
+      Fun.protect ~finally:(fun () ->
+          Cluster.stop c;
+          Walfile.remove_dir dir)
+      @@ fun () ->
+      let path = Option.get (Cluster.wal_path c 0) in
+      let force k =
+        if k mod 2 = 1 then ignore (Cluster.exec c (Txn.write ~site:0 [ (0, Op.Incr k) ]))
+        else ignore (Cluster.push_value c ~src:1 ~dst:0 ~item:0 ~amount:k)
+      in
+      let identical () =
+        Cluster.with_site c 0 (fun s -> fst (log_bytes s) = file_bytes path) = Some true
+      in
+      List.iter force before;
+      let fresh = identical () in
+      ignore (Cluster.kill_site c 0);
+      if tear then Walfile.tear path ~junk:17;
+      let frames = List.length (Walfile.read path).Walfile.records in
+      let replayed = Cluster.respawn_site c 0 in
+      let adopted = Option.join (Cluster.with_site c 0 (fun s -> snd (log_bytes s))) in
+      let respawned = identical () in
+      List.iter force after;
+      let extended = Cluster.quiesce c && identical () in
+      let checkpointed =
+        Cluster.with_site c 0 (fun s ->
+            Site.checkpoint s;
+            let log, first = log_bytes s in
+            let file = file_bytes path in
+            let tail = String.sub file (String.length file - String.length log) (String.length log) in
+            (match Frame.read Log_event.codec log with
+            | [ Log_event.Checkpoint _ ], _ -> true
+            | _ -> false)
+            && tail = log
+            &&
+            match (adopted, first) with
+            | Some adopted, Some first -> first != adopted
+            | _ -> false)
+      in
+      if not (fresh && respawned && extended) then
+        QCheck.Test.fail_reportf "identity: fresh %b, respawned %b, extended %b" fresh respawned
+          extended;
+      if replayed <> Some frames then
+        QCheck.Test.fail_reportf "respawn replayed %s of %d frames"
+          (Option.fold ~none:"none" ~some:string_of_int replayed)
+          frames;
+      checkpointed = Some true)
+
 let () =
   Alcotest.run "dvp_runtime"
     [
@@ -352,6 +432,7 @@ let () =
           Alcotest.test_case "exec served during a load" `Quick test_exec_during_load;
           Alcotest.test_case "detector verdicts traced and healed" `Quick
             test_detector_wiring;
+          QCheck_alcotest.to_alcotest prop_file_is_the_log;
         ] );
       ( "supervisor",
         [

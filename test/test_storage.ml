@@ -485,6 +485,56 @@ let prop_wal_equivalence =
           && Wal.repaired_records w = m.Model.repaired_count)
         ops)
 
+(* -------------------------------------------------- Wal: adopting frames *)
+
+let int_codec =
+  { Frame.encode = Dvp_util.Bytebuf.add_zigzag; decode = Dvp_util.Bytebuf.get_zigzag }
+
+let wal_bytes w =
+  let b = Buffer.create 64 in
+  Wal.iter_bytes w (Buffer.add_subbytes b);
+  Buffer.contents b
+
+(* One log's bytes, scanned with garbage after them, become another log's
+   whole stable region unchanged; it then grows, faults, repairs and
+   truncates as any log does, and its bytes stay the source's. *)
+let test_wal_adopt () =
+  let src = Wal.create ~codec:int_codec () in
+  List.iter (Wal.append src) [ 1; 2; 3 ];
+  let fr = Frame.scan int_codec (Bytes.of_string (wal_bytes src ^ "\x00junk")) in
+  Alcotest.(check int) "three frames scanned" 3 fr.Frame.count;
+  Alcotest.(check bool) "garbage after them" true (Frame.torn fr);
+  let w = Wal.create ~codec:int_codec () in
+  Wal.append ~forced:false w 98;
+  Wal.append w 99;
+  let forces = Wal.forces w in
+  Wal.adopt w fr;
+  Alcotest.(check (list int)) "adopted records" [ 1; 2; 3 ] (Wal.records w);
+  Alcotest.(check int) "nothing forced" forces (Wal.forces w);
+  Alcotest.(check int) "nothing buffered" 0 (Wal.buffered w);
+  Alcotest.(check int) "indices continue" 5 (Wal.end_index w);
+  Alcotest.(check string) "bytes unchanged" (wal_bytes src) (wal_bytes w);
+  Wal.append src 4;
+  Wal.append w 4;
+  Alcotest.(check string) "a force extends both alike" (wal_bytes src) (wal_bytes w);
+  Wal.append ~forced:false w 5;
+  Wal.inject_fault w Wal.Corrupt_tail;
+  Wal.crash w;
+  Alcotest.(check int) "the torn record repaired" 1 (Wal.repair w);
+  Alcotest.(check (list int)) "adopted prefix intact" [ 1; 2; 3; 4 ] (Wal.records w);
+  Wal.truncate_before w ~keep_from:(Wal.end_index w - 1);
+  Alcotest.(check (list int)) "a checkpoint drops the adopted segment" [ 4 ] (Wal.records w);
+  Alcotest.(check bool) "and releases its bytes" true
+    (let held = ref false in
+     Wal.iter_bytes w (fun b _ _ -> if b == fr.Frame.bytes then held := true);
+     not !held)
+
+let test_wal_adopt_needs_codec () =
+  let fr = Frame.scan int_codec Bytes.empty in
+  Alcotest.check_raises "a boxed log refuses frames"
+    (Invalid_argument "Wal.adopt: a log without a codec holds no frames") (fun () ->
+      Wal.adopt (Wal.create ()) fr)
+
 (* ------------------------------------------------ Wal: codec vs boxed *)
 
 (* A codec log keeps frames in byte segments; a log without a codec keeps
@@ -672,6 +722,8 @@ let () =
           Alcotest.test_case "repair rewinds end_index to valid prefix" `Quick
             test_wal_repair_preserves_end_index_base;
           Alcotest.test_case "iter_from" `Quick test_wal_iter_from;
+          Alcotest.test_case "adopt scanned frames" `Quick test_wal_adopt;
+          Alcotest.test_case "adopt needs a codec" `Quick test_wal_adopt_needs_codec;
           QCheck_alcotest.to_alcotest prop_wal_stability;
           QCheck_alcotest.to_alcotest prop_wal_equivalence;
           QCheck_alcotest.to_alcotest prop_wal_codec_is_boxed;
