@@ -122,9 +122,7 @@ let cut_violations ~check (cut : Cluster.cut) =
 
 (* ------------------------------------------------------ plan interpreter *)
 
-let performs = function
-  | Faultplan.Checkpoint _ | Faultplan.Join _ | Faultplan.Leave _ -> false
-  | _ -> true
+let performs = function Faultplan.Join _ | Faultplan.Leave _ -> false | _ -> true
 
 type performed = { respawns : int; torn : int; sink_fails : int }
 
@@ -179,7 +177,8 @@ let perform sup plan =
     | Faultplan.Reset_links -> Cluster.set_links cluster Dvp_net.Linkstate.quiet
     | Faultplan.Partition groups -> Cluster.set_partition cluster groups
     | Faultplan.Heal -> Cluster.heal_partition cluster
-    | Faultplan.Checkpoint _ | Faultplan.Join _ | Faultplan.Leave _ ->
+    | Faultplan.Checkpoint s -> ignore (Cluster.checkpoint_site cluster s : bool)
+    | Faultplan.Join _ | Faultplan.Leave _ ->
       assert false (* refused by [performs] before the run *)
   in
   let t0 = Cluster.now cluster in

@@ -21,9 +21,12 @@
     - [Fail_forces], [Set_links], [Partition] and [Heal] go to the
       {!Dvp_runtime.Cluster} knobs of the same names, and [Reset_links]
       sets the lossless mailbox links ({!Dvp_net.Linkstate.quiet});
-    - [Checkpoint], [Join] and [Leave] cannot run here: a plan holding one,
-      or naming a site outside the profile's [n], is refused with
-      [Invalid_argument] before any domain or file is created.
+    - [Checkpoint] runs {!Dvp_runtime.Cluster.checkpoint_site}, the path a
+      site domain also takes on its own: a snapshot record, the log
+      truncated, the WAL file compacted to equal it;
+    - [Join] and [Leave] cannot run here: a plan holding one, or naming a
+      site outside the profile's [n], is refused with [Invalid_argument]
+      before any domain or file is created.
 
     Then it heals, revives every remaining dead site, quiesces, and
     audits:

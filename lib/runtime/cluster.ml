@@ -125,6 +125,7 @@ type ctl =
   | Kill
   | Peer_up of int
   | Fail_forces of int
+  | Checkpoint of bool Cell.t
   | Inspect of (Site.t option -> unit)
   | Stop
 
@@ -141,6 +142,7 @@ let fail_ctl = function
        completion under the cut mutex, which kills also take. *)
     Cell.fill reply None
   | Load { reply; _ } -> Cell.fill reply 0
+  | Checkpoint reply -> Cell.fill reply false
   | Inspect f -> f None
   | Deliver _ | Bgload _ | Kill | Peer_up _ | Fail_forces _ | Stop -> ()
 
@@ -257,6 +259,11 @@ let mailbox_warn = 1024
    timers at most, and the default 1024-slot ring doubled cluster setup. *)
 let timer_slots = 64
 
+(* A site domain checkpoints itself once its stable log holds this many
+   records: the log, the WAL file and a respawn's replay stay within it plus
+   one loop pass of records. *)
+let checkpoint_threshold = 1 lsl 15
+
 let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     ~item_arr ~shard ~links ~chaos ~bg_row ~bg_done ~mode ~(ready : int Cell.t) () =
   let mb = mailboxes.(self) in
@@ -329,17 +336,21 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   (* Injected sink-failure budget ([Fail_forces]): the sink raises before
      touching the file, so the WAL retains the whole batch and re-offers it
      on the next force — a fault the storage layer heals, now observable as
-     a typed force_error, a metric, and a Storage_fault trace event. *)
+     a typed force_error, a metric, and a Storage_fault trace event.  A
+     file compaction draws on the same budget, as one more write. *)
   let sink_budget = ref 0 in
+  let injected_fault () =
+    if !sink_budget > 0 then begin
+      decr sink_budget;
+      failwith "injected force-sink fault"
+    end
+  in
   Wal.set_on_force_error (Site.wal site) (fun (_ : Wal.force_error) ->
       Metrics.storage_force_error (Site.metrics site);
       emit (Trace.Storage_fault { site = self; kind = "force_sink" }));
   let attach_sink oc =
     Wal.set_force_sink (Site.wal site) (fun recs ->
-        if !sink_budget > 0 then begin
-          decr sink_budget;
-          failwith "injected force-sink fault"
-        end;
+        injected_fault ();
         Walfile.append_batch oc recs)
   in
   let replayed = ref 0 in
@@ -374,6 +385,30 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       let oc = Walfile.open_append path in
       attach_sink oc;
       Some oc
+  in
+  let wal_oc = ref wal_oc in
+  (* The one runtime checkpoint (Section 7): snapshot the site and truncate
+     its log, then compact the file to equal the log.  The new file's
+     channel becomes the sink, which drops the batches the old one still
+     owed: the new file already holds them.  A failed compaction (an
+     injected sink fault, an I/O error) leaves the old file, the whole
+     history plus whatever the sink took since, which still replays to the
+     same state; the next checkpoint tries again. *)
+  let checkpoint () =
+    Site.checkpoint site;
+    match (wal_dir, !wal_oc) with
+    | Some dir, Some old -> (
+      match
+        injected_fault ();
+        Walfile.compact (Walfile.path ~dir ~site:self) (Site.wal site)
+      with
+      | oc ->
+        close_out_noerr old;
+        attach_sink oc;
+        wal_oc := Some oc
+      | exception (Failure _ | Sys_error _ | Unix.Unix_error _) ->
+        emit (Trace.Storage_fault { site = self; kind = "compact" }))
+    | _ -> ()
   in
   (* Failure detector: the Health policy and wiring the DES runs, driven by
      this domain's timers.  Every delivery is liveness evidence about its
@@ -483,6 +518,9 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
         else Health.note_alive d ~peer
       | None -> ())
     | Fail_forces k -> sink_budget := !sink_budget + k
+    | Checkpoint reply ->
+      checkpoint ();
+      Cell.fill reply true
     | Inspect f -> f (Some site)
     | Stop -> stop := true
   in
@@ -506,7 +544,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       handle m;
       consume rest
   in
-  let close_wal () = match wal_oc with Some oc -> close_out_noerr oc | None -> () in
+  let close_wal () = match !wal_oc with Some oc -> close_out_noerr oc | None -> () in
   (try
      while not !stop do
        fire_due ();
@@ -514,6 +552,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
        check_mailbox_depth (List.length batch);
        consume batch;
        fire_due ();
+       if Wal.stable_length (Site.wal site) >= checkpoint_threshold then checkpoint ();
        (* Sleep until the next timer, or for good without one; when it is
           already due, go straight back round instead of selecting. *)
        if not !stop then begin
@@ -806,6 +845,13 @@ let heal_partition t = Atomic.set t.links { (Atomic.get t.links) with group_of =
 
 let chaos_counts t =
   (Atomic.get t.chaos.cc_drops, Atomic.get t.chaos.cc_dups, Atomic.get t.chaos.cc_delays)
+
+let checkpoint_site t i =
+  if i < 0 || i >= t.n then invalid_arg "Cluster.checkpoint_site: site out of range";
+  let reply = Cell.create () in
+  match Mailbox.send t.mailboxes.(i) (Checkpoint reply) with
+  | Mailbox.Poisoned | Mailbox.Closed -> false
+  | Mailbox.Sent -> Cell.await reply
 
 let fail_forces t i ~count =
   if i < 0 || i >= t.n then invalid_arg "Cluster.fail_forces: site out of range";

@@ -25,6 +25,13 @@
     rejoins under the same identity.  Killing and respawning serialise with
     conservation cuts, so every cut sees a stable live set.
 
+    {b Checkpoints.}  Each site domain checkpoints itself once its stable
+    log holds {!checkpoint_threshold} records (Section 7): a snapshot record
+    is forced, the log is truncated before it, and the site's WAL file is
+    compacted to equal the log.  So the in-memory log, the file and a
+    respawn's replay all stay as long as the tail since the last
+    checkpoint, however long the cluster runs.
+
     Determinism note: cross-site interleavings are real races here.  The
     cross-substrate equivalence tests therefore use commutative workloads
     (increments and bounded explicit redistributions) whose final fragment
@@ -46,7 +53,8 @@ val create :
     the sites, and wait until every site is live.  With [wal_dir], site [i]
     appends every forced WAL record as a checksummed {!Walfile} frame to
     [wal_dir]/site-[i].wal and flushes on each force — the file a
-    {!respawn_site} recovers from.
+    {!respawn_site} recovers from, rewritten to equal the log at each
+    checkpoint ({!checkpoint_site}).
 
     With [tracing] (default false), the cluster carries a
     {!Dvp_trace.Shards.t} of [n + 1] bounded rings: shard [i] is written
@@ -204,6 +212,24 @@ val fail_forces : t -> int -> count:int -> unit
     the next force, and each failure surfaces as a typed
     {!Dvp_storage.Wal.force_error}, a [storage_force_errors] metric tick,
     and a [Storage_fault] trace event. *)
+
+val checkpoint_threshold : int
+(** Stable-log length (2{^15} records) at which a site domain checkpoints
+    itself, checked at the end of each pass of its loop.  A log, a WAL file
+    and a respawn's replay hold at most this many records plus one pass's
+    worth. *)
+
+val checkpoint_site : t -> int -> bool
+(** Checkpoint site [i] now, by the path its domain takes on its own at
+    {!checkpoint_threshold}: {!Dvp_core.Site.checkpoint} (a forced snapshot
+    record, the log truncated before it), then, with a [wal_dir], the file
+    compacted to equal the log ({!Walfile.compact}: tmp file, rename).  A
+    compaction that fails (an I/O error, or a pending {!fail_forces} budget,
+    which it draws on as a force does) leaves the old file, which still
+    replays to the same state, and emits a [Storage_fault] trace event of
+    kind ["compact"]; the next checkpoint tries again.  Returns once the
+    checkpoint has run; [false] against a dead site.  Any thread except a
+    site domain. *)
 
 val with_site : t -> int -> (Dvp_core.Site.t -> 'a) -> 'a option
 (** [with_site t i f] runs [f] on site [i] inside its domain's serial loop,

@@ -42,6 +42,20 @@ let append_batch oc records =
 
 let append oc record = append_batch oc [ record ]
 
+let compact path wal =
+  let tmp = path ^ ".tmp" in
+  let oc = create tmp in
+  match
+    Dvp_storage.Wal.iter_bytes wal (output oc);
+    flush oc;
+    Unix.rename tmp path
+  with
+  | () -> oc
+  | exception e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 type read_result = {
   records : Dvp_core.Log_event.t list;
   valid_bytes : int;

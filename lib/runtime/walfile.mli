@@ -18,7 +18,16 @@
     and this file is its crash mirror, holding the same bytes.  A respawn
     adopts the file: {!scan} checks its frames in one buffer, and the
     site's new log takes that buffer's valid prefix as its stable region
-    ({!Dvp_core.Site.restore}), with no record list and no re-encode. *)
+    ({!Dvp_core.Site.restore}), with no record list and no re-encode.
+
+    The file is compacted at each checkpoint: once the log is truncated to
+    its snapshot record, {!compact} writes the log's bytes to
+    [site-N.wal.tmp] and renames it over [site-N.wal].  The rename is the
+    commit point: a crash before it leaves the old file, which holds the
+    whole history (and the snapshot, if its force reached the file) and
+    still replays to the same state; after it, the file equals the log.  So
+    the file, a respawn's read and its replay stay as long as the tail
+    since the last checkpoint, not the whole history. *)
 
 val path : dir:string -> site:int -> string
 (** [dir]/site-[site].wal — the naming convention [Cluster] uses. *)
@@ -46,6 +55,14 @@ val append_batch : out_channel -> Dvp_core.Log_event.t list -> unit
 
 val append : out_channel -> Dvp_core.Log_event.t -> unit
 (** [append oc r] is [append_batch oc [r]]: write one frame and flush. *)
+
+val compact : string -> Dvp_core.Log_event.t Dvp_storage.Wal.t -> out_channel
+(** [compact path wal] replaces the file at [path] by [wal]'s valid stable
+    prefix ({!Dvp_storage.Wal.iter_bytes}): it writes [path].tmp, flushes
+    it and renames it over [path].  It returns the channel that wrote the
+    tmp file, positioned at its end; after the rename it appends to [path].
+    If anything fails, the tmp file is removed, the exception is re-raised
+    and [path] is untouched. *)
 
 type read_result = {
   records : Dvp_core.Log_event.t list;  (** valid prefix, oldest first *)

@@ -258,7 +258,11 @@ let valid_length t =
   end;
   t.valid_len
 
-let set_force_sink t sink = t.force_sink <- Some sink
+(* A new sink mirrors the log from where its caller left it: batches the
+   old one never accepted belong to a mirror that is gone or rewritten. *)
+let set_force_sink t sink =
+  t.force_sink <- Some sink;
+  t.sink_pending <- []
 
 let set_on_force_error t f = t.on_force_error <- Some f
 

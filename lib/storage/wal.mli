@@ -57,7 +57,11 @@ val set_force_sink : 'r t -> ('r list -> unit) -> unit
     they have moved to the stable region.  Runtimes use this to back the
     stable region with a real file (write + flush per force); the in-memory
     log stays authoritative for recovery and the oracles.  At most one sink;
-    a second call replaces the first. *)
+    a second call replaces the first and drops the batches the first had
+    not accepted ({!sink_pending}): whoever installs a sink has already
+    mirrored the stable region up to now (a respawn that adopted the file,
+    a compaction that rewrote it), so re-offering them would write them
+    twice. *)
 
 (** A sink failure surfaced by {!force}: [at_force] is the force counter at
     the time of the failure, [message] the printed exception (ENOSPC, EIO,

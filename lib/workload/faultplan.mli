@@ -8,8 +8,8 @@
     hand-written and randomized faults via {!merge}.  The wall-clock runtime
     runs the same plans through [Dvp_chaos.Wall].  Each substrate refuses,
     before its run starts ({!validate}), an action it cannot perform: the
-    DES cannot fail forces (it has no file sink); the wall cannot
-    checkpoint, join or leave. *)
+    DES cannot fail forces (it has no file sink); the wall cannot join or
+    leave. *)
 
 type action =
   | Partition of Dvp_core.Ids.site list list

@@ -48,6 +48,24 @@ if grep -rnE '^\s*(type|and) +action\b' lib | grep -vE '^lib/workload/faultplan\
   exit 1
 fi
 
+# One runtime checkpoint path: a site domain's WAL file is compacted to equal
+# its log in the same step that checkpoints the site (Cluster's local
+# [checkpoint] function, which Cluster.checkpoint_site also runs).  A
+# Site.checkpoint anywhere else under lib/runtime or lib/chaos would leave
+# the file and the log apart.
+echo "== one runtime checkpoint path =="
+bypass=$(find lib/runtime lib/chaos -name '*.ml' | sort | xargs awk '
+  FNR == 1 || /^(let|and) / { fn = "" }
+  /^  let / { fn = $2 }
+  /Site\.checkpoint([^_A-Za-z0-9]|$)/ && !(FILENAME == "lib/runtime/cluster.ml" && fn == "checkpoint") {
+    print FILENAME ":" FNR ": " $0
+  }')
+if [ -n "$bypass" ]; then
+  echo "$bypass"
+  echo "Site.checkpoint is called outside Cluster's checkpoint; use Cluster.checkpoint_site" >&2
+  exit 1
+fi
+
 # @fmt needs the ocamlformat binary, which not every environment carries.
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

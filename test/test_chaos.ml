@@ -633,7 +633,6 @@ let test_wall_refuses_before_spawning () =
       ()
   in
   raises_naming "site out of range" "crash site 7" (run (Faultplan.Crash 7));
-  raises_naming "checkpoint" "checkpoint site 1" (run (Faultplan.Checkpoint 1));
   raises_naming "join" "join site 1" (run (Faultplan.Join 1));
   raises_naming "leave" "leave site 2" (run (Faultplan.Leave 2));
   Alcotest.(check int) "no domain spawned" (id0 + 1) (probe ());
@@ -687,6 +686,24 @@ let test_wall_plans_on_the_des () =
         des.Harness.exec ~seed:1
           ~plan:(Some [ Faultplan.at 0.4 (Faultplan.Fail_forces (1, 2)) ])
           ~crashdumps:None)
+
+(* The wall performs checkpoints: site 1 checkpoints under the background
+   load (Vm pushes included) and compacts its WAL file, then is killed and
+   respawned from the compacted file.  Every audit stays green: the cuts,
+   conservation and the log audit over each file's fold. *)
+let test_wall_checkpoint () =
+  let plan =
+    Faultplan.at 0.2 (Faultplan.Checkpoint 1)
+    :: Faultplan.crash_cycle ~site:1 ~first:0.3 ~downtime:0.1
+  in
+  let r = Wall.run_seed ~profile:Wall.bounded_profile ~seed:2 ~plan () in
+  List.iter
+    (fun (at, v) -> Printf.printf "t=%.3f %s: %s\n" at v.Oracle.check v.Oracle.detail)
+    r.Harness.violations;
+  Alcotest.(check bool) "green" false (Harness.failed r);
+  Alcotest.(check int) "respawned" 1 (Harness.tally r "respawns");
+  Alcotest.(check bool) "replayed the file" true (Harness.tally r "replayed_records" > 0);
+  Alcotest.(check bool) "background load committed" true (Harness.tally r "bg_committed" > 0)
 
 (* The wall performs partitions itself: messages that cross groups are
    dropped while no link loses anything, and after the heal the run
@@ -748,6 +765,7 @@ let () =
             test_wall_refuses_before_spawning;
           Alcotest.test_case "wall plans on the DES" `Quick test_wall_plans_on_the_des;
           Alcotest.test_case "wall partition drops and heals" `Quick test_wall_partition;
+          Alcotest.test_case "wall checkpoint, crash, recover" `Quick test_wall_checkpoint;
           Alcotest.test_case "churn schedule shape" `Quick test_churn_schedule_shape;
           Alcotest.test_case "bounded torture" `Slow test_bounded_torture;
           Alcotest.test_case "churn torture" `Slow test_churn_torture;

@@ -347,12 +347,15 @@ let file_bytes path = In_channel.with_open_bin path In_channel.input_all
 
 (* Random forces at site 0 (odd amounts commit a local increment there,
    even ones push value to it from site 1, which it accepts with a forced
-   record), a kill with an optional torn tail, a respawn, more forces, and
-   a checkpoint.  Throughout, site 0's WAL file holds exactly the bytes of
-   its in-memory valid prefix: read inside the site's loop, between
-   handlers, where every force has been flushed.  The respawn replays every
-   frame of the file and adopts the file's buffer as the log's first
-   segment, and a checkpoint drops that segment whole. *)
+   record), a kill with an optional torn tail, a respawn, more forces, a
+   checkpoint through the cluster, a commit, and a second kill and
+   respawn.  Throughout, site 0's WAL file holds exactly the bytes of its
+   in-memory valid prefix: read inside the site's loop, between handlers,
+   where every force has been flushed.  The respawn replays every frame of the file and
+   adopts the file's buffer as the log's first segment; the checkpoint
+   drops that segment whole and compacts the file to the one snapshot
+   frame the log keeps; a commit after it extends the compacted file; and
+   the second respawn replays that file. *)
 let prop_file_is_the_log =
   QCheck.Test.make ~count:8 ~name:"WAL file is the log, byte for byte"
     QCheck.(
@@ -375,39 +378,151 @@ let prop_file_is_the_log =
       let identical () =
         Cluster.with_site c 0 (fun s -> fst (log_bytes s) = file_bytes path) = Some true
       in
+      let respawn () =
+        ignore (Cluster.kill_site c 0);
+        let frames = (Walfile.scan path).Frame.count in
+        (frames, Cluster.respawn_site c 0)
+      in
+      let replays (frames, replayed) =
+        if replayed <> Some frames then
+          QCheck.Test.fail_reportf "respawn replayed %s of %d frames"
+            (Option.fold ~none:"none" ~some:string_of_int replayed)
+            frames
+      in
       List.iter force before;
       let fresh = identical () in
-      ignore (Cluster.kill_site c 0);
-      if tear then Walfile.tear path ~junk:17;
-      let frames = List.length (Walfile.read path).Walfile.records in
-      let replayed = Cluster.respawn_site c 0 in
+      if tear then begin
+        ignore (Cluster.kill_site c 0);
+        Walfile.tear path ~junk:17
+      end;
+      replays (respawn ());
       let adopted = Option.join (Cluster.with_site c 0 (fun s -> snd (log_bytes s))) in
       let respawned = identical () in
       List.iter force after;
       let extended = Cluster.quiesce c && identical () in
       let checkpointed =
-        Cluster.with_site c 0 (fun s ->
-            Site.checkpoint s;
-            let log, first = log_bytes s in
-            let file = file_bytes path in
-            let tail = String.sub file (String.length file - String.length log) (String.length log) in
-            (match Frame.read Log_event.codec log with
-            | [ Log_event.Checkpoint _ ], _ -> true
-            | _ -> false)
-            && tail = log
-            &&
-            match (adopted, first) with
-            | Some adopted, Some first -> first != adopted
-            | _ -> false)
+        Cluster.checkpoint_site c 0
+        && Cluster.with_site c 0 (fun s ->
+               let log, first = log_bytes s in
+               (match Frame.read Log_event.codec log with
+               | [ Log_event.Checkpoint _ ], _ -> true
+               | _ -> false)
+               && log = file_bytes path
+               &&
+               match (adopted, first) with
+               | Some adopted, Some first -> first != adopted
+               | _ -> false)
+           = Some true
       in
-      if not (fresh && respawned && extended) then
-        QCheck.Test.fail_reportf "identity: fresh %b, respawned %b, extended %b" fresh respawned
-          extended;
-      if replayed <> Some frames then
-        QCheck.Test.fail_reportf "respawn replayed %s of %d frames"
-          (Option.fold ~none:"none" ~some:string_of_int replayed)
-          frames;
-      checkpointed = Some true)
+      force 1;
+      let compacted = identical () in
+      replays (respawn ());
+      let recovered = identical () in
+      let conserved = Cluster.quiesce c && Cluster.conserved_all c in
+      if not (fresh && respawned && extended && checkpointed && compacted && recovered) then
+        QCheck.Test.fail_reportf
+          "identity: fresh %b, respawned %b, extended %b, checkpointed %b, compacted %b, \
+           recovered %b"
+          fresh respawned extended checkpointed compacted recovered;
+      conserved)
+
+(* A checkpoint while the file sink fails: the snapshot's force and the
+   compaction each draw one injected failure, so the old file stays as it
+   was, with no tmp file beside it, and the failure is traced.  The next
+   force appends the snapshot the sink still owed and the new commit once
+   each, and the next checkpoint compacts the file to the log. *)
+let test_checkpoint_sink_fault () =
+  let dir = Walfile.temp_dir "test-runtime" in
+  let c = Cluster.create ~seed:28 ~wal_dir:dir ~tracing:true ~n:2 ~items:[ (0, 100) ] () in
+  Fun.protect ~finally:(fun () ->
+      Cluster.stop c;
+      Walfile.remove_dir dir)
+  @@ fun () ->
+  let path = Option.get (Cluster.wal_path c 0) in
+  let commit k =
+    Alcotest.(check bool) "commit" true
+      (Txn.committed (Cluster.exec c (Txn.write ~site:0 [ (0, Op.Incr k) ])))
+  in
+  List.iter commit [ 1; 2; 3 ];
+  (* Force the last commit's applied record, so the checkpoint's force
+     carries the snapshot alone. *)
+  ignore (Cluster.with_site c 0 (fun s -> Wal.force (Site.wal s)));
+  let before = file_bytes path in
+  Cluster.fail_forces c 0 ~count:2;
+  Alcotest.(check bool) "checkpoint ran" true (Cluster.checkpoint_site c 0);
+  Alcotest.(check bool) "old file kept" true (file_bytes path = before);
+  Alcotest.(check bool) "no tmp file left" false (Sys.file_exists (path ^ ".tmp"));
+  commit 4;
+  let log () = Option.get (Cluster.with_site c 0 (fun s -> fst (log_bytes s))) in
+  let tail = log () in
+  Alcotest.(check bool) "log is the snapshot and the commit" true
+    (match Frame.read Log_event.codec tail with
+    | Log_event.Checkpoint _ :: _ :: _, _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "file = old file, then the log's frames once each" true
+    (file_bytes path = before ^ tail);
+  Alcotest.(check bool) "next checkpoint ran" true (Cluster.checkpoint_site c 0);
+  let compacted = log () in
+  Alcotest.(check bool) "compacted: file = log" true (file_bytes path = compacted);
+  Alcotest.(check int) "one snapshot frame" 1 (Walfile.scan path).Frame.count;
+  (* One failure: the snapshot's force fails and the compaction succeeds.
+     The rewritten file holds the snapshot the sink still owed, so the
+     next force must not append it again. *)
+  Cluster.fail_forces c 0 ~count:1;
+  Alcotest.(check bool) "third checkpoint ran" true (Cluster.checkpoint_site c 0);
+  Alcotest.(check bool) "compacted despite the failed force" true (file_bytes path = log ());
+  commit 5;
+  Alcotest.(check bool) "owed snapshot not appended again" true (file_bytes path = log ());
+  Alcotest.(check bool) "kill" true (Cluster.kill_site c 0);
+  Alcotest.(check (option int)) "respawn replays the file"
+    (Some (Walfile.scan path).Frame.count)
+    (Cluster.respawn_site c 0);
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  Alcotest.(check bool) "conserved" true (Cluster.conserved_all c);
+  let faults =
+    List.filter_map
+      (fun (_, ev) ->
+        match ev with Trace.Storage_fault { site = 0; kind } -> Some kind | _ -> None)
+      (Trace.events (Shards.shard (Option.get (Cluster.shards c)) 0))
+  in
+  Alcotest.(check (list string)) "faults traced"
+    [ "force_sink"; "compact"; "force_sink" ]
+    faults
+
+(* Sites checkpoint themselves: after a load of more than twice the
+   threshold, a respawn replays at most the threshold plus one loop pass.
+   A pass of [run_load] fires its batch timer at most twice (256 commits a
+   batch), and a local increment forces [records_per_commit] records, so a
+   pass adds at most [2 * 256 * records_per_commit].  Without the runtime
+   checkpoint the replay would be the whole history. *)
+let test_bounded_recovery () =
+  let dir = Walfile.temp_dir "test-runtime" in
+  let c = Cluster.create ~seed:29 ~wal_dir:dir ~n:2 ~items:[ (0, 1_000) ] () in
+  Fun.protect ~finally:(fun () ->
+      Cluster.stop c;
+      Walfile.remove_dir dir)
+  @@ fun () ->
+  let threshold = Cluster.checkpoint_threshold in
+  let appended () =
+    Array.fold_left
+      (fun acc st -> if st.Cluster.st_site = 0 then st.Cluster.st_wal else acc)
+      0 (Cluster.stats c)
+  in
+  while appended () < 2 * threshold do
+    ignore (Cluster.run_load c ~duration:0.05 ~item:0 ())
+  done;
+  let records_per_commit = 2 (* Txn_commit, Txn_applied *) in
+  let bound = threshold + (2 * 256 * records_per_commit) in
+  Alcotest.(check bool) "kill" true (Cluster.kill_site c 0);
+  let frames = (Walfile.scan (Option.get (Cluster.wal_path c 0))).Frame.count in
+  let replayed = Option.value ~default:(-1) (Cluster.respawn_site c 0) in
+  Alcotest.(check int) "replayed = the file's frames" frames replayed;
+  Alcotest.(check bool)
+    (Printf.sprintf "replayed %d <= %d of %d appended" replayed bound (2 * threshold))
+    true
+    (replayed > 0 && replayed <= bound);
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  Alcotest.(check bool) "conserved" true (Cluster.conserved_all c)
 
 let () =
   Alcotest.run "dvp_runtime"
@@ -433,6 +548,8 @@ let () =
           Alcotest.test_case "detector verdicts traced and healed" `Quick
             test_detector_wiring;
           QCheck_alcotest.to_alcotest prop_file_is_the_log;
+          Alcotest.test_case "checkpoint under a failing sink" `Quick test_checkpoint_sink_fault;
+          Alcotest.test_case "respawn replays a bounded tail" `Quick test_bounded_recovery;
         ] );
       ( "supervisor",
         [

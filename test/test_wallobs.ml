@@ -127,12 +127,20 @@ let test_des_spans_match_metrics () =
 
 (* ------------------------------ span commit counts vs Metrics, wall side *)
 
+(* Each shard must hold the whole run, or the merged trace is incomplete:
+   capacity = duration x an upper bound on one site's commit rate x events
+   per commit.  A local increment emits 4 events (measured: 4.0), and one
+   site commits well under 1.5M increments a second (the fastest of a dozen
+   runs on a 2-core host: 0.66M).  At the old 2^20 events, that fastest run
+   filled its shards to three quarters on average. *)
 let test_wall_spans_match_metrics () =
+  let duration = 0.3 and max_commits_per_s = 1.5e6 and events_per_commit = 4.0 in
+  let capacity = int_of_float (duration *. max_commits_per_s *. events_per_commit) in
   let c =
-    Cluster.create ~seed:7 ~tracing:true ~trace_capacity:(1 lsl 20) ~n:2
+    Cluster.create ~seed:7 ~tracing:true ~trace_capacity:capacity ~n:2
       ~items:[ (0, 10_000) ] ()
   in
-  let committed = Cluster.run_load c ~duration:0.3 ~item:0 () in
+  let committed = Cluster.run_load c ~duration ~item:0 () in
   Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
   let stats = Cluster.stats c in
   let metrics_committed =
@@ -141,9 +149,14 @@ let test_wall_spans_match_metrics () =
       0 stats
   in
   Alcotest.(check int) "run_load total = metrics" committed metrics_committed;
+  let shards = Option.get (Cluster.shards c) in
   let jsonl = Option.get (Cluster.trace_jsonl c) in
   Cluster.stop c;
   let spans = Spans.of_jsonl jsonl in
+  (* A wrapped shard is the first suspect when the trace is incomplete. *)
+  Printf.printf "%d commits, %d events in the shards, %d dropped\n" committed
+    (Shards.total_events shards) (Shards.total_dropped shards);
+  Alcotest.(check int) "shard events dropped" 0 (Shards.total_dropped shards);
   Alcotest.(check bool) "merged trace complete" true spans.Spans.complete;
   Alcotest.(check int) "merged span commits = metrics commits" metrics_committed
     (Spans.committed_count spans);
