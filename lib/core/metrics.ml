@@ -156,21 +156,9 @@ let add_drops t ~loss ~partition ~down ~inflight =
 
 let storage_force_error t = t.storage_force_errors <- t.storage_force_errors + 1
 
-let storage_force_errors t = t.storage_force_errors
-
 let set_trace_dropped t n = t.trace_dropped <- n
 
 let trace_dropped t = t.trace_dropped
-
-let drops_loss t = t.drops_loss
-
-let drops_partition t = t.drops_partition
-
-let drops_down t = t.drops_down
-
-let drops_inflight t = t.drops_inflight
-
-let drops_total t = t.drops_loss + t.drops_partition + t.drops_down + t.drops_inflight
 
 let committed t = t.committed
 
@@ -324,7 +312,8 @@ let to_json t =
             ("partition", Json.Int t.drops_partition);
             ("down", Json.Int t.drops_down);
             ("inflight", Json.Int t.drops_inflight);
-            ("total", Json.Int (drops_total t));
+            ( "total",
+              Json.Int (t.drops_loss + t.drops_partition + t.drops_down + t.drops_inflight) );
           ] );
       ("storage_force_errors", Json.Int t.storage_force_errors);
       ("messages_per_commit", num (messages_per_commit t));

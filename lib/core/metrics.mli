@@ -142,19 +142,7 @@ val messages : t -> int
 
 val log_forces : t -> int
 
-val drops_loss : t -> int
-
-val drops_partition : t -> int
-
-val drops_down : t -> int
-
-val drops_inflight : t -> int
-
-val drops_total : t -> int
-
 val trace_dropped : t -> int
-
-val storage_force_errors : t -> int
 
 val messages_per_commit : t -> float
 

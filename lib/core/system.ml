@@ -71,34 +71,35 @@ let rec evacuate ?(force = false) t ~site:d () =
     let vms_delivered = ref 0 in
     (* Phase 1: independent recovery from the stable log alone. *)
     Site.recover dead;
-    let dvm = Site.vm dead in
+    (* One hand-over: deliver [src]'s outstanding Vm toward [dst] into [dst]
+       in sequence order, then relay [dst]'s watermark back to [src]. *)
+    let hand_over ~src ~dst =
+      let s = t.sites.(src) and r = t.sites.(dst) in
+      let svm = Site.vm s and rvm = Site.vm r in
+      List.iter
+        (fun (seq, item, amount) ->
+          let before = Vm.accepted_upto rvm ~peer:src in
+          Site.handle_message r ~src
+            (Proto.Vm_data
+               {
+                 seq;
+                 item;
+                 amount;
+                 ts_counter = Ids.Clock.current_counter (Site.clock s);
+                 reply_to = None;
+                 ack_upto = Vm.accepted_upto svm ~peer:dst;
+                 epoch = t.epoch;
+               });
+          if Vm.accepted_upto rvm ~peer:src > before then incr vms_delivered)
+        (Vm.outstanding_to svm dst);
+      Site.handle_message s ~src:dst
+        (Proto.Vm_ack { upto = Vm.accepted_upto rvm ~peer:src; epoch = t.epoch })
+    in
     (* Phase 2: flush inbound value.  The resurrected site has no live
        transactions, so every in-order delivery is accepted on the spot; the
        relayed watermark then empties the survivor's (typically parked)
        outbox towards [d]. *)
-    List.iter
-      (fun p ->
-        let sp = t.sites.(p) in
-        let pvm = Site.vm sp in
-        List.iter
-          (fun (seq, item, amount) ->
-            let before = Vm.accepted_upto dvm ~peer:p in
-            Site.handle_message dead ~src:p
-              (Proto.Vm_data
-                 {
-                   seq;
-                   item;
-                   amount;
-                   ts_counter = Ids.Clock.current_counter (Site.clock sp);
-                   reply_to = None;
-                   ack_upto = Vm.accepted_upto pvm ~peer:d;
-                   epoch = t.epoch;
-                 });
-            if Vm.accepted_upto dvm ~peer:p > before then incr vms_delivered)
-          (Vm.outstanding_to pvm d);
-        Site.handle_message sp ~src:d
-          (Proto.Vm_ack { upto = Vm.accepted_upto dvm ~peer:p; epoch = t.epoch }))
-      survivors;
+    List.iter (fun p -> hand_over ~src:p ~dst:d) survivors;
     (* Phase 3: re-home the fragments — plain Rds redistribution, split
        evenly across the survivors, logged as ordinary Vm creations at [d]. *)
     let value_moved = ref 0 in
@@ -122,35 +123,13 @@ let rec evacuate ?(force = false) t ~site:d () =
        boundary any lock held at a survivor belongs to a transaction that is
        awaiting value, and such transactions accept Vm themselves, so
        deliveries into live survivors always stick. *)
-    List.iter
-      (fun p ->
-        let sp = t.sites.(p) in
-        let pvm = Site.vm sp in
-        List.iter
-          (fun (seq, item, amount) ->
-            let before = Vm.accepted_upto pvm ~peer:d in
-            Site.handle_message sp ~src:d
-              (Proto.Vm_data
-                 {
-                   seq;
-                   item;
-                   amount;
-                   ts_counter = Ids.Clock.current_counter (Site.clock dead);
-                   reply_to = None;
-                   ack_upto = Vm.accepted_upto dvm ~peer:p;
-                   epoch = t.epoch;
-                 });
-            if Vm.accepted_upto pvm ~peer:d > before then incr vms_delivered)
-          (Vm.outstanding_to dvm p);
-        Site.handle_message dead ~src:p
-          (Proto.Vm_ack { upto = Vm.accepted_upto pvm ~peer:d; epoch = t.epoch }))
-      survivors;
+    List.iter (fun p -> hand_over ~src:d ~dst:p) survivors;
     (* Vm towards peers that are themselves down right now stay stranded in
        the stable log; the sweep below re-delivers them if those peers come
        back. *)
     let stranded = ref 0 in
     for p = 0 to n - 1 do
-      if p <> d then stranded := !stranded + List.length (Vm.outstanding_to dvm p)
+      if p <> d then stranded := !stranded + List.length (Vm.outstanding_to (Site.vm dead) p)
     done;
     (* Persist the unforced ack-progress records before crashing [d] again —
        losing them is harmless for conservation but would leave

@@ -66,13 +66,6 @@ end
    exactly "everything since the last force is lost". *)
 exception Killed
 
-type report = {
-  rep_fragments : (int * int) list; (* (item, fragment) *)
-  rep_active : int;
-  rep_outbox : int;
-  rep_outbox_to : (int * int) list; (* (dst, Vm queued toward dst), non-zero only *)
-}
-
 type site_stats = {
   st_site : int;
   st_metrics : Metrics.t;  (* a detached copy, safe to read from any thread *)
@@ -114,37 +107,43 @@ type cut = {
 
 let cut_ok c = c.cut_consistent && List.for_all (fun ci -> ci.ci_ok) c.cut_items
 
-type ctl =
-  | Deliver of int * Proto.t
-  | Submit of Txn.t * Txn.outcome Cell.t
-  | Push of { dst : int; item : int; amount : int; reply : bool Cell.t }
-  | Report of report option Cell.t
-  | Stats of { reply : site_stats option Cell.t; barrier : Barrier.t option }
-  | Load of { item : int; amount : int; duration : float; reply : int Cell.t }
-  | Bgload of { deadline : float; amount : int }
-  | Kill
-  | Peer_up of int
-  | Fail_forces of int
-  | Checkpoint of bool Cell.t
-  | Inspect of (Site.t option -> unit)
-  | Stop
+(* A site domain's serving state, built inside its domain and touched only
+   by it: what every control request runs against. *)
+type node = {
+  self : int;
+  site : Site.t;
+  sub : Substrate.t;
+  detector : Health.t option;
+  checkpoint : unit -> unit;  (* the one runtime checkpoint *)
+  sink_budget : int ref;  (* injected WAL-sink failures still owed *)
+  start_bg : deadline:float -> amount:int -> unit;  (* the background load *)
+  pending : (int, unit -> unit) Hashtbl.t;  (* reply id -> its kill-time failure *)
+  mutable next_pending : int;
+}
 
-(* Fail a control message a dead site will never answer: every client-facing
-   cell gets the outcome a crash gives it.  Used on the dying incarnation's
-   unconsumed batch remainder and on the backlog the supervisor sweeps out
-   of a poisoned mailbox. *)
-let fail_ctl = function
-  | Submit (_, reply) -> Cell.fill reply (Txn.Aborted Metrics.Crashed)
-  | Push { reply; _ } -> Cell.fill reply false
-  | Report reply -> Cell.fill reply None
-  | Stats { reply; _ } ->
-    (* A barriered Stats can never reach a dead site's backlog: cuts run to
-       completion under the cut mutex, which kills also take. *)
-    Cell.fill reply None
-  | Load { reply; _ } -> Cell.fill reply 0
-  | Checkpoint reply -> Cell.fill reply false
-  | Inspect f -> f None
-  | Deliver _ | Bgload _ | Kill | Peer_up _ | Fail_forces _ | Stop -> ()
+(* Pending-reply registry: requests whose answer is still in flight inside
+   the domain (a transaction awaiting remote value, a load loop awaiting its
+   deadline).  A kill runs every failure still registered, so the main
+   thread can never block on a reply a dead domain owned. *)
+let register node fail =
+  let id = node.next_pending in
+  node.next_pending <- id + 1;
+  Hashtbl.replace node.pending id fail;
+  id
+
+let resolve node id = Hashtbl.remove node.pending id
+
+(* A site domain's control plane.  [Deliver] carries a protocol message (the
+   hot path: no closure per message).  [Call f] is every other request: the
+   domain runs [f (Some node)] between two handlers, and a domain gone
+   before it could do so leaves [f None] to whoever holds the message.
+   [Kill] unwinds the domain; [Stop] ends it. *)
+type ctl = Deliver of int * Proto.t | Call of (node option -> unit) | Kill | Stop
+
+(* A control message its domain will never handle — the dying incarnation's
+   batch remainder, the backlog swept out of a poisoned mailbox: a request
+   gets its default answer, the rest is lost as a crash loses it. *)
+let abandon = function Call f -> f None | Deliver _ | Kill | Stop -> ()
 
 type chaos_counters = {
   cc_drops : int Atomic.t;
@@ -173,7 +172,7 @@ type t = {
   shards : Shards.t option; (* site i -> shard i; shard n = control plane *)
   cut_mutex : Mutex.t; (* serialises cut takers, kills, and respawns *)
   wal_dir : string option;
-  master_rng : Rng.t; (* respawn streams; guarded by cut_mutex *)
+  master_rng : Rng.t; (* per-incarnation streams; guarded by cut_mutex *)
   links : links Atomic.t; (* written by the main thread only *)
   chaos : chaos_counters;
   bg_deltas : int Atomic.t array array; (* site × item index *)
@@ -190,54 +189,39 @@ type t = {
    zero-delay timer: the stack stays flat, and since the site loop fires
    only the timers that were due when it turned to them, the mailbox
    (client execs, acks, peer Vm, stats, kills) drains between batches.
-   [fill] reports the committed count; on a kill the registry reports the
-   count committed so far — which is exact, because each commit (a forced
-   log append) and its count increment happen inside one handler and kills
-   never land mid-handler. *)
-let start_load site sub ~item ~amount ~duration ~register ~resolve reply =
+   [reply] reports the committed count.  The count is allocated here, in
+   the site's domain, so two loading sites never write one cache line; the
+   caller keeps the returned ref for the kill-time default, which is exact,
+   because each commit (a forced log append) and its count increment happen
+   inside one handler and kills never land mid-handler. *)
+let start_load node ~item ~amount ~duration reply =
+  let sub = node.sub in
   let committed = ref 0 in
-  let id = register (fun () -> Cell.fill reply !committed) in
   let deadline = Substrate.now sub +. duration in
   let ops = [ (item, Op.Incr amount) ] in
   let on_done = function Site.Committed _ -> incr committed | Site.Aborted _ -> () in
   let rec step () =
-    if Substrate.now sub >= deadline then begin
-      resolve id;
-      Cell.fill reply !committed
-    end
+    if Substrate.now sub >= deadline then reply !committed
     else begin
       let batch = ref 0 in
       while !batch < 256 && Substrate.now sub < deadline do
         incr batch;
-        Site.submit site ~ops ~on_done
+        Site.submit node.site ~ops ~on_done
       done;
       ignore (Substrate.schedule sub ~delay:0.0 step)
     end
   in
-  step ()
-
-let report_of site ~n item_list =
-  let vm = Site.vm site in
-  let outbox_to = ref [] in
-  for d = n - 1 downto 0 do
-    let k = Dvp_core.Vm.outbox_depth_to vm ~dst:d in
-    if k > 0 then outbox_to := (d, k) :: !outbox_to
-  done;
-  {
-    rep_fragments = List.map (fun item -> (item, Site.fragment site ~item)) item_list;
-    rep_active = Site.active_txns site;
-    rep_outbox = Dvp_core.Vm.outbox_depth vm;
-    rep_outbox_to = !outbox_to;
-  }
+  step ();
+  committed
 
 (* The per-site snapshot that stats/cut sampling assembles.  Runs inside the
    site's serial loop, so fragments / ledgers / metrics are read between
    handler callbacks — each list is internally consistent. *)
-let stats_of site ~self ~item_list =
-  let vm = Site.vm site in
+let stats_of node ~item_list =
+  let site = node.site in
   let per f = List.map (fun item -> (item, f ~item)) item_list in
   {
-    st_site = self;
+    st_site = node.self;
     (* Detach: merge into a fresh Metrics.t so the main thread never reads
        the site domain's live counters. *)
     st_metrics = Metrics.merge (Site.metrics site) (Metrics.create ());
@@ -245,11 +229,20 @@ let stats_of site ~self ~item_list =
     st_sent = per (fun ~item -> Site.value_sent site ~item);
     st_recv = per (fun ~item -> Site.value_received site ~item);
     st_delta = per (fun ~item -> Site.committed_delta site ~item);
-    st_outbox = Dvp_core.Vm.outbox_depth vm;
+    st_outbox = Dvp_core.Vm.outbox_depth (Site.vm site);
     st_wal = Dvp_storage.Wal.appended (Site.wal site);
     st_epoch = Site.current_epoch site;
     st_active = Site.active_txns site;
   }
+
+(* A peer announced itself up: reinstate it if this site's detector has
+   condemned it (the verdict is sticky by design), else note it alive. *)
+let peer_up node peer =
+  match node.detector with
+  | Some d ->
+    if Health.state d peer = Health.Condemned then Health.reinstate d ~peer
+    else Health.note_alive d ~peer
+  | None -> ()
 
 (* The control-mailbox batch a site domain may drain in one loop turn before
    it emits a [Mailbox_high] warning. *)
@@ -264,9 +257,12 @@ let timer_slots = 64
    one loop pass of records. *)
 let checkpoint_threshold = 1 lsl 15
 
-let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
-    ~item_arr ~shard ~links ~chaos ~bg_row ~bg_done ~mode ~(ready : int Cell.t) () =
-  let mb = mailboxes.(self) in
+(* Site [self]'s domain: build the site (installed fresh, or restored from
+   its WAL file), fill [ready] with the records replayed, then serve the
+   mailbox until [Stop], or until [Kill] unwinds it. *)
+let serve t self ~mode ~rng (ready : int Cell.t) =
+  let mb = t.mailboxes.(self) in
+  let shard = Option.map (fun s -> Shards.shard s self) t.shards in
   (* Each timer carries its arming number, so a pass of [fire_due] can tell
      the timers it found from those armed while it ran. *)
   let timers : (int * (unit -> unit)) Wheel.t = Wheel.create ~slots:timer_slots () in
@@ -279,8 +275,8 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   let now =
     let last = ref 0.0 in
     fun () ->
-      let t = Unix.gettimeofday () -. epoch in
-      if t > !last then last := t;
+      let s = Unix.gettimeofday () -. t.epoch in
+      if s > !last then last := s;
       !last
   in
   let sched at f =
@@ -301,7 +297,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   in
   let net_rng = Rng.split rng in
   let bg_rng = Rng.split rng in
-  let deliver dst msg = Mailbox.push mailboxes.(dst) (Deliver (self, msg)) in
+  let deliver dst msg = Mailbox.push t.mailboxes.(dst) (Deliver (self, msg)) in
   (* Every inter-domain send passes through the live links: a partition
      drops what crosses groups, as the DES Network does, and a storm turns
      the lossless mailbox transport into a lossy, reordering, duplicating
@@ -310,30 +306,30 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
      partition has cut the link meanwhile. *)
   let crosses l dst = match l.group_of with Some g -> g.(self) <> g.(dst) | None -> false in
   let send ~dst msg =
-    let l = Atomic.get links in
+    let l = Atomic.get t.links in
     let p = l.params in
     if
       crosses l dst
       || (p.Linkstate.loss_prob > 0.0 && Rng.bernoulli net_rng p.Linkstate.loss_prob)
-    then Atomic.incr chaos.cc_drops
+    then Atomic.incr t.chaos.cc_drops
     else begin
       if Linkstate.duplicates_p p net_rng then begin
-        Atomic.incr chaos.cc_dups;
+        Atomic.incr t.chaos.cc_dups;
         deliver dst msg
       end;
       if p.Linkstate.delay_mean > 0.0 || p.Linkstate.delay_jitter > 0.0 then begin
-        Atomic.incr chaos.cc_delays;
+        Atomic.incr t.chaos.cc_delays;
         let at = now () +. Linkstate.sample_delay_p p net_rng in
         ignore
           (sched at (fun () ->
-               if crosses (Atomic.get links) dst then Atomic.incr chaos.cc_drops
+               if crosses (Atomic.get t.links) dst then Atomic.incr t.chaos.cc_drops
                else deliver dst msg))
       end
       else deliver dst msg
     end
   in
-  let site = Site.create sub ~self ~n ~send ~config ~rng () in
-  (* Injected sink-failure budget ([Fail_forces]): the sink raises before
+  let site = Site.create sub ~self ~n:t.n ~send ~config:t.config ~rng () in
+  (* Injected sink-failure budget ({!fail_forces}): the sink raises before
      touching the file, so the WAL retains the whole batch and re-offers it
      on the next force — a fault the storage layer heals, now observable as
      a typed force_error, a metric, and a Storage_fault trace event.  A
@@ -355,15 +351,12 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   in
   let replayed = ref 0 in
   let wal_oc =
-    match (mode, wal_dir) with
-    | Fresh, None ->
-      List.iter (fun (item, frag) -> Site.install_fragment site ~item frag) layout;
-      None
-    | Fresh, Some dir ->
-      let oc = Walfile.create (Walfile.path ~dir ~site:self) in
-      attach_sink oc;
-      List.iter (fun (item, frag) -> Site.install_fragment site ~item frag) layout;
-      Some oc
+    match (mode, t.wal_dir) with
+    | Fresh, dir ->
+      let oc = Option.map (fun dir -> Walfile.create (Walfile.path ~dir ~site:self)) dir in
+      Option.iter attach_sink oc;
+      List.iter (fun (item, frag) -> Site.install_fragment site ~item frag) t.layouts.(self);
+      oc
     | Respawn, None -> invalid_arg "Cluster: cannot respawn a site without a wal_dir"
     | Respawn, Some dir ->
       (* Recovery from the on-disk mirror: scan the file's frames, repair
@@ -396,7 +389,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
      same state; the next checkpoint tries again. *)
   let checkpoint () =
     Site.checkpoint site;
-    match (wal_dir, !wal_oc) with
+    match (t.wal_dir, !wal_oc) with
     | Some dir, Some old -> (
       match
         injected_fault ();
@@ -416,7 +409,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
   let detector =
     Option.map
       (fun hcfg -> Site.arm_detector site hcfg ~on_condemned:ignore)
-      config.Config.health
+      t.config.Config.health
   in
   (* Background chaos load: self-driving mixed traffic (escrow increments,
      decrements that may need remote value, explicit cross-site pushes)
@@ -424,18 +417,19 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
      atomics inside the same handler that forces the commit record, so the
      main thread's expected totals stay exact across kills. *)
   let start_bg ~deadline ~amount =
-    let items = Array.length item_arr in
+    let items = Array.length t.item_arr in
+    let bg_row = t.bg_deltas.(self) and bg_done = t.bg_committed.(self) in
     let rec step () =
       if now () < deadline && Site.is_up site then begin
         let batch = ref 0 in
         while !batch < 64 && now () < deadline do
           incr batch;
           let idx = Rng.int bg_rng items in
-          let item = item_arr.(idx) in
+          let item = t.item_arr.(idx) in
           let r = Rng.float bg_rng 1.0 in
-          if r < 0.15 && n > 1 then begin
+          if r < 0.15 && t.n > 1 then begin
             let dst =
-              let d = Rng.int bg_rng (n - 1) in
+              let d = Rng.int bg_rng (t.n - 1) in
               if d >= self then d + 1 else d
             in
             ignore (Site.push_value site ~dst ~item ~amount)
@@ -457,19 +451,19 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     in
     step ()
   in
-  (* Pending-reply registry: client cells whose answer is still in flight
-     inside this domain (submitted transactions awaiting remote value, load
-     loops awaiting their deadline).  A kill fails every one of them, so the
-     main thread can never block on a cell a dead domain owned. *)
-  let pending : (int, unit -> unit) Hashtbl.t = Hashtbl.create 16 in
-  let next_pending = ref 0 in
-  let register fail =
-    let id = !next_pending in
-    incr next_pending;
-    Hashtbl.replace pending id fail;
-    id
+  let node =
+    {
+      self;
+      site;
+      sub;
+      detector;
+      checkpoint;
+      sink_budget;
+      start_bg;
+      pending = Hashtbl.create 16;
+      next_pending = 0;
+    }
   in
-  let resolve id = Hashtbl.remove pending id in
   Cell.fill ready !replayed;
   let stop = ref false in
   (* Fire the timers that were due when the pass began, and no others: a
@@ -491,37 +485,8 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     | Deliver (src, msg) ->
       (match detector with Some d -> Health.note_alive d ~peer:src | None -> ());
       Site.handle_message site ~src msg
-    | Submit (txn, reply) ->
-      (* Retries run on the site's own timers.  The reply fires at most once;
-         if the domain is killed first, the registry fails it instead. *)
-      let id = register (fun () -> Cell.fill reply (Txn.Aborted Metrics.Crashed)) in
-      Txn.run site sub txn (fun outcome ->
-          resolve id;
-          Cell.fill reply outcome)
-    | Push { dst; item; amount; reply } ->
-      Cell.fill reply (Site.push_value site ~dst ~item ~amount)
-    | Report reply -> Cell.fill reply (Some (report_of site ~n item_list))
-    | Stats { reply; barrier } ->
-      Cell.fill reply (Some (stats_of site ~self ~item_list));
-      (* Consistent cut: hold here until every live site has snapshotted, so
-         no value can move between the first and last snapshot.  Deadlock-
-         free because sends are asynchronous mailbox pushes. *)
-      (match barrier with Some b -> Barrier.arrive_and_wait b | None -> ())
-    | Load { item; amount; duration; reply } ->
-      start_load site sub ~item ~amount ~duration ~register ~resolve reply
-    | Bgload { deadline; amount } -> start_bg ~deadline ~amount
+    | Call f -> f (Some node)
     | Kill -> raise Killed
-    | Peer_up peer ->
-      (match detector with
-      | Some d ->
-        if Health.state d peer = Health.Condemned then Health.reinstate d ~peer
-        else Health.note_alive d ~peer
-      | None -> ())
-    | Fail_forces k -> sink_budget := !sink_budget + k
-    | Checkpoint reply ->
-      checkpoint ();
-      Cell.fill reply true
-    | Inspect f -> f (Some site)
     | Stop -> stop := true
   in
   (* One-shot mailbox high-water warning, mirroring Vm's Outbox_high: warn
@@ -535,7 +500,7 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
     else if !mailbox_warned && batch_len <= mailbox_warn / 2 then mailbox_warned := false
   in
   (* Track the unconsumed remainder of the batch in flight, so a kill can
-     fail the cells of messages it will never handle. *)
+     answer the requests it will never handle. *)
   let batch_rest = ref [] in
   let rec consume = function
     | [] -> ()
@@ -545,39 +510,48 @@ let run_site ~self ~n ~config ~rng ~wal_dir ~epoch ~mailboxes ~layout ~item_list
       consume rest
   in
   let close_wal () = match !wal_oc with Some oc -> close_out_noerr oc | None -> () in
-  (try
-     while not !stop do
-       fire_due ();
-       let batch = Mailbox.drain mb in
-       check_mailbox_depth (List.length batch);
-       consume batch;
-       fire_due ();
-       if Wal.stable_length (Site.wal site) >= checkpoint_threshold then checkpoint ();
-       (* Sleep until the next timer, or for good without one; when it is
-          already due, go straight back round instead of selecting. *)
-       if not !stop then begin
-         let at = Wheel.next_at timers in
-         if at = infinity then Mailbox.wait mb ~timeout:(-1.0)
-         else
-           let timeout = at -. now () in
-           if timeout > 0.0 then Mailbox.wait mb ~timeout
-       end
-     done;
-     close_wal ()
-   with Killed ->
-     (* Hard death, in order: fail the batch remainder; crash the site
-        (aborts in-flight transactions with [Crashed], firing their
-        callbacks, and emits the Crash trace event); fail whatever pending
-        replies remain (retry loops, load loops); release the file.  The
-        Site.t, timers, and detector are simply abandoned — volatile state
-        is the casualty, the stable file is the survivor. *)
-     List.iter fail_ctl !batch_rest;
-     Site.crash site;
-     let fails = Hashtbl.fold (fun _ f acc -> f :: acc) pending [] in
-     List.iter (fun f -> f ()) fails;
-     close_wal ())
+  try
+    while not !stop do
+      fire_due ();
+      let batch = Mailbox.drain mb in
+      check_mailbox_depth (List.length batch);
+      consume batch;
+      fire_due ();
+      if Wal.stable_length (Site.wal site) >= checkpoint_threshold then checkpoint ();
+      (* Sleep until the next timer, or for good without one; when it is
+         already due, go straight back round instead of selecting. *)
+      if not !stop then begin
+        let at = Wheel.next_at timers in
+        if at = infinity then Mailbox.wait mb ~timeout:(-1.0)
+        else
+          let timeout = at -. now () in
+          if timeout > 0.0 then Mailbox.wait mb ~timeout
+      end
+    done;
+    close_wal ()
+  with Killed ->
+    (* Hard death, in order: answer the batch remainder; crash the site
+       (aborts in-flight transactions with [Crashed], firing their
+       callbacks, and emits the Crash trace event); fail whatever pending
+       replies remain (retry loops, load loops); release the file.  The
+       Site.t, timers, and detector are simply abandoned — volatile state
+       is the casualty, the stable file is the survivor. *)
+    List.iter abandon !batch_rest;
+    Site.crash site;
+    let fails = Hashtbl.fold (fun _ f acc -> f :: acc) node.pending [] in
+    List.iter (fun f -> f ()) fails;
+    close_wal ()
 
 (* ------------------------------------------------------------ main thread *)
+
+(* The one spawn path, for [create] and [respawn_site] alike: draw the
+   incarnation's RNG stream, start its domain, and hand back the cell the
+   domain fills with the records it replayed once it serves. *)
+let spawn t i ~mode =
+  let rng = Rng.split t.master_rng in
+  let ready = Cell.create () in
+  t.domains.(i) <- Some (Domain.spawn (fun () -> serve t i ~mode ~rng ready));
+  ready
 
 let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
     ?(trace_capacity = 65536) ~n ~items () =
@@ -585,9 +559,6 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
   List.iter
     (fun (_, total) -> if total < 0 then invalid_arg "Cluster.create: negative total")
     items;
-  let rng = Dvp_util.Rng.create seed in
-  let rngs = Array.init n (fun _ -> Dvp_util.Rng.split rng) in
-  let mailboxes = Array.init n (fun _ -> Mailbox.create ()) in
   let item_list = List.map fst items in
   let item_arr = Array.of_list item_list in
   let item_idx = Hashtbl.create 8 in
@@ -599,59 +570,43 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
         (fun i frag -> layout.(i) <- (item, frag) :: layout.(i))
         (Dvp_core.Value.split_even total ~parts:n))
     items;
-  let layouts = Array.map List.rev layout in
-  let epoch = Unix.gettimeofday () in
-  (* n site shards plus one control shard (index n) for the observer /
-     watchdog — single writer per ring, no cross-domain locking. *)
-  let shards =
-    if tracing then Some (Shards.create ~capacity:trace_capacity ~n:(n + 1) ()) else None
-  in
-  let shard_of i = Option.map (fun s -> Shards.shard s i) shards in
-  let links = Atomic.make { params = Linkstate.quiet; group_of = None } in
-  let chaos =
-    { cc_drops = Atomic.make 0; cc_dups = Atomic.make 0; cc_delays = Atomic.make 0 }
-  in
-  let bg_deltas =
-    Array.init n (fun _ -> Array.init (Array.length item_arr) (fun _ -> Atomic.make 0))
-  in
-  let bg_committed = Array.init n (fun _ -> Atomic.make 0) in
-  let ready = Array.init n (fun _ -> Cell.create ()) in
-  let domains =
-    Array.init n (fun i ->
-        Some
-          (Domain.spawn
-             (run_site ~self:i ~n ~config ~rng:rngs.(i) ~wal_dir ~epoch ~mailboxes
-                ~layout:layouts.(i) ~item_list ~item_arr ~shard:(shard_of i) ~links
-                ~chaos ~bg_row:bg_deltas.(i) ~bg_done:bg_committed.(i) ~mode:Fresh
-                ~ready:ready.(i))))
-  in
-  Array.iter (fun c -> ignore (Cell.await c : int)) ready;
   let expected = Hashtbl.create 8 in
   List.iter (fun (item, total) -> Hashtbl.replace expected item total) items;
-  {
-    n;
-    config;
-    mailboxes;
-    domains;
-    alive = Array.make n true;
-    expected;
-    item_list;
-    item_arr;
-    item_idx;
-    epoch;
-    layouts;
-    shards;
-    cut_mutex = Mutex.create ();
-    wal_dir;
-    master_rng = rng;
-    links;
-    chaos;
-    bg_deltas;
-    bg_committed;
-    bg = None;
-    replays = Array.make n 0;
-    stopped = false;
-  }
+  let t =
+    {
+      n;
+      config;
+      mailboxes = Array.init n (fun _ -> Mailbox.create ());
+      domains = Array.make n None;
+      alive = Array.make n true;
+      expected;
+      item_list;
+      item_arr;
+      item_idx;
+      epoch = Unix.gettimeofday ();
+      layouts = Array.map List.rev layout;
+      (* n site shards plus one control shard (index n) for the observer /
+         watchdog — single writer per ring, no cross-domain locking. *)
+      shards =
+        (if tracing then Some (Shards.create ~capacity:trace_capacity ~n:(n + 1) ())
+         else None);
+      cut_mutex = Mutex.create ();
+      wal_dir;
+      master_rng = Rng.create seed;
+      links = Atomic.make { params = Linkstate.quiet; group_of = None };
+      chaos =
+        { cc_drops = Atomic.make 0; cc_dups = Atomic.make 0; cc_delays = Atomic.make 0 };
+      bg_deltas =
+        Array.init n (fun _ -> Array.init (Array.length item_arr) (fun _ -> Atomic.make 0));
+      bg_committed = Array.init n (fun _ -> Atomic.make 0);
+      bg = None;
+      replays = Array.make n 0;
+      stopped = false;
+    }
+  in
+  let ready = Array.init n (fun i -> spawn t i ~mode:Fresh) in
+  Array.iter (fun c -> ignore (Cell.await c : int)) ready;
+  t
 
 let n_sites t = t.n
 
@@ -666,85 +621,100 @@ let site_alive t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.site_alive: site out of range";
   t.alive.(i)
 
-let live_sites t =
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if t.alive.(i) then acc := i :: !acc
-  done;
-  !acc
+let live_sites t = List.filter (fun i -> t.alive.(i)) (List.init t.n Fun.id)
 
-let dead_sites t =
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if not t.alive.(i) then acc := i :: !acc
-  done;
-  !acc
+let dead_sites t = List.filter (fun i -> not t.alive.(i)) (List.init t.n Fun.id)
 
 let replayed t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.replayed: site out of range";
   t.replays.(i)
 
+(* The one request path into a site domain: ship [f] to site [i] as a
+   [Call] and hand back the wait for its answer.  [f] runs inside the
+   domain on its node and answers through its reply, at once or later (a
+   transaction awaiting remote value, a load loop awaiting its deadline).
+   Whatever keeps that answer from coming gives [default ()] instead: a dead
+   site's poisoned (or a stopped cluster's closed) mailbox, a domain gone
+   before it ran the request ({!abandon}), or a kill before the reply fired
+   ([default] is the request's registered kill-time failure).  Any thread
+   except a site domain. *)
+let request t i ~default f =
+  let cell = Cell.create () in
+  let run = function
+    | None -> Cell.fill cell (default ())
+    | Some node ->
+      let id = register node (fun () -> Cell.fill cell (default ())) in
+      f node (fun v ->
+          resolve node id;
+          Cell.fill cell v)
+  in
+  match Mailbox.send t.mailboxes.(i) (Call run) with
+  | Mailbox.Sent -> fun () -> Cell.await cell
+  | Mailbox.Poisoned | Mailbox.Closed -> default
+
+let call t i ~default f = request t i ~default f ()
+
+(* Fire and forget: run [f] in site [i]'s domain, if it is alive. *)
+let tell t i f =
+  ignore
+    (request t i ~default:ignore (fun node reply ->
+         f node;
+         reply ())
+      : unit -> unit)
+
+(* Ask every live site at once, then await the answers in site order. *)
+let ask_live t ask =
+  List.map (fun i -> (i, ask i)) (live_sites t) |> List.map (fun (i, await) -> (i, await ()))
+
 let exec t (req : Txn.t) =
   let site = req.Txn.site in
   if site < 0 || site >= t.n then invalid_arg "Cluster.exec: site out of range";
-  let reply = Cell.create () in
-  match Mailbox.send t.mailboxes.(site) (Submit (req, reply)) with
-  | Mailbox.Poisoned | Mailbox.Closed -> Txn.Aborted Metrics.Crashed
-  | Mailbox.Sent ->
-    let outcome = Cell.await reply in
-    (* Track committed deltas so conservation knows the expected aggregate
-       (the main-thread counterpart of System.exec's bookkeeping). *)
-    (match (req.Txn.kind, outcome) with
-    | Txn.Update, Txn.Committed _ ->
-      List.iter
-        (fun (item, op) ->
-          match Hashtbl.find_opt t.expected item with
-          | Some total -> Hashtbl.replace t.expected item (total + Op.delta op)
-          | None -> ())
-        req.Txn.ops
-    | _ -> ());
-    outcome
+  (* Retries run on the site's own timers. *)
+  let outcome =
+    call t site
+      ~default:(fun () -> Txn.Aborted Metrics.Crashed)
+      (fun node reply -> Txn.run node.site node.sub req reply)
+  in
+  (* Track committed deltas so conservation knows the expected aggregate
+     (the main-thread counterpart of System.exec's bookkeeping). *)
+  (match (req.Txn.kind, outcome) with
+  | Txn.Update, Txn.Committed _ ->
+    List.iter
+      (fun (item, op) ->
+        match Hashtbl.find_opt t.expected item with
+        | Some total -> Hashtbl.replace t.expected item (total + Op.delta op)
+        | None -> ())
+      req.Txn.ops
+  | _ -> ());
+  outcome
 
 let push_value t ~src ~dst ~item ~amount =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Cluster.push_value: site out of range";
-  let reply = Cell.create () in
-  match Mailbox.send t.mailboxes.(src) (Push { dst; item; amount; reply }) with
-  | Mailbox.Poisoned | Mailbox.Closed -> false
-  | Mailbox.Sent -> Cell.await reply
+  call t src
+    ~default:(fun () -> false)
+    (fun node reply -> reply (Site.push_value node.site ~dst ~item ~amount))
 
 let with_site t i f =
   if i < 0 || i >= t.n then invalid_arg "Cluster.with_site: site out of range";
-  let reply = Cell.create () in
-  let run site =
-    Cell.fill reply (Option.map (fun s -> match f s with v -> Ok v | exception e -> Error e) site)
-  in
-  match Mailbox.send t.mailboxes.(i) (Inspect run) with
-  | Mailbox.Poisoned | Mailbox.Closed -> None
-  | Mailbox.Sent -> (
-    match Cell.await reply with None -> None | Some (Ok v) -> Some v | Some (Error e) -> raise e)
+  let run node reply = reply (Some (match f node.site with v -> Ok v | exception e -> Error e)) in
+  match call t i ~default:(fun () -> None) run with
+  | None -> None
+  | Some (Ok v) -> Some v
+  | Some (Error e) -> raise e
 
-(* Ask every live site; a site that dies between the liveness check and the
-   answer resolves to None (its message was either dropped by the poisoned
-   mailbox or swept and failed by the supervisor), so callers never block on
-   a dead site. *)
-let query_live t make =
-  let cells = ref [] in
-  for i = t.n - 1 downto 0 do
-    if t.alive.(i) then begin
-      let reply = Cell.create () in
-      match Mailbox.send t.mailboxes.(i) (make reply) with
-      | Mailbox.Sent -> cells := (i, reply) :: !cells
-      | Mailbox.Poisoned | Mailbox.Closed -> ()
-    end
-  done;
-  List.filter_map (fun (i, r) -> Option.map (fun v -> (i, v)) (Cell.await r)) !cells
+(* Site [i]'s stats, answered from its loop; with [barrier], the site then
+   holds until every live site has answered, so no value can move between
+   the first and last snapshot (a consistent cut).  Deadlock-free because
+   sends are asynchronous mailbox pushes. *)
+let snapshot t ~barrier i =
+  request t i
+    ~default:(fun () -> None)
+    (fun node reply ->
+      reply (Some (stats_of node ~item_list:t.item_list));
+      Option.iter Barrier.arrive_and_wait barrier)
 
-let report_all t = query_live t (fun reply -> Report reply)
-
-let stats t =
-  query_live t (fun reply -> Stats { reply; barrier = None })
-  |> List.map snd |> Array.of_list
+let stats t = ask_live t (snapshot t ~barrier:None) |> List.filter_map snd |> Array.of_list
 
 let mailbox_depth t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.mailbox_depth: site out of range";
@@ -802,17 +772,10 @@ let sample_cut t =
     ~finally:(fun () -> Mutex.unlock t.cut_mutex)
     (fun () ->
       let live = live_sites t in
-      let dead = dead_sites t in
       let barrier = Barrier.create (List.length live) in
-      let replies =
-        List.map
-          (fun i ->
-            let reply = Cell.create () in
-            Mailbox.push t.mailboxes.(i) (Stats { reply; barrier = Some barrier });
-            reply)
-          live
+      let sites =
+        ask_live t (snapshot t ~barrier:(Some barrier)) |> List.filter_map snd |> Array.of_list
       in
-      let sites = Array.of_list (List.filter_map Cell.await replies) in
       (* The cut baseline is what the *live* set was installed with: install
          values are immutable after creation, so this is exact whatever the
          dead sites were holding when they died. *)
@@ -822,7 +785,7 @@ let sample_cut t =
             acc + Option.value ~default:0 (List.assoc_opt item t.layouts.(i)))
           0 live
       in
-      assemble_cut ~at:(now t) ~base ~item_list:t.item_list ~dead sites)
+      assemble_cut ~at:(now t) ~base ~item_list:t.item_list ~dead:(dead_sites t) sites)
 
 (* --------------------------------------------------------- fault surface *)
 
@@ -848,22 +811,20 @@ let chaos_counts t =
 
 let checkpoint_site t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.checkpoint_site: site out of range";
-  let reply = Cell.create () in
-  match Mailbox.send t.mailboxes.(i) (Checkpoint reply) with
-  | Mailbox.Poisoned | Mailbox.Closed -> false
-  | Mailbox.Sent -> Cell.await reply
+  call t i
+    ~default:(fun () -> false)
+    (fun node reply ->
+      node.checkpoint ();
+      reply true)
 
 let fail_forces t i ~count =
   if i < 0 || i >= t.n then invalid_arg "Cluster.fail_forces: site out of range";
-  ignore (Mailbox.send t.mailboxes.(i) (Fail_forces count) : Mailbox.send_result)
+  tell t i (fun node -> node.sink_budget := !(node.sink_budget) + count)
 
 let announce_up t =
   let live = live_sites t in
   List.iter
-    (fun i ->
-      List.iter
-        (fun j -> if j <> i then Mailbox.push t.mailboxes.(i) (Peer_up j))
-        live)
+    (fun i -> tell t i (fun node -> List.iter (fun j -> if j <> i then peer_up node j) live))
     live
 
 let kill_site t i =
@@ -876,13 +837,13 @@ let kill_site t i =
       else begin
         (* Order matters: the Kill message must enter the queue before the
            poison gate closes it; everything behind Kill is backlog, swept
-           and failed once the domain is gone. *)
+           and answered with its defaults once the domain is gone. *)
         Mailbox.push t.mailboxes.(i) Kill;
         Mailbox.poison t.mailboxes.(i);
         (match t.domains.(i) with Some d -> Domain.join d | None -> ());
         t.domains.(i) <- None;
         t.alive.(i) <- false;
-        List.iter fail_ctl (Mailbox.sweep t.mailboxes.(i));
+        List.iter abandon (Mailbox.sweep t.mailboxes.(i));
         true
       end)
 
@@ -897,21 +858,7 @@ let respawn_site t i =
         if t.alive.(i) then None
         else begin
           Mailbox.unpoison t.mailboxes.(i);
-          let rng = Rng.split t.master_rng in
-          let shard_of =
-            Option.map (fun s -> Shards.shard s i) t.shards
-          in
-          let ready = Cell.create () in
-          let d =
-            Domain.spawn
-              (run_site ~self:i ~n:t.n ~config:t.config ~rng ~wal_dir:t.wal_dir
-                 ~epoch:t.epoch ~mailboxes:t.mailboxes ~layout:t.layouts.(i)
-                 ~item_list:t.item_list ~item_arr:t.item_arr ~shard:shard_of
-                 ~links:t.links ~chaos:t.chaos ~bg_row:t.bg_deltas.(i)
-                 ~bg_done:t.bg_committed.(i) ~mode:Respawn ~ready)
-          in
-          let replayed = Cell.await ready in
-          t.domains.(i) <- Some d;
+          let replayed = Cell.await (spawn t i ~mode:Respawn) in
           t.alive.(i) <- true;
           t.replays.(i) <- t.replays.(i) + replayed;
           Some replayed
@@ -923,12 +870,10 @@ let respawn_site t i =
     (* Announce the rejoin so peers' detectors reinstate it promptly (a
        condemned verdict is sticky by design) and parked outboxes unpark —
        then resume the background load if its deadline is still ahead. *)
-    List.iter
-      (fun j -> if j <> i then Mailbox.push t.mailboxes.(j) (Peer_up i))
-      (live_sites t);
+    List.iter (fun j -> if j <> i then tell t j (fun node -> peer_up node i)) (live_sites t);
     (match t.bg with
     | Some (deadline, amount) when now t < deadline ->
-      Mailbox.push t.mailboxes.(i) (Bgload { deadline; amount })
+      tell t i (fun node -> node.start_bg ~deadline ~amount)
     | _ -> ());
     Some replayed
 
@@ -944,21 +889,13 @@ let trace_jsonl t =
   | None -> None
 
 let run_load t ~duration ?(amount = 1) ~item () =
-  let replies =
-    List.map
-      (fun (_, r) -> r)
-      (let cells = ref [] in
-       for i = t.n - 1 downto 0 do
-         if t.alive.(i) then begin
-           let reply = Cell.create () in
-           match Mailbox.send t.mailboxes.(i) (Load { item; amount; duration; reply }) with
-           | Mailbox.Sent -> cells := (i, reply) :: !cells
-           | Mailbox.Poisoned | Mailbox.Closed -> ()
-         end
-       done;
-       !cells)
+  let load i =
+    let committed = ref (ref 0) in
+    request t i
+      ~default:(fun () -> !(!committed))
+      (fun node reply -> committed := start_load node ~item ~amount ~duration reply)
   in
-  let total = List.fold_left (fun acc r -> acc + Cell.await r) 0 replies in
+  let total = List.fold_left (fun acc (_, k) -> acc + k) 0 (ask_live t load) in
   (match Hashtbl.find_opt t.expected item with
   | Some v -> Hashtbl.replace t.expected item (v + (total * amount))
   | None -> ());
@@ -967,11 +904,7 @@ let run_load t ~duration ?(amount = 1) ~item () =
 let start_bg_load t ~duration ?(amount = 1) () =
   let deadline = now t +. duration in
   t.bg <- Some (deadline, amount);
-  Array.iteri
-    (fun i mb ->
-      if t.alive.(i) then
-        ignore (Mailbox.send mb (Bgload { deadline; amount }) : Mailbox.send_result))
-    t.mailboxes
+  List.iter (fun i -> tell t i (fun node -> node.start_bg ~deadline ~amount)) (live_sites t)
 
 let bg_committed t = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.bg_committed
 
@@ -981,21 +914,20 @@ let quiesce ?(timeout = 10.0) t =
     if idle_rounds >= 2 then true
     else if Unix.gettimeofday () > deadline then false
     else begin
-      let reps = report_all t in
-      let dead = dead_sites t in
       (* Vm queued toward a permanently dead site can never drain — the
          mailbox drops every retransmission — so it does not count against
          quiescence.  The value is still accounted: it shows up in the cut's
          in-flight term and in the sender's stable log. *)
-      let owed r =
-        List.fold_left
-          (fun acc (d, k) -> if List.mem d dead then acc + k else acc)
-          0 r.rep_outbox_to
+      let dead = dead_sites t in
+      let settled node reply =
+        let vm = Site.vm node.site in
+        let owed =
+          List.fold_left (fun acc d -> acc + Dvp_core.Vm.outbox_depth_to vm ~dst:d) 0 dead
+        in
+        reply (Site.active_txns node.site = 0 && Dvp_core.Vm.outbox_depth vm - owed <= 0)
       in
       let idle =
-        List.for_all
-          (fun (_, r) -> r.rep_active = 0 && r.rep_outbox - owed r <= 0)
-          reps
+        List.for_all snd (ask_live t (fun i -> request t i ~default:(fun () -> true) settled))
       in
       if not idle then Unix.sleepf 0.002;
       go (if idle then idle_rounds + 1 else 0)
@@ -1005,12 +937,10 @@ let quiesce ?(timeout = 10.0) t =
 
 let fragments t ~item =
   let frags = Array.make t.n 0 in
+  let fragment node reply = reply (Site.fragment node.site ~item) in
   List.iter
-    (fun (i, r) ->
-      match List.assoc_opt item r.rep_fragments with
-      | Some v -> frags.(i) <- v
-      | None -> ())
-    (report_all t);
+    (fun (i, v) -> frags.(i) <- v)
+    (ask_live t (fun i -> request t i ~default:(fun () -> 0) fragment));
   frags
 
 (* The expected aggregate for one item: the main-thread ledger (installs,
@@ -1044,5 +974,9 @@ let stop t =
         if t.alive.(i) then ignore (Mailbox.send mb Stop : Mailbox.send_result))
       t.mailboxes;
     Array.iter (function Some d -> Domain.join d | None -> ()) t.domains;
-    Array.iter Mailbox.close t.mailboxes
+    Array.iter
+      (fun mb ->
+        List.iter abandon (Mailbox.sweep mb);
+        Mailbox.close mb)
+      t.mailboxes
   end

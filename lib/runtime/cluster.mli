@@ -32,6 +32,17 @@
     respawn's replay all stay as long as the tail since the last
     checkpoint, however long the cluster runs.
 
+    {b Control plane.}  A site domain serves four messages: protocol
+    deliveries, a request (a function its domain runs on the site between
+    two handlers), a kill and a stop.  Every function below that asks a
+    site for something sends it one request and awaits the answer, and one
+    rule covers failure: a dead site, a poisoned mailbox, or a kill that
+    lands before the reply gives the request's documented default —
+    [Aborted Crashed] for {!exec}, [false] for {!push_value} and
+    {!checkpoint_site}, [None] for {!with_site}, [0] for the site's entry
+    in {!fragments}, the count committed before the kill for {!run_load} —
+    and never blocks.
+
     Determinism note: cross-site interleavings are real races here.  The
     cross-substrate equivalence tests therefore use commutative workloads
     (increments and bounded explicit redistributions) whose final fragment
@@ -169,8 +180,8 @@ val respawn_site : t -> int -> int option
     from the buffer ({!Dvp_core.Site.restore}: its fresh in-memory WAL
     adopts the valid frame prefix), run crash/recover (database, cumulative ledgers, Vm
     outbox and watermarks all rebuilt), re-attach the file sink in append
-    mode, announce the rejoin to peers ([Peer_up] — detectors reinstate,
-    parked outboxes unpark on their next transition), and resume the
+    mode, announce the rejoin to peers (detectors reinstate it, parked
+    outboxes unpark on their next transition), and resume the
     background load if one is still running.  Returns the number of records
     replayed (the file's valid frames), or [None] if the site is alive.  Requires a [wal_dir].
     @raise Invalid_argument if the cluster has no [wal_dir]. *)
@@ -240,7 +251,7 @@ val with_site : t -> int -> (Dvp_core.Site.t -> 'a) -> 'a option
     Any thread except a site domain. *)
 
 val announce_up : t -> unit
-(** Broadcast [Peer_up] for every live site to every live site: detectors
+(** Tell every live site that every other live site is up: detectors
     holding stale [Suspected]/[Condemned] verdicts (e.g. after a long storm
     or a scheduling stall on a small machine) reinstate their peers.  The
     supervisor's heal step. *)

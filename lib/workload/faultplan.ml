@@ -52,7 +52,7 @@ let merge a b = List.stable_sort (fun x y -> compare x.at y.at) (a @ b)
 
 (* Crash/recover cycles as a Poisson process over [start, until): sites are
    picked uniformly, a site already down is left alone (no double crash), and
-   downtimes are exponential.  Shared by [random] and [crash_storm]. *)
+   downtimes are exponential.  [random]'s crash class. *)
 let poisson_crashes ~rng ~n_sites ~start ~until ~rate ~mean_downtime =
   let up_after = Array.make n_sites neg_infinity in
   let rec go time acc =
@@ -69,9 +69,6 @@ let poisson_crashes ~rng ~n_sites ~start ~until ~rate ~mean_downtime =
     end
   in
   if rate <= 0.0 then [] else merge (go start []) []
-
-let crash_storm ~rng ~n_sites ?(mean_downtime = 0.5) ~start ~len ~rate () =
-  poisson_crashes ~rng ~n_sites ~start ~until:(start +. len) ~rate ~mean_downtime
 
 let random_groups rng n_sites =
   (* A random binary split with both halves non-empty. *)

@@ -61,20 +61,6 @@ val lossy_window : start:float -> len:float -> loss:float -> t
 (** Degrade every link to the given loss probability for a window, then
     restore the baseline links ({!Reset_links}). *)
 
-val crash_storm :
-  rng:Dvp_util.Rng.t ->
-  n_sites:int ->
-  ?mean_downtime:float ->
-  start:float ->
-  len:float ->
-  rate:float ->
-  unit ->
-  t
-(** A burst of crash/recover cycles: a Poisson process at [rate] crashes per
-    second over [start, start +. len), uniformly random victims (a site
-    already down is skipped), exponential downtimes with the given mean
-    (default 0.5 s, floored at 0.05 s). *)
-
 val random :
   rng:Dvp_util.Rng.t ->
   n_sites:int ->
@@ -90,12 +76,14 @@ val random :
   unit ->
   t
 (** Draw a whole random fault schedule over [start, until): crash/recover
-    cycles (as {!crash_storm}), random binary partitions with exponential
-    lengths, and link-loss windows with loss drawn uniformly from
-    [0, max_loss).  All rates default to 0 (contribute nothing), so callers
-    enable exactly the fault classes they want.  Deterministic in the [rng]
-    state; the result is already time-sorted and {!merge}s cleanly with
-    curated plans. *)
+    cycles (a Poisson process at [crash_rate] crashes per second, uniformly
+    random victims, a site already down skipped, exponential downtimes with
+    mean [mean_downtime], default 0.5 s, floored at 0.05 s), random binary
+    partitions with exponential lengths, and link-loss windows with loss
+    drawn uniformly from [0, max_loss).  All rates default to 0 (contribute
+    nothing), so callers enable exactly the fault classes they want.
+    Deterministic in the [rng] state; the result is already time-sorted and
+    {!merge}s cleanly with curated plans. *)
 
 val merge : t -> t -> t
 (** Time-sorted union.  The sort is stable: events at equal times keep their

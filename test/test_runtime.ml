@@ -524,6 +524,94 @@ let test_bounded_recovery () =
   Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
   Alcotest.(check bool) "conserved" true (Cluster.conserved_all c)
 
+(* One failure rule: a request its site cannot answer (the site is dead, or
+   killed before the reply fires, or the request queued behind the kill)
+   gets the request's documented default, and never hangs.  The decrement
+   below needs remote value from a dead peer, and the long transaction
+   timeout leaves the kill as its only way out. *)
+let test_dead_site_defaults () =
+  let dir = Walfile.temp_dir "test-runtime" in
+  let config = { Config.default with Config.txn_timeout = 30.0 } in
+  let c = Cluster.create ~seed:30 ~config ~wal_dir:dir ~n:2 ~items:[ (0, 100) ] () in
+  Fun.protect ~finally:(fun () ->
+      Cluster.stop c;
+      Walfile.remove_dir dir)
+  @@ fun () ->
+  let kill_after delay i =
+    Domain.spawn (fun () ->
+        Unix.sleepf delay;
+        Cluster.kill_site c i)
+  in
+  Alcotest.(check bool) "kill 1" true (Cluster.kill_site c 1);
+  Alcotest.(check bool) "push_value from a dead site" false
+    (Cluster.push_value c ~src:1 ~dst:0 ~item:0 ~amount:1);
+  Alcotest.(check bool) "checkpoint_site of a dead site" false (Cluster.checkpoint_site c 1);
+  Alcotest.(check bool) "with_site of a dead site" true (Cluster.with_site c 1 ignore = None);
+  Alcotest.(check int) "a dead site's fragment" 0 (Cluster.fragments c ~item:0).(1);
+  (* Site 0 holds 50 and the decrement needs 80: it waits for value the
+     dead site 1 will never send, until site 0 itself is killed. *)
+  let killer = kill_after 0.1 0 in
+  let outcome = Cluster.exec c (Txn.write ~site:0 [ (0, Op.Decr 80) ]) in
+  Alcotest.(check bool) "kill 0" true (Domain.join killer);
+  Alcotest.(check bool) "exec awaiting remote value" true
+    (outcome = Txn.Aborted Dvp_core.Metrics.Crashed);
+  List.iter
+    (fun i -> Alcotest.(check bool) "respawn" true (Cluster.respawn_site c i <> None))
+    [ 0; 1 ];
+  (* Killed mid-load, site 0 reports what it committed before the kill:
+     every such commit was forced, so after the respawn the fragments hold
+     exactly the installed total plus the returned count. *)
+  let killer = kill_after 0.1 0 in
+  let total = Cluster.run_load c ~duration:0.5 ~item:0 () in
+  Alcotest.(check bool) "kill 0 mid-load" true (Domain.join killer);
+  Alcotest.(check bool) "respawn after the load" true (Cluster.respawn_site c 0 <> None);
+  Alcotest.(check bool) "quiesced" true (Cluster.quiesce c);
+  Alcotest.(check int) "fragments = installed + run_load's count" (100 + total)
+    (Array.fold_left ( + ) 0 (Cluster.fragments c ~item:0));
+  Alcotest.(check bool) "load committed" true (total > 0);
+  (* A single-site cluster, so no protocol message reaches the mailbox and
+     its depth counts exactly the requests below.  Site 0 is held inside
+     one request; another queues before the kill, three more are sent once
+     the kill is queued. *)
+  let c1 = Cluster.create ~seed:31 ~n:1 ~items:[ (0, 10) ] () in
+  Fun.protect ~finally:(fun () -> Cluster.stop c1) @@ fun () ->
+  let entered = Atomic.make false and release = Atomic.make false in
+  let await_depth k =
+    while Cluster.mailbox_depth c1 0 < k do
+      Domain.cpu_relax ()
+    done
+  in
+  let held =
+    Domain.spawn (fun () ->
+        Cluster.with_site c1 0 (fun _ ->
+            Atomic.set entered true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  let before = Domain.spawn (fun () -> Cluster.with_site c1 0 (Site.fragment ~item:0)) in
+  await_depth 1;
+  let killer = Domain.spawn (fun () -> Cluster.kill_site c1 0) in
+  await_depth 2;
+  let behind =
+    Domain.spawn (fun () ->
+        let checkpointed = Cluster.checkpoint_site c1 0 in
+        let inspected = Cluster.with_site c1 0 ignore in
+        (checkpointed, inspected, Cluster.exec c1 (Txn.write ~site:0 [ (0, Op.Incr 1) ])))
+  in
+  Atomic.set release true;
+  Alcotest.(check bool) "the held request answers" true (Domain.join held = Some ());
+  Alcotest.(check (option int)) "queued before the kill: answered" (Some 10) (Domain.join before);
+  Alcotest.(check bool) "kill lands" true (Domain.join killer);
+  let checkpointed, inspected, outcome = Domain.join behind in
+  Alcotest.(check bool) "behind the kill: checkpoint_site" false checkpointed;
+  Alcotest.(check bool) "behind the kill: with_site" true (inspected = None);
+  Alcotest.(check bool) "behind the kill: exec" true
+    (outcome = Txn.Aborted Dvp_core.Metrics.Crashed)
+
 let () =
   Alcotest.run "dvp_runtime"
     [
@@ -550,6 +638,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_file_is_the_log;
           Alcotest.test_case "checkpoint under a failing sink" `Quick test_checkpoint_sink_fault;
           Alcotest.test_case "respawn replays a bounded tail" `Quick test_bounded_recovery;
+          Alcotest.test_case "dead or dying site answers defaults" `Quick
+            test_dead_site_defaults;
         ] );
       ( "supervisor",
         [
