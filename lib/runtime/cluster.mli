@@ -293,7 +293,7 @@ val stats : t -> site_stats array
 
 val mailbox_depth : t -> int -> int
 (** Messages queued for site [i]'s domain right now (the live mailbox-depth
-    gauge).  Any thread. *)
+    gauge).  Lock-free; any thread. *)
 
 (** Per-item verdict of a conservation cut, over the cut's live set. *)
 type cut_item = {

@@ -67,6 +67,17 @@ if [ -n "$bypass" ]; then
   exit 1
 fi
 
+# One spin site: a site domain that has just served traffic polls its
+# mailbox for a short window before it parks (Mailbox.wait).  Spinning
+# anywhere else steals a core from the site domains: a 10 us spin in the
+# main thread's reply wait (Cluster's Cell.await) doubled the p50 of a
+# remote decrement on 2 cores.
+echo "== one spin site under lib/ =="
+if grep -rn 'Domain\.cpu_relax' lib | grep -vE '^lib/runtime/mailbox\.ml:'; then
+  echo "Domain.cpu_relax is used outside lib/runtime/mailbox.ml; spin only in Mailbox.wait" >&2
+  exit 1
+fi
+
 # @fmt needs the ocamlformat binary, which not every environment carries.
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="

@@ -22,8 +22,10 @@ module Shards = Dvp_trace.Shards
 
 let test_mailbox_poison () =
   let mb = Mailbox.create () in
+  let depth what n = Alcotest.(check int) what n (Mailbox.length mb) in
   Alcotest.(check bool) "send to open box" true (Mailbox.send mb 1 = Mailbox.Sent);
   Mailbox.push mb 2;
+  depth "two queued" 2;
   Mailbox.poison mb;
   Alcotest.(check bool) "poisoned" true (Mailbox.is_poisoned mb);
   (* Producers' messages drop, typed for the client-facing path, silent for
@@ -31,13 +33,17 @@ let test_mailbox_poison () =
   Alcotest.(check bool) "send reports poisoned" true
     (Mailbox.send mb 3 = Mailbox.Poisoned);
   Mailbox.push mb 4;
+  depth "sends to a poisoned box do not count" 2;
   Alcotest.(check (list int)) "sweep returns pre-kill backlog" [ 1; 2 ]
     (Mailbox.sweep mb);
+  depth "empty after sweep" 0;
   Mailbox.unpoison mb;
   Alcotest.(check bool) "unpoisoned accepts again" true
     (Mailbox.send mb 5 = Mailbox.Sent);
+  depth "one queued" 1;
   Alcotest.(check (list int)) "respawn sees only post-revival traffic" [ 5 ]
     (Mailbox.drain mb);
+  depth "empty after drain" 0;
   Mailbox.close mb;
   Alcotest.(check bool) "closed is terminal" true (Mailbox.send mb 6 = Mailbox.Closed)
 
@@ -54,6 +60,65 @@ let test_mailbox_wake () =
   Domain.join consumer;
   Mailbox.close mb;
   Alcotest.(check int) "push woke the parked consumer" 42 (Atomic.get got)
+
+(* Busy-wait [us] microseconds on the clock: a gap exact to a few
+   microseconds, where [Unix.sleepf] would oversleep past the spin window. *)
+let gap_us us =
+  let until = Unix.gettimeofday () +. (float_of_int us *. 1e-6) in
+  while Unix.gettimeofday () < until do
+    ()
+  done
+
+(* A consumer that has just drained spins for a short window, then parks.
+   The gaps between pushes land inside the window (0, 10, 25 us), just past
+   it (35 us) and well past it (60, 200 us), so pushes race both the spin
+   and the hand-over to the self-pipe park.  Each wait may block 1 s and the
+   whole run must finish in under 1 s: one lost wake fails the test instead
+   of being rescued by the timeout. *)
+let test_mailbox_spin_park () =
+  let n = 2000 and gaps = [| 0; 10; 25; 35; 60; 200 |] in
+  let mb = Mailbox.create () in
+  let t0 = Unix.gettimeofday () in
+  let consumer =
+    Domain.spawn (fun () ->
+        let got = ref [] and seen = ref 0 in
+        while !seen < n do
+          Mailbox.wait mb ~timeout:1.0;
+          let batch = Mailbox.drain mb in
+          seen := !seen + List.length batch;
+          got := List.rev_append batch !got
+        done;
+        List.rev !got)
+  in
+  for i = 0 to n - 1 do
+    gap_us gaps.(i mod Array.length gaps);
+    Mailbox.push mb i
+  done;
+  let got = Domain.join consumer in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Mailbox.close mb;
+  Alcotest.(check (list int)) "every message, in order" (List.init n Fun.id) got;
+  if elapsed >= 1.0 then
+    Alcotest.failf "run took %.3f s: a wake was lost and a 1 s wait timed out" elapsed
+
+(* A wait after traffic, with nothing pushed, lasts its timeout: a short
+   one ends inside the spin window, a longer one parks for what is left. *)
+let test_mailbox_spin_timeout () =
+  let mb = Mailbox.create () in
+  let timed_wait timeout =
+    Mailbox.push mb 1;
+    Alcotest.(check (list int)) "drained" [ 1 ] (Mailbox.drain mb);
+    let t0 = Unix.gettimeofday () in
+    Mailbox.wait mb ~timeout;
+    Unix.gettimeofday () -. t0
+  in
+  let short = timed_wait 1e-5 in
+  if short >= 5e-3 then
+    Alcotest.failf "wait ~timeout:1e-5 after traffic took %.1f ms" (short *. 1e3);
+  let long = timed_wait 0.01 in
+  if long < 0.009 then
+    Alcotest.failf "wait ~timeout:0.01 after traffic returned after %.1f ms" (long *. 1e3);
+  Mailbox.close mb
 
 (* ---------------------------------------------------------------- walfile *)
 
@@ -619,6 +684,8 @@ let () =
         [
           Alcotest.test_case "poison, sweep, unpoison" `Quick test_mailbox_poison;
           Alcotest.test_case "push wakes a parked consumer" `Quick test_mailbox_wake;
+          Alcotest.test_case "spin/park boundary loses no wake" `Quick test_mailbox_spin_park;
+          Alcotest.test_case "spin window capped by timeout" `Quick test_mailbox_spin_timeout;
         ] );
       ( "walfile",
         [
