@@ -692,9 +692,9 @@ let serve_cmd domains items total transport =
         (* Live snapshot, no quiesce: each site answers from its own loop. *)
         Printf.printf "  %-5s %9s %8s %8s %8s %6s %7s %6s %6s\n" "site" "committed"
           "aborted" "p99ms" "mailbox" "outbox" "wal" "epoch" "active";
-        Array.iteri
-          (fun i st ->
-            let m = st.Dvp.Cluster.st_metrics in
+        Array.iter
+          (fun st ->
+            let i = st.Dvp.Cluster.st_site and m = st.Dvp.Cluster.st_metrics in
             let p99 = Dvp.Metrics.latency_p99 m *. 1000.0 in
             Printf.printf "  %-5d %9d %8d %8s %8d %6d %7d %6d %6d\n" i
               (Dvp.Metrics.committed m) (Dvp.Metrics.aborted m)
@@ -767,42 +767,15 @@ let top_cmd domains duration every watchdog transport =
   let prev = ref (0.0, 0) in
   let on_sample stats cut =
     let now = Dvp.Cluster.now c in
-    let committed =
-      Array.fold_left
-        (fun acc st -> acc + Dvp.Metrics.committed st.Dvp.Cluster.st_metrics)
-        0 stats
-    in
-    let aborted =
-      Array.fold_left
-        (fun acc st -> acc + Dvp.Metrics.aborted st.Dvp.Cluster.st_metrics)
-        0 stats
-    in
-    let p99 =
-      Array.fold_left
-        (fun acc st ->
-          let p = Dvp.Metrics.latency_p99 st.Dvp.Cluster.st_metrics *. 1000.0 in
-          if Float.is_nan acc then p
-          else if Float.is_nan p then acc
-          else Float.max acc p)
-        nan stats
-    in
-    let mailbox = ref 0 in
-    for i = 0 to domains - 1 do
-      mailbox := !mailbox + Dvp.Cluster.mailbox_depth c i
-    done;
-    let in_flight =
-      Array.fold_left
-        (fun acc st ->
-          let sum l = List.fold_left (fun a (_, v) -> a + v) 0 l in
-          acc + sum st.Dvp.Cluster.st_sent - sum st.Dvp.Cluster.st_recv)
-        0 stats
-    in
+    let committed = Dvp.Observer.committed stats in
+    let p99 = Dvp.Observer.p99_ms stats in
     let t0, c0 = !prev in
     prev := (now, committed);
     let rate = float_of_int (committed - c0) /. Float.max 1e-9 (now -. t0) in
-    Printf.printf "%8.2f %9.0f %9d %8d %8s %8d %9d %s\n%!" now rate committed aborted
+    Printf.printf "%8.2f %9.0f %9d %8d %8s %8d %9d %s\n%!" now rate committed
+      (Dvp.Observer.aborted stats)
       (if Float.is_nan p99 then "-" else Printf.sprintf "%.2f" p99)
-      !mailbox in_flight
+      (Dvp.Observer.mailbox_depth c) (Dvp.Observer.in_flight_value stats)
       (match cut with
       | Some cut -> if Dvp.Cluster.cut_ok cut then "ok" else "VIOLATED"
       | None -> "")
@@ -973,8 +946,8 @@ let chaos_wall_arg =
         ~doc:
           "Fuzz the multicore wall-clock runtime instead of the DES: hard domain \
            kills mid-traffic, file-backed WAL recovery (torn tails repaired for \
-           real), link storms, forced-write faults — audited by freeze-barrier \
-           conservation cuts and an offline replay of the on-disk logs.")
+           real), link storms, forced-write faults — audited by live conservation \
+           cuts and an offline replay of the on-disk logs.")
 
 let crashdumps_arg =
   Arg.(
@@ -1074,9 +1047,10 @@ let watchdog_arg =
   Arg.(
     value & flag
     & info [ "watchdog" ]
-        ~doc:"Arm the conservation watchdog: epoch-consistent cuts over fragments plus \
-              in-flight Vm value; any drift from the expected aggregate alarms, dumps a \
-              crash-dump, and fails the run.")
+        ~doc:"Arm the conservation watchdog: each tick sums every site's ledger \
+              (fragments, Vm value sent and received, committed deltas) without pausing \
+              any site; a sum off the installed total plus committed deltas, or a \
+              negative fragment, alarms, dumps a crash-dump, and fails the run.")
 
 let every_arg =
   Arg.(value & opt float 0.25 & info [ "every" ] ~doc:"Observer sampling period (seconds).")

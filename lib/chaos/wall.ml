@@ -105,11 +105,11 @@ let cut_violations ~check (cut : Cluster.cut) =
         in
         let negative =
           List.filter_map
-            (fun (st : Cluster.site_stats) ->
-              match List.assoc_opt item st.Cluster.st_fragments with
-              | Some v when v < 0 -> Some (Printf.sprintf "site %d fragment %d < 0" st.Cluster.st_site v)
+            (fun (lg : Cluster.ledger) ->
+              match List.assoc_opt item lg.Cluster.lg_fragments with
+              | Some v when v < 0 -> Some (Printf.sprintf "site %d fragment %d < 0" lg.Cluster.lg_site v)
               | _ -> None)
-            (Array.to_list cut.Cluster.cut_sites)
+            (Array.to_list cut.Cluster.cut_ledgers)
         in
         Some
           ( cut.Cluster.cut_at,
@@ -279,7 +279,7 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
   let quiesced = Cluster.quiesce ~timeout:profile.quiesce_timeout cluster in
   if not quiesced then
     viol "quiesce" "cluster failed to quiesce within %.1fs" profile.quiesce_timeout;
-  (* Live verdicts: the final freeze-barrier cut and the closed-loop totals. *)
+  (* Live verdicts: the final cut and the closed-loop totals. *)
   let cut = Cluster.sample_cut cluster in
   violations := List.rev_append (cut_violations ~check:"cut" cut) !violations;
   if not (Cluster.conserved_all cluster) then
@@ -317,7 +317,8 @@ let run_seed ~(profile : profile) ~seed ?plan ?crashdumps () =
   (* The stable-log audit every DES oracle point runs too, over each site's
      on-disk frame prefix (every force flushed, so the files are current)
      against the live fragments and the final cut's in-flight value.  Sound
-     at quiesce with every site live: nothing moves in between. *)
+     at quiesce with every site live: nothing moves in between, so the cut's
+     Σ sent − Σ recv is the value in flight. *)
   if quiesced && Cluster.dead_sites cluster = [] then begin
     let folds =
       List.init profile.n (fun i ->

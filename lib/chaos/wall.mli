@@ -31,10 +31,10 @@
     Then it heals, revives every remaining dead site, quiesces, and
     audits:
 
-    - the watchdog's freeze-barrier cuts, sampled live throughout the run
-      by {!Dvp_runtime.Observer} (exact even while sites are dead —
-      live-set identity, and no live fragment below zero); any alarm is a
-      violation;
+    - the watchdog's conservation cuts, sampled live throughout the run
+      by {!Dvp_runtime.Observer} without pausing a site (each a sum of
+      per-site ledgers, exact even while sites are dead, and no fragment
+      below zero); any alarm is a violation;
     - the final cut and the closed-loop expected totals;
     - recovery evidence: every site the plan killed must have replayed a
       positive number of records, and the load must have committed traffic;

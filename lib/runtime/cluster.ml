@@ -44,74 +44,54 @@ module Cell = struct
     v
 end
 
-(* An n-party one-shot rendezvous: every site domain snapshots its stats,
-   then blocks here until all have — so no site resumes (and thus no value
-   moves) between the first and last per-site snapshot.  That makes the
-   assembled cut consistent: a Vm send after one site's snapshot cannot be
-   accepted before another's, because acceptance happens in a handler and
-   every handler is paused until the rendezvous completes. *)
-module Barrier = struct
-  type t = { m : Mutex.t; c : Condition.t; total : int; mutable arrived : int }
-
-  let create total = { m = Mutex.create (); c = Condition.create (); total; arrived = 0 }
-
-  let arrive_and_wait t =
-    Mutex.lock t.m;
-    t.arrived <- t.arrived + 1;
-    if t.arrived >= t.total then Condition.broadcast t.c
-    else
-      while t.arrived < t.total do
-        Condition.wait t.c t.m
-      done;
-    Mutex.unlock t.m
-end
-
 (* The dying incarnation's unwind: raised by the [Kill] control message out
    of the handler dispatch, never from inside a site handler — so every WAL
    force that happened, happened completely, and the abandoned state is
    exactly "everything since the last force is lost". *)
 exception Killed
 
+(* One site's conservation ledger, per item.  [Site.committed_delta]
+   documents the identity it satisfies at every instant of the site's serial
+   execution: fragment = installed + recv + delta - sent. *)
+type ledger = {
+  lg_site : int;
+  lg_fragments : (int * int) list;  (* (item, fragment) *)
+  lg_sent : (int * int) list;  (* (item, cumulative Vm value shipped) *)
+  lg_recv : (int * int) list;  (* (item, cumulative Vm value accepted) *)
+  lg_delta : (int * int) list;  (* (item, cumulative committed op delta) *)
+}
+
 type site_stats = {
   st_site : int;
   st_metrics : Metrics.t;  (* a detached copy, safe to read from any thread *)
-  st_fragments : (int * int) list;  (* (item, fragment) *)
-  st_sent : (int * int) list;  (* (item, cumulative Vm value shipped) *)
-  st_recv : (int * int) list;  (* (item, cumulative Vm value accepted) *)
-  st_delta : (int * int) list;  (* (item, cumulative committed op delta) *)
+  st_ledger : ledger;
   st_outbox : int;
   st_wal : int;
   st_epoch : int;
   st_active : int;
 }
 
-(* Per-item verdict of one conservation cut: summed over every *live* site
-   on the cut, fragments plus in-flight value (sent − recv) must equal the
-   live installed baseline plus committed deltas.  The per-site identity
-   [fragment = installed + received + delta − sent] holds at every instant
-   of a site's serial execution and every term is rebuilt from the stable
-   log on respawn, so restricting all five sums to the same live set keeps
-   the equality exact even while some sites are dead — value owed to or by
-   a dead site shows up as (possibly negative) [ci_in_flight]. *)
+(* Per-item verdict of one conservation cut: the per-site identity summed
+   over the sites that answered, each read at its own instant.  A Vm
+   debited after its sender answered and credited before its receiver
+   answered is in both fragments and counts -amount in sent - recv. *)
 type cut_item = {
   ci_item : int;
-  ci_expected : int;  (* live installed baseline + Σ live committed deltas *)
-  ci_fragments : int;  (* Σ live fragments on the cut *)
-  ci_in_flight : int;  (* Σ sent − Σ recv over the live set *)
-  ci_delta : int;  (* Σ live committed deltas on the cut *)
-  ci_ok : bool;  (* conserves, and no live fragment is negative *)
+  ci_expected : int;  (* installed baseline + Σ committed deltas, answered sites *)
+  ci_fragments : int;  (* Σ fragments, answered sites *)
+  ci_in_flight : int;  (* Σ sent − Σ recv, answered sites *)
+  ci_delta : int;  (* Σ committed deltas, answered sites *)
+  ci_ok : bool;  (* conserves, and no fragment is negative *)
 }
 
 type cut = {
   cut_at : float;  (* wall time (cluster clock) the cut completed *)
-  cut_epoch : int;  (* common membership epoch, -1 if inconsistent *)
-  cut_consistent : bool;  (* all sites reported the same epoch *)
   cut_items : cut_item list;
-  cut_sites : site_stats array;
-  cut_dead : int list;  (* sites excluded from the cut (hard-killed) *)
+  cut_ledgers : ledger array;
+  cut_dead : int list;  (* sites that did not answer *)
 }
 
-let cut_ok c = c.cut_consistent && List.for_all (fun ci -> ci.ci_ok) c.cut_items
+let cut_ok c = List.for_all (fun ci -> ci.ci_ok) c.cut_items
 
 (* A site domain's serving state, built inside its domain and touched only
    by it: what every control request runs against. *)
@@ -168,7 +148,7 @@ type t = {
   config : Config.t;
   mailboxes : ctl Mailbox.t array;
   domains : unit Domain.t option array; (* None once killed and joined *)
-  alive : bool array; (* written under cut_mutex; racy reads are benign *)
+  alive : bool array; (* written under life_mutex; racy reads are benign *)
   expected : (int, int) Hashtbl.t; (* main-thread view of Σ per item *)
   item_list : int list;
   item_arr : int array;
@@ -176,9 +156,9 @@ type t = {
   epoch : float; (* wall instant of creation: origin of the cluster clock *)
   layouts : (int * int) list array; (* per-site install layout, cut baselines *)
   shards : Shards.t option; (* site i -> shard i; shard n = control plane *)
-  cut_mutex : Mutex.t; (* serialises cut takers, kills, and respawns *)
+  life_mutex : Mutex.t; (* serialises kills and respawns *)
   wal_dir : string option;
-  master_rng : Rng.t; (* per-incarnation streams; guarded by cut_mutex *)
+  master_rng : Rng.t; (* per-incarnation streams; split under life_mutex *)
   links : links Atomic.t; (* written by the main thread only *)
   chaos : chaos_counters;
   bg_deltas : int Atomic.t array array; (* site × item index *)
@@ -220,21 +200,28 @@ let start_load node ~item ~amount ~duration reply =
   step ();
   committed
 
-(* The per-site snapshot that stats/cut sampling assembles.  Runs inside the
-   site's serial loop, so fragments / ledgers / metrics are read between
-   handler callbacks — each list is internally consistent. *)
-let stats_of node ~item_list =
+(* A site's ledger, read where the site runs (inside its domain, or on the
+   DES thread) between two handlers.  A cut reads only this: no Metrics. *)
+let ledger_of site ~items =
+  let per f = List.map (fun item -> (item, f site ~item)) items in
+  {
+    lg_site = Site.self site;
+    lg_fragments = per Site.fragment;
+    lg_sent = per Site.value_sent;
+    lg_recv = per Site.value_received;
+    lg_delta = per Site.committed_delta;
+  }
+
+(* The per-site snapshot [stats] assembles, read inside the site's serial
+   loop. *)
+let stats_of node ~items =
   let site = node.site in
-  let per f = List.map (fun item -> (item, f ~item)) item_list in
   {
     st_site = node.self;
     (* Detach: merge into a fresh Metrics.t so the main thread never reads
        the site domain's live counters. *)
     st_metrics = Metrics.merge (Site.metrics site) (Metrics.create ());
-    st_fragments = per (fun ~item -> Site.fragment site ~item);
-    st_sent = per (fun ~item -> Site.value_sent site ~item);
-    st_recv = per (fun ~item -> Site.value_received site ~item);
-    st_delta = per (fun ~item -> Site.committed_delta site ~item);
+    st_ledger = ledger_of site ~items;
     st_outbox = Dvp_core.Vm.outbox_depth (Site.vm site);
     st_wal = Dvp_storage.Wal.appended (Site.wal site);
     st_epoch = Site.current_epoch site;
@@ -598,7 +585,7 @@ let create ?(seed = 42) ?(config = Config.default) ?wal_dir ?(tracing = false)
       shards =
         (if tracing then Some (Shards.create ~capacity:trace_capacity ~n:(n + 1) ())
          else None);
-      cut_mutex = Mutex.create ();
+      life_mutex = Mutex.create ();
       wal_dir;
       master_rng = Rng.create seed;
       links = Atomic.make { params = Linkstate.quiet; group_of = None };
@@ -711,35 +698,29 @@ let with_site t i f =
   | Some (Ok v) -> Some v
   | Some (Error e) -> raise e
 
-(* Site [i]'s stats, answered from its loop; with [barrier], the site then
-   holds until every live site has answered, so no value can move between
-   the first and last snapshot (a consistent cut).  Deadlock-free because
-   sends are asynchronous mailbox pushes. *)
-let snapshot t ~barrier i =
-  request t i
-    ~default:(fun () -> None)
-    (fun node reply ->
-      reply (Some (stats_of node ~item_list:t.item_list));
-      Option.iter Barrier.arrive_and_wait barrier)
+(* Every live site's answer to [read node], in site order; a site that dies
+   before answering is left out. *)
+let ask_each t read =
+  let ask i = request t i ~default:(fun () -> None) (fun node reply -> reply (Some (read node))) in
+  ask_live t ask |> List.filter_map snd
+  |> Array.of_list
 
-let stats t = ask_live t (snapshot t ~barrier:None) |> List.filter_map snd |> Array.of_list
+let stats t = ask_each t (stats_of ~items:t.item_list)
 
 let mailbox_depth t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.mailbox_depth: site out of range";
   Mailbox.length t.mailboxes.(i)
 
-let assemble_cut ~at ~base ~item_list ~dead (sites : site_stats array) =
-  let sum f = Array.fold_left (fun acc st -> acc + f st) 0 sites in
-  let epoch0 = if Array.length sites = 0 then 0 else sites.(0).st_epoch in
-  let consistent = Array.for_all (fun st -> st.st_epoch = epoch0) sites in
+let assemble_cut ~at ~base ~item_list ~dead ledgers =
+  let sum f = Array.fold_left (fun acc lg -> acc + f lg) 0 ledgers in
   let items =
     List.map
       (fun item ->
         let look l = Option.value ~default:0 (List.assoc_opt item l) in
-        let fragments = sum (fun st -> look st.st_fragments) in
-        let sent = sum (fun st -> look st.st_sent) in
-        let recv = sum (fun st -> look st.st_recv) in
-        let delta = sum (fun st -> look st.st_delta) in
+        let fragments = sum (fun lg -> look lg.lg_fragments) in
+        let sent = sum (fun lg -> look lg.lg_sent) in
+        let recv = sum (fun lg -> look lg.lg_recv) in
+        let delta = sum (fun lg -> look lg.lg_delta) in
         let expected = base item + delta in
         let in_flight = sent - recv in
         {
@@ -750,50 +731,31 @@ let assemble_cut ~at ~base ~item_list ~dead (sites : site_stats array) =
           ci_delta = delta;
           ci_ok =
             fragments + in_flight = expected
-            && Array.for_all (fun st -> look st.st_fragments >= 0) sites;
+            && Array.for_all (fun lg -> look lg.lg_fragments >= 0) ledgers;
         })
       item_list
   in
-  {
-    cut_at = at;
-    cut_epoch = (if consistent then epoch0 else -1);
-    cut_consistent = consistent;
-    cut_items = items;
-    cut_sites = sites;
-    cut_dead = dead;
-  }
+  { cut_at = at; cut_items = items; cut_ledgers = ledgers; cut_dead = dead }
 
-let cut_of_stats ~at ~initial ~items sites =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (item, v) -> Hashtbl.replace tbl item v) initial;
+let cut_of_ledgers ~at ~initial ~items ledgers =
   assemble_cut ~at
-    ~base:(fun item -> Option.value ~default:0 (Hashtbl.find_opt tbl item))
-    ~item_list:items ~dead:[] sites
+    ~base:(fun item -> Option.value ~default:0 (List.assoc_opt item initial))
+    ~item_list:items ~dead:[] ledgers
 
 let sample_cut t =
-  (* Serialise concurrent cut takers, kills and respawns: the live set must
-     not change between choosing the barrier's party count and the last
-     arrival, and two overlapping cuts would hand the sites two different
-     barriers in unpredictable orders and deadlock. *)
-  Mutex.lock t.cut_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.cut_mutex)
-    (fun () ->
-      let live = live_sites t in
-      let barrier = Barrier.create (List.length live) in
-      let sites =
-        ask_live t (snapshot t ~barrier:(Some barrier)) |> List.filter_map snd |> Array.of_list
-      in
-      (* The cut baseline is what the *live* set was installed with: install
-         values are immutable after creation, so this is exact whatever the
-         dead sites were holding when they died. *)
-      let base item =
-        List.fold_left
-          (fun acc i ->
-            acc + Option.value ~default:0 (List.assoc_opt item t.layouts.(i)))
-          0 live
-      in
-      assemble_cut ~at:(now t) ~base ~item_list:t.item_list ~dead:(dead_sites t) sites)
+  let ledgers = ask_each t (fun node -> ledger_of node.site ~items:t.item_list) in
+  (* Base and dead come from the replies, not from the live set read before
+     asking: a site killed after that read answers nothing, so its share of
+     the installed baseline must not be counted either.  Install values are
+     immutable after creation (the install records replay on respawn). *)
+  let answered i = Array.exists (fun lg -> lg.lg_site = i) ledgers in
+  let base item =
+    Array.fold_left
+      (fun acc lg -> acc + Option.value ~default:0 (List.assoc_opt item t.layouts.(lg.lg_site)))
+      0 ledgers
+  in
+  let dead = List.filter (fun i -> not (answered i)) (List.init t.n Fun.id) in
+  assemble_cut ~at:(now t) ~base ~item_list:t.item_list ~dead ledgers
 
 (* --------------------------------------------------------- fault surface *)
 
@@ -837,9 +799,9 @@ let announce_up t =
 
 let kill_site t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.kill_site: site out of range";
-  Mutex.lock t.cut_mutex;
+  Mutex.lock t.life_mutex;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.cut_mutex)
+    ~finally:(fun () -> Mutex.unlock t.life_mutex)
     (fun () ->
       if not t.alive.(i) then false
       else begin
@@ -858,10 +820,10 @@ let kill_site t i =
 let respawn_site t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.respawn_site: site out of range";
   if t.wal_dir = None then invalid_arg "Cluster.respawn_site: cluster has no wal_dir";
-  Mutex.lock t.cut_mutex;
+  Mutex.lock t.life_mutex;
   let replayed_here =
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.cut_mutex)
+      ~finally:(fun () -> Mutex.unlock t.life_mutex)
       (fun () ->
         if t.alive.(i) then None
         else begin

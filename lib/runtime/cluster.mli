@@ -22,8 +22,9 @@
     in-memory WAL adopts the file's valid frame prefix as it is (no record
     list, no re-encode), {!Dvp_core.Site.recover}
     rebuilds the database, ledgers, and Vm protocol state, and the site
-    rejoins under the same identity.  Killing and respawning serialise with
-    conservation cuts, so every cut sees a stable live set.
+    rejoins under the same identity.  Kills and respawns serialise with
+    each other; a conservation cut takes no lock and sums over the sites
+    that answered it.
 
     {b Checkpoints.}  Each site domain checkpoints itself once its stable
     log holds {!checkpoint_threshold} records (Section 7): a snapshot record
@@ -40,8 +41,8 @@
     lands before the reply gives the request's documented default —
     [Aborted Crashed] for {!exec}, [false] for {!push_value} and
     {!checkpoint_site}, [None] for {!with_site}, [0] for the site's entry
-    in {!fragments}, the count committed before the kill for {!run_load} —
-    and never blocks.
+    in {!fragments}, the count committed before the kill for {!run_load},
+    no entry in {!stats} or {!sample_cut} — and never blocks.
 
     Determinism note: cross-site interleavings are real races here.  The
     cross-substrate equivalence tests therefore use commutative workloads
@@ -259,8 +260,26 @@ val announce_up : t -> unit
 (** {1 Live observability}
 
     Wall-clock telemetry and the conservation watchdog sample a running
-    cluster without pausing the workload (stats) or with a momentary
-    freeze-barrier rendezvous (cuts). *)
+    cluster without pausing it: each live site answers from its own loop,
+    between two handlers, and no site waits for another. *)
+
+(** One site's conservation ledger, per item, read between two handlers.
+    It satisfies the site's own identity
+    [fragment = installed + recv + delta - sent] (see
+    {!Dvp_core.Site.committed_delta}); the cumulative terms are rebuilt from
+    the log on respawn and stay continuous across kills. *)
+type ledger = {
+  lg_site : int;
+  lg_fragments : (Dvp_core.Ids.item * int) list;
+  lg_sent : (Dvp_core.Ids.item * int) list;  (** cumulative Vm value shipped *)
+  lg_recv : (Dvp_core.Ids.item * int) list;  (** cumulative Vm value accepted *)
+  lg_delta : (Dvp_core.Ids.item * int) list;  (** cumulative committed op delta *)
+}
+
+val ledger_of : Dvp_core.Site.t -> items:Dvp_core.Ids.item list -> ledger
+(** Read a site's ledger.  Call it where the site runs, between two
+    handlers: a cluster does so inside the site's domain, a test on the DES
+    thread.  Reads no {!Dvp_core.Metrics}. *)
 
 (** One site's self-reported snapshot, taken inside its serial event loop
     (so every field is consistent with every other at a point between
@@ -269,15 +288,8 @@ type site_stats = {
   st_site : int;
   st_metrics : Dvp_core.Metrics.t;
       (** a detached copy — safe to read from any thread.  A respawned
-          incarnation starts fresh counters; the cumulative ledgers below
-          are rebuilt from the log and stay continuous across kills. *)
-  st_fragments : (Dvp_core.Ids.item * int) list;
-  st_sent : (Dvp_core.Ids.item * int) list;
-      (** cumulative Vm value shipped, per item (never rolled back) *)
-  st_recv : (Dvp_core.Ids.item * int) list;
-      (** cumulative Vm value accepted, per item *)
-  st_delta : (Dvp_core.Ids.item * int) list;
-      (** cumulative committed op delta, per item *)
+          incarnation starts fresh counters. *)
+  st_ledger : ledger;
   st_outbox : int;  (** Vm outstanding + parked fragments *)
   st_wal : int;  (** WAL records appended *)
   st_epoch : int;  (** membership epoch the site believes in *)
@@ -285,67 +297,65 @@ type site_stats = {
 }
 
 val stats : t -> site_stats array
-(** Snapshot every {e live} site, without any freeze: each site answers from
-    its own loop, so the array is {e per-site} consistent but not a
-    consistent cut — use for telemetry gauges, not conservation checks.
-    The array may be shorter than {!n_sites} while sites are dead; identify
-    entries by [st_site], not position.  Any thread. *)
+(** Snapshot every {e live} site, in site order.  Each site answers from
+    its own loop, so each entry is consistent in itself.  The array may be
+    shorter than {!n_sites} while sites are dead; identify entries by
+    [st_site], not position.  Copies each site's {!Dvp_core.Metrics}, so
+    it costs more the longer the site has run.  Any thread. *)
 
 val mailbox_depth : t -> int -> int
 (** Messages queued for site [i]'s domain right now (the live mailbox-depth
     gauge).  Lock-free; any thread. *)
 
-(** Per-item verdict of a conservation cut, over the cut's live set. *)
+(** Per-item verdict of a conservation cut, summed over the sites that
+    answered it. *)
 type cut_item = {
   ci_item : Dvp_core.Ids.item;
   ci_expected : int;
-      (** live installed baseline + Σ committed deltas on the cut *)
-  ci_fragments : int;  (** Σ live fragments on the cut *)
+      (** installed baseline + Σ committed deltas *)
+  ci_fragments : int;  (** Σ fragments *)
   ci_in_flight : int;
-      (** Σ sent − Σ recv over the live set: Vm value launched but not yet
-          accepted.  May be negative while a site is dead (its live peers
-          have accepted more from it than they have launched toward it). *)
-  ci_delta : int;  (** Σ committed deltas on the cut *)
+      (** Σ sent − Σ recv.  Each term is read at its own site's instant,
+          so this is the Vm value launched but not yet accepted only when
+          nothing moves, as at {!quiesce}; mid-run it is informational.  It
+          may be negative while a site is dead (its live peers have
+          accepted more from it than they have launched toward it). *)
+  ci_delta : int;  (** Σ committed deltas *)
   ci_ok : bool;
-      (** [ci_fragments + ci_in_flight = ci_expected], and every live
+      (** [ci_fragments + ci_in_flight = ci_expected], and every answering
           site's fragment of the item is [>= 0] (escrow non-negativity) *)
 }
 
 type cut = {
   cut_at : float;  (** {!now}-clock time the cut completed *)
-  cut_epoch : int;  (** the common membership epoch; [-1] if inconsistent *)
-  cut_consistent : bool;  (** all sites reported the same epoch *)
   cut_items : cut_item list;
-  cut_sites : site_stats array;  (** the raw per-site snapshots *)
-  cut_dead : int list;  (** sites excluded from the cut (hard-killed) *)
+  cut_ledgers : ledger array;  (** the answering sites' ledgers *)
+  cut_dead : int list;  (** sites that did not answer (dead, or killed mid-cut) *)
 }
 
 val cut_ok : cut -> bool
-(** Epoch-consistent, and every item conserves exactly with no negative
-    live fragment. *)
+(** Every item conserves exactly with no negative fragment. *)
 
-val cut_of_stats :
+val cut_of_ledgers :
   at:float ->
   initial:(Dvp_core.Ids.item * int) list ->
   items:Dvp_core.Ids.item list ->
-  site_stats array ->
+  ledger array ->
   cut
-(** The pure verdict fold {!sample_cut} applies to its snapshots — exposed
+(** The pure verdict fold {!sample_cut} applies to its ledgers — exposed
     so tests and offline tooling can re-run the conservation check over
-    recorded [site_stats] (with every site presumed live: [initial] is the
-    full installed baseline and [cut_dead] is empty). *)
+    recorded ledgers.  [initial] is the installed baseline of exactly the
+    sites in the array; [cut_dead] is empty. *)
 
 val sample_cut : t -> cut
-(** Take an epoch-consistent conservation cut over the live sites.  Every
-    live site snapshots its stats and then blocks on a rendezvous barrier
-    until {e all} of them have, so no Vm send can cross the cut backwards:
-    the equality [fragments + in_flight = expected] is exact per cut, no
-    tolerance needed — {e including while sites are dead}, because every
-    term (installed baseline included) is summed over the same live set.
-    The freeze lasts one rendezvous (microseconds at small [n]); sends are
-    asynchronous mailbox pushes, so the rendezvous cannot deadlock.
-    Concurrent callers, kills, and respawns are serialised internally.
-    Any thread. *)
+(** Ask every live site for its {!ledger}, whenever its loop reaches the
+    request, and sum the answers.  Every site satisfies its own identity
+    at the instant it answers, so [fragments + in_flight = expected] holds
+    exactly with no freeze: nothing waits, no lock is taken, no
+    {!Dvp_core.Metrics} is copied.  The installed baseline is summed over
+    the sites that answered; the others are [cut_dead].  A sum of per-site
+    identities cannot catch a Vm credited twice (the credit counts in
+    [recv] too).  Any thread except a site domain. *)
 
 val shards : t -> Dvp_trace.Shards.t option
 (** The trace shards when [create ~tracing:true], site [i] on shard [i]. *)

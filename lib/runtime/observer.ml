@@ -31,8 +31,6 @@ let committed stats = sum_stats (fun st -> Metrics.committed st.Cluster.st_metri
 
 let aborted stats = sum_stats (fun st -> Metrics.aborted st.Cluster.st_metrics) stats
 
-(* Worst per-site commit-latency p99 across the cluster (ms); NaN until any
-   site has commits. *)
 let p99_ms stats =
   Array.fold_left
     (fun acc st ->
@@ -41,7 +39,18 @@ let p99_ms stats =
     nan stats
 
 let in_flight_value stats =
-  sum_stats (fun st -> sum_assoc st.Cluster.st_sent - sum_assoc st.Cluster.st_recv) stats
+  sum_stats
+    (fun st ->
+      let lg = st.Cluster.st_ledger in
+      sum_assoc lg.Cluster.lg_sent - sum_assoc lg.Cluster.lg_recv)
+    stats
+
+let mailbox_depth cluster =
+  let total = ref 0 in
+  for i = 0 to Cluster.n_sites cluster - 1 do
+    total := !total + Cluster.mailbox_depth cluster i
+  done;
+  !total
 
 let register_instruments t =
   let tel = t.telemetry in
@@ -60,12 +69,7 @@ let register_instruments t =
     Telemetry.counter tel (Printf.sprintf "site%d.commits" i) (site_metric Metrics.committed);
     Telemetry.counter tel (Printf.sprintf "site%d.aborts" i) (site_metric Metrics.aborted)
   done;
-  Telemetry.gauge tel "mailbox.depth" (fun () ->
-      let total = ref 0 in
-      for i = 0 to n - 1 do
-        total := !total + Cluster.mailbox_depth t.cluster i
-      done;
-      float_of_int !total);
+  Telemetry.gauge tel "mailbox.depth" (fun () -> float_of_int (mailbox_depth t.cluster));
   Telemetry.gauge tel "vm.outbox_depth" (read (sum_stats (fun st -> st.Cluster.st_outbox)));
   Telemetry.gauge tel "vm.in_flight_value" (read in_flight_value);
   Telemetry.gauge tel "wal.length" (read (sum_stats (fun st -> st.Cluster.st_wal)));
@@ -84,13 +88,7 @@ let stats_line t stats =
       ("committed", Json.Int (committed stats));
       ("aborted", Json.Int (aborted stats));
       ("p99_ms", num (p99_ms stats));
-      ( "mailbox_depth",
-        Json.Int
-          (let total = ref 0 in
-           for i = 0 to Cluster.n_sites t.cluster - 1 do
-             total := !total + Cluster.mailbox_depth t.cluster i
-           done;
-           !total) );
+      ("mailbox_depth", Json.Int (mailbox_depth t.cluster));
       ("outbox_depth", Json.Int (sum_stats (fun st -> st.Cluster.st_outbox) stats));
       ("in_flight_value", Json.Int (in_flight_value stats));
       ("wal_length", Json.Int (sum_stats (fun st -> st.Cluster.st_wal) stats));
@@ -105,8 +103,6 @@ let cut_verdict (cut : Cluster.cut) =
     [
       ("kind", Json.String "conservation_watchdog");
       ("at", Json.Float cut.Cluster.cut_at);
-      ("epoch", Json.Int cut.Cluster.cut_epoch);
-      ("epoch_consistent", Json.Bool cut.Cluster.cut_consistent);
       ( "items",
         Json.List
           (List.map

@@ -18,8 +18,9 @@
       {!Dvp_obs.Flight} (merged multi-shard trace + telemetry snapshot +
       the cut verdict as JSON — first alarm only), and records an {!alarm}.
 
-    The observer never pauses the workload except for the watchdog's
-    momentary freeze-barrier rendezvous (see {!Cluster.sample_cut}). *)
+    The observer never pauses the workload: each site answers a stats or
+    cut request from its own loop, and no site waits for another (see
+    {!Cluster.sample_cut}). *)
 
 type t
 
@@ -55,6 +56,16 @@ val latest : t -> Cluster.site_stats array
 val alarms : t -> alarm list
 (** Watchdog violations so far, oldest first.  Empty means every cut
     conserved exactly. *)
+
+(** The folds the stats feed and [dvp-cli top] print: [p99_ms] is the
+    worst per-site commit-latency p99 in ms ([nan] before any commit),
+    [in_flight_value] Σ sent − Σ recv, [mailbox_depth] every site's queue
+    now. *)
+val committed : Cluster.site_stats array -> int
+val aborted : Cluster.site_stats array -> int
+val p99_ms : Cluster.site_stats array -> float
+val in_flight_value : Cluster.site_stats array -> int
+val mailbox_depth : Cluster.t -> int
 
 val stop : t -> unit
 (** Stop and join the observer domain, take one closing sample (including a

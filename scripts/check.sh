@@ -78,6 +78,27 @@ if grep -rn 'Domain\.cpu_relax' lib | grep -vE '^lib/runtime/mailbox\.ml:'; then
   exit 1
 fi
 
+# Conservation cuts without a freeze: each site's ledger satisfies its own
+# identity at whatever instant the site is read, so a cut is the sum of the
+# ledgers (Cluster.sample_cut) and no site waits for another.  A rendezvous
+# barrier under lib/runtime would stall every site for the slowest one, and
+# a Metrics read in Cluster.ledger_of would make each cut copy a latency
+# sample that grows with the run.
+echo "== conservation cuts without a freeze =="
+if grep -rnE 'arrive_and_wait|Barrier' lib/runtime; then
+  echo "a barrier is used under lib/runtime; a cut sums per-site ledgers and needs none" >&2
+  exit 1
+fi
+metrics_in_ledger=$(awk '
+  /^(let|and|type|module|exception|\(\*)/ { top = ($1 == "let" || $1 == "and") ? (($2 == "rec") ? $3 : $2) : "" }
+  top == "ledger_of" && /Metrics/ { print FILENAME ":" FNR ": " $0 }
+' lib/runtime/cluster.ml)
+if [ -n "$metrics_in_ledger" ]; then
+  echo "$metrics_in_ledger"
+  echo "Cluster.ledger_of reads Metrics; a cut reads only the conservation ledger" >&2
+  exit 1
+fi
+
 # @fmt needs the ocamlformat binary, which not every environment carries.
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
@@ -176,8 +197,8 @@ fi
 # Wall-clock chaos smoke: seeded Faultplan plans on the real domains
 # runtime — hard kills mid-traffic (Crash, with a Recover after the
 # downtime; Kill_forever), torn WAL tails (Storage_fault), forced-write
-# failures (Fail_forces) and link storms (Set_links) — with the
-# freeze-barrier cut oracle and, at quiesce, the stable-log audit the DES
+# failures (Fail_forces) and link storms (Set_links) — with the live
+# conservation cuts and, at quiesce, the stable-log audit the DES
 # chaos runs too (Oracle.check_logs over every WAL file, against the live
 # fragments and in-flight value).  The wall also performs Partition and
 # Heal, which its profiles do not draw yet (test_chaos "wall partition

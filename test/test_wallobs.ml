@@ -1,7 +1,8 @@
 (* Tests for the wall-clock observability plane: per-domain trace shards and
    their totally-ordered merge, span analysis over merged wall dumps (commit
    counts must agree with Metrics on both substrates), the conservation
-   watchdog's freeze-barrier cuts, and the observer's live feed. *)
+   watchdog's cuts (sums of per-site ledgers, read with no freeze), and the
+   observer's live feed. *)
 
 module Trace = Dvp_trace.Trace
 module Shards = Dvp_trace.Shards
@@ -11,8 +12,11 @@ module System = Dvp_core.System
 module Site = Dvp_core.Site
 module Txn = Dvp_core.Txn
 module Op = Dvp_core.Op
+module Substrate = Dvp_substrate.Substrate
+module Linkstate = Dvp_net.Linkstate
 module Cluster = Dvp_runtime.Cluster
 module Observer = Dvp_runtime.Observer
+module Walfile = Dvp_runtime.Walfile
 
 (* ------------------------------------------- merged total order (property) *)
 
@@ -171,8 +175,9 @@ let test_wall_spans_match_metrics () =
 (* ------------------------------------------------- watchdog cut sampling *)
 
 (* Cuts taken while value is actively moving between sites must conserve
-   exactly: the freeze barrier means no Vm send crosses the cut backwards,
-   so fragments + in-flight = initial + committed deltas, no tolerance. *)
+   exactly: each site's ledger satisfies its own identity at the instant it
+   answers, so the sum fragments + in-flight = initial + committed deltas
+   holds with no tolerance and no freeze. *)
 let test_cut_consistent_under_load () =
   let c = Cluster.create ~seed:3 ~n:2 ~items:[ (0, 1_000) ] () in
   let stop_load = Atomic.make false in
@@ -242,7 +247,8 @@ let test_cut_during_outage () =
   Alcotest.(check (list int)) "no dead sites at the end" [] final_cut.Cluster.cut_dead;
   Alcotest.(check bool) "conserved after recovery" true conserved
 
-(* Concurrent cut takers must serialise, not deadlock. *)
+(* Concurrent cut takers take no lock, so they neither deadlock nor
+   disagree. *)
 let test_concurrent_cuts () =
   let c = Cluster.create ~seed:9 ~n:2 ~items:[ (0, 500) ] () in
   let bad = Atomic.make 0 in
@@ -258,20 +264,139 @@ let test_concurrent_cuts () =
   Cluster.stop c;
   Alcotest.(check int) "all concurrent cuts conserved" 0 (Atomic.get bad)
 
+(* A cut must not hold one site's peers while that site is busy: site 0 is
+   held for 0.2 s inside a handler, a cut is taken meanwhile, and an exec on
+   site 1 must still answer at once.  A cut that made each site wait for
+   the others after answering would hold site 1 until site 0 answered. *)
+let test_cut_does_not_stall_peers () =
+  let c = Cluster.create ~seed:17 ~n:2 ~items:[ (0, 100) ] () in
+  let holder = Domain.spawn (fun () -> Cluster.with_site c 0 (fun _ -> Unix.sleepf 0.2)) in
+  Unix.sleepf 0.02;
+  let cutter = Domain.spawn (fun () -> Cluster.sample_cut c) in
+  Unix.sleepf 0.02;
+  let t0 = Unix.gettimeofday () in
+  let outcome = Cluster.exec c (Txn.write ~site:1 [ (0, Op.Incr 1) ]) in
+  let took = Unix.gettimeofday () -. t0 in
+  let cut = Domain.join cutter in
+  ignore (Domain.join holder : unit option);
+  Cluster.stop c;
+  Printf.printf "exec on site 1 during a cut: %.3f ms\n" (took *. 1000.0);
+  Alcotest.(check bool) "exec committed" true
+    (match outcome with Txn.Committed _ -> true | Txn.Aborted _ -> false);
+  Alcotest.(check bool) "exec took < 50 ms" true (took < 0.05);
+  Alcotest.(check bool) "cut ok" true (Cluster.cut_ok cut)
+
+(* Kills and respawns racing the cuts: one domain cuts in a loop while the
+   main thread kills and respawns sites 1 and 2 every 10 ms under load.  A
+   site killed after the cut chose whom to ask answers nothing, so its
+   share of the installed baseline must leave the cut with it. *)
+let test_cuts_race_kills () =
+  let wal_dir = Walfile.temp_dir "wallobs-race" in
+  let c = Cluster.create ~seed:19 ~wal_dir ~n:3 ~items:[ (0, 900) ] () in
+  Cluster.start_bg_load c ~duration:0.6 ();
+  let stop = Atomic.make false in
+  let cutter =
+    Domain.spawn (fun () ->
+        let cuts = ref 0 and bad = ref 0 and saw_dead = ref false in
+        while not (Atomic.get stop) do
+          let cut = Cluster.sample_cut c in
+          incr cuts;
+          if not (Cluster.cut_ok cut) then incr bad;
+          if cut.Cluster.cut_dead <> [] then saw_dead := true
+        done;
+        (!cuts, !bad, !saw_dead))
+  in
+  let deadline = Unix.gettimeofday () +. 0.5 and k = ref 0 in
+  while Unix.gettimeofday () < deadline do
+    let i = 1 + (!k mod 2) in
+    incr k;
+    ignore (Cluster.kill_site c i : bool);
+    Unix.sleepf 0.01;
+    ignore (Cluster.respawn_site c i : int option);
+    Unix.sleepf 0.01
+  done;
+  Atomic.set stop true;
+  let cuts, bad, saw_dead = Domain.join cutter in
+  let quiesced = Cluster.quiesce c in
+  let conserved = Cluster.conserved_all c in
+  Cluster.stop c;
+  Walfile.remove_dir wal_dir;
+  Printf.printf "%d cuts across %d kills, %d bad\n" cuts !k bad;
+  Alcotest.(check int) "no cut failed" 0 bad;
+  Alcotest.(check bool) "some cut named a dead site" true saw_dead;
+  Alcotest.(check bool) "quiesced" true quiesced;
+  Alcotest.(check bool) "conserved" true conserved
+
+(* The same fold on the DES, with each up site's ledger read at its own
+   independently drawn simulated instant while Vm pushes, remote decrements
+   and crash/recover toggles run over lossy, duplicating links.  The base
+   is the installed value of the sites read.  Some draws must read a Vm
+   credited before its debit was read (negative in-flight), or the
+   property would not exercise reads at different instants. *)
+let test_des_ledgers_at_independent_instants () =
+  let torn = ref 0 in
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 4) (int_bound 10_000)
+        (list_size (int_range 1 40)
+           (quad (int_bound 5) (int_bound 7) (int_bound 7) (int_range 1 30)))
+        (list_repeat 4 (float_bound_inclusive 2.5)))
+  in
+  let prop (n, seed, script, reads) =
+    let link = { Linkstate.default with Linkstate.loss_prob = 0.1; dup_prob = 0.1 } in
+    let sys = System.create ~seed ~link ~n () in
+    let installed = Array.init n (fun i -> 100 + (10 * i)) in
+    System.add_item sys ~item:0
+      ~total:(Array.fold_left ( + ) 0 installed)
+      ~split:(`Explicit (Array.to_list installed))
+      ();
+    let sub = System.sub sys in
+    let at delay f = ignore (Substrate.schedule sub ~delay f : Substrate.timer) in
+    List.iteri
+      (fun k (kind, a, b, amount) ->
+        let src = a mod n in
+        let dst = (src + 1 + (b mod (n - 1))) mod n in
+        at (0.05 *. float_of_int k) (fun () ->
+            match kind with
+            | 0 | 1 | 2 ->
+              if System.site_up sys src then
+                ignore (Site.push_value (System.site sys src) ~dst ~item:0 ~amount : bool)
+            | 3 | 4 ->
+              System.exec sys (Txn.write ~site:src [ (0, Op.Decr amount) ]) ~on_done:ignore
+            | _ ->
+              if System.site_up sys src then System.crash_site sys src
+              else System.recover_site sys src))
+      script;
+    let ledgers = ref [] in
+    List.iteri
+      (fun i delay ->
+        if i < n then
+          at delay (fun () ->
+              if System.site_up sys i then
+                ledgers := Cluster.ledger_of (System.site sys i) ~items:[ 0 ] :: !ledgers))
+      reads;
+    System.run_for sys 5.0;
+    let ledgers = Array.of_list !ledgers in
+    let base = Array.fold_left (fun acc lg -> acc + installed.(lg.Cluster.lg_site)) 0 ledgers in
+    let cut = Cluster.cut_of_ledgers ~at:0.0 ~initial:[ (0, base) ] ~items:[ 0 ] ledgers in
+    List.iter (fun ci -> if ci.Cluster.ci_in_flight < 0 then incr torn) cut.Cluster.cut_items;
+    Cluster.cut_ok cut
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"DES ledgers read at independent instants conserve"
+       (QCheck.make gen) prop);
+  Printf.printf "%d of 300 cuts read value credited before its debit\n" !torn;
+  Alcotest.(check bool) "some cuts read a credit before its debit" true (!torn > 0)
+
 (* ------------------------------------------- cut verdict fold, pure cases *)
 
-let mk_stats ~site ?(epoch = 0) ~frag ~sent ~recv ~delta () =
+let mk_ledger ~site ~frag ~sent ~recv ~delta =
   {
-    Cluster.st_site = site;
-    st_metrics = Metrics.create ();
-    st_fragments = [ (0, frag) ];
-    st_sent = [ (0, sent) ];
-    st_recv = [ (0, recv) ];
-    st_delta = [ (0, delta) ];
-    st_outbox = 0;
-    st_wal = 0;
-    st_epoch = epoch;
-    st_active = 0;
+    Cluster.lg_site = site;
+    lg_fragments = [ (0, frag) ];
+    lg_sent = [ (0, sent) ];
+    lg_recv = [ (0, recv) ];
+    lg_delta = [ (0, delta) ];
   }
 
 let test_cut_fold_cases () =
@@ -279,10 +404,10 @@ let test_cut_fold_cases () =
   (* Conserving: 40 + 55 fragments, 10 sent vs 5 accepted → 5 in flight,
      no committed deltas: 95 + 5 = 100. *)
   let ok_cut =
-    Cluster.cut_of_stats ~at:1.0 ~initial ~items
+    Cluster.cut_of_ledgers ~at:1.0 ~initial ~items
       [|
-        mk_stats ~site:0 ~frag:40 ~sent:10 ~recv:0 ~delta:0 ();
-        mk_stats ~site:1 ~frag:55 ~sent:0 ~recv:5 ~delta:0 ();
+        mk_ledger ~site:0 ~frag:40 ~sent:10 ~recv:0 ~delta:0;
+        mk_ledger ~site:1 ~frag:55 ~sent:0 ~recv:5 ~delta:0;
       |]
   in
   Alcotest.(check bool) "conserving cut ok" true (Cluster.cut_ok ok_cut);
@@ -293,43 +418,43 @@ let test_cut_fold_cases () =
   | _ -> Alcotest.fail "one item expected");
   (* Committed deltas raise the expectation: +7 committed, fragments grew. *)
   let delta_cut =
-    Cluster.cut_of_stats ~at:2.0 ~initial ~items
+    Cluster.cut_of_ledgers ~at:2.0 ~initial ~items
       [|
-        mk_stats ~site:0 ~frag:47 ~sent:0 ~recv:0 ~delta:7 ();
-        mk_stats ~site:1 ~frag:60 ~sent:0 ~recv:0 ~delta:0 ();
+        mk_ledger ~site:0 ~frag:47 ~sent:0 ~recv:0 ~delta:7;
+        mk_ledger ~site:1 ~frag:60 ~sent:0 ~recv:0 ~delta:0;
       |]
   in
   Alcotest.(check bool) "delta cut ok" true (Cluster.cut_ok delta_cut);
+  (* Read at different instants: site 0 answered before it shipped 10,
+     site 1 after it accepted them.  The 10 is in both fragments and counts
+     −10 in flight; the sum still conserves. *)
+  let torn_cut =
+    Cluster.cut_of_ledgers ~at:2.5 ~initial ~items
+      [|
+        mk_ledger ~site:0 ~frag:50 ~sent:0 ~recv:0 ~delta:0;
+        mk_ledger ~site:1 ~frag:60 ~sent:0 ~recv:10 ~delta:0;
+      |]
+  in
+  Alcotest.(check bool) "cut read at different instants ok" true (Cluster.cut_ok torn_cut);
   (* A unit of value vanished: must trip. *)
   let leak_cut =
-    Cluster.cut_of_stats ~at:3.0 ~initial ~items
+    Cluster.cut_of_ledgers ~at:3.0 ~initial ~items
       [|
-        mk_stats ~site:0 ~frag:40 ~sent:10 ~recv:0 ~delta:0 ();
-        mk_stats ~site:1 ~frag:54 ~sent:0 ~recv:5 ~delta:0 ();
+        mk_ledger ~site:0 ~frag:40 ~sent:10 ~recv:0 ~delta:0;
+        mk_ledger ~site:1 ~frag:54 ~sent:0 ~recv:5 ~delta:0;
       |]
   in
   Alcotest.(check bool) "leaking cut trips" false (Cluster.cut_ok leak_cut);
   (* Balanced, but one live fragment is overdrawn: escrow non-negativity
      must trip the cut on its own. *)
   let overdrawn_cut =
-    Cluster.cut_of_stats ~at:3.5 ~initial ~items
+    Cluster.cut_of_ledgers ~at:3.5 ~initial ~items
       [|
-        mk_stats ~site:0 ~frag:(-1) ~sent:0 ~recv:0 ~delta:0 ();
-        mk_stats ~site:1 ~frag:101 ~sent:0 ~recv:0 ~delta:0 ();
+        mk_ledger ~site:0 ~frag:(-1) ~sent:0 ~recv:0 ~delta:0;
+        mk_ledger ~site:1 ~frag:101 ~sent:0 ~recv:0 ~delta:0;
       |]
   in
-  Alcotest.(check bool) "overdrawn cut trips" false (Cluster.cut_ok overdrawn_cut);
-  (* Sites disagreeing on the membership epoch invalidate the cut even if
-     the arithmetic happens to balance. *)
-  let torn_cut =
-    Cluster.cut_of_stats ~at:4.0 ~initial ~items
-      [|
-        mk_stats ~site:0 ~epoch:0 ~frag:50 ~sent:0 ~recv:0 ~delta:0 ();
-        mk_stats ~site:1 ~epoch:1 ~frag:50 ~sent:0 ~recv:0 ~delta:0 ();
-      |]
-  in
-  Alcotest.(check bool) "epoch-torn cut invalid" false (Cluster.cut_ok torn_cut);
-  Alcotest.(check bool) "epoch-torn flagged" false torn_cut.Cluster.cut_consistent
+  Alcotest.(check bool) "overdrawn cut trips" false (Cluster.cut_ok overdrawn_cut)
 
 (* ------------------------------------------------ truncated dump tolerance *)
 
@@ -424,6 +549,11 @@ let () =
           Alcotest.test_case "cuts conserve during an outage" `Quick
             test_cut_during_outage;
           Alcotest.test_case "concurrent cuts serialise" `Quick test_concurrent_cuts;
+          Alcotest.test_case "a cut does not stall a busy site's peers" `Quick
+            test_cut_does_not_stall_peers;
+          Alcotest.test_case "cuts race kills and respawns" `Quick test_cuts_race_kills;
+          Alcotest.test_case "DES ledgers read at independent instants" `Quick
+            test_des_ledgers_at_independent_instants;
           Alcotest.test_case "cut verdict fold" `Quick test_cut_fold_cases;
         ] );
       ("observer", [ Alcotest.test_case "live feed" `Quick test_observer_feed ]);
